@@ -190,8 +190,6 @@ fn equal_ways(n: usize, cfg: &CoordConfig) -> Vec<usize> {
 
 /// Solve the coordinated (bandwidth × LLC ways) partitioning for pure
 /// model profiles (no telemetry calibration).
-// lint: allow(R3): thin delegator — certification runs inside
-// solve_coordinated_scaled (A2 verifies the reachability)
 pub fn solve_coordinated(
     apps: &[CacheAwareProfile],
     cfg: &CoordConfig,

@@ -95,7 +95,7 @@ fn check_pairs(shared: &[f64], alone: &[f64]) -> Result<(), ModelError> {
 }
 
 /// Per-application speedups `IPC_shared,i / IPC_alone,i`.
-// lint: allow(R3): speedups are per-app ratios, not a share/allocation vector
+// lint: allow(A2): speedups are per-app ratios, not a share/allocation vector
 pub fn speedups(ipc_shared: &[f64], ipc_alone: &[f64]) -> Result<Vec<f64>, ModelError> {
     check_pairs(ipc_shared, ipc_alone)?;
     Ok(ipc_shared

@@ -42,7 +42,7 @@ impl Prediction {
     }
 
     /// Per-application speedups.
-    // lint: allow(R3): speedups are per-app ratios, not a share vector
+    // lint: allow(A2): speedups are per-app ratios, not a share vector
     pub fn speedups(&self) -> Vec<f64> {
         metrics::speedups(&self.ipc_shared, &self.ipc_alone)
             // lint: allow(R1): vectors are validated by the evaluate* constructors

@@ -1,21 +1,21 @@
-//! The interprocedural analysis pass: `cargo xtask analyze`.
+//! The interprocedural rules A1–A4 of `cargo xtask lint`.
 //!
-//! Where the per-file lint engine (`engine.rs`, rules R1–R14) checks what
-//! a single file can prove, this pass indexes the whole workspace
-//! ([`crate::symbols`]), builds an approximate call graph
-//! ([`crate::callgraph`]) and checks four properties that only hold — or
-//! fail — *across* function and crate boundaries:
+//! The per-file rules (`engine.rs`) check what one file can prove. These
+//! rules run over the workspace symbol index ([`crate::symbols`]) and the
+//! approximate call graph ([`crate::callgraph`]), both built from the same
+//! analyzed files, and check four properties that hold — or fail — across
+//! function and crate boundaries:
 //!
 //! * **A1 — hot-path purity.** No allocation, lock acquisition, blocking
 //!   call, or per-event registry resolution may be *reachable* from the
-//!   R9/R14 hot simulator functions, to a bounded call depth. The finding
-//!   reports the full call path from the hot fn to the danger site.
+//!   hot simulator functions — the hot fn's own body (depth 0) through a
+//!   bounded call depth. The finding reports the full call path from the
+//!   hot fn to the danger site.
 //! * **A2 — contract reachability.** A public share producer — returning
 //!   a bare `Vec<f64>` or an owned `Allocation` / `MultiAllocation` /
 //!   `CoordOutcome` wrapper (in `crates/core` / `crates/bwpartd`) — must
-//!   certify its output either directly (rule R3's certifiers) or via a
-//!   callee that does — the per-file R3 rule cannot see certification one
-//!   call away. Reference accessors (`&Allocation`) are exempt.
+//!   certify its output either directly or via a callee that does.
+//!   Reference accessors (`&Allocation`) are exempt.
 //! * **A3 — interprocedural unit flow.** R11's `_cycles` / `_ns` /
 //!   share-fraction naming discipline is checked across call boundaries:
 //!   an argument named in one unit must not flow into a parameter named in
@@ -23,23 +23,17 @@
 //!   unit than the callee's name promises. `*_to_*` conversion fns are
 //!   exempt on the argument side (converting is their job).
 //! * **A4 — workspace lock-order.** Per-file `// lint: lock-order:`
-//!   tables (R13) are merged into one workspace graph; lock acquisitions
-//!   *reached through calls* while another lock is held become observed
-//!   nesting edges. Observed edges must follow the declared order, and the
-//!   combined declared+observed graph must be acyclic. Observed-edge
-//!   analysis is opt-in per crate: only crates that declare at least one
-//!   lock table participate (the loomlite model-checker's cooperative
-//!   locks stay out by design).
+//!   tables are merged into one workspace graph. Locks nested inside one
+//!   fn, and locks *reached through calls* while another lock is held,
+//!   become observed nesting edges. Observed edges must follow the
+//!   declared order, every lock must be named in some table, and the
+//!   combined declared+observed graph must be acyclic. The rule is opt-in
+//!   per crate: only `bwpartd` and crates that declare at least one table
+//!   participate (the loomlite model-checker's cooperative locks stay out
+//!   by design).
 //!
-//! Suppression mirrors the lint engine: a `lint: allow(A<N>): reason`
-//! comment attached to the finding's anchor suppresses it (A2 also honours
-//! `allow(R3)` — the annotation already asserts the value is not a share
-//! vector). Output formats: human text, JSON (`--json`, schema below) and
-//! SARIF 2.1.0 (`--sarif`) for code-scanning upload.
-//!
-//! Warm runs are cached: the rendered reports are stored under
-//! `target/analyze-cache.txt` keyed by a hash of every indexed file, so a
-//! no-change re-run only re-hashes sources (`--no-cache` bypasses).
+//! A `lint: allow(A<N>): reason` comment attached to a finding's anchor
+//! suppresses it, exactly as for the per-file rules.
 //!
 //! ## Soundness boundaries (documented, deliberate)
 //!
@@ -54,322 +48,41 @@
 //!   false positives outweigh the thread-join catch, and thread joins on
 //!   hot paths are already unreachable by construction here.
 
-use std::fs;
-use std::io;
-use std::path::Path;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::CallGraph;
-use crate::engine::{unit_class, R14_HOT_FNS, R9_HOT_FNS};
-use crate::lint::{line_col, snippet_at};
-use crate::symbols::{DangerKind, FileFacts, Workspace};
+use crate::engine::unit_class;
+use crate::lint::{line_col, Finding, Rule};
+use crate::symbols::{DangerKind, Workspace};
+use crate::tokens::SourceFile;
 
-/// The interprocedural rule catalogue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ARule {
-    /// Hot-path purity: no allocation/lock/blocking reachable from hot fns.
-    A1HotPathPurity,
-    /// Share-vector producers must certify directly or via a callee.
-    A2ContractReachability,
-    /// Unit-suffix discipline across call boundaries.
-    A3UnitFlow,
-    /// Workspace lock-order: observed nesting vs declared tables, acyclic.
-    A4LockOrderGraph,
+/// Run A1–A4 over the indexed workspace. `files[i]` is the analyzed
+/// source behind `ws.files[i]`.
+pub fn check(ws: &Workspace, files: &[&SourceFile]) -> Vec<Finding> {
+    let graph = CallGraph::build(ws);
+    let mut findings = rule_a1(ws, &graph, files);
+    findings.extend(rule_a2(ws, &graph, files));
+    findings.extend(rule_a3(ws, &graph, files));
+    findings.extend(rule_a4(ws, &graph, files));
+    findings
 }
 
-impl ARule {
-    /// All rules, in report order.
-    pub const ALL: [ARule; 4] = [
-        ARule::A1HotPathPurity,
-        ARule::A2ContractReachability,
-        ARule::A3UnitFlow,
-        ARule::A4LockOrderGraph,
-    ];
-
-    /// Stable code, used in reports and `lint: allow(A<N>)` markers.
-    pub fn code(&self) -> &'static str {
-        match self {
-            ARule::A1HotPathPurity => "A1",
-            ARule::A2ContractReachability => "A2",
-            ARule::A3UnitFlow => "A3",
-            ARule::A4LockOrderGraph => "A4",
-        }
-    }
-
-    /// Parse a rule code.
-    pub fn from_code(code: &str) -> Option<ARule> {
-        ARule::ALL.iter().copied().find(|r| r.code() == code)
-    }
-
-    /// One-line summary for `--rules`.
-    pub fn describe(&self) -> &'static str {
-        match self {
-            ARule::A1HotPathPurity => {
-                "no allocation, locking, or blocking reachable from hot simulator fns"
-            }
-            ARule::A2ContractReachability => {
-                "share/allocation producers must certify directly or via a certified callee"
-            }
-            ARule::A3UnitFlow => {
-                "unit-suffixed values must not cross call boundaries into another unit"
-            }
-            ARule::A4LockOrderGraph => {
-                "cross-fn lock nesting must follow the declared workspace lock order"
-            }
-        }
-    }
-
-    /// Long-form rationale for `--explain A<N>`.
-    pub fn explain(&self) -> &'static str {
-        match self {
-            ARule::A1HotPathPurity => {
-                "A1 — hot-path purity, transitively.\n\
-                 \n\
-                 The per-file rules R9/R14 keep the named hot simulator functions\n\
-                 (tick/step/issue/probe/… in crates/dram and crates/mc, and the SoA\n\
-                 core's bank_earliest/grid_clear/…) free of direct clocking, I/O and\n\
-                 allocation. A1 extends the same budget through the call graph: from\n\
-                 each hot fn, every function reachable within 8 call hops is scanned\n\
-                 for danger sites — fresh allocation (Vec::new, vec![], collect,\n\
-                 with_capacity, …), lock acquisition, blocking calls (sleep, recv,\n\
-                 wait) and per-event metrics-registry resolution (.counter()/.gauge()/\n\
-                 .histogram(), which take the registry's internal lock; resolve\n\
-                 handles once at construction instead). Container *growth* (.push,\n\
-                 .extend) is only flagged when reached from the SoA core's R14 fns —\n\
-                 amortized growth of caller-owned scratch is the honest idiom\n\
-                 elsewhere (that is what enqueue is for).\n\
-                 \n\
-                 The finding is anchored at the danger site and reports the full call\n\
-                 path from the hot fn, so the fix target is visible: hoist the\n\
-                 allocation to construction time, pre-resolve the handle, or break\n\
-                 the call edge. Suppress with `lint: allow(A1): <reason>` at the\n\
-                 danger site only when the path is provably cold (e.g. a once-per-run\n\
-                 panic path)."
-            }
-            ARule::A2ContractReachability => {
-                "A2 — certification must be reachable, not just local.\n\
-                 \n\
-                 Rule R3 requires public fns returning shares — a bare Vec<f64>, or\n\
-                 an owned Allocation / MultiAllocation / CoordOutcome wrapper — in\n\
-                 crates/core and crates/bwpartd to call a certifier\n\
-                 (validate_shares / ensures_simplex / ensures_capped /\n\
-                 Allocation::certified / invariant!) before returning. R3 scans one\n\
-                 function body; a producer that delegates certification to a helper\n\
-                 is invisible to it. A2 redoes the check over the call graph: the\n\
-                 producer passes if a certifier call is reachable within 3 call hops\n\
-                 through resolved callees. Reference-returning accessors\n\
-                 (`&Allocation`) are exempt: they hand out an already-certified\n\
-                 value.\n\
-                 \n\
-                 A2 fails only when *no* certification is reachable: the shares\n\
-                 leave the crate unchecked, and the paper's simplex invariant\n\
-                 (shares sum to 1, each within [floor, cap]) is unenforced at the\n\
-                 boundary. Fix by certifying in the producer or a callee; suppress\n\
-                 with `lint: allow(A2)` (or R3's own allow) when the return type is\n\
-                 incidentally Vec<f64> but not a share vector."
-            }
-            ARule::A3UnitFlow => {
-                "A3 — unit discipline across call boundaries.\n\
-                 \n\
-                 Rule R11 checks unit-suffix mixing (`_cycles` vs `_ns` vs\n\
-                 share-fraction names) inside one expression. A3 checks the two\n\
-                 places R11 cannot see: (1) an argument whose name carries one unit\n\
-                 flowing into a parameter whose name carries another —\n\
-                 `probe(now_ns)` against `fn probe(now_cycles: u64)` is a latent\n\
-                 time-base bug even though each file is locally consistent; and\n\
-                 (2) a call result bound against the callee's promise —\n\
-                 `let t_ns = ns_to_cycles(...)` binds a cycles value to an ns name.\n\
-                 \n\
-                 Conversion functions (`*_to_*`) are exempt on the argument side:\n\
-                 feeding `_ns` into `ns_to_cycles` is the point. Only calls that\n\
-                 resolve to exactly one workspace target are checked, so heuristic\n\
-                 resolution cannot produce cross-target false positives. Suppress\n\
-                 with `lint: allow(A3): <reason>` at the call site."
-            }
-            ARule::A4LockOrderGraph => {
-                "A4 — the workspace lock graph, not the per-file one.\n\
-                 \n\
-                 Rule R13 enforces `// lint: lock-order:` tables against acquisitions\n\
-                 it can see in one file. Deadlocks do not respect file boundaries:\n\
-                 holding `engine` while calling into another crate that takes\n\
-                 `table` is a nesting R13 never sees. A4 merges every declared table\n\
-                 into one workspace order, then walks the call graph from each call\n\
-                 site made *while a lock is held* (4 hops): any lock acquired in a\n\
-                 reached function is an observed nesting edge outer→inner.\n\
-                 \n\
-                 Findings: an observed edge that inverts the declared order; an\n\
-                 observed edge between locks no table relates (declare the pair —\n\
-                 silent nesting is how the next deadlock ships); a re-entrant\n\
-                 acquisition of the same lock across the call chain (std::sync::Mutex\n\
-                 self-deadlocks); and any cycle in the combined declared+observed\n\
-                 graph. Observed-edge analysis runs only for crates that declare at\n\
-                 least one table — opting in is the declaration itself. Same-file\n\
-                 same-fn nesting stays R13's job. Suppress with\n\
-                 `lint: allow(A4): <reason>` at the inner acquisition."
-            }
-        }
-    }
-}
-
-/// One analysis finding (mirrors the lint engine's `Violation` shape so
-/// render layers and CI artifacts stay uniform).
-#[derive(Debug, Clone)]
-pub struct AFinding {
-    /// Workspace-relative path (unix separators).
-    pub file: String,
-    /// 1-based anchor start line.
-    pub line: usize,
-    /// 1-based anchor start column.
-    pub col: usize,
-    /// 1-based anchor end line.
-    pub end_line: usize,
-    /// 1-based anchor end column.
-    pub end_col: usize,
-    /// The violated rule.
-    pub rule: ARule,
-    /// Human-readable explanation, including the call path where relevant.
-    pub message: String,
-    /// The source line the finding anchors on.
-    pub snippet: String,
-    /// Suppressed by an attached `lint: allow(...)` marker?
-    pub suppressed: bool,
-    /// The suppressing comment's text, when suppressed.
-    pub justification: Option<String>,
-}
-
-/// Workspace statistics for the report header.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Stats {
-    /// Files indexed.
-    pub files: usize,
-    /// Functions in the call graph.
-    pub fns: usize,
-    /// Resolved call edges.
-    pub edges: usize,
-}
-
-/// A full analysis run: every finding (suppressed ones included) plus
-/// index statistics.
-#[derive(Debug, Clone, Default)]
-pub struct Report {
-    /// All findings, sorted by (file, line, col, rule).
-    pub findings: Vec<AFinding>,
-    /// Index statistics for the report footer.
-    pub stats: Stats,
-}
-
-impl Report {
-    /// Unsuppressed findings — the ones that gate CI.
-    pub fn active(&self) -> impl Iterator<Item = &AFinding> {
-        self.findings.iter().filter(|f| !f.suppressed)
-    }
-}
-
-/// Collect `crates/*/src/**/*.rs` under `root` as `(unix-relative path,
-/// source)` pairs, sorted by path. `vendor/` is deliberately excluded —
-/// see the module docs.
-pub fn collect_workspace(root: &Path) -> io::Result<Vec<(String, String)>> {
-    fn walk(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
-        for entry in fs::read_dir(dir)? {
-            let path = entry?.path();
-            if path.is_dir() {
-                walk(&path, out)?;
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                out.push(path);
-            }
-        }
-        Ok(())
-    }
-    let mut files = Vec::new();
-    for entry in fs::read_dir(root.join("crates"))? {
-        let src = entry?.path().join("src");
-        if src.is_dir() {
-            walk(&src, &mut files)?;
-        }
-    }
-    files.sort();
-    let mut out = Vec::new();
-    for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        out.push((rel, fs::read_to_string(&path)?));
-    }
-    Ok(out)
-}
-
-/// Index, build the graph, and run every rule over pre-read sources.
-pub fn analyze_sources(sources: &[(String, String)]) -> Report {
-    let ws = Workspace {
-        files: sources
-            .iter()
-            .map(|(p, s)| FileFacts::extract(p, s))
-            .collect(),
-    };
-    let graph = CallGraph::build(&ws);
-    let srcs: Vec<&str> = sources.iter().map(|(_, s)| s.as_str()).collect();
-
-    let mut findings = Vec::new();
-    findings.extend(rule_a1(&ws, &graph, &srcs));
-    findings.extend(rule_a2(&ws, &graph, &srcs));
-    findings.extend(rule_a3(&ws, &graph, &srcs));
-    findings.extend(rule_a4(&ws, &graph, &srcs));
-    findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.col, a.rule).cmp(&(b.file.as_str(), b.line, b.col, b.rule))
-    });
-    Report {
-        findings,
-        stats: Stats {
-            files: ws.files.len(),
-            fns: graph.nodes.len(),
-            edges: graph.edges.iter().map(Vec::len).sum(),
-        },
-    }
-}
-
-/// Run the full pass against a workspace root.
-pub fn analyze_tree(root: &Path) -> io::Result<Report> {
-    Ok(analyze_sources(&collect_workspace(root)?))
-}
-
-/// Build one finding anchored at `span` in file `fi`, resolving
-/// suppression against the file's `allow` markers. `extra_allow` admits a
-/// second accepted code (A2 honours R3's marker).
+/// Build one finding anchored at `span` in file `fi`.
 fn emit(
     ws: &Workspace,
-    srcs: &[&str],
+    files: &[&SourceFile],
     fi: usize,
     span: (usize, usize),
-    rule: ARule,
-    extra_allow: Option<&str>,
+    rule: Rule,
     message: String,
-) -> AFinding {
-    let file = &ws.files[fi];
-    let src = srcs[fi];
-    let (line, col) = line_col(src, span.0);
-    let (end_line, end_col) = line_col(src, span.1);
-    let marker = file
-        .allowed_at(rule.code(), span.0)
-        .or_else(|| extra_allow.and_then(|code| file.allowed_at(code, span.0)));
-    AFinding {
-        file: file.path.clone(),
-        line,
-        col,
-        end_line,
-        end_col,
-        rule,
-        message,
-        snippet: snippet_at(src, span.0),
-        suppressed: marker.is_some(),
-        justification: marker.map(|m| m.text.clone()),
-    }
+) -> Finding {
+    Finding::new(&ws.files[fi].path, files[fi], rule, span, message)
 }
 
 /// Human-readable `name (file:line)` for a graph node.
-fn fn_label(ws: &Workspace, srcs: &[&str], fi: usize, fj: usize) -> String {
+fn fn_label(ws: &Workspace, files: &[&SourceFile], fi: usize, fj: usize) -> String {
     let f = &ws.files[fi].fns[fj];
-    let (line, _) = line_col(srcs[fi], f.span.0);
+    let (line, _) = line_col(files[fi].src, f.span.0);
     format!("{} ({}:{})", f.name, ws.files[fi].path, line)
 }
 
@@ -380,52 +93,74 @@ fn fn_label(ws: &Workspace, srcs: &[&str], fi: usize, fj: usize) -> String {
 /// Call-hop budget for A1 reachability.
 const A1_DEPTH: usize = 8;
 
+/// The simulator's per-cycle/per-tick functions in `crates/dram` and
+/// `crates/mc`.
+const HOT_FNS: [&str; 7] = [
+    "tick",
+    "step",
+    "issue",
+    "issuable_at",
+    "probe",
+    "enqueue",
+    "pop_completion",
+];
+
+/// The SoA timing core's per-tick surface (`crates/dram/src/soa.rs`):
+/// every function the controller's scheduling scan calls once per
+/// candidate per DRAM tick. Stack-only by contract — one heap allocation
+/// here turns a nanosecond-scale probe into a malloc/free pair millions of
+/// times per simulated second, which is exactly the overhead the
+/// struct-of-arrays rewrite exists to remove.
+const SOA_HOT_FNS: [&str; 8] = [
+    "bank_earliest",
+    "grid_clear",
+    "raw_probe",
+    "probe",
+    "issuable_at",
+    "channel_floor",
+    "commit",
+    "quiesce_at",
+];
+
 #[derive(Clone, Copy, PartialEq)]
 enum HotOrigin {
-    /// R9 hot fns (crates/dram, crates/mc): allocation, locking, blocking
-    /// at any depth; registry resolution one hop in (R9 owns depth 0);
-    /// container growth exempt.
-    R9,
-    /// R14 SoA-core fns: everything at depth ≥ 1 (R14 owns depth 0).
-    R14,
+    /// [`HOT_FNS`] in `crates/dram` and `crates/mc`: allocation, locking,
+    /// blocking and registry resolution at any depth; container growth
+    /// exempt.
+    Sim,
+    /// [`SOA_HOT_FNS`] in the SoA core: every danger, growth included.
+    Soa,
 }
 
-fn rule_a1(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
+fn rule_a1(ws: &Workspace, g: &CallGraph, files: &[&SourceFile]) -> Vec<Finding> {
     let mut origins: Vec<(usize, HotOrigin)> = Vec::new();
     for (fi, file) in ws.files.iter().enumerate() {
-        let r9_scope = file.path.starts_with("crates/dram/") || file.path.starts_with("crates/mc/");
-        let r14_scope = file.path == "crates/dram/src/soa.rs";
+        let sim_scope =
+            file.path.starts_with("crates/dram/") || file.path.starts_with("crates/mc/");
+        let soa_scope = file.path == "crates/dram/src/soa.rs";
         for (fj, f) in file.fns.iter().enumerate() {
             if f.in_test {
                 continue;
             }
             let Some(node) = g.node(fi, fj) else { continue };
-            // A soa.rs fn named in both lists gets the stricter R9 origin.
-            if r9_scope && R9_HOT_FNS.contains(&f.name.as_str()) {
-                origins.push((node, HotOrigin::R9));
-            } else if r14_scope && R14_HOT_FNS.contains(&f.name.as_str()) {
-                origins.push((node, HotOrigin::R14));
+            // A soa.rs fn named in both lists gets the stricter SoA origin.
+            if soa_scope && SOA_HOT_FNS.contains(&f.name.as_str()) {
+                origins.push((node, HotOrigin::Soa));
+            } else if sim_scope && HOT_FNS.contains(&f.name.as_str()) {
+                origins.push((node, HotOrigin::Sim));
             }
         }
     }
 
-    let mut seen: std::collections::BTreeSet<(usize, usize, usize)> = Default::default();
+    let mut seen: BTreeSet<(usize, usize, usize)> = Default::default();
     let mut out = Vec::new();
     for (origin, kind) in origins {
         let reach = g.reach(origin, A1_DEPTH);
         let (ofi, ofj) = g.nodes[origin];
         for &n in &reach.order {
-            let d = reach.depth[n].unwrap_or(0);
             let (fi, fj) = g.nodes[n];
             for danger in &ws.files[fi].fns[fj].dangers {
-                let flagged = match kind {
-                    HotOrigin::R9 => match danger.kind {
-                        DangerKind::AllocFresh | DangerKind::Lock | DangerKind::Blocking => true,
-                        DangerKind::Registry => d >= 1,
-                        DangerKind::AllocGrow => false,
-                    },
-                    HotOrigin::R14 => d >= 1,
-                };
+                let flagged = kind == HotOrigin::Soa || danger.kind != DangerKind::AllocGrow;
                 if !flagged || !seen.insert((fi, danger.span.0, danger.span.1)) {
                     continue;
                 }
@@ -445,16 +180,15 @@ fn rule_a1(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
                 let what = &danger.what;
                 out.push(emit(
                     ws,
-                    srcs,
+                    files,
                     fi,
                     danger.span,
-                    ARule::A1HotPathPurity,
-                    None,
+                    Rule::A1,
                     format!(
                         "hot fn `{}` reaches {what} in `{}`{via}: hot paths must stay \
                          allocation-, lock- and blocking-free (pre-resolve handles and \
                          reuse caller-owned scratch instead)",
-                        fn_label(ws, srcs, ofi, ofj),
+                        fn_label(ws, files, ofi, ofj),
                         ws.files[fi].fns[fj].name,
                     ),
                 ));
@@ -471,14 +205,23 @@ fn rule_a1(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
 /// Call-hop budget for reaching a certifier.
 const A2_DEPTH: usize = 3;
 
-fn rule_a2(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
+/// Return types A2 treats as share/allocation producers: a bare share
+/// vector, or one of the owned multi-resource wrappers (`Allocation`,
+/// `MultiAllocation`, `CoordOutcome`). Reference returns (`&Allocation`
+/// accessors) hand out an already-certified value and are exempt.
+fn is_share_producer_ret(ret: &str) -> bool {
+    ret.contains("Vec<f64>")
+        || ((ret.contains("Allocation") || ret.contains("CoordOutcome")) && !ret.contains('&'))
+}
+
+fn rule_a2(ws: &Workspace, g: &CallGraph, files: &[&SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for (fi, file) in ws.files.iter().enumerate() {
         if !(file.crate_name == "core" || file.crate_name == "bwpartd") {
             continue;
         }
         for (fj, f) in file.fns.iter().enumerate() {
-            if !f.is_pub || f.in_test || !crate::engine::is_share_producer_ret(&f.ret_text) {
+            if !f.is_pub || f.in_test || !is_share_producer_ret(&f.ret_text) {
                 continue;
             }
             let certified = f.certifies
@@ -494,11 +237,10 @@ fn rule_a2(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
             }
             out.push(emit(
                 ws,
-                srcs,
+                files,
                 fi,
                 f.span,
-                ARule::A2ContractReachability,
-                Some("R3"),
+                Rule::A2,
                 format!(
                     "pub fn `{}` returns shares (Vec<f64> / Allocation / \
                      MultiAllocation / CoordOutcome) but neither it nor any callee \
@@ -517,7 +259,7 @@ fn rule_a2(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
 // A3 — interprocedural unit flow
 // ---------------------------------------------------------------------------
 
-fn rule_a3(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
+fn rule_a3(ws: &Workspace, g: &CallGraph, files: &[&SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for (node, &(fi, fj)) in g.nodes.iter().enumerate() {
         let caller = &ws.files[fi].fns[fj];
@@ -549,16 +291,15 @@ fn rule_a3(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
                     if have != want {
                         out.push(emit(
                             ws,
-                            srcs,
+                            files,
                             fi,
                             call.span,
-                            ARule::A3UnitFlow,
-                            None,
+                            Rule::A3,
                             format!(
                                 "argument `{arg_name}` ({have}) flows into parameter \
                                  `{}` ({want}) of `{}`",
                                 param.name,
-                                fn_label(ws, srcs, tf, tj),
+                                fn_label(ws, files, tf, tj),
                             ),
                         ));
                     }
@@ -574,11 +315,10 @@ fn rule_a3(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
                     if got != promised {
                         out.push(emit(
                             ws,
-                            srcs,
+                            files,
                             fi,
                             call.span,
-                            ARule::A3UnitFlow,
-                            None,
+                            Rule::A3,
                             format!(
                                 "result of `{}` ({promised}) bound to `{bound}` ({got})",
                                 callee.name
@@ -599,14 +339,15 @@ fn rule_a3(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
 /// Call-hop budget when tracing calls made under a held lock.
 const A4_DEPTH: usize = 4;
 
-fn rule_a4(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
+fn rule_a4(ws: &Workspace, g: &CallGraph, files: &[&SourceFile]) -> Vec<Finding> {
     // Merge declared tables; remember one anchor per table for cycle
-    // findings.
-    let mut tables: Vec<(Vec<String>, usize, usize)> = Vec::new(); // (names, file, offset)
-    let mut opt_in: std::collections::BTreeSet<&str> = Default::default();
+    // findings. `bwpartd` is always in scope: the service's locks must be
+    // tabled even before the first table exists.
+    let mut tables: Vec<(&[String], usize, usize)> = Vec::new(); // (names, file, offset)
+    let mut opt_in: BTreeSet<&str> = ["bwpartd"].into();
     for (fi, file) in ws.files.iter().enumerate() {
         for t in &file.lock_tables {
-            tables.push((t.names.clone(), fi, t.offset));
+            tables.push((&t.names, fi, t.offset));
             opt_in.insert(file.crate_name.as_str());
         }
     }
@@ -618,6 +359,11 @@ fn rule_a4(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
         })
     };
     let declared_related = |a: &str, b: &str| declared_before(a, b) || declared_before(b, a);
+    let tabled = |name: &str| {
+        tables
+            .iter()
+            .any(|(names, _, _)| names.iter().any(|n| n == name))
+    };
 
     // Observed edges: (outer, inner) → first provenance.
     struct Observed {
@@ -625,7 +371,9 @@ fn rule_a4(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
         inner_span: (usize, usize),
         path: String,
     }
-    let mut observed: std::collections::BTreeMap<(String, String), Observed> = Default::default();
+    let mut observed: BTreeMap<(String, String), Observed> = Default::default();
+    let mut out = Vec::new();
+    let mut untabled: BTreeSet<(usize, &str)> = Default::default();
     for (node, &(fi, fj)) in g.nodes.iter().enumerate() {
         if !opt_in.contains(ws.files[fi].crate_name.as_str()) {
             continue;
@@ -633,6 +381,35 @@ fn rule_a4(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
         let caller = &ws.files[fi].fns[fj];
         if caller.in_test {
             continue;
+        }
+        for (ai, acq) in caller.locks.iter().enumerate() {
+            if !tabled(&acq.name) && untabled.insert((fi, acq.name.as_str())) {
+                out.push(emit(
+                    ws,
+                    files,
+                    fi,
+                    acq.span,
+                    Rule::A4,
+                    format!(
+                        "lock `{}` is named in no lock-order table: declare its place \
+                         with a `// lint: lock-order: <outer> < <inner>` comment",
+                        acq.name
+                    ),
+                ));
+            }
+            // Same-fn nesting: acquired while an earlier guard is live.
+            for inner in caller.locks[ai + 1..]
+                .iter()
+                .filter(|b| b.tok <= acq.held_to)
+            {
+                observed
+                    .entry((acq.name.clone(), inner.name.clone()))
+                    .or_insert_with(|| Observed {
+                        inner_file: fi,
+                        inner_span: inner.span,
+                        path: caller.name.clone(),
+                    });
+            }
         }
         for (ci, call) in caller.calls.iter().enumerate() {
             if call.under_locks.is_empty() {
@@ -665,56 +442,40 @@ fn rule_a4(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
         }
     }
 
-    let mut out = Vec::new();
     for ((outer, inner), prov) in &observed {
-        let anchor = prov.inner_span;
-        if outer == inner {
-            out.push(emit(
-                ws,
-                srcs,
-                prov.inner_file,
-                anchor,
-                ARule::A4LockOrderGraph,
-                None,
-                format!(
-                    "lock `{inner}` re-acquired while already held (via {}): \
-                     std::sync::Mutex self-deadlocks on re-entry",
-                    prov.path
-                ),
-            ));
+        let message = if outer == inner {
+            format!(
+                "lock `{inner}` re-acquired while already held (via {}): \
+                 std::sync::Mutex self-deadlocks on re-entry",
+                prov.path
+            )
         } else if declared_before(inner, outer) {
-            out.push(emit(
-                ws,
-                srcs,
-                prov.inner_file,
-                anchor,
-                ARule::A4LockOrderGraph,
-                None,
-                format!(
-                    "lock `{inner}` acquired while `{outer}` is held (via {}), \
-                     inverting the declared order `{inner} < {outer}`",
-                    prov.path
-                ),
-            ));
+            format!(
+                "lock `{inner}` acquired while `{outer}` is held (via {}), \
+                 inverting the declared order `{inner} < {outer}`",
+                prov.path
+            )
         } else if !declared_related(outer, inner) {
-            out.push(emit(
-                ws,
-                srcs,
-                prov.inner_file,
-                anchor,
-                ARule::A4LockOrderGraph,
-                None,
-                format!(
-                    "lock `{inner}` acquired while `{outer}` is held (via {}), but no \
-                     lock-order table relates them; declare `{outer} < {inner}`",
-                    prov.path
-                ),
-            ));
-        }
+            format!(
+                "lock `{inner}` acquired while `{outer}` is held (via {}), but no \
+                 lock-order table relates them; declare `{outer} < {inner}`",
+                prov.path
+            )
+        } else {
+            continue;
+        };
+        out.push(emit(
+            ws,
+            files,
+            prov.inner_file,
+            prov.inner_span,
+            Rule::A4,
+            message,
+        ));
     }
 
     // Cycle detection over declared (consecutive-pair) ∪ observed edges.
-    let mut adj: std::collections::BTreeMap<&str, Vec<&str>> = Default::default();
+    let mut adj: BTreeMap<&str, Vec<&str>> = Default::default();
     for (names, _, _) in &tables {
         for pair in names.windows(2) {
             adj.entry(pair[0].as_str())
@@ -734,11 +495,10 @@ fn rule_a4(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
             .unwrap_or((0, 0));
         out.push(emit(
             ws,
-            srcs,
+            files,
             anchor_file,
             (anchor_offset, anchor_offset + 1),
-            ARule::A4LockOrderGraph,
-            None,
+            Rule::A4,
             format!(
                 "lock-order cycle in the combined declared+observed graph: {}",
                 cycle.join(" -> ")
@@ -751,14 +511,14 @@ fn rule_a4(ws: &Workspace, g: &CallGraph, srcs: &[&str]) -> Vec<AFinding> {
 /// First cycle in a name graph (iterative colored DFS), as the node list
 /// `a -> b -> ... -> a`. Deterministic: neighbours explored in insertion
 /// order, roots in sorted order.
-fn find_cycle(adj: &std::collections::BTreeMap<&str, Vec<&str>>) -> Option<Vec<String>> {
+fn find_cycle(adj: &BTreeMap<&str, Vec<&str>>) -> Option<Vec<String>> {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
         White,
         Gray,
         Black,
     }
-    let mut color: std::collections::BTreeMap<&str, Color> = Default::default();
+    let mut color: BTreeMap<&str, Color> = Default::default();
     for &n in adj.keys() {
         color.insert(n, Color::White);
         for &m in &adj[n] {
@@ -805,314 +565,29 @@ fn find_cycle(adj: &std::collections::BTreeMap<&str, Vec<&str>>) -> Option<Vec<S
     None
 }
 
-// ---------------------------------------------------------------------------
-// Renderers
-// ---------------------------------------------------------------------------
-
-/// Human-readable text report.
-pub fn render_text(report: &Report) -> String {
-    let mut out = String::new();
-    let mut active = 0usize;
-    let mut suppressed = 0usize;
-    for f in &report.findings {
-        if f.suppressed {
-            suppressed += 1;
-            continue;
-        }
-        active += 1;
-        out.push_str(&format!(
-            "{}:{}:{}: {}: {}\n    {}\n",
-            f.file,
-            f.line,
-            f.col,
-            f.rule.code(),
-            f.message,
-            f.snippet
-        ));
-    }
-    let s = &report.stats;
-    out.push_str(&format!(
-        "analyze: {} files, {} fns, {} call edges; {} finding(s), {} suppressed\n",
-        s.files, s.fns, s.edges, active, suppressed
-    ));
-    out
-}
-
-/// Machine-readable JSON report (schema_version 1, tool
-/// `bwpart-analyze`) — same shape as `cargo xtask lint --json`.
-pub fn render_json(report: &Report) -> String {
-    use crate::lint::json_escape as esc;
-    let mut out = String::new();
-    out.push_str("{\n  \"schema_version\": 1,\n  \"tool\": \"bwpart-analyze\",\n  \"rules\": [\n");
-    for (i, rule) in ARule::ALL.iter().enumerate() {
-        let sep = if i + 1 < ARule::ALL.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"code\": \"{}\", \"summary\": \"{}\"}}{sep}\n",
-            rule.code(),
-            esc(rule.describe())
-        ));
-    }
-    out.push_str("  ],\n  \"findings\": [\n");
-    for (i, f) in report.findings.iter().enumerate() {
-        let sep = if i + 1 < report.findings.len() {
-            ","
-        } else {
-            ""
-        };
-        let justification = match &f.justification {
-            Some(j) => format!("\"{}\"", esc(j)),
-            None => "null".to_string(),
-        };
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"col\": {}, \
-             \"end_line\": {}, \"end_col\": {}, \"snippet\": \"{}\", \"message\": \"{}\", \
-             \"suppressed\": {}, \"justification\": {justification}}}{sep}\n",
-            f.rule.code(),
-            esc(&f.file),
-            f.line,
-            f.col,
-            f.end_line,
-            f.end_col,
-            esc(&f.snippet),
-            esc(&f.message),
-            f.suppressed,
-        ));
-    }
-    let active = report.active().count();
-    let total = report.findings.len();
-    out.push_str(&format!(
-        "  ],\n  \"counts\": {{\"total\": {total}, \"active\": {active}, \
-         \"suppressed\": {}}},\n  \"stats\": {{\"files\": {}, \"fns\": {}, \"edges\": {}}}\n}}\n",
-        total - active,
-        report.stats.files,
-        report.stats.fns,
-        report.stats.edges,
-    ));
-    out
-}
-
-/// SARIF 2.1.0 report for code-scanning upload. Suppressed findings are
-/// carried as `suppressions: [{kind: "inSource"}]`, matching how SARIF
-/// consumers expect in-source waivers to be represented.
-pub fn render_sarif(report: &Report) -> String {
-    use crate::lint::json_escape as esc;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str("  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n");
-    out.push_str("          \"name\": \"bwpart-analyze\",\n");
-    out.push_str("          \"informationUri\": \"https://example.invalid/bwpart\",\n");
-    out.push_str("          \"rules\": [\n");
-    for (i, rule) in ARule::ALL.iter().enumerate() {
-        let sep = if i + 1 < ARule::ALL.len() { "," } else { "" };
-        out.push_str(&format!(
-            "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}, \
-             \"fullDescription\": {{\"text\": \"{}\"}}}}{sep}\n",
-            rule.code(),
-            esc(rule.describe()),
-            esc(rule.explain()),
-        ));
-    }
-    out.push_str("          ]\n        }\n      },\n      \"results\": [\n");
-    for (i, f) in report.findings.iter().enumerate() {
-        let sep = if i + 1 < report.findings.len() {
-            ","
-        } else {
-            ""
-        };
-        let rule_index = ARule::ALL.iter().position(|r| *r == f.rule).unwrap_or(0);
-        let level = if f.suppressed { "note" } else { "error" };
-        let suppressions = if f.suppressed {
-            ",\n          \"suppressions\": [{\"kind\": \"inSource\"}]"
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "        {{\n          \"ruleId\": \"{}\",\n          \"ruleIndex\": {rule_index},\n          \
-             \"level\": \"{level}\",\n          \"message\": {{\"text\": \"{}\"}},\n          \
-             \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \
-             \"region\": {{\"startLine\": {}, \"startColumn\": {}, \"endLine\": {}, \
-             \"endColumn\": {}}}}}}}]{suppressions}\n        }}{sep}\n",
-            f.rule.code(),
-            esc(&f.message),
-            esc(&f.file),
-            f.line,
-            f.col,
-            f.end_line,
-            f.end_col,
-        ));
-    }
-    out.push_str("      ]\n    }\n  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Warm-run cache
-// ---------------------------------------------------------------------------
-
-/// Bump when rule semantics or report formats change — stale caches must
-/// miss, not lie.
-const ANALYZE_VERSION: &str = "analyze-v1";
-
-/// FNV-1a 64-bit.
-fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
-    let mut h = init;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Cache key over every indexed file (paths and contents) plus the
-/// analyzer version.
-pub fn cache_key(sources: &[(String, String)]) -> u64 {
-    let mut h = fnv1a(0xcbf2_9ce4_8422_2325, ANALYZE_VERSION.as_bytes());
-    for (path, src) in sources {
-        h = fnv1a(h, path.as_bytes());
-        h = fnv1a(h, &[0]);
-        h = fnv1a(h, src.as_bytes());
-        h = fnv1a(h, &[0xff]);
-    }
-    h
-}
-
-/// One cached run: all three rendered outputs plus the gate status.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachedRun {
-    /// The source-hash key the run was computed for.
-    pub key: u64,
-    /// Did the run have unsuppressed findings?
-    pub failed: bool,
-    /// Rendered text report.
-    pub text: String,
-    /// Rendered JSON report.
-    pub json: String,
-    /// Rendered SARIF report.
-    pub sarif: String,
-}
-
-impl CachedRun {
-    /// Serialize (length-prefixed sections; content-agnostic).
-    pub fn to_bytes(&self) -> String {
-        format!(
-            "analyze-cache-v1\nkey: {:016x}\nfailed: {}\ntext: {}\n{}json: {}\n{}sarif: {}\n{}",
-            self.key,
-            self.failed,
-            self.text.len(),
-            self.text,
-            self.json.len(),
-            self.json,
-            self.sarif.len(),
-            self.sarif,
-        )
-    }
-
-    /// Parse what [`CachedRun::to_bytes`] wrote; `None` on any mismatch
-    /// (a malformed cache is a miss, never an error).
-    pub fn from_bytes(data: &str) -> Option<CachedRun> {
-        let rest = data.strip_prefix("analyze-cache-v1\n")?;
-        let rest = rest.strip_prefix("key: ")?;
-        let (key_hex, rest) = rest.split_once('\n')?;
-        let key = u64::from_str_radix(key_hex, 16).ok()?;
-        let rest = rest.strip_prefix("failed: ")?;
-        let (failed, rest) = rest.split_once('\n')?;
-        let failed = failed.parse::<bool>().ok()?;
-        let mut sections = Vec::new();
-        let mut cur = rest;
-        for label in ["text: ", "json: ", "sarif: "] {
-            cur = cur.strip_prefix(label)?;
-            let (len, body) = cur.split_once('\n')?;
-            let len = len.parse::<usize>().ok()?;
-            let section = body.get(..len)?;
-            sections.push(section.to_string());
-            cur = body.get(len..)?;
-        }
-        let sarif = sections.pop()?;
-        let json = sections.pop()?;
-        let text = sections.pop()?;
-        Some(CachedRun {
-            key,
-            failed,
-            text,
-            json,
-            sarif,
-        })
-    }
-}
-
-/// The cache file location under a workspace root.
-pub fn cache_path(root: &Path) -> std::path::PathBuf {
-    root.join("target").join("analyze-cache.txt")
-}
-
-/// Output format selector for [`run`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Format {
-    /// Human-readable report (the default).
-    Text,
-    /// `--json`: schema-v1 findings.
-    Json,
-    /// `--sarif`: SARIF 2.1.0 for code-scanning upload.
-    Sarif,
-}
-
-/// Full CLI flow: collect, hash, consult the cache, analyze on miss,
-/// store, and return `(selected rendered output, failed)`.
-pub fn run(root: &Path, format: Format, no_cache: bool) -> io::Result<(String, bool)> {
-    let sources = collect_workspace(root)?;
-    let key = cache_key(&sources);
-    if !no_cache {
-        if let Ok(data) = fs::read_to_string(cache_path(root)) {
-            if let Some(cached) = CachedRun::from_bytes(&data) {
-                if cached.key == key {
-                    let out = match format {
-                        Format::Text => cached.text,
-                        Format::Json => cached.json,
-                        Format::Sarif => cached.sarif,
-                    };
-                    return Ok((out, cached.failed));
-                }
-            }
-        }
-    }
-    let report = analyze_sources(&sources);
-    let cached = CachedRun {
-        key,
-        failed: report.active().count() > 0,
-        text: render_text(&report),
-        json: render_json(&report),
-        sarif: render_sarif(&report),
-    };
-    // Best-effort store: a read-only target dir must not fail the run.
-    let path = cache_path(root);
-    if let Some(dir) = path.parent() {
-        let _ = fs::create_dir_all(dir);
-    }
-    let _ = fs::write(&path, cached.to_bytes());
-    let out = match format {
-        Format::Text => cached.text.clone(),
-        Format::Json => cached.json.clone(),
-        Format::Sarif => cached.sarif.clone(),
-    };
-    Ok((out, cached.failed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbols::FileFacts;
 
-    fn report_for(files: &[(&str, &str)]) -> Report {
-        let sources: Vec<(String, String)> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), s.to_string()))
-            .collect();
-        analyze_sources(&sources)
+    fn report_for(files: &[(&str, &str)]) -> Vec<Finding> {
+        let analyzed: Vec<SourceFile> = files.iter().map(|(_, s)| SourceFile::analyze(s)).collect();
+        let ws = Workspace {
+            files: files
+                .iter()
+                .zip(&analyzed)
+                .map(|((p, _), f)| FileFacts::extract(p, f))
+                .collect(),
+        };
+        check(&ws, &analyzed.iter().collect::<Vec<_>>())
     }
 
-    fn active_codes(r: &Report) -> Vec<&'static str> {
-        r.active().map(|f| f.rule.code()).collect()
+    fn active(r: &[Finding]) -> Vec<&Finding> {
+        r.iter().filter(|f| !f.suppressed).collect()
+    }
+
+    fn active_codes(r: &[Finding]) -> Vec<&'static str> {
+        active(r).iter().map(|f| f.rule.code()).collect()
     }
 
     #[test]
@@ -1128,10 +603,40 @@ fn gather() -> Vec<u64> { let mut v = Vec::new(); v.push(1); v }
 ",
         )]);
         let codes = active_codes(&r);
-        assert!(codes.contains(&"A1"), "{:?}", r.findings);
-        let f = r.active().find(|f| f.rule.code() == "A1").unwrap();
+        assert!(codes.contains(&"A1"), "{r:?}");
+        let f = active(&r).into_iter().find(|f| f.rule == Rule::A1).unwrap();
         assert!(f.message.contains("tick"), "{}", f.message);
         assert!(f.message.contains("via"), "{}", f.message);
+    }
+
+    #[test]
+    fn a1_flags_registry_calls_in_the_hot_fn_itself() {
+        let src = r#"
+impl Controller {
+    pub fn tick(&mut self, registry: &Registry) {
+        registry.counter("mc_ticks_total").inc();
+    }
+}
+"#;
+        let r = report_for(&[("crates/mc/src/controller.rs", src)]);
+        assert_eq!(active_codes(&r), vec!["A1"], "{r:?}");
+        assert_eq!(r[0].line, 4);
+        assert!(r[0].message.contains("tick"), "{}", r[0].message);
+
+        // Only hot fns in the simulator trees: the same source outside
+        // crates/dram / crates/mc is clean, and a cold `publish` is exempt.
+        let src = r#"
+pub fn tick(registry: &Registry) {
+    registry.gauge("x").set(1.0);
+}
+pub fn publish(registry: &Registry) {
+    registry.gauge("cold_path_is_fine").set(1.0);
+}
+"#;
+        assert!(report_for(&[("crates/cmp/src/system.rs", src)]).is_empty());
+        let r = report_for(&[("crates/dram/src/dram.rs", src)]);
+        assert_eq!(active_codes(&r), vec!["A1"], "{r:?}");
+        assert!(r[0].message.contains("tick"), "{}", r[0].message);
     }
 
     #[test]
@@ -1150,13 +655,29 @@ fn cold() {
 }
 ",
         )]);
-        assert!(active_codes(&r).is_empty(), "{:?}", r.findings);
-        assert!(r.findings.iter().any(|f| f.suppressed));
+        assert!(active_codes(&r).is_empty(), "{r:?}");
+        assert!(r.iter().any(|f| f.suppressed));
+
+        // The obs_*! macros are the sanctioned hot-path surface; a marked
+        // one-shot registry call is waived.
+        let r = report_for(&[(
+            "crates/dram/src/dram.rs",
+            r#"
+pub fn issue(&mut self) {
+    obs_count!(self.obs, row_hits);
+}
+pub fn step(&mut self, registry: &Registry) {
+    // lint: allow(A1): one-shot lazy init outside the steady-state loop
+    registry.counter("init_total").inc();
+}
+"#,
+        )]);
+        assert!(active_codes(&r).is_empty(), "{r:?}");
     }
 
     #[test]
-    fn a1_ignores_growth_from_r9_but_not_r14() {
-        let r9 = report_for(&[(
+    fn a1_ignores_growth_from_sim_fns_but_not_soa_fns() {
+        let sim = report_for(&[(
             "crates/mc/src/queue.rs",
             "
 pub struct Q;
@@ -1164,8 +685,8 @@ impl Q { pub fn enqueue(&mut self) { grow(); } }
 fn grow() { BUF.with(|b| b.push(1)); }
 ",
         )]);
-        assert!(active_codes(&r9).is_empty(), "{:?}", r9.findings);
-        let r14 = report_for(&[(
+        assert!(active_codes(&sim).is_empty(), "{sim:?}");
+        let soa = report_for(&[(
             "crates/dram/src/soa.rs",
             "
 pub struct Grid;
@@ -1173,7 +694,57 @@ impl Grid { pub fn bank_earliest(&self) { grow(); } }
 fn grow() { BUF.with(|b| b.push(1)); }
 ",
         )]);
-        assert_eq!(active_codes(&r14), vec!["A1"], "{:?}", r14.findings);
+        assert_eq!(active_codes(&soa), vec!["A1"], "{soa:?}");
+    }
+
+    #[test]
+    fn a1_flags_heap_allocation_in_soa_hot_fns() {
+        let src = r#"
+impl ChannelTiming {
+    pub fn probe(&mut self, loc: &Location) -> u64 {
+        let mut scratch = Vec::new();
+        scratch.push(self.bank_busy[0]);
+        let all: Vec<u64> = self.bank_busy.iter().copied().collect();
+        let boxed = Box::new(all);
+        let lits = vec![1u64, 2, 3];
+        debug_assert!(scratch.to_vec().len() < 8);
+        boxed[0] + lits[0] + scratch[0]
+    }
+}
+"#;
+        // `probe` is in both hot lists; the SoA origin also flags growth,
+        // and macro arguments are scanned too.
+        let r = report_for(&[("crates/dram/src/soa.rs", src)]);
+        let lines: Vec<usize> = active(&r).iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![4, 5, 6, 7, 8, 9], "{r:?}");
+        assert!(r[0].message.contains("probe"), "{}", r[0].message);
+        // The same source outside the simulator trees is clean.
+        assert!(report_for(&[("crates/cmp/src/timing.rs", src)]).is_empty());
+
+        // `new` is construction time — allocation is the point there; test
+        // fns are out of scope; a marked site is waived.
+        let cold = r#"
+impl ChannelTiming {
+    pub fn new(cfg: &DramConfig) -> Self {
+        let bank_busy = vec![0u64; cfg.total_banks()];
+        Self { bank_busy }
+    }
+    pub fn commit(&mut self) {
+        // lint: allow(A1): one-time slow-path spill, measured cold
+        self.spill.push(1);
+    }
+}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn probe() {
+        let v = vec![1, 2, 3];
+        assert_eq!(v.len(), 3);
+    }
+}
+"#;
+        let r = report_for(&[("crates/dram/src/soa.rs", cold)]);
+        assert!(active_codes(&r).is_empty(), "{r:?}");
     }
 
     #[test]
@@ -1190,16 +761,36 @@ fn inner(n: usize) -> Vec<f64> { vec![0.0; n] }
 fn finish(shares: &[f64]) { validate_shares(shares); }
 ",
         )]);
-        assert!(!active_codes(&r).contains(&"A2"), "{:?}", r.findings);
+        assert!(!active_codes(&r).contains(&"A2"), "{r:?}");
     }
 
     #[test]
     fn a2_flags_uncertified_producer() {
-        let r = report_for(&[(
-            "crates/core/src/solver.rs",
-            "pub fn raw_shares(n: usize) -> Vec<f64> { vec![0.0; n] }\n",
-        )]);
-        assert_eq!(active_codes(&r), vec!["A2"], "{:?}", r.findings);
+        let bad = "pub fn shares(n: usize) -> Vec<f64> {\n    vec![1.0 / n as f64; n]\n}\n";
+        for path in ["crates/core/src/solver.rs", "crates/bwpartd/src/engine.rs"] {
+            let r = report_for(&[(path, bad)]);
+            assert_eq!(active_codes(&r), vec!["A2"], "{r:?}");
+            assert_eq!(r[0].line, 1);
+            assert!(r[0].message.contains("`shares`"), "{}", r[0].message);
+        }
+        // The same fn is fine outside the model crates...
+        assert!(report_for(&[("crates/cmp/src/lib.rs", bad)]).is_empty());
+        // ...and once the output is certified by a contract macro.
+        for cert in [
+            "crate::ensures_simplex!(beta);",
+            "bwpart_core::ensures_simplex!(beta);",
+        ] {
+            let good = format!(
+                "pub fn shares(n: usize) -> Vec<f64> {{\n    let beta = vec![1.0 / n as f64; n];\n    \
+                 {cert}\n    beta\n}}\n"
+            );
+            assert!(report_for(&[("crates/bwpartd/src/engine.rs", &good)]).is_empty());
+        }
+        // Result wrappers are seen through.
+        let wrapped =
+            "pub fn allocation(b: f64) -> Result<Vec<f64>, ModelError> {\n    Ok(vec![b])\n}\n";
+        let r = report_for(&[("crates/core/src/lib.rs", wrapped)]);
+        assert_eq!(active_codes(&r), vec!["A2"], "{r:?}");
     }
 
     #[test]
@@ -1219,28 +810,42 @@ fn solve_scaled(n: usize) -> Result<CoordOutcome, ModelError> {
 }
 ",
         )]);
-        assert!(
-            !active_codes(&delegator).contains(&"A2"),
-            "{:?}",
-            delegator.findings
-        );
-        // ...an owned MultiAllocation producer with no reachable
-        // certifier trips A2...
+        assert!(!active_codes(&delegator).contains(&"A2"), "{delegator:?}");
+        // ...uncertified owned wrappers trip A2...
         let bare = report_for(&[(
             "crates/core/src/resource.rs",
-            "pub fn raw_split(n: usize) -> MultiAllocation { build(n) }\n",
+            "
+pub fn split(r: &Resource) -> MultiAllocation {
+    MultiAllocation { allocations: vec![] }
+}
+pub fn outcome(r: &Resource) -> Result<CoordOutcome, ModelError> {
+    todo_build()
+}
+",
         )]);
-        assert_eq!(active_codes(&bare), vec!["A2"], "{:?}", bare.findings);
+        assert_eq!(active_codes(&bare), vec!["A2", "A2"], "{bare:?}");
+        // ...producers routing through Allocation::certified or a contract
+        // macro pass...
+        let good = report_for(&[(
+            "crates/core/src/resource.rs",
+            "
+pub fn split(r: &Resource, amounts: Vec<f64>) -> Result<Allocation, ModelError> {
+    Allocation::certified(r, amounts, None)
+}
+pub fn outcome(apps: &[App]) -> Result<CoordOutcome, ModelError> {
+    let beta = inner(apps)?;
+    crate::ensures_simplex!(beta);
+    assemble(beta)
+}
+",
+        )]);
+        assert!(active_codes(&good).is_empty(), "{good:?}");
         // ...and a reference accessor is exempt.
         let accessor = report_for(&[(
             "crates/core/src/resource.rs",
             "pub fn get(m: &MultiAllocation) -> Option<&Allocation> { m.first() }\n",
         )]);
-        assert!(
-            active_codes(&accessor).is_empty(),
-            "{:?}",
-            accessor.findings
-        );
+        assert!(active_codes(&accessor).is_empty(), "{accessor:?}");
     }
 
     #[test]
@@ -1258,8 +863,11 @@ pub fn caller(now_ns: u64) {
 }
 ",
         )]);
-        let a3: Vec<&AFinding> = r.active().filter(|f| f.rule.code() == "A3").collect();
-        assert_eq!(a3.len(), 1, "{:?}", r.findings);
+        let a3: Vec<&Finding> = active(&r)
+            .into_iter()
+            .filter(|f| f.rule == Rule::A3)
+            .collect();
+        assert_eq!(a3.len(), 1, "{r:?}");
         assert!(a3[0].message.contains("now_ns"), "{}", a3[0].message);
     }
 
@@ -1275,7 +883,7 @@ pub fn caller(now_ns: u64) {
 }
 ",
         )]);
-        assert_eq!(active_codes(&r), vec!["A3"], "{:?}", r.findings);
+        assert_eq!(active_codes(&r), vec!["A3"], "{r:?}");
     }
 
     #[test]
@@ -1300,12 +908,102 @@ fn obs_push() {
 }
 ",
         )]);
-        let a4: Vec<&AFinding> = r.active().filter(|f| f.rule.code() == "A4").collect();
-        assert!(!a4.is_empty(), "{:?}", r.findings);
+        let nested = active(&r)
+            .into_iter()
+            .find(|f| f.message.contains("while `engine` is held"))
+            .unwrap_or_else(|| panic!("{r:?}"));
+        assert!(nested.message.contains("`ring`"), "{}", nested.message);
         assert!(
-            a4[0].message.contains("`ring`") && a4[0].message.contains("`engine`"),
+            active(&r)
+                .iter()
+                .any(|f| f.message.contains("`ring` is named in no lock-order table")),
+            "{r:?}"
+        );
+    }
+
+    #[test]
+    fn a4_flags_same_fn_inversion_and_reentry() {
+        let src = r#"
+// lint: lock-order: engine < tracer
+pub fn bad(engine: &Mutex<E>, tracer: &Mutex<T>) {
+    let t = tracer.lock().unwrap_or_else(|p| p.into_inner());
+    let e = engine.lock().unwrap_or_else(|p| p.into_inner());
+    drop((t, e));
+}
+pub fn good(engine: &Mutex<E>, tracer: &Mutex<T>) {
+    let e = engine.lock().unwrap_or_else(|p| p.into_inner());
+    let t = tracer.lock().unwrap_or_else(|p| p.into_inner());
+    drop((e, t));
+}
+"#;
+        let r = report_for(&[("crates/bwpartd/src/server.rs", src)]);
+        let inversion = active(&r)
+            .into_iter()
+            .find(|f| f.message.contains("inverting"))
+            .unwrap_or_else(|| panic!("{r:?}"));
+        assert_eq!(inversion.line, 5);
+        assert!(
+            inversion
+                .message
+                .contains("`engine` acquired while `tracer` is held"),
             "{}",
-            a4[0].message
+            inversion.message
+        );
+        // The inversion also closes a cycle with the declared order; no
+        // other finding (the `good` nesting is declared).
+        assert_eq!(active_codes(&r), vec!["A4", "A4"], "{r:?}");
+
+        let reentry = r#"
+// lint: lock-order: engine
+pub fn bad(engine: &Mutex<E>) {
+    let eng = lock_engine(engine);
+    let again = lock_engine(engine);
+    drop((eng, again));
+}
+"#;
+        let r = report_for(&[("crates/bwpartd/src/server.rs", reentry)]);
+        assert_eq!(active_codes(&r), vec!["A4"], "{r:?}");
+        assert_eq!(r[0].line, 5);
+        assert!(
+            r[0].message.contains("`engine` re-acquired"),
+            "{}",
+            r[0].message
+        );
+    }
+
+    #[test]
+    fn a4_flags_locks_named_in_no_table() {
+        // bwpartd is always in scope: a lock there needs a table...
+        let undeclared = r#"
+pub fn f(engine: &Mutex<E>) {
+    let eng = engine.lock().unwrap_or_else(|p| p.into_inner());
+    drop(eng);
+}
+"#;
+        let r = report_for(&[("crates/bwpartd/src/server.rs", undeclared)]);
+        assert_eq!(active_codes(&r), vec!["A4"], "{r:?}");
+        assert_eq!(r[0].line, 3);
+        assert!(
+            r[0].message.contains("`engine` is named in no"),
+            "{}",
+            r[0].message
+        );
+
+        // ...and a one-name table opts a crate in, so every other lock in
+        // that crate must be tabled too.
+        let r = report_for(&[
+            ("crates/obs/src/a.rs", "// lint: lock-order: engine\n"),
+            (
+                "crates/obs/src/b.rs",
+                "pub fn f(tracer: &Mutex<T>) {\n    let t = tracer.lock().unwrap();\n    drop(t);\n}\n",
+            ),
+        ]);
+        assert_eq!(active_codes(&r), vec!["A4"], "{r:?}");
+        assert_eq!((r[0].file.as_str(), r[0].line), ("crates/obs/src/b.rs", 2));
+        assert!(
+            r[0].message.contains("`tracer` is named in no"),
+            "{}",
+            r[0].message
         );
     }
 
@@ -1327,7 +1025,26 @@ impl Engine {
 }
 ",
         )]);
-        assert!(active_codes(&clean).is_empty(), "{:?}", clean.findings);
+        assert!(active_codes(&clean).is_empty(), "{clean:?}");
+
+        // Sequential temporaries never overlap, so a one-name table is
+        // enough for match-arm-style dispatch.
+        let sequential = report_for(&[(
+            "crates/bwpartd/src/server.rs",
+            r#"
+// lint: lock-order: engine
+pub fn dispatch(engine: &Mutex<E>) {
+    lock_engine(engine).run_epoch();
+    lock_engine(engine).snapshot();
+    let eng = lock_engine(engine);
+    drop(eng);
+}
+fn lock_engine(engine: &Mutex<E>) -> MutexGuard<'_, E> {
+    engine.lock().unwrap_or_else(|poison| poison.into_inner())
+}
+"#,
+        )]);
+        assert!(active_codes(&sequential).is_empty(), "{sequential:?}");
 
         let cyclic = report_for(&[
             (
@@ -1339,12 +1056,10 @@ impl Engine {
                 "// lint: lock-order: table < engine\n",
             ),
         ]);
-        let a4 = active_codes(&cyclic);
-        assert!(a4.contains(&"A4"), "{:?}", cyclic.findings);
+        assert!(active_codes(&cyclic).contains(&"A4"), "{cyclic:?}");
         assert!(
-            cyclic.active().any(|f| f.message.contains("cycle")),
-            "{:?}",
-            cyclic.findings
+            active(&cyclic).iter().any(|f| f.message.contains("cycle")),
+            "{cyclic:?}"
         );
     }
 
@@ -1361,69 +1076,6 @@ impl Inner {
 }
 ",
         )]);
-        assert!(active_codes(&r).is_empty(), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn sarif_is_structurally_valid() {
-        let r = report_for(&[(
-            "crates/core/src/solver.rs",
-            "pub fn raw_shares(n: usize) -> Vec<f64> { vec![0.0; n] }\n",
-        )]);
-        let sarif = render_sarif(&r);
-        let j = crate::json::Json::parse(&sarif).expect("sarif parses");
-        assert_eq!(
-            j.get("version").and_then(crate::json::Json::str),
-            Some("2.1.0")
-        );
-        let results = j
-            .path(&["runs", "0", "results"])
-            .and_then(crate::json::Json::arr);
-        assert_eq!(results.map(<[_]>::len), Some(1));
-        let rules = j
-            .path(&["runs", "0", "tool", "driver", "rules"])
-            .and_then(crate::json::Json::arr);
-        assert_eq!(rules.map(<[_]>::len), Some(4));
-    }
-
-    #[test]
-    fn json_report_parses_and_counts() {
-        let r = report_for(&[(
-            "crates/core/src/solver.rs",
-            "pub fn raw_shares(n: usize) -> Vec<f64> { vec![0.0; n] }\n",
-        )]);
-        let j = crate::json::Json::parse(&render_json(&r)).expect("json parses");
-        assert_eq!(
-            j.get("tool").and_then(crate::json::Json::str),
-            Some("bwpart-analyze")
-        );
-        assert_eq!(
-            j.path(&["counts", "active"])
-                .and_then(crate::json::Json::num),
-            Some(1.0)
-        );
-    }
-
-    #[test]
-    fn cache_round_trips() {
-        let run = CachedRun {
-            key: 0xdead_beef_cafe_f00d,
-            failed: true,
-            text: "text with\nnewlines: 7\n".to_string(),
-            json: "{\"a\": 1}\n".to_string(),
-            sarif: "{}\n".to_string(),
-        };
-        let parsed = CachedRun::from_bytes(&run.to_bytes()).expect("parses");
-        assert_eq!(parsed, run);
-        assert!(CachedRun::from_bytes("garbage").is_none());
-    }
-
-    #[test]
-    fn cache_key_is_content_sensitive() {
-        let a = vec![("crates/a/src/lib.rs".to_string(), "fn a() {}".to_string())];
-        let mut b = a.clone();
-        b[0].1.push(' ');
-        assert_ne!(cache_key(&a), cache_key(&b));
-        assert_eq!(cache_key(&a), cache_key(&a.clone()));
+        assert!(active_codes(&r).is_empty(), "{r:?}");
     }
 }

@@ -490,12 +490,13 @@ fn resolve(
 mod tests {
     use super::*;
     use crate::symbols::FileFacts;
+    use crate::tokens::SourceFile;
 
     fn ws(files: &[(&str, &str)]) -> Workspace {
         Workspace {
             files: files
                 .iter()
-                .map(|(p, s)| FileFacts::extract(p, s))
+                .map(|(p, s)| FileFacts::extract(p, &SourceFile::analyze(s)))
                 .collect(),
         }
     }

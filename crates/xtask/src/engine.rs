@@ -1,118 +1,87 @@
-//! The rule engine: R1–R14 evaluated over the [`crate::tokens`] layer.
+//! The per-file rules: R1, R2, R4–R8 and R10–R12, evaluated over the
+//! [`crate::tokens`] layer.
 //!
 //! Every rule works on spanned tokens and brace-matched structure — never
 //! on raw text — so string literals, raw strings, nested block comments
 //! and char/lifetime ambiguity can not produce false positives by
-//! construction. Each check emits a [`Finding`] anchored at a byte span;
-//! [`run`] then resolves `lint: allow(R<N>)` markers against the
-//! span-based comment-attachment model and marks matching findings
-//! suppressed (with the justification text preserved for reporting)
-//! instead of silently dropping them.
+//! construction. Each check records a hit anchored at a token; [`check`]
+//! turns the hits into [`Finding`]s, which resolves `lint: allow(<code>)`
+//! markers against the span-based comment-attachment model.
 
 use crate::lex::{Delim, TokenKind};
-use crate::lint::Rule;
+use crate::lint::{Finding, Rule};
 use crate::tokens::SourceFile;
 
 /// Where a file sits in the workspace — controls which rules run.
 #[derive(Debug, Clone, Default)]
 pub struct FileCtx {
-    /// Vendored-pool file (`vendor/rayon/src/**`): only R6/R7/R8 apply.
+    /// Vendored file (`vendor/{rayon,mio}/src/**`): only R6/R7/R8 apply.
     pub vendor: bool,
-    /// The vendored pool's shim module itself (exempt from the R7
+    /// A vendored crate's shim module itself (exempt from the R7
     /// std-reference ban).
     pub shim: bool,
-    /// Share-producing crate (R3): `crates/core`, `crates/bwpartd`.
-    pub share_producer: bool,
     /// `crates/experiments` (R5).
     pub experiments: bool,
-    /// Simulator hot crate (R9): `crates/dram`, `crates/mc`.
-    pub hot_sim: bool,
     /// Match-exhaustiveness scope (R10): `crates/core`, `crates/bwpartd`.
     pub match_exhaustive: bool,
-    /// Unit-safety scope (R11): all first-party crates.
-    pub unit_safety: bool,
     /// Whether the owning crate wires the `trace` feature to `bwpart-obs`
-    /// (R12). `None` means unknown (legacy single-file entry points): the
-    /// rule is skipped.
+    /// (R12). `None` means unknown: the rule is skipped.
     pub obs_wired: Option<bool>,
-    /// Mutex acquisition-order scope (R13): `bwpartd` server/engine.
-    pub lock_order: bool,
-    /// SoA timing-core hot path (R14): `crates/dram/src/soa.rs`.
-    pub soa_hot: bool,
 }
 
-/// One raw finding, anchored at a byte span of the source.
-#[derive(Debug, Clone)]
-pub struct Finding {
-    /// The violated rule.
-    pub rule: Rule,
-    /// Byte offset of the anchor token's start.
-    pub start: usize,
-    /// Byte offset of the anchor token's end.
-    pub end: usize,
-    /// Human-readable explanation.
-    pub message: String,
-    /// Suppressed by an attached `lint: allow(R<N>)` marker?
-    pub suppressed: bool,
-    /// The marker comment's text, when suppressed.
-    pub justification: Option<String>,
+impl FileCtx {
+    /// The context of the workspace-relative `path`; `obs_wired` comes
+    /// from the owning crate's manifest.
+    pub fn for_path(path: &str, obs_wired: Option<bool>) -> FileCtx {
+        FileCtx {
+            vendor: path.starts_with("vendor/"),
+            shim: path.ends_with("/shim.rs"),
+            experiments: path.starts_with("crates/experiments/"),
+            match_exhaustive: path.starts_with("crates/core/")
+                || path.starts_with("crates/bwpartd/"),
+            obs_wired,
+        }
+    }
 }
 
-/// Run every applicable rule over `src` and resolve allow markers.
-pub fn run(src: &str, ctx: &FileCtx) -> Vec<Finding> {
-    let f = SourceFile::analyze(src);
+/// One rule hit, anchored at a token.
+struct Hit {
+    rule: Rule,
+    tok: usize,
+    message: String,
+}
+
+/// Run every applicable per-file rule over `f` (the file at `path`).
+pub fn check(path: &str, f: &SourceFile, ctx: &FileCtx) -> Vec<Finding> {
     let mut out = Vec::new();
+    rule_r6(f, &mut out);
+    rule_r7_static_mut(f, &mut out);
+    rule_r8(f, &mut out);
     if ctx.vendor {
-        rule_r6(&f, &mut out);
-        rule_r7_static_mut(&f, &mut out);
         if !ctx.shim {
-            rule_r7_vendor_std(&f, &mut out);
+            rule_r7_vendor_std(f, &mut out);
         }
-        rule_r8(&f, &mut out);
     } else {
-        rule_r1(&f, &mut out);
-        rule_r2(&f, &mut out);
-        rule_r4(&f, &mut out);
-        rule_r6(&f, &mut out);
-        rule_r7_static_mut(&f, &mut out);
-        rule_r8(&f, &mut out);
+        rule_r1(f, &mut out);
+        rule_r2(f, &mut out);
+        rule_r4(f, &mut out);
+        rule_r11(f, &mut out);
         if ctx.experiments {
-            rule_r5(&f, &mut out);
-        }
-        if ctx.share_producer {
-            rule_r3(&f, &mut out);
-        }
-        if ctx.hot_sim {
-            rule_r9(&f, &mut out);
+            rule_r5(f, &mut out);
         }
         if ctx.match_exhaustive {
-            rule_r10(&f, &mut out);
-        }
-        if ctx.unit_safety {
-            rule_r11(&f, &mut out);
+            rule_r10(f, &mut out);
         }
         if ctx.obs_wired == Some(false) {
-            rule_r12(&f, &mut out);
-        }
-        if ctx.lock_order {
-            rule_r13(&f, &mut out);
-        }
-        if ctx.soa_hot {
-            rule_r14(&f, &mut out);
+            rule_r12(f, &mut out);
         }
     }
-    // Resolve suppression markers against the span-attachment model.
-    for finding in &mut out {
-        let plain = format!("lint: allow({})", finding.rule.code());
-        let tight = format!("lint:allow({})", finding.rule.code());
-        let pred = |c: &str| c.contains(plain.as_str()) || c.contains(tight.as_str());
-        if let Some(text) = f.attached_comment_text(finding.start, &pred) {
-            finding.suppressed = true;
-            finding.justification = Some(text.trim().to_string());
-        }
-    }
-    out.sort_by_key(|v| (v.start, v.rule.code()));
-    out
+    out.into_iter()
+        .map(|h| {
+            let t = &f.tokens[h.tok];
+            Finding::new(path, f, h.rule, (t.start, t.end), h.message)
+        })
+        .collect()
 }
 
 /// Count the `unsafe` sites R8 audits (non-test code), token-accurately,
@@ -124,32 +93,23 @@ pub fn run(src: &str, ctx: &FileCtx) -> Vec<Finding> {
 /// reviewable site is the definition (each occurrence there also needs
 /// its own `// SAFETY:` comment under R8). Macro *invocations* contribute
 /// zero sites: the token does not exist at the call site.
-pub fn unsafe_sites(src: &str) -> usize {
-    let f = SourceFile::analyze(src);
+pub fn unsafe_sites(f: &SourceFile) -> usize {
     (0..f.tokens.len())
         .filter(|&i| f.is_ident(i, "unsafe") && !f.in_test(i))
         .count()
 }
 
-fn emit(f: &SourceFile, out: &mut Vec<Finding>, rule: Rule, tok: usize, message: String) {
-    let t = &f.tokens[tok];
-    out.push(Finding {
-        rule,
-        start: t.start,
-        end: t.end,
-        message,
-        suppressed: false,
-        justification: None,
-    });
+fn emit(out: &mut Vec<Hit>, rule: Rule, tok: usize, message: String) {
+    out.push(Hit { rule, tok, message });
 }
 
 /// Is the ident at `i` a called method (`.name(...)`)?
-pub(crate) fn is_method_call(f: &SourceFile, i: usize) -> bool {
+fn is_method_call(f: &SourceFile, i: usize) -> bool {
     f.prev(i).is_some_and(|p| f.is_op(p, "."))
         && f.next(i).is_some_and(|n| f.is_open(n, Delim::Paren))
 }
 
-fn rule_r1(f: &SourceFile, out: &mut Vec<Finding>) {
+fn rule_r1(f: &SourceFile, out: &mut Vec<Hit>) {
     for i in 0..f.tokens.len() {
         if f.in_test(i) || f.tokens[i].kind != TokenKind::Ident {
             continue;
@@ -157,7 +117,6 @@ fn rule_r1(f: &SourceFile, out: &mut Vec<Finding>) {
         let text = f.text(i);
         if matches!(text, "unwrap" | "expect") && is_method_call(f, i) {
             emit(
-                f,
                 out,
                 Rule::R1,
                 i,
@@ -172,7 +131,6 @@ fn rule_r1(f: &SourceFile, out: &mut Vec<Finding>) {
             && !f.prev(i).is_some_and(|p| f.is_op(p, "."))
         {
             emit(
-                f,
                 out,
                 Rule::R1,
                 i,
@@ -196,14 +154,13 @@ fn is_float_at(f: &SourceFile, i: usize) -> bool {
     }
 }
 
-fn rule_r2(f: &SourceFile, out: &mut Vec<Finding>) {
+fn rule_r2(f: &SourceFile, out: &mut Vec<Hit>) {
     for i in 0..f.tokens.len() {
         if f.in_test(i) {
             continue;
         }
         if f.is_ident(i, "partial_cmp") && f.prev(i).is_some_and(|p| f.is_op(p, ".")) {
             emit(
-                f,
                 out,
                 Rule::R2,
                 i,
@@ -224,7 +181,6 @@ fn rule_r2(f: &SourceFile, out: &mut Vec<Finding>) {
             let lhs = f.prev(i).map(|p| f.text(p)).unwrap_or("");
             let rhs = f.next(i).map(|n| f.text(n)).unwrap_or("");
             emit(
-                f,
                 out,
                 Rule::R2,
                 i,
@@ -237,72 +193,7 @@ fn rule_r2(f: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// The certification calls R3 accepts inside a producer's body.
-/// `certified` covers `Allocation::certified`, the typed-allocation
-/// constructor that runs the simplex/cap contracts internally.
-pub(crate) const R3_CERTIFIERS: [&str; 4] = [
-    "validate_shares",
-    "ensures_simplex",
-    "ensures_capped",
-    "certified",
-];
-
-/// Return types R3 (and A2, which mirrors this predicate over
-/// `ret_text`) treat as share/allocation producers: a bare share vector,
-/// or one of the owned multi-resource wrappers (`Allocation`,
-/// `MultiAllocation`, `CoordOutcome`). Reference returns (`&Allocation`
-/// accessors) hand out an already-certified value and are exempt.
-pub(crate) fn is_share_producer_ret(ret: &str) -> bool {
-    ret.contains("Vec<f64>")
-        || ((ret.contains("Allocation") || ret.contains("CoordOutcome")) && !ret.contains('&'))
-}
-
-fn rule_r3(f: &SourceFile, out: &mut Vec<Finding>) {
-    for info in &f.fns {
-        if !info.is_pub || f.in_test(info.anchor) {
-            continue;
-        }
-        let Some((rs, re)) = info.ret else { continue };
-        let Some((body_open, body_close)) = info.body else {
-            continue;
-        };
-        let mut ret = String::new();
-        for k in rs..re {
-            if f.tokens[k].is_comment() {
-                continue;
-            }
-            if f.is_ident(k, "where") {
-                break;
-            }
-            ret.push_str(f.text(k));
-        }
-        if !is_share_producer_ret(&ret) {
-            continue;
-        }
-        let certified = (body_open + 1..body_close).any(|k| {
-            let text = f.text(k);
-            (f.tokens[k].kind == TokenKind::Ident && R3_CERTIFIERS.contains(&text))
-                || (f.is_ident(k, "invariant") && f.next(k).is_some_and(|n| f.is_op(n, "!")))
-        });
-        if !certified {
-            let name = f.text(info.name);
-            emit(
-                f,
-                out,
-                Rule::R3,
-                info.anchor,
-                format!(
-                    "pub fn {name} returns shares (Vec<f64> / Allocation / \
-                     MultiAllocation / CoordOutcome) without certifying them via \
-                     validate_shares / ensures_simplex! / ensures_capped! / \
-                     Allocation::certified / invariant!"
-                ),
-            );
-        }
-    }
-}
-
-fn rule_r4(f: &SourceFile, out: &mut Vec<Finding>) {
+fn rule_r4(f: &SourceFile, out: &mut Vec<Hit>) {
     for i in 0..f.tokens.len() {
         if f.in_test(i) || !f.is_op(i, "#") {
             continue;
@@ -335,7 +226,6 @@ fn rule_r4(f: &SourceFile, out: &mut Vec<Finding>) {
         });
         if !justified {
             emit(
-                f,
                 out,
                 Rule::R4,
                 i,
@@ -347,11 +237,10 @@ fn rule_r4(f: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-fn rule_r5(f: &SourceFile, out: &mut Vec<Finding>) {
+fn rule_r5(f: &SourceFile, out: &mut Vec<Hit>) {
     for i in 0..f.tokens.len() {
         if !f.in_test(i) && f.is_ident(i, "step") && is_method_call(f, i) {
             emit(
-                f,
                 out,
                 Rule::R5,
                 i,
@@ -364,7 +253,7 @@ fn rule_r5(f: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-fn rule_r6(f: &SourceFile, out: &mut Vec<Finding>) {
+fn rule_r6(f: &SourceFile, out: &mut Vec<Hit>) {
     for i in 0..f.tokens.len() {
         if f.in_test(i) {
             continue;
@@ -382,7 +271,6 @@ fn rule_r6(f: &SourceFile, out: &mut Vec<Finding>) {
         });
         if !justified {
             emit(
-                f,
                 out,
                 Rule::R6,
                 i,
@@ -395,7 +283,7 @@ fn rule_r6(f: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-fn rule_r7_static_mut(f: &SourceFile, out: &mut Vec<Finding>) {
+fn rule_r7_static_mut(f: &SourceFile, out: &mut Vec<Hit>) {
     for i in 0..f.tokens.len() {
         // `'static` lexes as one Lifetime token, so a bare `static` ident
         // here really is the item keyword.
@@ -404,7 +292,6 @@ fn rule_r7_static_mut(f: &SourceFile, out: &mut Vec<Finding>) {
             && f.next(i).is_some_and(|n| f.is_ident(n, "mut"))
         {
             emit(
-                f,
                 out,
                 Rule::R7,
                 i,
@@ -414,7 +301,7 @@ fn rule_r7_static_mut(f: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-fn rule_r7_vendor_std(f: &SourceFile, out: &mut Vec<Finding>) {
+fn rule_r7_vendor_std(f: &SourceFile, out: &mut Vec<Hit>) {
     for i in 0..f.tokens.len() {
         if f.in_test(i) || !f.is_ident(i, "std") {
             continue;
@@ -431,7 +318,6 @@ fn rule_r7_vendor_std(f: &SourceFile, out: &mut Vec<Finding>) {
         if f.is_ident(m, "sync") || f.is_ident(m, "thread") {
             let module = f.text(m);
             emit(
-                f,
                 out,
                 Rule::R7,
                 i,
@@ -444,7 +330,7 @@ fn rule_r7_vendor_std(f: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-fn rule_r8(f: &SourceFile, out: &mut Vec<Finding>) {
+fn rule_r8(f: &SourceFile, out: &mut Vec<Hit>) {
     for i in 0..f.tokens.len() {
         if f.in_test(i) || !f.is_ident(i, "unsafe") {
             continue;
@@ -452,7 +338,6 @@ fn rule_r8(f: &SourceFile, out: &mut Vec<Finding>) {
         let justified = f.comment_attached(f.tokens[i].start, &|c: &str| c.contains("SAFETY:"));
         if !justified {
             emit(
-                f,
                 out,
                 Rule::R8,
                 i,
@@ -464,128 +349,12 @@ fn rule_r8(f: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Per-cycle/per-tick functions R9 inspects in the simulator's hot crates.
-pub(crate) const R9_HOT_FNS: [&str; 7] = [
-    "tick",
-    "step",
-    "issue",
-    "issuable_at",
-    "probe",
-    "enqueue",
-    "pop_completion",
-];
-
-fn rule_r9(f: &SourceFile, out: &mut Vec<Finding>) {
-    for info in &f.fns {
-        if f.in_test(info.name) || !R9_HOT_FNS.contains(&f.text(info.name)) {
-            continue;
-        }
-        let Some((body_open, body_close)) = info.body else {
-            continue;
-        };
-        let fn_name = f.text(info.name);
-        for k in body_open + 1..body_close {
-            let method = f.text(k);
-            if f.tokens[k].kind == TokenKind::Ident
-                && matches!(method, "counter" | "gauge" | "histogram")
-                && is_method_call(f, k)
-            {
-                emit(
-                    f,
-                    out,
-                    Rule::R9,
-                    k,
-                    format!(
-                        "direct registry `.{method}(...)` call inside hot fn `{fn_name}`: \
-                         pre-resolve the handle at attach time and touch it through \
-                         the obs_*! macros (or annotate `// lint: allow(R9): <reason>`)"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// The SoA timing core's per-tick surface (R14): every function the
-/// controller's scheduling scan calls once per candidate per DRAM tick.
-/// Stack-only by contract — one heap allocation here turns a
-/// nanosecond-scale probe into a malloc/free pair millions of times per
-/// simulated second, which is exactly the overhead the
-/// struct-of-arrays rewrite exists to remove.
-pub(crate) const R14_HOT_FNS: [&str; 8] = [
-    "bank_earliest",
-    "grid_clear",
-    "raw_probe",
-    "probe",
-    "issuable_at",
-    "channel_floor",
-    "commit",
-    "quiesce_at",
-];
-
-/// Allocating method names R14 flags when called (`.name(...)`) inside a
-/// hot function.
-const R14_ALLOC_METHODS: [&str; 6] = [
-    "push",
-    "push_back",
-    "to_vec",
-    "collect",
-    "reserve",
-    "extend",
-];
-
-fn rule_r14(f: &SourceFile, out: &mut Vec<Finding>) {
-    for info in &f.fns {
-        if f.in_test(info.name) || !R14_HOT_FNS.contains(&f.text(info.name)) {
-            continue;
-        }
-        let Some((body_open, body_close)) = info.body else {
-            continue;
-        };
-        let fn_name = f.text(info.name);
-        for k in body_open + 1..body_close {
-            if f.tokens[k].kind != TokenKind::Ident {
-                continue;
-            }
-            let text = f.text(k);
-            let hit = if R14_ALLOC_METHODS.contains(&text) && is_method_call(f, k) {
-                Some(format!(".{text}(...)"))
-            } else if text == "vec" && f.next(k).is_some_and(|n| f.is_op(n, "!")) {
-                Some("vec![...]".to_string())
-            } else if text == "Box"
-                && f.next(k).is_some_and(|n| f.is_op(n, "::"))
-                && f.next(k)
-                    .and_then(|n| f.next(n))
-                    .is_some_and(|n| f.is_ident(n, "new"))
-            {
-                Some("Box::new(...)".to_string())
-            } else {
-                None
-            };
-            if let Some(what) = hit {
-                emit(
-                    f,
-                    out,
-                    Rule::R14,
-                    k,
-                    format!(
-                        "heap allocation `{what}` inside SoA hot fn `{fn_name}`: the \
-                         per-tick timing core is stack-only by contract — hoist the \
-                         buffer to construction time (or annotate \
-                         `// lint: allow(R14): <reason>`)"
-                    ),
-                );
-            }
-        }
-    }
-}
-
 /// Enum types whose `match`es must stay exhaustive (R10): a wildcard arm
 /// would let a newly added scheme variant / error code silently skip
 /// certification or wire handling.
 const R10_TARGETS: [&str; 3] = ["PartitionScheme", "Scheme", "ErrorCode"];
 
-fn rule_r10(f: &SourceFile, out: &mut Vec<Finding>) {
+fn rule_r10(f: &SourceFile, out: &mut Vec<Hit>) {
     for i in 0..f.tokens.len() {
         if f.in_test(i) || !f.is_ident(i, "match") {
             continue;
@@ -642,7 +411,6 @@ fn rule_r10(f: &SourceFile, out: &mut Vec<Finding>) {
                             .is_some_and(|c| c.is_ascii_lowercase() || c == '_'));
                 if lone_wild {
                     emit(
-                        f,
                         out,
                         Rule::R10,
                         k,
@@ -845,7 +613,7 @@ fn classify_after<'a>(f: &SourceFile<'a>, op: usize) -> Option<(&'a str, &'stati
     Some((name, unit_class(name)?))
 }
 
-fn rule_r11(f: &SourceFile, out: &mut Vec<Finding>) {
+fn rule_r11(f: &SourceFile, out: &mut Vec<Hit>) {
     for i in 0..f.tokens.len() {
         if f.in_test(i) || f.tokens[i].kind != TokenKind::Op {
             continue;
@@ -862,7 +630,6 @@ fn rule_r11(f: &SourceFile, out: &mut Vec<Finding>) {
         };
         if lclass != rclass {
             emit(
-                f,
                 out,
                 Rule::R11,
                 i,
@@ -879,7 +646,7 @@ fn rule_r11(f: &SourceFile, out: &mut Vec<Finding>) {
 /// The zero-cost observability macros R12 tracks.
 const R12_OBS_MACROS: [&str; 4] = ["obs_count", "obs_gauge", "obs_hist", "obs_span"];
 
-fn rule_r12(f: &SourceFile, out: &mut Vec<Finding>) {
+fn rule_r12(f: &SourceFile, out: &mut Vec<Hit>) {
     for i in 0..f.tokens.len() {
         if f.in_test(i) || f.tokens[i].kind != TokenKind::Ident {
             continue;
@@ -887,7 +654,6 @@ fn rule_r12(f: &SourceFile, out: &mut Vec<Finding>) {
         let name = f.text(i);
         if R12_OBS_MACROS.contains(&name) && f.next(i).is_some_and(|n| f.is_op(n, "!")) {
             emit(
-                f,
                 out,
                 Rule::R12,
                 i,
@@ -901,241 +667,6 @@ fn rule_r12(f: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// One lock acquisition (R13).
-struct Acquisition {
-    /// Lock name (`engine` for both `engine.lock()` and `lock_engine(..)`).
-    name: String,
-    /// The acquiring ident token.
-    tok: usize,
-    /// Last token index while the guard is live.
-    held_to: usize,
-}
-
-fn rule_r13(f: &SourceFile, out: &mut Vec<Finding>) {
-    // The order table is declared in-source:
-    //   `// lint: lock-order: outer < inner`
-    let mut order: Option<Vec<String>> = None;
-    for c in &f.comments {
-        let text = f.text(c.tok);
-        if let Some(pos) = text.find("lock-order:") {
-            let names: Vec<String> = text[pos + "lock-order:".len()..]
-                .split('<')
-                .filter_map(|piece| piece.split_whitespace().next())
-                .map(str::to_string)
-                .collect();
-            if !names.is_empty() && order.is_none() {
-                order = Some(names);
-            }
-        }
-    }
-
-    let mut acqs: Vec<Acquisition> = Vec::new();
-    for i in 0..f.tokens.len() {
-        if f.in_test(i) || f.tokens[i].kind != TokenKind::Ident {
-            continue;
-        }
-        let text = f.text(i);
-        let name = if text == "lock" && is_method_call(f, i) {
-            // `receiver.lock()`: the receiver ident names the lock.
-            let dot = match f.prev(i) {
-                Some(d) => d,
-                None => continue,
-            };
-            match f.prev(dot) {
-                Some(r) if f.tokens[r].kind == TokenKind::Ident => f.text(r).to_string(),
-                _ => continue,
-            }
-        } else if let Some(suffix) = text.strip_prefix("lock_") {
-            // `lock_engine(..)` helper; skip its own definition.
-            if suffix.is_empty()
-                || !f.next(i).is_some_and(|n| f.is_open(n, Delim::Paren))
-                || f.prev(i).is_some_and(|p| f.is_ident(p, "fn"))
-            {
-                continue;
-            }
-            suffix.to_string()
-        } else {
-            continue;
-        };
-        if let Some(held_to) = held_range(f, i) {
-            acqs.push(Acquisition {
-                name,
-                tok: i,
-                held_to,
-            });
-        }
-    }
-
-    if acqs.is_empty() {
-        return;
-    }
-    let Some(order) = order else {
-        emit(
-            f,
-            out,
-            Rule::R13,
-            acqs[0].tok,
-            "file acquires workspace locks but declares no order table: add a \
-             `// lint: lock-order: <outer> < <inner>` comment"
-                .into(),
-        );
-        return;
-    };
-    let rank = |name: &str| order.iter().position(|n| n == name);
-    let mut unknown_reported: Vec<&str> = Vec::new();
-    for a in &acqs {
-        if rank(&a.name).is_none() && !unknown_reported.contains(&a.name.as_str()) {
-            unknown_reported.push(&a.name);
-            emit(
-                f,
-                out,
-                Rule::R13,
-                a.tok,
-                format!(
-                    "lock `{}` is missing from the declared lock-order table \
-                     (`// lint: lock-order: {}`)",
-                    a.name,
-                    order.join(" < ")
-                ),
-            );
-        }
-    }
-    for (ai, a) in acqs.iter().enumerate() {
-        for b in &acqs[ai + 1..] {
-            if b.tok > a.held_to {
-                break;
-            }
-            // `b` is acquired while `a` is held.
-            match (rank(&a.name), rank(&b.name)) {
-                (Some(ra), Some(rb)) if ra > rb => emit(
-                    f,
-                    out,
-                    Rule::R13,
-                    b.tok,
-                    format!(
-                        "acquires `{}` while holding `{}`: violates the declared \
-                         lock order `{}`",
-                        b.name,
-                        a.name,
-                        order.join(" < ")
-                    ),
-                ),
-                (Some(ra), Some(rb)) if ra == rb => emit(
-                    f,
-                    out,
-                    Rule::R13,
-                    b.tok,
-                    format!(
-                        "re-acquires `{}` while a guard for it is already held \
-                         (self-deadlock)",
-                        b.name
-                    ),
-                ),
-                _ => {}
-            }
-        }
-    }
-}
-
-/// How long the guard produced by the lock call at `i` is held: to the end
-/// of the statement for a temporary, to the enclosing block's close for a
-/// `let`-bound guard whose RHS is exactly the lock call (plus poison
-/// recovery postfix).
-pub(crate) fn held_range(f: &SourceFile, i: usize) -> Option<usize> {
-    let open = f.next(i)?;
-    if !f.is_open(open, Delim::Paren) {
-        return None;
-    }
-    let mut end = f.partner[open]?;
-    // Postfix poison-recovery chain: .unwrap() / .expect(..) /
-    // .unwrap_or_else(..) keep the guard.
-    while let Some(dot) = f.next(end).filter(|&d| f.is_op(d, ".")) {
-        let Some(m) = f.next(dot) else { break };
-        if !matches!(f.text(m), "unwrap" | "expect" | "unwrap_or_else") {
-            break;
-        }
-        let Some(o2) = f.next(m).filter(|&o| f.is_open(o, Delim::Paren)) else {
-            break;
-        };
-        end = f.partner[o2]?;
-    }
-    // Binding? Walk back over the receiver/path to the expression start,
-    // then look for `let <pat> =`.
-    let mut expr_start = i;
-    while let Some(sep) = f.prev(expr_start) {
-        if !(f.is_op(sep, ".") || f.is_op(sep, "::")) {
-            break;
-        }
-        match f.prev(sep) {
-            Some(seg) if f.tokens[seg].kind == TokenKind::Ident => expr_start = seg,
-            _ => break,
-        }
-    }
-    let whole_rhs = f.next(end).is_some_and(|n| f.is_op(n, ";"));
-    let mut bound = false;
-    if whole_rhs {
-        if let Some(eq) = f.prev(expr_start).filter(|&e| f.is_op(e, "=")) {
-            let mut j = f.prev(eq);
-            for _ in 0..4 {
-                match j {
-                    Some(t) if f.is_ident(t, "let") => {
-                        bound = true;
-                        break;
-                    }
-                    Some(t)
-                        if f.tokens[t].kind == TokenKind::Ident
-                            || f.is_ident(t, "mut")
-                            || f.is_op(t, ":") =>
-                    {
-                        j = f.prev(t);
-                    }
-                    _ => break,
-                }
-            }
-        }
-    }
-    if bound {
-        // Held to the enclosing block's close: first unmatched closer.
-        let mut cur = f.next(end);
-        let mut last = end;
-        while let Some(k) = cur {
-            match f.tokens[k].kind {
-                TokenKind::Open(_) => {
-                    let close = f.partner[k]?;
-                    last = close;
-                    cur = f.next(close);
-                }
-                TokenKind::Close(_) => return Some(k),
-                _ => {
-                    last = k;
-                    cur = f.next(k);
-                }
-            }
-        }
-        Some(last)
-    } else {
-        // Temporary: held to the end of the statement.
-        let mut cur = f.next(end);
-        let mut last = end;
-        while let Some(k) = cur {
-            match f.tokens[k].kind {
-                TokenKind::Op if f.text(k) == ";" || f.text(k) == "," => return Some(k),
-                TokenKind::Open(_) => {
-                    let close = f.partner[k]?;
-                    last = close;
-                    cur = f.next(close);
-                }
-                TokenKind::Close(_) => return Some(last),
-                _ => {
-                    last = k;
-                    cur = f.next(k);
-                }
-            }
-        }
-        Some(last)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1143,7 +674,7 @@ mod tests {
     fn run_with(src: &str, tweak: impl FnOnce(&mut FileCtx)) -> Vec<Finding> {
         let mut ctx = FileCtx::default();
         tweak(&mut ctx);
-        run(src, &ctx)
+        check("fixture.rs", &SourceFile::analyze(src), &ctx)
             .into_iter()
             .filter(|v| !v.suppressed)
             .collect()
@@ -1151,58 +682,6 @@ mod tests {
 
     fn codes(vs: &[Finding]) -> Vec<&'static str> {
         vs.iter().map(|v| v.rule.code()).collect()
-    }
-
-    #[test]
-    fn r14_flags_heap_allocation_in_soa_hot_fns() {
-        let src = r#"
-impl ChannelTiming {
-    pub fn probe(&mut self, loc: &Location) -> u64 {
-        let mut scratch = Vec::new();
-        scratch.push(self.bank_busy[0]);
-        let all: Vec<u64> = self.bank_busy.iter().copied().collect();
-        let boxed = Box::new(all);
-        let lits = vec![1u64, 2, 3];
-        boxed[0] + lits[0] + scratch[0]
-    }
-}
-"#;
-        let vs = run_with(src, |c| c.soa_hot = true);
-        assert_eq!(codes(&vs), vec!["R14", "R14", "R14", "R14"]);
-        assert!(vs[0].message.contains("probe"));
-        // The same source outside the SoA file context is clean.
-        assert!(run_with(src, |_| {}).is_empty());
-    }
-
-    #[test]
-    fn r14_ignores_cold_fns_tests_and_allows_suppression() {
-        // `new` is construction time — allocation is the point there.
-        let cold = r#"
-impl ChannelTiming {
-    pub fn new(cfg: &DramConfig) -> Self {
-        let bank_busy = vec![0u64; cfg.total_banks()];
-        Self { bank_busy }
-    }
-}
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn probe() {
-        let v = vec![1, 2, 3];
-        assert_eq!(v.len(), 3);
-    }
-}
-"#;
-        assert!(run_with(cold, |c| c.soa_hot = true).is_empty());
-        let suppressed = r#"
-impl ChannelTiming {
-    pub fn commit(&mut self) {
-        // lint: allow(R14): one-time slow-path spill, measured cold
-        self.spill.push(1);
-    }
-}
-"#;
-        assert!(run_with(suppressed, |c| c.soa_hot = true).is_empty());
     }
 
     #[test]
@@ -1278,7 +757,7 @@ pub fn deadline(now_cycles: u64, window_ns: u64) -> bool {
     now_cycles > window_ns
 }
 "#;
-        let vs = run_with(src, |c| c.unit_safety = true);
+        let vs = run_with(src, |_| {});
         assert_eq!(codes(&vs), vec!["R11"]);
         assert!(vs[0].message.contains("now_cycles"));
         assert!(vs[0].message.contains("window_ns"));
@@ -1293,7 +772,7 @@ pub fn ok(a_cycles: u64, b_cycles: u64, w_ns: u64, freq: f64) -> u64 {
     total_cycles + budget_cycles
 }
 "#;
-        assert!(run_with(src, |c| c.unit_safety = true).is_empty());
+        assert!(run_with(src, |_| {}).is_empty());
     }
 
     #[test]
@@ -1306,7 +785,7 @@ pub fn fine(beta_share: f64, window_ns: f64) -> f64 {
     beta_share * window_ns
 }
 "#;
-        let vs = run_with(src, |c| c.unit_safety = true);
+        let vs = run_with(src, |_| {});
         assert_eq!(codes(&vs), vec!["R11"]);
     }
 
@@ -1321,84 +800,6 @@ pub fn tick(&mut self) {
         assert_eq!(codes(&vs), vec!["R12"]);
         assert!(run_with(src, |c| c.obs_wired = Some(true)).is_empty());
         assert!(run_with(src, |c| c.obs_wired = None).is_empty());
-    }
-
-    #[test]
-    fn r13_flags_out_of_order_nested_acquisition() {
-        let src = r#"
-// lint: lock-order: engine < tracer
-pub fn bad(engine: &Mutex<E>, tracer: &Mutex<T>) {
-    let t = tracer.lock().unwrap_or_else(|p| p.into_inner());
-    let e = engine.lock().unwrap_or_else(|p| p.into_inner());
-    drop((t, e));
-}
-pub fn good(engine: &Mutex<E>, tracer: &Mutex<T>) {
-    let e = engine.lock().unwrap_or_else(|p| p.into_inner());
-    let t = tracer.lock().unwrap_or_else(|p| p.into_inner());
-    drop((e, t));
-}
-"#;
-        let vs = run_with(src, |c| c.lock_order = true);
-        assert_eq!(codes(&vs), vec!["R13"]);
-        assert!(vs[0].message.contains("`engine` while holding `tracer`"));
-    }
-
-    #[test]
-    fn r13_sequential_temporaries_do_not_overlap() {
-        // Match-arm-style dispatch: each statement takes and drops the
-        // guard; no two are held together, so declared order is moot.
-        let src = r#"
-// lint: lock-order: engine
-pub fn dispatch(engine: &Mutex<E>) {
-    lock_engine(engine).run_epoch();
-    lock_engine(engine).snapshot();
-    let eng = lock_engine(engine);
-    drop(eng);
-}
-fn lock_engine(engine: &Mutex<E>) -> MutexGuard<'_, E> {
-    engine.lock().unwrap_or_else(|poison| poison.into_inner())
-}
-"#;
-        assert!(run_with(src, |c| c.lock_order = true).is_empty());
-    }
-
-    #[test]
-    fn r13_let_bound_guard_blocks_reacquisition() {
-        let src = r#"
-// lint: lock-order: engine
-pub fn bad(engine: &Mutex<E>) {
-    let eng = lock_engine(engine);
-    let again = lock_engine(engine);
-    drop((eng, again));
-}
-"#;
-        let vs = run_with(src, |c| c.lock_order = true);
-        assert_eq!(codes(&vs), vec!["R13"]);
-        assert!(vs[0].message.contains("re-acquires `engine`"));
-    }
-
-    #[test]
-    fn r13_requires_a_declared_table_and_known_names() {
-        let undeclared = r#"
-pub fn f(engine: &Mutex<E>) {
-    let eng = engine.lock().unwrap_or_else(|p| p.into_inner());
-    drop(eng);
-}
-"#;
-        let vs = run_with(undeclared, |c| c.lock_order = true);
-        assert_eq!(codes(&vs), vec!["R13"]);
-        assert!(vs[0].message.contains("no order table"));
-
-        let unknown = r#"
-// lint: lock-order: engine
-pub fn f(tracer: &Mutex<T>) {
-    let t = tracer.lock().unwrap_or_else(|p| p.into_inner());
-    drop(t);
-}
-"#;
-        let vs = run_with(unknown, |c| c.lock_order = true);
-        assert_eq!(codes(&vs), vec!["R13"]);
-        assert!(vs[0].message.contains("missing from the declared"));
     }
 
     #[test]
@@ -1425,7 +826,7 @@ pub fn f(x: Option<u32>) -> u32 {
     x.unwrap()
 }
 "#;
-        let all = run(src, &FileCtx::default());
+        let all = check("fixture.rs", &SourceFile::analyze(src), &FileCtx::default());
         assert_eq!(all.len(), 1);
         assert!(all[0].suppressed);
         assert!(all[0]

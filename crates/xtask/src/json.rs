@@ -1,6 +1,6 @@
 //! A minimal JSON parser for validating the tool's own reports.
 //!
-//! The lint/analyze renderers emit JSON and SARIF by hand (no external
+//! The lint renderers emit JSON and SARIF by hand (no external
 //! crates, per the workspace's zero-dependency rule); this module is the
 //! matching reader so tests can structurally validate what was emitted —
 //! round-tripping through a real parser catches escaping and nesting bugs

@@ -536,13 +536,6 @@ pub fn lex(src: &str) -> Vec<Token> {
         .collect()
 }
 
-/// 1-based line number of a byte offset (for spans derived outside the
-/// token list, e.g. rule anchors inside multi-line tokens).
-pub fn line_of(src: &str, pos: usize) -> u32 {
-    let upto = src.get(..pos.min(src.len())).unwrap_or("");
-    (upto.bytes().filter(|&b| b == b'\n').count() as u32).saturating_add(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,17 +1,22 @@
-//! bwpart-audit: the model-invariant lint pass.
+//! bwpart-audit: the repository's one static-analysis pass
+//! (`cargo xtask lint`).
 //!
-//! A dependency-free **token-level** scanner over `crates/*/src` (plus the
-//! vendored pool) that enforces the repository's model-safety rules. It
-//! deliberately avoids rustc internals: [`crate::lex`] produces spanned
-//! tokens (raw strings, nested block comments, char/lifetime ambiguity and
-//! doc comments handled in the lexer, so none of them can leak into rule
-//! matching), [`crate::tokens`] adds brace-matched structure with item/fn
-//! boundaries, and [`crate::engine`] evaluates the rules on that shape.
-//! `#[cfg(test)]` items are masked out. The rules are type-blind
-//! heuristics tuned to this codebase; anything flagged can be suppressed
-//! with an explicit, reasoned annotation attached to the site (same line,
-//! the comment block above, or above the attributes/header of the
-//! annotated item):
+//! A dependency-free **token-level** pass over `crates/*/src` plus the
+//! vendored `vendor/{rayon,mio}/src` that enforces the repository's
+//! model-safety rules. It deliberately avoids rustc internals:
+//! [`crate::lex`] produces spanned tokens (raw strings, nested block
+//! comments, char/lifetime ambiguity and doc comments handled in the
+//! lexer, so none of them can leak into rule matching) and
+//! [`crate::tokens`] adds brace-matched structure with item/fn boundaries.
+//! Each file is lexed and structured **once**; that one
+//! [`crate::tokens::SourceFile`] feeds the per-file rules
+//! ([`crate::engine`]), the `UNSAFE_AUDIT.md` site count, and the
+//! workspace symbol index ([`crate::symbols`]) behind the call graph and
+//! the interprocedural rules ([`crate::analyze`]). `#[cfg(test)]` items are
+//! masked out. The rules are type-blind heuristics tuned to this codebase;
+//! anything flagged can be suppressed with an explicit, reasoned
+//! annotation attached to the site (same line, the comment block above, or
+//! above the attributes/header of the annotated item):
 //!
 //! ```text
 //! // lint: allow(R1): reason the reviewer should read
@@ -25,13 +30,6 @@
 //! * **R2** — no `==` / `!=` against floating-point literals and no bare
 //!   `.partial_cmp(...)` calls. Ordering goes through `f64::total_cmp`;
 //!   tolerance comparisons go through `bwpart_core::contracts`.
-//! * **R3** — in the share-producing crates (`bwpart-core` and the
-//!   `bwpartd` epoch engine), every `pub fn` returning shares — a bare
-//!   `Vec<f64>` anywhere in the return type, or an owned `Allocation` /
-//!   `MultiAllocation` / `CoordOutcome` wrapper (reference accessors are
-//!   exempt) — must certify its output via `validate_shares`,
-//!   `Allocation::certified`, or a contract macro (`ensures_simplex!`,
-//!   `ensures_capped!`, `invariant!`).
 //! * **R4** — no `#[allow(clippy::...)]` without a justification comment
 //!   (a plain `//` comment attached to the attribute).
 //! * **R5** — in `bwpart-experiments`, no hand-rolled `.step()` calls:
@@ -52,12 +50,6 @@
 //!   `// SAFETY:` comment attached, and every file containing unsafe code
 //!   must be registered with a matching (token-accurate) site count in
 //!   `UNSAFE_AUDIT.md`.
-//! * **R9** — in the simulator's hot crates (`crates/dram`, `crates/mc`),
-//!   the per-cycle/per-tick functions (`tick`, `step`, `issue`, ...) may
-//!   touch metrics only through the zero-cost `obs_*!` macros over hooks
-//!   pre-resolved at attach time: direct registry calls (`.counter(...)`,
-//!   `.gauge(...)`, `.histogram(...)`) resolve names per event and are
-//!   banned there. Cold paths (attach, publish) are exempt.
 //! * **R10** — in `crates/core` and `crates/bwpartd`, `match`es whose
 //!   patterns name `PartitionScheme` / `Scheme` / `ErrorCode` must stay
 //!   exhaustive: no `_` wildcard or lowercase catch-all binding arms, so a
@@ -73,42 +65,33 @@
 //!   to `bwpart-obs` (either a `trace = ["bwpart-obs/trace", ...]`
 //!   feature or the dep feature enabled directly), so tracing builds
 //!   actually reach those sites.
-//! * **R13** — mutex acquisition order: in `bwpartd::server` /
-//!   `bwpartd::engine`, lock guards must be taken in the order declared
-//!   by an in-source `// lint: lock-order: outer < inner` table; nested
-//!   out-of-order or re-entrant acquisitions (the deadlock shapes) are
-//!   flagged, as is any lock missing from the table.
-//! * **R14** — allocation-free SoA hot path: the per-tick functions of
-//!   the batched DRAM timing core (`crates/dram/src/soa.rs`) must not
-//!   heap-allocate — no `.push`/`.push_back`/`.to_vec`/`.collect`/
-//!   `.reserve`/`.extend`, `vec![...]` or `Box::new(...)` inside them;
-//!   scratch buffers are hoisted to construction time.
+//! * **A1–A4** — the interprocedural rules (hot-path purity, contract
+//!   reachability, unit flow across calls, workspace lock order); see
+//!   [`crate::analyze`].
 //!
-//! Rules R1–R5 run over `crates/*/src`; R6 and R8 run over both
+//! Rules R1–R5 and R10–R12 run over `crates/*/src`; R6 and R8 over both
 //! `crates/*/src` and `vendor/{rayon,mio}/src`; R7's `static mut` ban
 //! runs everywhere and its shim-only part over `vendor/{rayon,mio}/src`;
-//! R9
-//! runs over `crates/dram/src` and `crates/mc/src`; R10 over
-//! `crates/core/src` and `crates/bwpartd/src`; R11 and R12 over every
-//! first-party crate; R13 over the `bwpartd` server/engine modules; R14
-//! over the SoA timing core file only.
+//! R10 is scoped to `crates/core` and `crates/bwpartd`. The vendored
+//! crates stay outside the call graph, so A1–A4 see `crates/*/src` only.
 
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::engine::{self, FileCtx, Finding};
+use crate::analyze;
+use crate::engine::{self, FileCtx};
+use crate::symbols::{FileFacts, Workspace};
+use crate::tokens::SourceFile;
 
 /// One enforced rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// No panicking constructs in non-test library code.
     R1,
     /// No float-literal equality or bare `partial_cmp`.
     R2,
-    /// Share/allocation producers must certify their outputs.
-    R3,
     /// Clippy suppressions need a justification comment.
     R4,
     /// Experiments must drive the simulator via `CmpSystem::run`, not
@@ -123,11 +106,6 @@ pub enum Rule {
     /// `unsafe` sites need `// SAFETY:` comments and an `UNSAFE_AUDIT.md`
     /// inventory entry.
     R8,
-    /// Simulator hot loops (`crates/dram`, `crates/mc`) must not resolve
-    /// metrics inline: no direct registry calls inside per-cycle/per-tick
-    /// functions — pre-resolve handles at attach time and touch them
-    /// through the `obs_*!` macros.
-    R9,
     /// `match`es over `PartitionScheme` / `ErrorCode` in the scheme and
     /// service crates must list every variant (no wildcard arms).
     R10,
@@ -137,35 +115,57 @@ pub enum Rule {
     /// `obs_*!` call sites require `trace` feature wiring to `bwpart-obs`
     /// in the owning crate's manifest.
     R12,
-    /// `bwpartd` lock guards must follow the declared in-source
-    /// lock-order table (deadlock lint).
-    R13,
-    /// The SoA timing core's per-tick functions must not heap-allocate.
-    R14,
+    /// Hot-path purity: no allocation/lock/blocking/registry resolution in
+    /// or reachable from the hot simulator fns.
+    A1,
+    /// Share/allocation producers must certify directly or via a callee.
+    A2,
+    /// Unit-suffix discipline across call boundaries.
+    A3,
+    /// Workspace lock order: declared tables vs observed nesting, acyclic.
+    A4,
 }
 
 impl Rule {
+    /// All rules, report order.
+    pub const ALL: [Rule; 14] = [
+        Rule::R1,
+        Rule::R2,
+        Rule::R4,
+        Rule::R5,
+        Rule::R6,
+        Rule::R7,
+        Rule::R8,
+        Rule::R10,
+        Rule::R11,
+        Rule::R12,
+        Rule::A1,
+        Rule::A2,
+        Rule::A3,
+        Rule::A4,
+    ];
+
     /// Short code used in reports and `lint: allow(...)` annotations.
     pub fn code(self) -> &'static str {
         match self {
             Rule::R1 => "R1",
             Rule::R2 => "R2",
-            Rule::R3 => "R3",
             Rule::R4 => "R4",
             Rule::R5 => "R5",
             Rule::R6 => "R6",
             Rule::R7 => "R7",
             Rule::R8 => "R8",
-            Rule::R9 => "R9",
             Rule::R10 => "R10",
             Rule::R11 => "R11",
             Rule::R12 => "R12",
-            Rule::R13 => "R13",
-            Rule::R14 => "R14",
+            Rule::A1 => "A1",
+            Rule::A2 => "A2",
+            Rule::A3 => "A3",
+            Rule::A4 => "A4",
         }
     }
 
-    /// Parse a rule code (`"R7"`) back to the rule.
+    /// Parse a rule code (`"R7"`, `"A2"`) back to the rule.
     pub fn from_code(code: &str) -> Option<Rule> {
         Rule::ALL.iter().copied().find(|r| r.code() == code)
     }
@@ -175,11 +175,6 @@ impl Rule {
         match self {
             Rule::R1 => "no unwrap()/expect()/panic!/unreachable! in non-test library code",
             Rule::R2 => "no ==/!= against float literals, no bare partial_cmp (use total_cmp)",
-            Rule::R3 => {
-                "pub fns returning shares (Vec<f64>, or owned Allocation/MultiAllocation/\
-                         CoordOutcome) in bwpart-core or the bwpartd engine must route \
-                         through validate_shares, Allocation::certified, or a contract macro"
-            }
             Rule::R4 => "#[allow(clippy::...)] requires a justification comment",
             Rule::R5 => {
                 "bwpart-experiments must drive the simulator via CmpSystem::run, \
@@ -197,11 +192,6 @@ impl Rule {
                 "unsafe sites need a // SAFETY: comment and a matching entry in \
                          the UNSAFE_AUDIT.md inventory"
             }
-            Rule::R9 => {
-                "simulator hot loops (crates/dram, crates/mc per-cycle/per-tick \
-                         functions) must use the obs_*! macros over pre-resolved hooks, \
-                         never direct registry .counter()/.gauge()/.histogram() calls"
-            }
             Rule::R10 => {
                 "matches over PartitionScheme/ErrorCode in crates/core and \
                          crates/bwpartd must list every variant — no `_`/binding \
@@ -215,20 +205,24 @@ impl Rule {
                 "obs_*! call sites must live in crates whose Cargo.toml wires \
                          the `trace` feature through to bwpart-obs"
             }
-            Rule::R13 => {
-                "bwpartd server/engine lock acquisitions must follow the \
-                         declared `// lint: lock-order:` table (deadlock lint)"
+            Rule::A1 => {
+                "no allocation, locking, blocking or registry resolution in or \
+                         reachable from hot simulator fns (crates/dram, crates/mc)"
             }
-            Rule::R14 => {
-                "the SoA timing core's per-tick functions (crates/dram/src/soa.rs) \
-                         must not heap-allocate: no .push/.push_back/.to_vec/.collect/\
-                         .reserve/.extend, vec![...] or Box::new(...) — hoist scratch \
-                         buffers to construction time"
+            Rule::A2 => {
+                "pub fns returning shares (Vec<f64>, or owned Allocation/MultiAllocation/\
+                         CoordOutcome) in bwpart-core or bwpartd must certify them directly \
+                         or via a callee"
+            }
+            Rule::A3 => "unit-suffixed values must not cross call boundaries into another unit",
+            Rule::A4 => {
+                "lock nesting, in one fn or across calls, must follow the declared \
+                         `// lint: lock-order:` tables, which must name every lock"
             }
         }
     }
 
-    /// Long-form rationale for `cargo xtask lint --explain R<N>`.
+    /// Long-form rationale for `cargo xtask lint --explain <code>`.
     pub fn explain(self) -> &'static str {
         match self {
             Rule::R1 => {
@@ -245,16 +239,6 @@ impl Rule {
                  decisions in bandwidth-share code. Use f64::total_cmp for ordering \
                  and contracts::approx_eq for tolerance checks. The rule matches the \
                  token stream, so float literals inside strings or comments are inert."
-            }
-            Rule::R3 => {
-                "Eq. 9-11 of the paper require share vectors to lie on the capped \
-                 simplex. Every public producer of shares — a bare Vec<f64>, or an \
-                 owned Allocation / MultiAllocation / CoordOutcome wrapper — in \
-                 bwpart-core or the bwpartd engine must route its output through \
-                 validate_shares, Allocation::certified, ensures_simplex!, \
-                 ensures_capped! or invariant! so the certification is part of the \
-                 function, not the caller's homework. Reference accessors \
-                 (`&Allocation`) are exempt: they return an already-certified value."
             }
             Rule::R4 => {
                 "A clippy suppression with no reason rots: nobody can tell whether it \
@@ -287,13 +271,6 @@ impl Rule {
                  count registered in UNSAFE_AUDIT.md. The audit cross-check fails \
                  when counts drift, so new unsafe cannot land unnoticed."
             }
-            Rule::R9 => {
-                "The dram/mc per-cycle functions run millions of times per \
-                 experiment; a registry .counter()/.gauge()/.histogram() call hashes \
-                 a name and takes a lock per event. Hot paths must pre-resolve \
-                 handles at attach time and touch them through the zero-cost obs_*! \
-                 macros; cold paths (attach, publish) are exempt."
-            }
             Rule::R10 => {
                 "Adding a PartitionScheme variant or an ErrorCode must force a \
                  review at every dispatch over those enums — the certification and \
@@ -321,53 +298,100 @@ impl Rule {
                  observability hole: builds with --features trace would still skip \
                  it. Wire the feature through the owning crate's Cargo.toml."
             }
-            Rule::R13 => {
-                "bwpartd's server and engine share mutexes; taking them in \
-                 different orders on different paths is the classic deadlock. The \
-                 order is declared in-source (`// lint: lock-order: outer < inner`) \
-                 and the rule checks every nested acquisition against it, flags \
-                 re-entrant locking of the same mutex, and requires every lock it \
-                 sees to appear in the table — so adding a lock forces the table \
-                 (and the reviewer) to place it."
+            Rule::A1 => {
+                "A1 — hot-path purity, transitively.\n\
+                 \n\
+                 The simulator's per-cycle functions (tick/step/issue/probe/… in\n\
+                 crates/dram and crates/mc) and the SoA timing core's per-tick surface\n\
+                 (bank_earliest/grid_clear/raw_probe/… in crates/dram/src/soa.rs) run\n\
+                 millions of times per simulated second. From each hot fn, its own\n\
+                 body and every function reachable within 8 call hops is scanned for\n\
+                 danger sites — fresh allocation (Vec::new, vec![], collect,\n\
+                 with_capacity, Box::new, …), lock acquisition, blocking calls (sleep,\n\
+                 recv, wait) and per-event metrics-registry resolution (.counter()/\n\
+                 .gauge()/.histogram(), which hash a name and take the registry's\n\
+                 lock; pre-resolve handles at attach time and touch them through the\n\
+                 zero-cost obs_*! macros). Container *growth* (.push, .extend,\n\
+                 .reserve) is only flagged for the SoA core, which is stack-only by\n\
+                 contract — amortized growth of caller-owned scratch is the honest\n\
+                 idiom elsewhere (that is what enqueue is for).\n\
+                 \n\
+                 The finding is anchored at the danger site and reports the full call\n\
+                 path from the hot fn, so the fix target is visible: hoist the\n\
+                 allocation to construction time, pre-resolve the handle, or break\n\
+                 the call edge. Suppress with `lint: allow(A1): <reason>` at the\n\
+                 danger site only when the path is provably cold (e.g. a once-per-run\n\
+                 panic path)."
             }
-            Rule::R14 => {
-                "The struct-of-arrays timing core exists so the controller's \
-                 scheduling scan can probe bank state in nanoseconds: its per-tick \
-                 functions (raw_probe, probe, issuable_at, commit, channel_floor, \
-                 quiesce_at, grid_clear, bank_earliest) run once per candidate per \
-                 DRAM tick, millions of times per simulated second. A single heap \
-                 allocation on that path — a growing Vec, a collect, a boxed \
-                 temporary — reintroduces exactly the malloc traffic the SoA rewrite \
-                 removed, and profiles as a diffuse slowdown no single caller owns. \
-                 All scratch space is sized and allocated at construction; the hot \
-                 functions may only index into it."
+            Rule::A2 => {
+                "A2 — certification must be reachable.\n\
+                 \n\
+                 Eq. 9-11 of the paper require share vectors to lie on the capped\n\
+                 simplex. Every public fn in crates/core and crates/bwpartd returning\n\
+                 shares — a bare Vec<f64>, or an owned Allocation / MultiAllocation /\n\
+                 CoordOutcome wrapper — must certify its output (validate_shares /\n\
+                 ensures_simplex / ensures_capped / Allocation::certified /\n\
+                 invariant!) in its own body or in a callee reached within 3 call\n\
+                 hops, so the certification is part of the producer, not the caller's\n\
+                 homework. Reference-returning accessors (`&Allocation`) are exempt:\n\
+                 they hand out an already-certified value.\n\
+                 \n\
+                 A2 fails only when *no* certification is reachable: the shares\n\
+                 leave the crate unchecked, and the paper's simplex invariant\n\
+                 (shares sum to 1, each within [floor, cap]) is unenforced at the\n\
+                 boundary. Fix by certifying in the producer or a callee; suppress\n\
+                 with `lint: allow(A2): <reason>` when the return type is\n\
+                 incidentally Vec<f64> but not a share vector."
+            }
+            Rule::A3 => {
+                "A3 — unit discipline across call boundaries.\n\
+                 \n\
+                 Rule R11 checks unit-suffix mixing (`_cycles` vs `_ns` vs\n\
+                 share-fraction names) inside one expression. A3 checks the two\n\
+                 places R11 cannot see: (1) an argument whose name carries one unit\n\
+                 flowing into a parameter whose name carries another —\n\
+                 `probe(now_ns)` against `fn probe(now_cycles: u64)` is a latent\n\
+                 time-base bug even though each file is locally consistent; and\n\
+                 (2) a call result bound against the callee's promise —\n\
+                 `let t_ns = ns_to_cycles(...)` binds a cycles value to an ns name.\n\
+                 \n\
+                 Conversion functions (`*_to_*`) are exempt on the argument side:\n\
+                 feeding `_ns` into `ns_to_cycles` is the point. Only calls that\n\
+                 resolve to exactly one workspace target are checked, so heuristic\n\
+                 resolution cannot produce cross-target false positives. Suppress\n\
+                 with `lint: allow(A3): <reason>` at the call site."
+            }
+            Rule::A4 => {
+                "A4 — the workspace lock graph.\n\
+                 \n\
+                 bwpartd's shards and tables share mutexes; taking them in different\n\
+                 orders on different paths is the classic deadlock, and deadlocks do\n\
+                 not respect fn or file boundaries. Lock orders are declared in-source\n\
+                 (`// lint: lock-order: outer < inner`; a single name declares one\n\
+                 lock) and every table merges into one workspace order. Nesting is\n\
+                 observed two ways: a lock taken while a guard is live in the same fn\n\
+                 (a let-bound guard lives to the end of its block, a temporary to the\n\
+                 end of its statement), and a lock taken in any function reached\n\
+                 within 4 call hops from a call made while a guard is held.\n\
+                 \n\
+                 Findings: an observed nesting that inverts the declared order; an\n\
+                 observed nesting between locks no table relates (declare the pair —\n\
+                 silent nesting is how the next deadlock ships); a re-entrant\n\
+                 acquisition of the same lock (std::sync::Mutex self-deadlocks); a\n\
+                 lock named in no table, so adding a lock forces the table (and the\n\
+                 reviewer) to place it; and any cycle in the combined\n\
+                 declared+observed graph. The rule runs for bwpartd and for every\n\
+                 crate that declares a table — opting in is the declaration itself.\n\
+                 Suppress with `lint: allow(A4): <reason>` at the inner acquisition."
             }
         }
     }
-
-    /// All rules, report order.
-    pub const ALL: [Rule; 14] = [
-        Rule::R1,
-        Rule::R2,
-        Rule::R3,
-        Rule::R4,
-        Rule::R5,
-        Rule::R6,
-        Rule::R7,
-        Rule::R8,
-        Rule::R9,
-        Rule::R10,
-        Rule::R11,
-        Rule::R12,
-        Rule::R13,
-        Rule::R14,
-    ];
 }
 
 /// One finding: a rule violated at a specific source span.
 #[derive(Debug, Clone)]
-pub struct Violation {
-    /// Path of the offending file (as given to the scanner).
+pub struct Finding {
+    /// Workspace-relative path of the offending file (unix separators).
     pub file: String,
     /// 1-based line number of the anchor.
     pub line: usize,
@@ -383,17 +407,49 @@ pub struct Violation {
     pub message: String,
     /// The trimmed source line the anchor sits on.
     pub snippet: String,
-    /// Suppressed by an attached `lint: allow(R<N>)` marker?
+    /// Suppressed by an attached `lint: allow(<code>)` marker?
     pub suppressed: bool,
     /// The marker comment's text, when suppressed.
     pub justification: Option<String>,
 }
 
-impl Violation {
-    /// A position-only violation (used by the inventory cross-check,
-    /// which reports on markdown rather than lexed Rust).
+impl Finding {
+    /// A finding anchored at byte `span` of the file `f` at `path`. This is
+    /// the one place suppression is resolved: an attached comment (see
+    /// [`SourceFile::attached_comment_text`]) carrying
+    /// `lint: allow(<code>)` marks the finding suppressed and keeps its
+    /// text as the justification.
+    pub(crate) fn new(
+        path: &str,
+        f: &SourceFile,
+        rule: Rule,
+        span: (usize, usize),
+        message: String,
+    ) -> Finding {
+        let plain = format!("lint: allow({})", rule.code());
+        let tight = format!("lint:allow({})", rule.code());
+        let marker =
+            f.attached_comment_text(span.0, &|c: &str| c.contains(&plain) || c.contains(&tight));
+        let (line, col) = line_col(f.src, span.0);
+        let (end_line, end_col) = line_col(f.src, span.1);
+        Finding {
+            file: path.to_string(),
+            line,
+            col,
+            end_line,
+            end_col,
+            rule,
+            message,
+            snippet: snippet_at(f.src, span.0),
+            suppressed: marker.is_some(),
+            justification: marker.map(|m| m.trim().to_string()),
+        }
+    }
+
+    /// A position-only finding (used by the inventory cross-check, which
+    /// reports on markdown rather than lexed Rust).
     fn at(file: &str, line: usize, rule: Rule, message: String) -> Self {
-        Violation {
+        Finding {
             file: file.to_string(),
             line,
             col: 1,
@@ -408,7 +464,7 @@ impl Violation {
     }
 }
 
-impl fmt::Display for Violation {
+impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -437,7 +493,7 @@ pub(crate) fn line_col(src: &str, pos: usize) -> (usize, usize) {
 
 /// The trimmed source line containing byte offset `pos` (truncated so
 /// reports and JSON stay readable).
-pub(crate) fn snippet_at(src: &str, pos: usize) -> String {
+fn snippet_at(src: &str, pos: usize) -> String {
     let pos = pos.min(src.len());
     let bytes = src.as_bytes();
     let start = bytes[..pos]
@@ -458,93 +514,130 @@ pub(crate) fn snippet_at(src: &str, pos: usize) -> String {
     out
 }
 
-/// Convert engine findings into reported violations.
-fn to_violations(file: &str, src: &str, findings: Vec<Finding>) -> Vec<Violation> {
-    let mut out: Vec<Violation> = findings
-        .into_iter()
-        .map(|f| {
-            let (line, col) = line_col(src, f.start);
-            let (end_line, end_col) = line_col(src, f.end);
-            Violation {
-                file: file.to_string(),
-                line,
-                col,
-                end_line,
-                end_col,
-                rule: f.rule,
-                message: f.message,
-                snippet: snippet_at(src, f.start),
-                suppressed: f.suppressed,
-                justification: f.justification,
-            }
-        })
-        .collect();
-    out.sort_by(|a, b| (a.line, a.col, a.rule.code()).cmp(&(b.line, b.col, b.rule.code())));
+/// One source file to check.
+#[derive(Debug, Clone)]
+pub(crate) struct Input {
+    /// Workspace-relative path (unix separators).
+    pub path: String,
+    /// The file's source text.
+    pub src: String,
+    /// Which rules apply, from the path and the owning crate's manifest.
+    pub ctx: FileCtx,
+}
+
+impl Input {
+    /// An input at `path`; `obs_wired` is the owning crate's `trace`
+    /// wiring (R12; `None` skips the rule).
+    pub(crate) fn new(path: String, src: String, obs_wired: Option<bool>) -> Input {
+        let ctx = FileCtx::for_path(&path, obs_wired);
+        Input { path, src, ctx }
+    }
+}
+
+/// The single pass over pre-read sources: each file is lexed and
+/// structured once, the per-file rules and the unsafe-site count run on
+/// it, and the non-vendored files are indexed for A1–A4. `audit` is the
+/// `UNSAFE_AUDIT.md` text to cross-check (`None` skips the cross-check).
+/// Returns **all** findings — suppressed ones included, with their
+/// justification — in (path, line, col, rule) order.
+pub(crate) fn check(inputs: &[Input], audit: Option<&str>) -> Vec<Finding> {
+    let files: Vec<SourceFile> = inputs.iter().map(|i| SourceFile::analyze(&i.src)).collect();
+    let mut out = Vec::new();
+    let mut unsafe_counts: Vec<(String, usize)> = Vec::new();
+    let mut ws = Workspace::default();
+    let mut indexed = Vec::new();
+    for (input, f) in inputs.iter().zip(&files) {
+        out.extend(engine::check(&input.path, f, &input.ctx));
+        let sites = engine::unsafe_sites(f);
+        if sites > 0 {
+            unsafe_counts.push((input.path.clone(), sites));
+        }
+        if !input.ctx.vendor {
+            ws.files.push(FileFacts::extract(&input.path, f));
+            indexed.push(f);
+        }
+    }
+    if let Some(audit) = audit {
+        out.extend(check_unsafe_inventory(audit, &unsafe_counts));
+    }
+    out.extend(analyze::check(&ws, &indexed));
+    out.sort_by(|a, b| {
+        (a.file.as_str(), a.line, a.col, a.rule).cmp(&(b.file.as_str(), b.line, b.col, b.rule))
+    });
     out
 }
 
-/// Count the `unsafe` sites R8 audits in `src` (non-test code),
-/// token-accurately, for cross-checking against the `UNSAFE_AUDIT.md`
-/// inventory.
-pub fn count_unsafe_sites(src: &str) -> usize {
-    engine::unsafe_sites(src)
+/// Collect `.rs` files under `dir`, recursively.
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            collect_rs(&path, out)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
 }
 
-/// Scan one file's source. `is_share_producer` enables the R3 producer
-/// rule and the R10 exhaustiveness rule (both apply to the crates that
-/// compute share vectors: `bwpart-core` and the `bwpartd` engine);
-/// `is_experiments` enables the R5 stepping rule; `is_hot_sim` enables
-/// R9. R11 always runs; R12/R13 need tree context and are exercised via
-/// [`lint_tree`]. Suppressed findings are filtered out (use
-/// [`lint_tree_report`] to see them).
-pub fn lint_source(
-    file: &str,
-    src: &str,
-    is_share_producer: bool,
-    is_experiments: bool,
-    is_hot_sim: bool,
-) -> Vec<Violation> {
-    let ctx = FileCtx {
-        share_producer: is_share_producer,
-        experiments: is_experiments,
-        hot_sim: is_hot_sim,
-        match_exhaustive: is_share_producer,
-        unit_safety: true,
-        ..FileCtx::default()
-    };
-    to_violations(file, src, engine::run(src, &ctx))
+/// Read every `crates/*/src/**/*.rs` under `root`, plus (when present)
+/// the vendored crates under `vendor/{rayon,mio}/src`, in path order. Each
+/// crate's `Cargo.toml` is read once, for its `trace` wiring (R12).
+fn collect(root: &Path) -> io::Result<Vec<Input>> {
+    let mut dirs: Vec<(PathBuf, Option<bool>)> = Vec::new();
+    for entry in fs::read_dir(root.join("crates"))? {
+        let dir = entry?.path();
+        if dir.join("src").is_dir() {
+            // crates/obs defines the macros; every other crate must wire the
+            // feature through its own manifest to call them.
+            let manifest = fs::read_to_string(dir.join("Cargo.toml")).unwrap_or_default();
+            let wired = dir.ends_with("obs") || obs_trace_wired(&manifest);
+            dirs.push((dir.join("src"), Some(wired)));
+        }
+    }
+    for vendored in ["rayon", "mio"] {
+        let src = root.join("vendor").join(vendored).join("src");
+        if src.is_dir() {
+            dirs.push((src, None));
+        }
+    }
+    let mut files: Vec<(PathBuf, Option<bool>)> = Vec::new();
+    for (dir, wired) in dirs {
+        let mut found = Vec::new();
+        collect_rs(&dir, &mut found)?;
+        files.extend(found.into_iter().map(|p| (p, wired)));
+    }
+    files.sort();
+    files
         .into_iter()
-        .filter(|v| !v.suppressed)
+        .map(|(path, wired)| {
+            let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy();
+            let src = fs::read_to_string(&path)?;
+            Ok(Input::new(rel.replace('\\', "/"), src, wired))
+        })
         .collect()
 }
 
-/// Scan one vendored-crate file (`vendor/{rayon,mio}/src/**`). Only the
-/// concurrency rules apply there: R6, R7 (both parts; `is_shim` exempts
-/// the alias module itself from the std-reference ban), and R8.
-pub fn lint_vendor_source(file: &str, src: &str, is_shim: bool) -> Vec<Violation> {
-    let ctx = FileCtx {
-        vendor: true,
-        shim: is_shim,
-        ..FileCtx::default()
-    };
-    to_violations(file, src, engine::run(src, &ctx))
-        .into_iter()
-        .filter(|v| !v.suppressed)
-        .collect()
+/// Check the workspace at `root` against every rule, cross-checking the
+/// `UNSAFE_AUDIT.md` inventory (a missing file is an empty inventory).
+pub fn lint_tree(root: &Path) -> io::Result<Vec<Finding>> {
+    let inputs = collect(root)?;
+    let audit = fs::read_to_string(root.join("UNSAFE_AUDIT.md")).unwrap_or_default();
+    Ok(check(&inputs, Some(&audit)))
 }
 
 /// Cross-check actual per-file `unsafe` site counts against the
-/// `UNSAFE_AUDIT.md` inventory (`audit` is its text; `None` when the file
-/// does not exist, meaning an empty inventory). Inventory lines look like:
+/// `UNSAFE_AUDIT.md` inventory (`audit` is its text; empty when the file
+/// does not exist). Inventory lines look like:
 ///
 /// ```text
 /// - `crates/loomlite/src/sync.rs` — 4 — UnsafeCell access behind the guard
 /// ```
-pub fn check_unsafe_inventory(audit: Option<&str>, actual: &[(String, usize)]) -> Vec<Violation> {
+fn check_unsafe_inventory(audit: &str, actual: &[(String, usize)]) -> Vec<Finding> {
     let audit_file = "UNSAFE_AUDIT.md";
     let mut out = Vec::new();
     let mut inventory: Vec<(String, usize, usize)> = Vec::new(); // (path, count, line)
-    for (idx, line) in audit.unwrap_or("").lines().enumerate() {
+    for (idx, line) in audit.lines().enumerate() {
         let trimmed = line.trim_start();
         let Some(rest) = trimmed.strip_prefix("- `") else {
             continue;
@@ -559,7 +652,7 @@ pub fn check_unsafe_inventory(audit: Option<&str>, actual: &[(String, usize)]) -
             .and_then(|s| s.parse::<usize>().ok());
         match count {
             Some(n) => inventory.push((path.to_string(), n, idx + 1)),
-            None => out.push(Violation::at(
+            None => out.push(Finding::at(
                 audit_file,
                 idx + 1,
                 Rule::R8,
@@ -572,7 +665,7 @@ pub fn check_unsafe_inventory(audit: Option<&str>, actual: &[(String, usize)]) -
     }
     for (file, count) in actual {
         match inventory.iter().find(|(p, _, _)| p == file) {
-            None => out.push(Violation::at(
+            None => out.push(Finding::at(
                 file,
                 1,
                 Rule::R8,
@@ -581,7 +674,7 @@ pub fn check_unsafe_inventory(audit: Option<&str>, actual: &[(String, usize)]) -
                      `- \u{60}{file}\u{60} — {count} — <description>`"
                 ),
             )),
-            Some((_, registered, audit_line)) if registered != count => out.push(Violation::at(
+            Some((_, registered, audit_line)) if registered != count => out.push(Finding::at(
                 audit_file,
                 *audit_line,
                 Rule::R8,
@@ -595,7 +688,7 @@ pub fn check_unsafe_inventory(audit: Option<&str>, actual: &[(String, usize)]) -
     }
     for (path, _, audit_line) in &inventory {
         if !actual.iter().any(|(f, _)| f == path) {
-            out.push(Violation::at(
+            out.push(Finding::at(
                 audit_file,
                 *audit_line,
                 Rule::R8,
@@ -639,136 +732,7 @@ fn obs_trace_wired(manifest: &str) -> bool {
     false
 }
 
-/// Collect `.rs` files under `dir`, recursively.
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.is_dir() {
-            collect_rs(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-/// Lint every `crates/*/src/**/*.rs` under `root`, plus (when present)
-/// the vendored crates under `vendor/{rayon,mio}/src` with the
-/// concurrency rules,
-/// and cross-check the `UNSAFE_AUDIT.md` inventory. Returns **all**
-/// findings — including suppressed ones with their justification text —
-/// in deterministic (path, line, col) order.
-pub fn lint_tree_report(root: &Path) -> io::Result<Vec<Violation>> {
-    let crates_dir = root.join("crates");
-    let mut files = Vec::new();
-    for entry in fs::read_dir(&crates_dir)? {
-        let src = entry?.path().join("src");
-        if src.is_dir() {
-            collect_rs(&src, &mut files)?;
-        }
-    }
-    files.sort();
-    let mut out = Vec::new();
-    let mut unsafe_counts: Vec<(String, usize)> = Vec::new();
-    for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .into_owned();
-        let unix_rel = rel.replace('\\', "/");
-        let is_share_producer =
-            unix_rel.starts_with("crates/core/") || unix_rel.starts_with("crates/bwpartd/");
-        // crates/obs defines the macros; every other crate must wire the
-        // feature through its own manifest to call them.
-        let obs_wired = if unix_rel.starts_with("crates/obs/") {
-            Some(true)
-        } else {
-            let crate_dir = unix_rel
-                .strip_prefix("crates/")
-                .and_then(|r| r.split('/').next())
-                .unwrap_or("");
-            let manifest =
-                fs::read_to_string(root.join("crates").join(crate_dir).join("Cargo.toml"))
-                    .unwrap_or_default();
-            Some(obs_trace_wired(&manifest))
-        };
-        let ctx = FileCtx {
-            share_producer: is_share_producer,
-            experiments: unix_rel.starts_with("crates/experiments/"),
-            hot_sim: unix_rel.starts_with("crates/dram/") || unix_rel.starts_with("crates/mc/"),
-            match_exhaustive: is_share_producer,
-            unit_safety: true,
-            obs_wired,
-            lock_order: unix_rel == "crates/bwpartd/src/server.rs"
-                || unix_rel == "crates/bwpartd/src/engine.rs",
-            soa_hot: unix_rel == "crates/dram/src/soa.rs",
-            ..FileCtx::default()
-        };
-        let src = fs::read_to_string(&path)?;
-        out.extend(to_violations(&rel, &src, engine::run(&src, &ctx)));
-        let sites = count_unsafe_sites(&src);
-        if sites > 0 {
-            unsafe_counts.push((unix_rel, sites));
-        }
-    }
-
-    // The vendored crates (the rayon-like pool and the mio-like reactor):
-    // concurrency rules only — their panic/float idioms are deliberately
-    // upstream-shaped, so R1-R5 stay out.
-    for vendored in ["rayon", "mio"] {
-        let vendor_src = root.join("vendor").join(vendored).join("src");
-        if !vendor_src.is_dir() {
-            continue;
-        }
-        let mut vendor_files = Vec::new();
-        collect_rs(&vendor_src, &mut vendor_files)?;
-        vendor_files.sort();
-        for path in vendor_files {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .into_owned();
-            let unix_rel = rel.replace('\\', "/");
-            let is_shim = unix_rel.ends_with("/shim.rs");
-            let ctx = FileCtx {
-                vendor: true,
-                shim: is_shim,
-                ..FileCtx::default()
-            };
-            let src = fs::read_to_string(&path)?;
-            out.extend(to_violations(&unix_rel, &src, engine::run(&src, &ctx)));
-            let sites = count_unsafe_sites(&src);
-            if sites > 0 {
-                unsafe_counts.push((unix_rel, sites));
-            }
-        }
-    }
-
-    let audit = fs::read_to_string(root.join("UNSAFE_AUDIT.md")).ok();
-    out.extend(check_unsafe_inventory(audit.as_deref(), &unsafe_counts));
-    out.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.col, a.rule.code()).cmp(&(
-            b.file.as_str(),
-            b.line,
-            b.col,
-            b.rule.code(),
-        ))
-    });
-    Ok(out)
-}
-
-/// Like [`lint_tree_report`], filtered to the findings that gate CI: the
-/// unsuppressed ones.
-pub fn lint_tree(root: &Path) -> io::Result<Vec<Violation>> {
-    Ok(lint_tree_report(root)?
-        .into_iter()
-        .filter(|v| !v.suppressed)
-        .collect())
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -780,6 +744,28 @@ pub(crate) fn json_escape(s: &str) -> String {
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
+    }
+    out
+}
+
+/// The human-readable report: one `path:line:col: [code] message` line per
+/// active finding, then a summary line.
+pub fn render_text(findings: &[Finding]) -> String {
+    let mut out = String::new();
+    for f in findings.iter().filter(|f| !f.suppressed) {
+        out.push_str(&format!("{f}\n"));
+    }
+    let suppressed = findings.iter().filter(|f| f.suppressed).count();
+    let active = findings.len() - suppressed;
+    if active == 0 {
+        out.push_str(&format!(
+            "bwpart-audit: clean, {suppressed} suppressed (rules R1, R2, R4-R8, R10-R12 and \
+             A1-A4 over crates/*/src + vendor/{{rayon,mio}}/src)\n"
+        ));
+    } else {
+        out.push_str(&format!(
+            "bwpart-audit: {active} violation(s), {suppressed} suppressed\n"
+        ));
     }
     out
 }
@@ -800,55 +786,129 @@ pub(crate) fn json_escape(s: &str) -> String {
 ///   "counts": {"total": 0, "active": 0, "suppressed": 0}
 /// }
 /// ```
-pub fn render_json(findings: &[Violation]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema_version\": 1,\n  \"tool\": \"bwpart-audit\",\n  \"rules\": [\n");
-    for (i, rule) in Rule::ALL.iter().enumerate() {
-        let sep = if i + 1 < Rule::ALL.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"code\": \"{}\", \"summary\": \"{}\"}}{sep}\n",
-            rule.code(),
-            json_escape(rule.describe())
-        ));
-    }
-    out.push_str("  ],\n  \"findings\": [\n");
-    for (i, v) in findings.iter().enumerate() {
-        let sep = if i + 1 < findings.len() { "," } else { "" };
-        let justification = match &v.justification {
-            Some(j) => format!("\"{}\"", json_escape(j)),
-            None => "null".to_string(),
-        };
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"col\": {}, \
-             \"end_line\": {}, \"end_col\": {}, \"snippet\": \"{}\", \
-             \"message\": \"{}\", \"suppressed\": {}, \"justification\": {}}}{sep}\n",
-            v.rule.code(),
-            json_escape(&v.file),
-            v.line,
-            v.col,
-            v.end_line,
-            v.end_col,
-            json_escape(&v.snippet),
-            json_escape(&v.message),
-            v.suppressed,
-            justification,
-        ));
-    }
+pub fn render_json(findings: &[Finding]) -> String {
+    let rules: Vec<String> = Rule::ALL
+        .iter()
+        .map(|rule| {
+            format!(
+                "    {{\"code\": \"{}\", \"summary\": \"{}\"}}",
+                rule.code(),
+                json_escape(rule.describe())
+            )
+        })
+        .collect();
+    let items: Vec<String> = findings
+        .iter()
+        .map(|v| {
+            let justification = match &v.justification {
+                Some(j) => format!("\"{}\"", json_escape(j)),
+                None => "null".to_string(),
+            };
+            format!(
+                "    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"col\": {}, \
+                 \"end_line\": {}, \"end_col\": {}, \"snippet\": \"{}\", \
+                 \"message\": \"{}\", \"suppressed\": {}, \"justification\": {}}}",
+                v.rule.code(),
+                json_escape(&v.file),
+                v.line,
+                v.col,
+                v.end_line,
+                v.end_col,
+                json_escape(&v.snippet),
+                json_escape(&v.message),
+                v.suppressed,
+                justification,
+            )
+        })
+        .collect();
     let suppressed = findings.iter().filter(|v| v.suppressed).count();
-    out.push_str(&format!(
-        "  ],\n  \"counts\": {{\"total\": {}, \"active\": {}, \"suppressed\": {}}}\n}}\n",
+    format!(
+        "{{\n  \"schema_version\": 1,\n  \"tool\": \"bwpart-audit\",\n  \"rules\": [\n{}\n  ],\n  \
+         \"findings\": [\n{}{}  ],\n  \"counts\": {{\"total\": {}, \"active\": {}, \
+         \"suppressed\": {}}}\n}}\n",
+        rules.join(",\n"),
+        items.join(",\n"),
+        if items.is_empty() { "" } else { "\n" },
         findings.len(),
         findings.len() - suppressed,
         suppressed
-    ));
-    out
+    )
+}
+
+/// SARIF 2.1.0 report for code-scanning upload. Suppressed findings are
+/// carried as `suppressions: [{kind: "inSource"}]`, matching how SARIF
+/// consumers expect in-source waivers to be represented.
+pub fn render_sarif(findings: &[Finding]) -> String {
+    let rules: Vec<String> = Rule::ALL
+        .iter()
+        .map(|rule| {
+            format!(
+                "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}, \
+                 \"fullDescription\": {{\"text\": \"{}\"}}}}",
+                rule.code(),
+                json_escape(rule.describe()),
+                json_escape(rule.explain()),
+            )
+        })
+        .collect();
+    let results: Vec<String> = findings
+        .iter()
+        .map(|f| {
+            let rule_index = Rule::ALL.iter().position(|r| *r == f.rule).unwrap_or(0);
+            let level = if f.suppressed { "note" } else { "error" };
+            let suppressions = if f.suppressed {
+                ",\n          \"suppressions\": [{\"kind\": \"inSource\"}]"
+            } else {
+                ""
+            };
+            format!(
+                "        {{\n          \"ruleId\": \"{}\",\n          \"ruleIndex\": {rule_index},\n          \
+                 \"level\": \"{level}\",\n          \"message\": {{\"text\": \"{}\"}},\n          \
+                 \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \
+                 \"region\": {{\"startLine\": {}, \"startColumn\": {}, \"endLine\": {}, \
+                 \"endColumn\": {}}}}}}}]{suppressions}\n        }}",
+                f.rule.code(),
+                json_escape(&f.message),
+                json_escape(&f.file),
+                f.line,
+                f.col,
+                f.end_line,
+                f.end_col,
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \
+         \"version\": \"2.1.0\",\n  \"runs\": [\n    {{\n      \"tool\": {{\n        \
+         \"driver\": {{\n          \"name\": \"bwpart-audit\",\n          \
+         \"informationUri\": \"https://example.invalid/bwpart\",\n          \
+         \"rules\": [\n{}\n          ]\n        }}\n      }},\n      \"results\": [\n{}{}      \
+         ]\n    }}\n  ]\n}}\n",
+        rules.join(",\n"),
+        results.join(",\n"),
+        if results.is_empty() { "" } else { "\n" },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
-    fn codes(vs: &[Violation]) -> Vec<&'static str> {
+    /// Every finding for one in-memory file (no inventory cross-check).
+    fn check_one(path: &str, src: &str) -> Vec<Finding> {
+        check(&[Input::new(path.into(), src.into(), None)], None)
+    }
+
+    /// The active findings for one in-memory file.
+    fn lint(path: &str, src: &str) -> Vec<Finding> {
+        check_one(path, src)
+            .into_iter()
+            .filter(|v| !v.suppressed)
+            .collect()
+    }
+
+    fn codes(vs: &[Finding]) -> Vec<&'static str> {
         vs.iter().map(|v| v.rule.code()).collect()
     }
 
@@ -861,7 +921,7 @@ pub fn f(x: Option<u32>) -> u32 {
     y
 }
 "#;
-        let vs = lint_source("fixture.rs", src, false, false, false);
+        let vs = lint("fixture.rs", src);
         assert_eq!(codes(&vs), vec!["R1", "R1"]);
         assert_eq!(vs[0].line, 3);
         assert_eq!(vs[1].line, 4);
@@ -877,7 +937,7 @@ pub fn f(x: Option<u32>) -> u32 {
     y + z + x.unwrap_or_else(|| 9)
 }
 "#;
-        assert!(lint_source("fixture.rs", src, false, false, false).is_empty());
+        assert!(lint("fixture.rs", src).is_empty());
     }
 
     #[test]
@@ -896,7 +956,7 @@ mod tests {
     }
 }
 "#;
-        assert!(lint_source("fixture.rs", src, false, false, false).is_empty());
+        assert!(lint("fixture.rs", src).is_empty());
     }
 
     #[test]
@@ -907,7 +967,7 @@ pub fn f(a: f64, b: f64) -> bool {
     a == 0.5 || b != 1e-9
 }
 "#;
-        let vs = lint_source("fixture.rs", src, false, false, false);
+        let vs = lint("fixture.rs", src);
         assert_eq!(codes(&vs), vec!["R2", "R2", "R2"]);
     }
 
@@ -919,111 +979,17 @@ pub fn partial_cmp_like(a: f64, b: f64, n: usize) -> bool {
     n == 3 && a <= 0.5 && b >= 1.0
 }
 "#;
-        assert!(lint_source("fixture.rs", src, false, false, false).is_empty());
-    }
-
-    #[test]
-    fn r3_requires_certification_in_core() {
-        let bad = r#"
-pub fn shares(n: usize) -> Vec<f64> {
-    vec![1.0 / n as f64; n]
-}
-"#;
-        let vs = lint_source("core.rs", bad, true, false, false);
-        assert_eq!(codes(&vs), vec!["R3"]);
-        assert!(vs[0].message.contains("shares"));
-        // The same file is fine outside bwpart-core...
-        assert!(lint_source("other.rs", bad, false, false, false).is_empty());
-        // ...and fine once the output is certified.
-        let good = r#"
-pub fn shares(n: usize) -> Vec<f64> {
-    let beta = vec![1.0 / n as f64; n];
-    crate::ensures_simplex!(beta);
-    beta
-}
-"#;
-        assert!(lint_source("core.rs", good, true, false, false).is_empty());
-    }
-
-    #[test]
-    fn r3_covers_the_bwpartd_engine() {
-        // The epoch engine is a share producer just like bwpart-core: an
-        // uncertified Vec<f64> producer must trip R3 when the file is
-        // linted with the share-producer flag set (as run_lint does for
-        // everything under crates/bwpartd/).
-        let bad = r#"
-pub fn epoch_shares(n: usize) -> Vec<f64> {
-    vec![1.0 / n as f64; n]
-}
-"#;
-        let vs = lint_source("crates/bwpartd/src/engine.rs", bad, true, false, false);
-        assert_eq!(codes(&vs), vec!["R3"]);
-        let good = r#"
-pub fn epoch_shares(n: usize) -> Vec<f64> {
-    let beta = vec![1.0 / n as f64; n];
-    bwpart_core::ensures_simplex!(beta);
-    beta
-}
-"#;
-        assert!(lint_source("crates/bwpartd/src/engine.rs", good, true, false, false).is_empty());
-    }
-
-    #[test]
-    fn r3_sees_through_result_wrappers() {
-        let src = r#"
-pub fn allocation(b: f64) -> Result<Vec<f64>, ModelError> {
-    Ok(vec![b])
-}
-"#;
-        let vs = lint_source("core.rs", src, true, false, false);
-        assert_eq!(codes(&vs), vec!["R3"]);
-    }
-
-    #[test]
-    fn r3_covers_owned_allocation_wrappers() {
-        // The typed multi-resource wrappers are share producers just like
-        // a bare Vec<f64>: an uncertified owned return trips R3...
-        let bad = r#"
-pub fn split(r: &Resource) -> MultiAllocation {
-    MultiAllocation { allocations: vec![] }
-}
-pub fn outcome(r: &Resource) -> Result<CoordOutcome, ModelError> {
-    todo_build()
-}
-"#;
-        let vs = lint_source("core.rs", bad, true, false, false);
-        assert_eq!(codes(&vs), vec!["R3", "R3"]);
-        // ...a producer that routes through Allocation::certified (or a
-        // contract macro) passes...
-        let good = r#"
-pub fn split(r: &Resource, amounts: Vec<f64>) -> Result<Allocation, ModelError> {
-    Allocation::certified(r, amounts, None)
-}
-pub fn outcome(apps: &[App]) -> Result<CoordOutcome, ModelError> {
-    let beta = inner(apps)?;
-    crate::ensures_simplex!(beta);
-    assemble(beta)
-}
-"#;
-        assert!(lint_source("core.rs", good, true, false, false).is_empty());
-        // ...and reference accessors are exempt: they hand out a value
-        // that was certified at construction.
-        let accessor = r#"
-pub fn get(&self, kind: &str) -> Option<&Allocation> {
-    self.allocations.iter().find(|a| a.kind == kind)
-}
-"#;
-        assert!(lint_source("core.rs", accessor, true, false, false).is_empty());
+        assert!(lint("fixture.rs", src).is_empty());
     }
 
     #[test]
     fn r4_requires_justification() {
         let bad = "#[allow(clippy::too_many_arguments)]\npub fn f() {}\n";
-        let vs = lint_source("fixture.rs", bad, false, false, false);
+        let vs = lint("fixture.rs", bad);
         assert_eq!(codes(&vs), vec!["R4"]);
         let good = "// the signature mirrors the paper's Eq. 7 terms\n\
                     #[allow(clippy::too_many_arguments)]\npub fn f() {}\n";
-        assert!(lint_source("fixture.rs", good, false, false, false).is_empty());
+        assert!(lint("fixture.rs", good).is_empty());
     }
 
     #[test]
@@ -1035,12 +1001,12 @@ pub fn measure(sys: &mut CmpSystem) {
     }
 }
 "#;
-        let vs = lint_source("experiments.rs", src, false, true, false);
+        let vs = lint("crates/experiments/src/lib.rs", src);
         assert_eq!(codes(&vs), vec!["R5"]);
         assert_eq!(vs[0].line, 4);
         // The same code is fine outside bwpart-experiments (e.g. the cmp
         // crate's own per-cycle reference implementation).
-        assert!(lint_source("cmp.rs", src, false, false, false).is_empty());
+        assert!(lint("crates/cmp/src/lib.rs", src).is_empty());
     }
 
     #[test]
@@ -1063,7 +1029,7 @@ mod tests {
     }
 }
 "#;
-        assert!(lint_source("experiments.rs", src, false, true, false).is_empty());
+        assert!(lint("crates/experiments/src/lib.rs", src).is_empty());
     }
 
     #[test]
@@ -1075,7 +1041,7 @@ pub fn f() -> &'static str {
     r#"raw with .unwrap() and == 1.0"#
 }
 "##;
-        assert!(lint_source("fixture.rs", src, false, false, false).is_empty());
+        assert!(lint("fixture.rs", src).is_empty());
     }
 
     #[test]
@@ -1086,7 +1052,7 @@ pub fn f(c: &AtomicUsize) -> usize {
     c.load(Ordering::Relaxed)
 }
 ";
-        let vs = lint_source("fixture.rs", src, false, false, false);
+        let vs = lint("fixture.rs", src);
         assert_eq!(codes(&vs), vec!["R6", "R6"]);
         assert_eq!(vs[0].line, 3);
         assert_eq!(vs[1].line, 4);
@@ -1104,7 +1070,7 @@ pub fn f(c: &AtomicUsize) -> usize {
     c.load(Ordering::Relaxed)
 }
 ";
-        assert!(lint_source("fixture.rs", src, false, false, false).is_empty());
+        assert!(lint("fixture.rs", src).is_empty());
     }
 
     #[test]
@@ -1118,7 +1084,7 @@ pub fn f(relaxed: bool) -> &'static str {
 }
 "#;
         // lint: allow(R7) not needed: fixture has no static mut.
-        let vs = lint_source("fixture.rs", src, false, false, false);
+        let vs = lint("fixture.rs", src);
         assert!(vs.is_empty(), "unexpected: {vs:?}");
     }
 
@@ -1128,12 +1094,12 @@ pub fn f(relaxed: bool) -> &'static str {
 static mut COUNTER: usize = 0;
 pub fn f() {}
 ";
-        let vs = lint_source("fixture.rs", src, false, false, false);
+        let vs = lint("fixture.rs", src);
         assert_eq!(codes(&vs), vec!["R7"]);
         assert_eq!(vs[0].line, 2);
         // Immutable statics are fine.
         let ok = "static COUNTER: AtomicUsize = AtomicUsize::new(0);\n";
-        assert!(lint_source("fixture.rs", ok, false, false, false).is_empty());
+        assert!(lint("fixture.rs", ok).is_empty());
     }
 
     #[test]
@@ -1144,13 +1110,13 @@ pub fn f() {
     let _ = std::thread::available_parallelism();
 }
 ";
-        let vs = lint_vendor_source("vendor/rayon/src/lib.rs", src, false);
+        let vs = lint("vendor/rayon/src/lib.rs", src);
         assert_eq!(codes(&vs), vec!["R7", "R7"]);
         // The shim module itself is the one sanctioned construction point.
-        assert!(lint_vendor_source("vendor/rayon/src/shim.rs", src, true).is_empty());
+        assert!(lint("vendor/rayon/src/shim.rs", src).is_empty());
         // Non-sync std paths stay allowed in vendor code.
         let ok = "pub fn g() { let _ = std::env::var(\"X\"); }\n";
-        assert!(lint_vendor_source("vendor/rayon/src/lib.rs", ok, false).is_empty());
+        assert!(lint("vendor/rayon/src/lib.rs", ok).is_empty());
     }
 
     #[test]
@@ -1160,7 +1126,7 @@ pub fn f(p: *const u32) -> u32 {
     unsafe { *p }
 }
 ";
-        let vs = lint_source("fixture.rs", bad, false, false, false);
+        let vs = lint("fixture.rs", bad);
         assert_eq!(codes(&vs), vec!["R8"]);
         assert_eq!(vs[0].line, 3);
         let good = r"
@@ -1170,7 +1136,7 @@ pub fn f(p: *const u32) -> u32 {
     unsafe { *p }
 }
 ";
-        assert!(lint_source("fixture.rs", good, false, false, false).is_empty());
+        assert!(lint("fixture.rs", good).is_empty());
     }
 
     #[test]
@@ -1181,55 +1147,8 @@ pub fn f(p: *const u32) -> u32 {
 
 pub unsafe fn f() {}
 ";
-        let vs = lint_source("fixture.rs", src, false, false, false);
+        let vs = lint("fixture.rs", src);
         assert_eq!(codes(&vs), vec!["R8"]);
-    }
-
-    #[test]
-    fn r9_flags_direct_registry_calls_in_hot_fns() {
-        let src = r#"
-impl Controller {
-    pub fn tick(&mut self, registry: &Registry) {
-        registry.counter("mc_ticks_total").inc();
-    }
-}
-"#;
-        let vs = lint_source("crates/mc/src/controller.rs", src, false, false, true);
-        assert_eq!(codes(&vs), vec!["R9"]);
-        assert_eq!(vs[0].line, 4);
-        assert!(vs[0].message.contains("tick"));
-    }
-
-    #[test]
-    fn r9_only_applies_to_hot_sim_trees_and_hot_fns() {
-        let src = r#"
-pub fn tick(registry: &Registry) {
-    registry.gauge("x").set(1.0);
-}
-pub fn publish(registry: &Registry) {
-    registry.gauge("cold_path_is_fine").set(1.0);
-}
-"#;
-        // Same source outside crates/dram / crates/mc: not scanned.
-        assert!(lint_source("crates/cmp/src/system.rs", src, false, false, false).is_empty());
-        // Inside a hot tree, only the hot fn trips; `publish` is cold.
-        let vs = lint_source("crates/dram/src/dram.rs", src, false, false, true);
-        assert_eq!(codes(&vs), vec!["R9"]);
-        assert!(vs[0].message.contains("tick"));
-    }
-
-    #[test]
-    fn r9_allow_marker_and_macro_use_are_clean() {
-        let src = r#"
-pub fn issue(&mut self) {
-    obs_count!(self.obs, row_hits);
-}
-pub fn step(&mut self, registry: &Registry) {
-    // lint: allow(R9): one-shot lazy init outside the steady-state loop
-    registry.counter("init_total").inc();
-}
-"#;
-        assert!(lint_source("crates/dram/src/dram.rs", src, false, false, true).is_empty());
     }
 
     #[test]
@@ -1250,7 +1169,7 @@ mod tests {
     }
 }
 "#;
-        assert_eq!(count_unsafe_sites(src), 2);
+        assert_eq!(engine::unsafe_sites(&SourceFile::analyze(src)), 2);
     }
 
     #[test]
@@ -1279,10 +1198,10 @@ pub fn f(p: *const u32) -> u32 {
     a + b + c
 }
 "#;
-        assert_eq!(count_unsafe_sites(src), 3);
+        assert_eq!(engine::unsafe_sites(&SourceFile::analyze(src)), 3);
         // And R8 holds each definition-site occurrence to the same
         // SAFETY-comment standard as ordinary code.
-        assert!(lint_source("crates/core/src/m.rs", src, false, false, false).is_empty());
+        assert!(lint("crates/core/src/m.rs", src).is_empty());
     }
 
     #[test]
@@ -1298,7 +1217,7 @@ pub fn f(p: *const u32) -> u32 {
             ("crates/a/src/lib.rs".to_string(), 3), // count mismatch
             ("crates/d/src/lib.rs".to_string(), 1), // unregistered
         ];
-        let vs = check_unsafe_inventory(Some(audit), &actual);
+        let vs = check_unsafe_inventory(audit, &actual);
         let mut kinds: Vec<String> = vs.iter().map(|v| v.message.clone()).collect();
         kinds.sort();
         assert_eq!(vs.len(), 4, "got: {vs:?}");
@@ -1313,9 +1232,9 @@ pub fn f(p: *const u32) -> u32 {
     fn inventory_matches_cleanly() {
         let audit = "- `crates/a/src/lib.rs` — 2 — guard-protected cell access\n";
         let actual = vec![("crates/a/src/lib.rs".to_string(), 2)];
-        assert!(check_unsafe_inventory(Some(audit), &actual).is_empty());
+        assert!(check_unsafe_inventory(audit, &actual).is_empty());
         // No audit file + no unsafe code is also clean.
-        assert!(check_unsafe_inventory(None, &[]).is_empty());
+        assert!(check_unsafe_inventory("", &[]).is_empty());
     }
 
     #[test]
@@ -1337,7 +1256,7 @@ pub fn g(x: Option<u32>) -> u32 {
     x.unwrap()
 }
 ";
-        assert!(lint_source("fixture.rs", src, false, false, false).is_empty());
+        assert!(lint("fixture.rs", src).is_empty());
     }
 
     #[test]
@@ -1349,7 +1268,7 @@ pub fn f(x: Option<u32>) -> u32 {
     x.unwrap()
 }
 ";
-        assert!(lint_source("fixture.rs", src, false, false, false).is_empty());
+        assert!(lint("fixture.rs", src).is_empty());
     }
 
     #[test]
@@ -1359,7 +1278,7 @@ pub fn f<'a>(x: &'a Option<u32>) -> u32 {
     x.unwrap()
 }
 ";
-        let vs = lint_source("fixture.rs", src, false, false, false);
+        let vs = lint("fixture.rs", src);
         assert_eq!(codes(&vs), vec!["R1"]);
         assert_eq!(vs[0].line, 3);
     }
@@ -1377,7 +1296,7 @@ pub fn fenced() -> &'static str {
     r##"even "# inside"# stays a string: unsafe { static mut X }"##
 }
 "###;
-        let vs = lint_source("fixture.rs", src, false, false, false);
+        let vs = lint("fixture.rs", src);
         assert!(vs.is_empty(), "raw-string leak: {vs:?}");
     }
 
@@ -1388,7 +1307,7 @@ pub fn fenced() -> &'static str {
    the outer comment continues: static mut Y, Ordering::AcqRel */
 pub fn f() {}
 ";
-        let vs = lint_source("fixture.rs", src, false, false, false);
+        let vs = lint("fixture.rs", src);
         assert!(vs.is_empty(), "nested-comment leak: {vs:?}");
     }
 
@@ -1404,7 +1323,7 @@ pub fn f(x: Option<u32>) -> (String, u32) {
     (s, x.unwrap())
 }
 ";
-        let vs = lint_source("fixture.rs", src, false, false, false);
+        let vs = lint("fixture.rs", src);
         assert!(vs.is_empty(), "continuation desync: {vs:?}");
     }
 
@@ -1413,7 +1332,7 @@ pub fn f(x: Option<u32>) -> (String, u32) {
         // Span-based attachment: the marker sits above a multi-line
         // attribute; line-adjacency matching could never reach the fn.
         let src = r#"
-// lint: allow(R3): fixture — shares are certified by the caller
+// lint: allow(A2): fixture — shares are certified by the caller
 #[allow(
     clippy::needless_pass_by_value,
 )]
@@ -1422,11 +1341,11 @@ pub fn shares(n: usize) -> Vec<f64> {
     vec![1.0 / n as f64; n]
 }
 "#;
-        assert!(lint_source("core.rs", src, true, false, false).is_empty());
+        assert!(lint("crates/core/src/lib.rs", src).is_empty());
     }
 
     #[test]
-    fn r10_and_r11_run_through_lint_source() {
+    fn r10_and_r11_run_through_the_pass() {
         let src = r#"
 pub fn exponent(s: PartitionScheme) -> Option<f64> {
     match s {
@@ -1438,10 +1357,10 @@ pub fn overdue(now_cycles: u64, deadline_ns: u64) -> bool {
     now_cycles > deadline_ns
 }
 "#;
-        // R10 is tied to the share-producer scope; R11 runs everywhere.
-        let vs = lint_source("crates/core/src/schemes.rs", src, true, false, false);
+        // R10 is tied to the model crates; R11 runs everywhere.
+        let vs = lint("crates/core/src/schemes.rs", src);
         assert_eq!(codes(&vs), vec!["R10", "R11"]);
-        let vs = lint_source("crates/cmp/src/system.rs", src, false, false, false);
+        let vs = lint("crates/cmp/src/system.rs", src);
         assert_eq!(codes(&vs), vec!["R11"]);
     }
 
@@ -1463,7 +1382,7 @@ pub fn overdue(now_cycles: u64, deadline_ns: u64) -> bool {
     #[test]
     fn violations_carry_spans_and_snippets() {
         let src = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
-        let vs = lint_source("fixture.rs", src, false, false, false);
+        let vs = lint("fixture.rs", src);
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].line, 2);
         assert_eq!(vs[0].col, 7);
@@ -1477,7 +1396,7 @@ pub fn overdue(now_cycles: u64, deadline_ns: u64) -> bool {
     #[test]
     fn json_report_is_schema_stable() {
         let vs = vec![
-            Violation {
+            Finding {
                 file: "crates/a/src/lib.rs".into(),
                 line: 3,
                 col: 7,
@@ -1489,17 +1408,17 @@ pub fn overdue(now_cycles: u64, deadline_ns: u64) -> bool {
                 suppressed: false,
                 justification: None,
             },
-            Violation {
+            Finding {
                 file: "crates/b/src/lib.rs".into(),
                 line: 9,
                 col: 1,
                 end_line: 9,
                 end_col: 2,
-                rule: Rule::R13,
+                rule: Rule::A4,
                 message: "m".into(),
                 snippet: "s".into(),
                 suppressed: true,
-                justification: Some("// lint: allow(R13): fixture".into()),
+                justification: Some("// lint: allow(A4): fixture".into()),
             },
         ];
         let json = render_json(&vs);
@@ -1510,7 +1429,7 @@ pub fn overdue(now_cycles: u64, deadline_ns: u64) -> bool {
         assert!(json.contains("\"line\": 3, \"col\": 7"));
         assert!(json.contains("a \\\"quoted\\\" message"));
         assert!(json.contains("\"suppressed\": true"));
-        assert!(json.contains("\"justification\": \"// lint: allow(R13): fixture\""));
+        assert!(json.contains("\"justification\": \"// lint: allow(A4): fixture\""));
         assert!(json.contains("\"counts\": {\"total\": 2, \"active\": 1, \"suppressed\": 1}"));
         // Every rule appears in the catalogue section.
         for rule in Rule::ALL {
@@ -1519,6 +1438,31 @@ pub fn overdue(now_cycles: u64, deadline_ns: u64) -> bool {
         // The empty report still carries the full schema.
         let empty = render_json(&[]);
         assert!(empty.contains("\"counts\": {\"total\": 0, \"active\": 0, \"suppressed\": 0}"));
+    }
+
+    #[test]
+    fn reports_parse_and_carry_the_full_catalogue() {
+        let vs = check_one(
+            "crates/core/src/solver.rs",
+            "pub fn raw_shares(n: usize) -> Vec<f64> { vec![0.0; n] }\n",
+        );
+        assert_eq!(codes(&vs), vec!["A2"]);
+        let j = Json::parse(&render_json(&vs)).expect("json parses");
+        assert_eq!(j.get("tool").and_then(Json::str), Some("bwpart-audit"));
+        assert_eq!(j.path(&["counts", "active"]).and_then(Json::num), Some(1.0));
+        let sarif = Json::parse(&render_sarif(&vs)).expect("sarif parses");
+        assert_eq!(sarif.get("version").and_then(Json::str), Some("2.1.0"));
+        let results = sarif.path(&["runs", "0", "results"]).and_then(Json::arr);
+        assert_eq!(results.map(<[_]>::len), Some(1));
+        let rules = sarif
+            .path(&["runs", "0", "tool", "driver", "rules"])
+            .and_then(Json::arr);
+        assert_eq!(rules.map(<[_]>::len), Some(Rule::ALL.len()));
+        // The empty report is still well-formed.
+        assert!(Json::parse(&render_sarif(&[])).is_ok());
+        assert!(Json::parse(&render_json(&[])).is_ok());
+        assert!(render_text(&[]).contains("clean, 0 suppressed"));
+        assert!(render_text(&vs).contains("1 violation(s), 0 suppressed"));
     }
 
     #[test]

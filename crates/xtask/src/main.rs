@@ -2,12 +2,9 @@
 //!
 //! Subcommands:
 //!
-//! * `lint` — the bwpart-audit model-invariant pass (see [`lint`] for the
-//!   rules).
-//! * `analyze` — the interprocedural pass: workspace symbol index, call
-//!   graph, and the transitive rules A1–A4 (hot-path purity, contract
-//!   reachability, unit flow, lock-order graph). Text, JSON and SARIF
-//!   output; warm runs served from `target/analyze-cache.txt`.
+//! * `lint` — the bwpart-audit static-analysis pass: per-file rules plus
+//!   the interprocedural rules A1–A4 over the workspace call graph (see
+//!   [`lint`] for the rules). Text, JSON and SARIF output.
 //! * `bench` — the perf-regression harness: builds and runs the
 //!   `bench_sim` binary from `bwpart-bench` in release mode, which times
 //!   the canonical workloads and writes `BENCH_sim.json`.
@@ -26,11 +23,8 @@
 //! cargo xtask lint              # scan crates/*/src + vendor/{rayon,mio}/src
 //! cargo xtask lint --rules      # print the rule catalogue
 //! cargo xtask lint --json       # machine-readable findings (schema v1)
-//! cargo xtask lint --explain R7 # long-form rationale for one rule
-//! cargo xtask analyze           # interprocedural rules A1-A4 over crates/*/src
-//! cargo xtask analyze --sarif   # SARIF 2.1.0 for code-scanning upload
-//! cargo xtask analyze --json    # machine-readable findings (schema v1)
-//! cargo xtask analyze --no-cache # force a cold run
+//! cargo xtask lint --sarif      # SARIF 2.1.0 for code-scanning upload
+//! cargo xtask lint --explain A1 # long-form rationale for one rule
 //! cargo xtask bench             # full benchmark, writes BENCH_sim.json
 //! cargo xtask bench --smoke     # tiny cycle budget for CI smoke runs
 //! cargo xtask bench --check     # exit 1 on >10% regression vs committed numbers
@@ -44,13 +38,11 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::process::ExitCode;
 
-use xtask::analyze;
 use xtask::lint;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cargo xtask <lint [--rules | --json | --explain R<N>] \
-         | analyze [--rules | --json | --sarif | --explain A<N>] [--no-cache] \
+        "usage: cargo xtask <lint [--rules | --json | --sarif | --explain <code>] \
          | bench [--smoke] [--reps N] [--out PATH] [--check] \
          | bench-serve [--smoke] [--out PATH] [--check] \
          | check-concurrency [-- --min-total N --dfs N --random N]>"
@@ -58,12 +50,8 @@ fn usage() -> ExitCode {
     eprintln!();
     eprintln!("subcommands:");
     eprintln!(
-        "  lint               run the bwpart-audit lint over crates/*/src + vendor/{{rayon,mio}}/src \
-         (--json for the CI artifact, --explain R<N> for rationale)"
-    );
-    eprintln!(
-        "  analyze            run the interprocedural rules A1-A4 over crates/*/src \
-         (--sarif for code scanning, --json for the CI artifact, --no-cache to force a cold run)"
+        "  lint               run the bwpart-audit pass over crates/*/src + vendor/{{rayon,mio}}/src \
+         (--json / --sarif for the CI artifacts, --explain <code> for rationale)"
     );
     eprintln!("  bench              run the perf-regression harness (bench_sim)");
     eprintln!("  bench-serve        run the bwpartd service harness (bench_serve)");
@@ -84,13 +72,13 @@ fn run_lint(args: &[String]) -> ExitCode {
     if args.iter().any(|a| a == "--rules") {
         println!("bwpart-audit rules (suppress with `// lint: allow(<rule>): <reason>`):");
         for rule in lint::Rule::ALL {
-            println!("  {}  {}", rule.code(), rule.describe());
+            println!("  {:<4} {}", rule.code(), rule.describe());
         }
         return ExitCode::SUCCESS;
     }
     if let Some(pos) = args.iter().position(|a| a == "--explain") {
         let Some(code) = args.get(pos + 1) else {
-            eprintln!("--explain needs a rule code (R1..R14)");
+            eprintln!("--explain needs a rule code (see --rules)");
             return usage();
         };
         return match lint::Rule::from_code(code) {
@@ -101,87 +89,16 @@ fn run_lint(args: &[String]) -> ExitCode {
                 ExitCode::SUCCESS
             }
             None => {
-                eprintln!("unknown rule `{code}` (expected R1..R14)");
+                eprintln!("unknown rule `{code}` (see --rules)");
                 ExitCode::from(2)
             }
         };
     }
-    let json = args.iter().any(|a| a == "--json");
-    if let Some(unknown) = args.iter().find(|a| *a != "lint" && *a != "--json") {
-        eprintln!("unknown argument `{unknown}`");
-        return usage();
-    }
-    let root = workspace_root();
-    if json {
-        return match lint::lint_tree_report(&root) {
-            Ok(findings) => {
-                print!("{}", lint::render_json(&findings));
-                if findings.iter().any(|v| !v.suppressed) {
-                    ExitCode::FAILURE
-                } else {
-                    ExitCode::SUCCESS
-                }
-            }
-            Err(e) => {
-                eprintln!("bwpart-audit: failed to scan {}: {e}", root.display());
-                ExitCode::FAILURE
-            }
-        };
-    }
-    match lint::lint_tree(&root) {
-        Ok(violations) if violations.is_empty() => {
-            println!(
-                "bwpart-audit: clean (rules R1-R14 over crates/*/src + vendor/{{rayon,mio}}/src)"
-            );
-            ExitCode::SUCCESS
-        }
-        Ok(violations) => {
-            for v in &violations {
-                println!("{v}");
-            }
-            println!("bwpart-audit: {} violation(s)", violations.len());
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("bwpart-audit: failed to scan {}: {e}", root.display());
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_analyze(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--rules") {
-        println!("bwpart-analyze rules (suppress with `// lint: allow(<rule>): <reason>`):");
-        for rule in analyze::ARule::ALL {
-            println!("  {}  {}", rule.code(), rule.describe());
-        }
-        return ExitCode::SUCCESS;
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--explain") {
-        let Some(code) = args.get(pos + 1) else {
-            eprintln!("--explain needs a rule code (A1..A4)");
-            return usage();
-        };
-        return match analyze::ARule::from_code(code) {
-            Some(rule) => {
-                println!("{}  {}", rule.code(), rule.describe());
-                println!();
-                println!("{}", rule.explain());
-                ExitCode::SUCCESS
-            }
-            None => {
-                eprintln!("unknown rule `{code}` (expected A1..A4)");
-                ExitCode::from(2)
-            }
-        };
-    }
-    let mut format = analyze::Format::Text;
-    let mut no_cache = false;
+    let mut render: fn(&[lint::Finding]) -> String = lint::render_text;
     for arg in args {
         match arg.as_str() {
-            "--json" => format = analyze::Format::Json,
-            "--sarif" => format = analyze::Format::Sarif,
-            "--no-cache" => no_cache = true,
+            "--json" => render = lint::render_json,
+            "--sarif" => render = lint::render_sarif,
             other => {
                 eprintln!("unknown argument `{other}`");
                 return usage();
@@ -189,17 +106,17 @@ fn run_analyze(args: &[String]) -> ExitCode {
         }
     }
     let root = workspace_root();
-    match analyze::run(&root, format, no_cache) {
-        Ok((output, failed)) => {
-            print!("{output}");
-            if failed {
+    match lint::lint_tree(&root) {
+        Ok(findings) => {
+            print!("{}", render(&findings));
+            if findings.iter().any(|f| !f.suppressed) {
                 ExitCode::FAILURE
             } else {
                 ExitCode::SUCCESS
             }
         }
         Err(e) => {
-            eprintln!("bwpart-analyze: failed to scan {}: {e}", root.display());
+            eprintln!("bwpart-audit: failed to scan {}: {e}", root.display());
             ExitCode::FAILURE
         }
     }
@@ -281,7 +198,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(&args[1..]),
-        Some("analyze") => run_analyze(&args[1..]),
         Some("bench") => run_bench("bench_sim", &args[1..]),
         Some("bench-serve") => run_bench("bench_serve", &args[1..]),
         Some("check-concurrency") => run_check_concurrency(&args[1..]),

@@ -1,5 +1,5 @@
 //! Workspace symbol index: per-file item facts for the interprocedural
-//! analysis pass (`cargo xtask analyze`).
+//! rules A1–A4.
 //!
 //! [`FileFacts::extract`] walks one file's [`crate::tokens::SourceFile`]
 //! and records everything the call-graph and rule layers consume:
@@ -14,19 +14,28 @@
 //!   arguments (conservative edges);
 //! * danger sites (allocations, lock acquisitions, blocking calls, direct
 //!   registry resolution) with byte spans, for the transitive A1 rule;
-//! * lock acquisitions with engine-compatible held ranges, and which
+//! * lock acquisitions with their guards' held ranges, and which
 //!   locks are held over each call site, for the cross-crate A4 rule;
-//! * struct field types, `use` imports/re-exports, in-source
-//!   `// lint: lock-order:` tables and `lint: allow(A<N>)` markers.
+//! * struct field types, `use` imports/re-exports and in-source
+//!   `// lint: lock-order:` tables.
 //!
 //! Everything is a token-level heuristic: no type inference, no macro
 //! expansion. The call-graph layer treats unresolved information
 //! conservatively (see `callgraph.rs` for the resolution tiers).
 
-use crate::engine;
 use crate::lex::Delim;
 use crate::lex::TokenKind;
 use crate::tokens::SourceFile;
+
+/// The calls that certify a share vector (A2): `certified` covers
+/// `Allocation::certified`, the typed-allocation constructor that runs the
+/// simplex/cap contracts internally; `invariant!` counts as well.
+const CERTIFIERS: [&str; 4] = [
+    "validate_shares",
+    "ensures_simplex",
+    "ensures_capped",
+    "certified",
+];
 
 /// One function parameter (excluding `self`).
 #[derive(Debug, Clone)]
@@ -106,9 +115,8 @@ pub struct DangerSite {
     pub span: (usize, usize),
 }
 
-/// One mutex acquisition (engine-R13-compatible detection: `recv.lock()`
-/// names the lock after the receiver, `lock_x(...)` helpers after their
-/// suffix).
+/// One mutex acquisition: `recv.lock()` names the lock after the
+/// receiver, `lock_x(...)` helpers after their suffix.
 #[derive(Debug, Clone)]
 pub struct LockAcq {
     /// The lock's canonical name.
@@ -142,7 +150,7 @@ pub struct FnFacts {
     pub params: Vec<Param>,
     /// Concatenated return-type tokens (empty when none).
     pub ret_text: String,
-    /// Body certifies a share vector (R3 certifier call / `invariant!`).
+    /// Body certifies a share vector (a [`CERTIFIERS`] call / `invariant!`).
     pub certifies: bool,
     /// Every call site in the body (nested fns excluded).
     pub calls: Vec<CallSite>,
@@ -173,27 +181,14 @@ pub struct Import {
     pub reexport: bool,
 }
 
-/// One in-source `// lint: lock-order: a < b < c` declaration.
+/// One in-source `// lint: lock-order: a < b < c` declaration (a single
+/// name declares the lock and opts its crate in).
 #[derive(Debug, Clone)]
 pub struct LockTable {
     /// Lock names, outermost first.
     pub names: Vec<String>,
     /// Byte offset of the declaring comment (for finding anchors).
     pub offset: usize,
-}
-
-/// One `lint: allow(A<N>)` suppression marker with its coverage spans
-/// (mirrors the engine's span-based comment attachment).
-#[derive(Debug, Clone)]
-pub struct AllowMarker {
-    /// The allowed code (`"A1"`).
-    pub code: String,
-    /// Byte range of the comment's own lines.
-    pub own: (usize, usize),
-    /// Byte range of the adjacent following node, when attached.
-    pub node: Option<(usize, usize)>,
-    /// The full marker comment text (justification reporting).
-    pub text: String,
 }
 
 /// Everything the analysis layers need from one source file.
@@ -211,8 +206,6 @@ pub struct FileFacts {
     pub imports: Vec<Import>,
     /// Every declared `lock-order:` table.
     pub lock_tables: Vec<LockTable>,
-    /// Every `lint: allow(...)` marker this pass honours.
-    pub allows: Vec<AllowMarker>,
 }
 
 /// The whole indexed workspace.
@@ -260,20 +253,18 @@ fn append_ty(out: &mut String, piece: &str) {
 }
 
 impl FileFacts {
-    /// Index one file. `path` is the workspace-relative path; the crate
-    /// name is derived from its `crates/<name>/` component.
-    pub fn extract(path: &str, src: &str) -> FileFacts {
-        let f = SourceFile::analyze(src);
+    /// Index one analyzed file. `path` is the workspace-relative path;
+    /// the crate name is derived from its `crates/<name>/` component.
+    pub fn extract(path: &str, f: &SourceFile) -> FileFacts {
         let crate_name = path
             .strip_prefix("crates/")
             .and_then(|r| r.split('/').next())
             .unwrap_or("")
             .to_string();
-        let impls = find_impls(&f);
-        let structs = find_structs(&f);
-        let imports = find_imports(&f);
-        let lock_tables = find_lock_tables(&f);
-        let allows = find_allows(&f);
+        let impls = find_impls(f);
+        let structs = find_structs(f);
+        let imports = find_imports(f);
+        let lock_tables = find_lock_tables(f);
 
         // Nested fn bodies are scanned as their own items; the enclosing
         // fn must skip those token ranges so a call is attributed once.
@@ -308,7 +299,7 @@ impl FileFacts {
             let enclosing = impls
                 .iter()
                 .find(|b| b.body.0 < info.name && info.name < b.body.1);
-            let (has_self, params) = parse_params(&f, info.name);
+            let (has_self, params) = parse_params(f, info.name);
             let ret_text = ret_text_of(info);
             let mut facts = FnFacts {
                 name,
@@ -335,7 +326,7 @@ impl FileFacts {
                     .collect();
                 let owner = facts.owner.clone();
                 scan_body(
-                    &f,
+                    f,
                     &structs,
                     &fn_rets,
                     owner.as_deref(),
@@ -355,17 +346,7 @@ impl FileFacts {
             structs,
             imports,
             lock_tables,
-            allows,
         }
-    }
-
-    /// Does an `allow(code)` marker cover byte offset `anchor`?
-    pub fn allowed_at(&self, code: &str, anchor: usize) -> Option<&AllowMarker> {
-        self.allows.iter().find(|m| {
-            m.code == code
-                && ((m.own.0 <= anchor && anchor < m.own.1)
-                    || m.node.is_some_and(|(s, e)| s <= anchor && anchor <= e))
-        })
     }
 }
 
@@ -715,30 +696,10 @@ fn find_lock_tables(f: &SourceFile) -> Vec<LockTable> {
                 .filter_map(|piece| piece.split_whitespace().next())
                 .map(str::to_string)
                 .collect();
-            if names.len() >= 2 {
+            if !names.is_empty() {
                 out.push(LockTable {
                     names,
                     offset: f.tokens[c.tok].start,
-                });
-            }
-        }
-    }
-    out
-}
-
-fn find_allows(f: &SourceFile) -> Vec<AllowMarker> {
-    let mut out = Vec::new();
-    for info in &f.comments {
-        let text = f.text(info.tok);
-        for code in ["A1", "A2", "A3", "A4", "R3"] {
-            let plain = format!("lint: allow({code})");
-            let tight = format!("lint:allow({code})");
-            if text.contains(&plain) || text.contains(&tight) {
-                out.push(AllowMarker {
-                    code: code.to_string(),
-                    own: info.own,
-                    node: info.node,
-                    text: text.trim().to_string(),
                 });
             }
         }
@@ -959,6 +920,10 @@ fn scan_body(
             .map(|(_, r)| r.clone())
     };
     let in_nested = |k: usize| nested.iter().any(|&(o, c)| o <= k && k <= c);
+    let helper_name = facts.name.clone();
+    let helper_lock = helper_name
+        .strip_prefix("lock_")
+        .filter(|suffix| !suffix.is_empty());
 
     let mut k = open + 1;
     while k < close {
@@ -968,28 +933,19 @@ fn scan_body(
         }
         let text = f.text(k);
 
-        // Certification (A2): any R3 certifier ident or `invariant!`.
-        if engine::R3_CERTIFIERS.contains(&text)
-            || (text == "invariant" && f.next(k).is_some_and(|n| f.is_op(n, "!")))
-        {
-            facts.certifies = true;
-        }
+        facts.certifies |= is_certifier(f, k);
 
         // Macro invocation: `name!(...)` / `name![...]` / `name!{...}` —
-        // record alloc macros as dangers and idents called inside the
-        // arguments as conservative Macro edges.
+        // record alloc macros and dangers inside the arguments, and idents
+        // called inside the arguments as conservative Macro edges.
         if f.next(k).is_some_and(|n| f.is_op(n, "!")) {
-            if matches!(text, "vec" | "format") {
-                facts.dangers.push(DangerSite {
-                    kind: DangerKind::AllocFresh,
-                    what: format!("{text}![...]"),
-                    span: (f.tokens[k].start, f.tokens[k].end),
-                });
-            }
+            push_danger(f, k, facts);
             let group = f.next(k).and_then(|n| f.next(n));
             if let Some(g) = group.filter(|&g| matches!(f.tokens[g].kind, TokenKind::Open(_))) {
                 if let Some(gc) = f.partner[g] {
                     for a in g + 1..gc {
+                        facts.certifies |= is_certifier(f, a);
+                        push_danger(f, a, facts);
                         if f.tokens[a].kind == TokenKind::Ident
                             && !NON_CALLEES.contains(&f.text(a))
                             && f.next(a).is_some_and(|n| f.is_open(n, Delim::Paren))
@@ -1034,66 +990,22 @@ fn scan_body(
         };
         let arg_idents = call_arg_idents(f, open_paren);
 
-        // Danger classification by callee name/shape.
-        let danger = if is_method {
-            match text {
-                "counter" | "gauge" | "histogram" => {
-                    Some((DangerKind::Registry, format!(".{text}(...)")))
-                }
-                "push" | "push_back" | "reserve" | "extend" => {
-                    Some((DangerKind::AllocGrow, format!(".{text}(...)")))
-                }
-                "collect" | "to_vec" | "to_string" | "with_capacity" => {
-                    Some((DangerKind::AllocFresh, format!(".{text}(...)")))
-                }
-                "recv" | "recv_timeout" | "wait" => {
-                    Some((DangerKind::Blocking, format!(".{text}(...)")))
-                }
-                _ => None,
-            }
-        } else {
-            let assoc_of = f
-                .prev(k)
-                .filter(|&p| f.is_op(p, "::"))
-                .and_then(|p| f.prev(p))
-                .filter(|&o| f.tokens[o].kind == TokenKind::Ident)
-                .map(|o| f.text(o));
-            match (assoc_of, text) {
-                (
-                    Some("Vec" | "VecDeque" | "String" | "HashMap" | "BTreeMap" | "HashSet"),
-                    "new",
-                )
-                | (Some(_), "with_capacity")
-                | (Some("Box"), "new")
-                | (Some("String"), "from") => Some((
-                    DangerKind::AllocFresh,
-                    format!("{}::{text}(...)", assoc_of.unwrap_or("")),
-                )),
-                (_, "sleep") => Some((DangerKind::Blocking, "sleep(...)".to_string())),
-                _ => None,
-            }
-        };
-        if let Some((kind, what)) = danger {
-            facts.dangers.push(DangerSite {
-                kind,
-                what,
-                span: (f.tokens[k].start, f.tokens[k].end),
-            });
-        }
+        push_danger(f, k, facts);
 
-        // Lock acquisition (engine-R13-compatible shapes).
+        // Lock acquisition.
+        // Inside a `lock_x` helper, `m.lock()` acquires `x` itself.
         let lock_name = if is_method && text == "lock" {
             f.prev(k)
                 .and_then(|dot| f.prev(dot))
                 .filter(|&r| f.tokens[r].kind == TokenKind::Ident)
-                .map(|r| f.text(r).to_string())
+                .map(|r| helper_lock.unwrap_or(f.text(r)).to_string())
         } else if let Some(suffix) = text.strip_prefix("lock_") {
             (!suffix.is_empty()).then(|| suffix.to_string())
         } else {
             None
         };
         if let Some(name) = lock_name {
-            if let Some(held_to) = engine::held_range(f, k) {
+            if let Some(held_to) = held_range(f, k) {
                 facts.locks.push(LockAcq {
                     name: name.clone(),
                     span: (f.tokens[k].start, f.tokens[k].end),
@@ -1162,6 +1074,170 @@ fn scan_body(
             .filter(|l| l.tok < call.tok && call.tok <= l.held_to)
             .map(|l| l.name.clone())
             .collect();
+    }
+}
+
+/// Record the danger at token `k`, if any: an allocating macro (`vec!`,
+/// `format!`) or a call that allocates, blocks, or resolves a registry
+/// handle.
+fn push_danger(f: &SourceFile, k: usize, facts: &mut FnFacts) {
+    let Some(next) = f.next(k) else { return };
+    if f.tokens[k].kind != TokenKind::Ident || f.prev(k).is_some_and(|p| f.is_ident(p, "fn")) {
+        return;
+    }
+    let text = f.text(k);
+    let danger = if f.is_op(next, "!") {
+        matches!(text, "vec" | "format").then(|| (DangerKind::AllocFresh, format!("{text}![...]")))
+    } else if !f.is_open(next, Delim::Paren) {
+        None
+    } else if f.prev(k).is_some_and(|p| f.is_op(p, ".")) {
+        match text {
+            "counter" | "gauge" | "histogram" => {
+                Some((DangerKind::Registry, format!(".{text}(...)")))
+            }
+            "push" | "push_back" | "reserve" | "extend" => {
+                Some((DangerKind::AllocGrow, format!(".{text}(...)")))
+            }
+            "collect" | "to_vec" | "to_string" | "with_capacity" => {
+                Some((DangerKind::AllocFresh, format!(".{text}(...)")))
+            }
+            "recv" | "recv_timeout" | "wait" => {
+                Some((DangerKind::Blocking, format!(".{text}(...)")))
+            }
+            _ => None,
+        }
+    } else {
+        let assoc_of = f
+            .prev(k)
+            .filter(|&p| f.is_op(p, "::"))
+            .and_then(|p| f.prev(p))
+            .filter(|&o| f.tokens[o].kind == TokenKind::Ident)
+            .map(|o| f.text(o));
+        match (assoc_of, text) {
+            (Some("Vec" | "VecDeque" | "String" | "HashMap" | "BTreeMap" | "HashSet"), "new")
+            | (Some(_), "with_capacity")
+            | (Some("Box"), "new")
+            | (Some("String"), "from") => Some((
+                DangerKind::AllocFresh,
+                format!("{}::{text}(...)", assoc_of.unwrap_or("")),
+            )),
+            (_, "sleep") => Some((DangerKind::Blocking, "sleep(...)".to_string())),
+            _ => None,
+        }
+    };
+    if let Some((kind, what)) = danger {
+        facts.dangers.push(DangerSite {
+            kind,
+            what,
+            span: (f.tokens[k].start, f.tokens[k].end),
+        });
+    }
+}
+
+/// Is token `k` a certifier call name or the `invariant` of `invariant!`?
+fn is_certifier(f: &SourceFile, k: usize) -> bool {
+    let text = f.text(k);
+    f.tokens[k].kind == TokenKind::Ident
+        && (CERTIFIERS.contains(&text)
+            || (text == "invariant" && f.next(k).is_some_and(|n| f.is_op(n, "!"))))
+}
+
+/// How long the guard produced by the lock call at `i` is held: to the end
+/// of the statement for a temporary, to the enclosing block's close for a
+/// `let`-bound guard whose RHS is exactly the lock call (plus poison
+/// recovery postfix).
+fn held_range(f: &SourceFile, i: usize) -> Option<usize> {
+    let open = f.next(i)?;
+    if !f.is_open(open, Delim::Paren) {
+        return None;
+    }
+    let mut end = f.partner[open]?;
+    // Postfix poison-recovery chain: .unwrap() / .expect(..) /
+    // .unwrap_or_else(..) keep the guard.
+    while let Some(dot) = f.next(end).filter(|&d| f.is_op(d, ".")) {
+        let Some(m) = f.next(dot) else { break };
+        if !matches!(f.text(m), "unwrap" | "expect" | "unwrap_or_else") {
+            break;
+        }
+        let Some(o2) = f.next(m).filter(|&o| f.is_open(o, Delim::Paren)) else {
+            break;
+        };
+        end = f.partner[o2]?;
+    }
+    // Binding? Walk back over the receiver/path to the expression start,
+    // then look for `let <pat> =`.
+    let mut expr_start = i;
+    while let Some(sep) = f.prev(expr_start) {
+        if !(f.is_op(sep, ".") || f.is_op(sep, "::")) {
+            break;
+        }
+        match f.prev(sep) {
+            Some(seg) if f.tokens[seg].kind == TokenKind::Ident => expr_start = seg,
+            _ => break,
+        }
+    }
+    let whole_rhs = f.next(end).is_some_and(|n| f.is_op(n, ";"));
+    let mut bound = false;
+    if whole_rhs {
+        if let Some(eq) = f.prev(expr_start).filter(|&e| f.is_op(e, "=")) {
+            let mut j = f.prev(eq);
+            for _ in 0..4 {
+                match j {
+                    Some(t) if f.is_ident(t, "let") => {
+                        bound = true;
+                        break;
+                    }
+                    Some(t)
+                        if f.tokens[t].kind == TokenKind::Ident
+                            || f.is_ident(t, "mut")
+                            || f.is_op(t, ":") =>
+                    {
+                        j = f.prev(t);
+                    }
+                    _ => break,
+                }
+            }
+        }
+    }
+    if bound {
+        // Held to the enclosing block's close: first unmatched closer.
+        let mut cur = f.next(end);
+        let mut last = end;
+        while let Some(k) = cur {
+            match f.tokens[k].kind {
+                TokenKind::Open(_) => {
+                    let close = f.partner[k]?;
+                    last = close;
+                    cur = f.next(close);
+                }
+                TokenKind::Close(_) => return Some(k),
+                _ => {
+                    last = k;
+                    cur = f.next(k);
+                }
+            }
+        }
+        Some(last)
+    } else {
+        // Temporary: held to the end of the statement.
+        let mut cur = f.next(end);
+        let mut last = end;
+        while let Some(k) = cur {
+            match f.tokens[k].kind {
+                TokenKind::Op if f.text(k) == ";" || f.text(k) == "," => return Some(k),
+                TokenKind::Open(_) => {
+                    let close = f.partner[k]?;
+                    last = close;
+                    cur = f.next(close);
+                }
+                TokenKind::Close(_) => return Some(last),
+                _ => {
+                    last = k;
+                    cur = f.next(k);
+                }
+            }
+        }
+        Some(last)
     }
 }
 
@@ -1368,6 +1444,10 @@ pub fn type_idents(ty: &str) -> Vec<String> {
 mod tests {
     use super::*;
 
+    fn extract(path: &str, src: &str) -> FileFacts {
+        FileFacts::extract(path, &SourceFile::analyze(src))
+    }
+
     #[test]
     fn extracts_fns_with_owner_trait_and_params() {
         let src = r#"
@@ -1387,7 +1467,7 @@ impl fmt::Display for Controller {
 
 fn helper(t_cycles: u64) -> u64 { t_cycles }
 "#;
-        let ff = FileFacts::extract("crates/mc/src/controller.rs", src);
+        let ff = extract("crates/mc/src/controller.rs", src);
         assert_eq!(ff.crate_name, "mc");
         let tick = ff.fns.iter().find(|f| f.name == "tick").expect("tick");
         assert_eq!(tick.owner.as_deref(), Some("Controller"));
@@ -1430,7 +1510,7 @@ impl Engine {
     }
 }
 "#;
-        let ff = FileFacts::extract("crates/bwpartd/src/engine.rs", src);
+        let ff = extract("crates/bwpartd/src/engine.rs", src);
         let run = &ff.fns[0];
         let kinds: Vec<DangerKind> = run.dangers.iter().map(|d| d.kind).collect();
         assert!(kinds.contains(&DangerKind::Registry));
@@ -1452,7 +1532,7 @@ use bwpart_core::solver::{solve, certify as check};
 // lint: lock-order: engine < table
 pub fn f() {}
 ";
-        let ff = FileFacts::extract("crates/cmp/src/lib.rs", src);
+        let ff = extract("crates/cmp/src/lib.rs", src);
         let aliased = ff
             .imports
             .iter()
@@ -1477,9 +1557,8 @@ pub fn f() {}
     }
 
     #[test]
-    fn cfg_test_fns_are_marked_and_allows_resolve() {
+    fn cfg_test_fns_are_marked() {
         let src = "
-// lint: allow(A1): fixture justification
 pub fn hot() {}
 
 #[cfg(test)]
@@ -1487,11 +1566,9 @@ mod tests {
     fn only_in_tests() {}
 }
 ";
-        let ff = FileFacts::extract("crates/dram/src/lib.rs", src);
+        let ff = extract("crates/dram/src/lib.rs", src);
         let hot = ff.fns.iter().find(|f| f.name == "hot").expect("hot");
         assert!(!hot.in_test);
-        assert!(ff.allowed_at("A1", hot.span.0).is_some());
-        assert!(ff.allowed_at("A2", hot.span.0).is_none());
         let t = ff
             .fns
             .iter()
@@ -1519,7 +1596,7 @@ pub struct QueueSet {
     depth: usize,
 }
 ";
-        let ff = FileFacts::extract("crates/mc/src/queue.rs", src);
+        let ff = extract("crates/mc/src/queue.rs", src);
         assert_eq!(ff.structs.len(), 1);
         let s = &ff.structs[0];
         assert_eq!(s.name, "QueueSet");

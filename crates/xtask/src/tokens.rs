@@ -17,7 +17,7 @@
 //!   it physically occupies and (b) the *following syntactic node* when it
 //!   is adjacent (no blank line in between): attributes plus the item
 //!   header through its opening brace, or a statement through its
-//!   terminating `;`/`,`. `lint: allow(R<N>)` markers and justification
+//!   terminating `;`/`,`. `lint: allow(<code>)` markers and justification
 //!   comments (`SAFETY:`, `hb:`) resolve against these spans, so a marker
 //!   above a multi-line attribute or signature still reaches the finding
 //!   it annotates — the line-adjacency matching this replaces could not.
@@ -29,8 +29,6 @@ use crate::lex::{lex, Delim, Token, TokenKind};
 pub struct CommentInfo {
     /// Index into [`SourceFile::tokens`].
     pub tok: usize,
-    /// Doc comment (`///`, `//!`, `/**`, `/*!`)?
-    pub doc: bool,
     /// Byte range of the full source lines the comment occupies (a
     /// trailing comment therefore covers the code before it on its line).
     pub own: (usize, usize),
@@ -141,12 +139,7 @@ impl<'a> SourceFile<'a> {
     /// (on the comment's text)? Attachment = the comment's own lines, or
     /// the adjacent following node (see module docs).
     pub fn comment_attached(&self, anchor: usize, pred: &dyn Fn(&str) -> bool) -> bool {
-        self.comments.iter().any(|c| {
-            let covers = (c.own.0 <= anchor && anchor < c.own.1)
-                || c.node.is_some_and(|(s, e)| s <= anchor && anchor < e)
-                || c.node.is_some_and(|(_, e)| anchor == e);
-            covers && pred(self.text(c.tok))
-        })
+        self.attached_comment_text(anchor, pred).is_some()
     }
 
     /// Like [`Self::comment_attached`], returning the first matching
@@ -181,22 +174,24 @@ impl<'a> SourceFile<'a> {
         (s, e)
     }
 
+    /// 1-based line of a token's end: its start line plus the newlines
+    /// inside it (a block comment can span several lines).
+    fn end_line(&self, tok: &Token) -> u32 {
+        let newlines = tok.text(self.src).bytes().filter(|&b| b == b'\n').count();
+        tok.line.saturating_add(newlines as u32)
+    }
+
     fn compute_comments(&self) -> Vec<CommentInfo> {
         let mut out = Vec::new();
         for (i, t) in self.tokens.iter().enumerate() {
             if !t.is_comment() {
                 continue;
             }
-            let doc = matches!(
-                t.kind,
-                TokenKind::LineComment { doc: true } | TokenKind::BlockComment { doc: true, .. }
-            );
             let own = self.line_span(t);
             // Walk forward to the adjacent node: chain through comments
             // whose gaps stay within one line; a blank line breaks the
             // attachment entirely.
-            let end_line = |tok: &Token| crate::lex::line_of(self.src, tok.end);
-            let mut last_line = end_line(t);
+            let mut last_line = self.end_line(t);
             let mut j = i + 1;
             let mut node = None;
             while let Some(n) = self.tokens.get(j) {
@@ -204,19 +199,14 @@ impl<'a> SourceFile<'a> {
                     break;
                 }
                 if n.is_comment() {
-                    last_line = end_line(n);
+                    last_line = self.end_line(n);
                     j += 1;
                     continue;
                 }
                 node = Some(self.node_range(j));
                 break;
             }
-            out.push(CommentInfo {
-                tok: i,
-                doc,
-                own,
-                node,
-            });
+            out.push(CommentInfo { tok: i, own, node });
         }
         out
     }
@@ -377,10 +367,7 @@ impl<'a> SourceFile<'a> {
                 } else if matches!(t.kind, TokenKind::Close(Delim::Paren)) {
                     // `pub(crate)` / `pub(in …)`: the paren group's opener
                     // is preceded by `pub`.
-                    let open = (0..b)
-                        .rev()
-                        .find(|&o| self.partner.get(o) == Some(&Some(b)));
-                    if let Some(open) = open {
+                    if let Some(open) = self.partner[b] {
                         if let Some(p) = self.prev(open) {
                             if self.is_ident(p, "pub") {
                                 anchor = p;
@@ -604,7 +591,7 @@ pub fn g() {}
     #[test]
     fn comment_attaches_across_multi_line_attributes() {
         let src = "\
-// lint: allow(R3): span-based attachment must reach the fn
+// lint: allow(A2): span-based attachment must reach the fn
 #[allow(
     clippy::needless_pass_by_value,
 )]
@@ -617,7 +604,7 @@ pub fn shares() -> Vec<f64> { Vec::new() }
             .position(|t| t.text(src) == "pub")
             .expect("pub");
         let anchor = f.tokens[pub_tok].start;
-        assert!(f.comment_attached(anchor, &|c: &str| c.contains("allow(R3)")));
+        assert!(f.comment_attached(anchor, &|c: &str| c.contains("allow(A2)")));
     }
 
     #[test]
@@ -633,6 +620,27 @@ pub fn shares() -> Vec<f64> { Vec::new() }
         let pred = |c: &str| c.contains("SAFETY:");
         assert!(f.comment_attached(f.tokens[a_tok].start, &pred));
         assert!(f.comment_attached(f.tokens[uns].start, &pred));
+    }
+
+    #[test]
+    fn comment_end_lines_match_a_newline_count_from_byte_zero() {
+        // The oracle counts newlines from the start of the file for every
+        // comment — quadratic over a file, so it lives only here.
+        fn line_of(src: &str, pos: usize) -> u32 {
+            src[..pos].bytes().filter(|&b| b == b'\n').count() as u32 + 1
+        }
+        let src = "//! inner doc\r\n\
+                   /* block\r\n   spanning\n   three lines */\n\
+                   /** outer doc\n * block */\n\
+                   fn f() {} // trailing\r\n\
+                   /* nested /* inner\n */ still\n */\n\
+                   /// line doc\nfn g() {}\n";
+        let f = SourceFile::analyze(src);
+        assert_eq!(f.comments.len(), 6);
+        for c in &f.comments {
+            let t = &f.tokens[c.tok];
+            assert_eq!(f.end_line(t), line_of(src, t.end), "{:?}", f.text(c.tok));
+        }
     }
 
     #[test]

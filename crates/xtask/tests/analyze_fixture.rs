@@ -1,7 +1,8 @@
-//! End-to-end checks for `cargo xtask analyze` against scratch crate
-//! trees: seeded interprocedural violations must be caught through the
-//! CLI, clean trees must pass, suppression markers must be honoured, and
-//! the SARIF/JSON/caching plumbing must behave as CI consumes it.
+//! End-to-end checks for the interprocedural rules A1–A4 of
+//! `cargo xtask lint` against scratch crate trees: seeded violations must
+//! be caught through the CLI, clean trees must pass, suppression markers
+//! must be honoured, and the SARIF/JSON plumbing must behave as CI
+//! consumes it.
 //!
 //! Fixture trees are materialized under `CARGO_TARGET_TMPDIR`, like the
 //! lint fixtures.
@@ -11,6 +12,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use xtask::json::Json;
+use xtask::lint::Rule;
 
 fn fixture_root(name: &str) -> PathBuf {
     let base = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
@@ -30,13 +32,13 @@ fn write(root: &Path, rel: &str, contents: &str) {
     fs::write(path, contents).expect("write fixture file");
 }
 
-fn run_analyze(root: &Path, extra: &[&str]) -> (bool, String) {
+fn run_lint(root: &Path, extra: &[&str]) -> (bool, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .arg("analyze")
+        .arg("lint")
         .args(extra)
         .env("CARGO_MANIFEST_DIR", root.join("crates/xtask"))
         .output()
-        .expect("run xtask analyze");
+        .expect("run xtask lint");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     (out.status.success(), stdout)
 }
@@ -64,7 +66,7 @@ fn fan_out() -> Vec<u64> {
 }
 "#,
     );
-    let (ok, stdout) = run_analyze(&root, &["--no-cache"]);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(!ok, "helper allocation must fail:\n{stdout}");
     assert!(stdout.contains("A1"), "{stdout}");
     assert!(
@@ -99,7 +101,7 @@ fn finish(shares: &[f64]) {
 fn validate_shares(_s: &[f64]) {}
 "#,
     );
-    let (ok, stdout) = run_analyze(&root, &["--no-cache"]);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(!ok, "uncertified producer must fail:\n{stdout}");
     assert!(
         stdout.contains("A2") && stdout.contains("`leak`"),
@@ -132,7 +134,7 @@ pub fn caller(now_ns: u64) -> u64 {
 }
 "#,
     );
-    let (ok, stdout) = run_analyze(&root, &["--no-cache"]);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(!ok, "unit mismatch must fail:\n{stdout}");
     assert!(
         stdout.contains("A3") && stdout.contains("now_ns") && stdout.contains("now_cycles"),
@@ -140,7 +142,7 @@ pub fn caller(now_ns: u64) -> u64 {
     );
     // Exactly one A3 finding: the conversion call is exempt.
     assert_eq!(
-        stdout.matches(" A3: ").count(),
+        stdout.matches("[A3]").count(),
         1,
         "conversion fns must be exempt:\n{stdout}"
     );
@@ -180,12 +182,12 @@ impl Engine {
         "crates/bwpartd/src/lib.rs",
         r#"
 pub fn obs_push() {
-    let g = ring.lock().unwrap();
+    let g = ring.lock().unwrap_or_else(|p| p.into_inner());
     drop(g);
 }
 "#,
     );
-    let (ok, stdout) = run_analyze(&root, &["--no-cache"]);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(!ok, "undeclared cross-fn nesting must fail:\n{stdout}");
     assert!(
         stdout.contains("A4") && stdout.contains("`ring`") && stdout.contains("`engine`"),
@@ -201,7 +203,7 @@ pub fn obs_push() {
             "lock-order: engine < table < ring",
         ),
     );
-    let (ok, stdout) = run_analyze(&root, &["--no-cache"]);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(ok, "declared nesting must pass:\n{stdout}");
 }
 
@@ -235,7 +237,7 @@ impl Controller {
 }
 "#,
     );
-    let (ok, stdout) = run_analyze(&root, &["--no-cache"]);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(
         !ok && stdout.contains("A1") && stdout.contains("pick"),
         "trait-object dispatch + closure attribution must reach the \
@@ -266,7 +268,7 @@ mod tests {
 }
 "#,
     );
-    let (ok, stdout) = run_analyze(&root, &["--no-cache"]);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(ok, "test-gated callees must stay invisible:\n{stdout}");
 
     // Re-exported path: the alias resolves to the underlying fn.
@@ -294,7 +296,7 @@ impl Controller {
 }
 "#,
     );
-    let (ok, stdout) = run_analyze(&root, &["--no-cache"]);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(
         !ok && stdout.contains("A1") && stdout.contains("alloc_impl"),
         "re-exported callees must resolve:\n{stdout}"
@@ -323,11 +325,11 @@ fn cold_init() {
 }
 "#,
     );
-    let (ok, stdout) = run_analyze(&root, &["--no-cache"]);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(ok, "suppressed finding must pass:\n{stdout}");
     assert!(stdout.contains("1 suppressed"), "{stdout}");
 
-    let (ok, json_out) = run_analyze(&root, &["--json", "--no-cache"]);
+    let (ok, json_out) = run_lint(&root, &["--json"]);
     assert!(ok, "{json_out}");
     let j = Json::parse(&json_out).expect("json parses");
     assert_eq!(
@@ -354,7 +356,7 @@ fn sarif_report_is_structurally_valid() {
         "crates/core/src/solver.rs",
         "pub fn raw_shares(n: usize) -> Vec<f64> { vec![0.0; n] }\n",
     );
-    let (ok, sarif_out) = run_analyze(&root, &["--sarif", "--no-cache"]);
+    let (ok, sarif_out) = run_lint(&root, &["--sarif"]);
     assert!(!ok, "seeded A2 must fail the sarif run too:\n{sarif_out}");
     let j = Json::parse(&sarif_out).expect("sarif parses");
     assert_eq!(j.get("version").and_then(Json::str), Some("2.1.0"));
@@ -366,7 +368,7 @@ fn sarif_report_is_structurally_valid() {
         .path(&["runs", "0", "tool", "driver", "rules"])
         .and_then(Json::arr)
         .expect("rules");
-    assert_eq!(rules.len(), 4);
+    assert_eq!(rules.len(), Rule::ALL.len());
     let results = j
         .path(&["runs", "0", "results"])
         .and_then(Json::arr)
@@ -389,54 +391,22 @@ fn sarif_report_is_structurally_valid() {
         .is_some_and(|l| l >= 1.0));
 }
 
-/// The warm cache replays byte-identical output and the same exit code,
-/// invalidates on source change, and `--no-cache` bypasses it.
-#[test]
-fn warm_cache_replays_and_invalidates() {
-    let root = fixture_root("bwpart-analyze-cache");
-    write(
-        &root,
-        "crates/core/src/solver.rs",
-        "pub fn raw_shares(n: usize) -> Vec<f64> { vec![0.0; n] }\n",
-    );
-    let (ok_cold, cold) = run_analyze(&root, &[]);
-    assert!(!ok_cold, "{cold}");
-    assert!(
-        root.join("target/analyze-cache.txt").exists(),
-        "cold run must store the cache"
-    );
-    let (ok_warm, warm) = run_analyze(&root, &[]);
-    assert_eq!(ok_cold, ok_warm, "cached exit status must match");
-    assert_eq!(cold, warm, "cached output must be byte-identical");
-    // The cached run serves every format, not just the one first rendered.
-    let (_, warm_sarif) = run_analyze(&root, &["--sarif"]);
-    assert!(warm_sarif.contains("\"2.1.0\""), "{warm_sarif}");
-
-    // Fixing the source invalidates the key and flips the verdict.
-    write(
-        &root,
-        "crates/core/src/solver.rs",
-        "pub fn raw_shares(n: usize) -> Vec<f64> { let v = vec![0.0; n]; validate_shares(&v); v }\n\
-         fn validate_shares(_s: &[f64]) {}\n",
-    );
-    let (ok_fixed, fixed) = run_analyze(&root, &[]);
-    assert!(ok_fixed, "fixed tree must pass:\n{fixed}");
-    let (ok_bypass, bypass) = run_analyze(&root, &["--no-cache"]);
-    assert!(ok_bypass, "{bypass}");
-}
-
 /// `--rules` lists the catalogue; `--explain` covers every rule code.
 #[test]
 fn rules_and_explain_cover_the_catalogue() {
     let root = fixture_root("bwpart-analyze-rules");
     write(&root, "crates/demo/src/lib.rs", "pub fn ok() {}\n");
-    let (ok, stdout) = run_analyze(&root, &["--rules"]);
+    let (ok, stdout) = run_lint(&root, &["--rules"]);
     assert!(ok, "{stdout}");
-    for code in ["A1", "A2", "A3", "A4"] {
+    for rule in Rule::ALL {
+        let code = rule.code();
         assert!(stdout.contains(code), "missing {code}:\n{stdout}");
-        let (ok, explain) = run_analyze(&root, &["--explain", code]);
-        assert!(ok && explain.len() > 200, "--explain {code}:\n{explain}");
+        let (ok, explain) = run_lint(&root, &["--explain", code]);
+        assert!(
+            ok && explain.contains(rule.explain()),
+            "--explain {code}:\n{explain}"
+        );
     }
-    let (ok, _) = run_analyze(&root, &["--explain", "A9"]);
+    let (ok, _) = run_lint(&root, &["--explain", "A9"]);
     assert!(!ok, "unknown rule code must be rejected");
 }

@@ -1,4 +1,4 @@
-//! End-to-end check that the lint driver catches deliberately seeded
+//! End-to-end check that `cargo xtask lint` catches deliberately seeded
 //! violations in a scratch crate tree, and accepts a clean one.
 //!
 //! The fixture workspace is materialized under `CARGO_TARGET_TMPDIR` so the
@@ -86,7 +86,8 @@ pub fn shares(n: usize) -> Vec<f64> {
     );
     let (ok, stdout) = run_lint(&root);
     assert!(!ok, "uncertified producer must fail:\n{stdout}");
-    assert!(stdout.contains("[R3]"), "{stdout}");
+    assert!(stdout.contains("[A2]"), "{stdout}");
+    assert!(stdout.contains("crates/core/src/lib.rs:2"), "{stdout}");
 }
 
 #[test]
@@ -143,7 +144,7 @@ pub fn tick(registry: &Registry) {
 }
 "#,
     );
-    // The identical call outside crates/dram / crates/mc must NOT trip R9.
+    // The identical call outside crates/dram / crates/mc must NOT trip A1.
     write(
         &root,
         "crates/demo/src/lib.rs",
@@ -155,11 +156,11 @@ pub fn tick(registry: &Registry) {
     );
     let (ok, stdout) = run_lint(&root);
     assert!(!ok, "hot-loop registry call must fail:\n{stdout}");
-    assert!(stdout.contains("[R9]"), "{stdout}");
+    assert!(stdout.contains("[A1]"), "{stdout}");
     assert!(stdout.contains("crates/mc/src/lib.rs:3"), "{stdout}");
     assert!(
         !stdout.contains("crates/demo/src/lib.rs:3"),
-        "R9 must be scoped to the simulator hot trees:\n{stdout}"
+        "A1 must be scoped to the simulator hot trees:\n{stdout}"
     );
 }
 
@@ -441,9 +442,13 @@ pub fn bad(engine: &Mutex<E>, tracer: &Mutex<T>) {
     );
     let (ok, stdout) = run_lint(&root);
     assert!(!ok, "out-of-order acquisition must fail:\n{stdout}");
-    assert!(stdout.contains("[R13]"), "{stdout}");
+    assert!(stdout.contains("[A4]"), "{stdout}");
     assert!(
-        stdout.contains("`engine` while holding `tracer`"),
+        stdout.contains("crates/bwpartd/src/server.rs:5"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("`engine` acquired while `tracer` is held"),
         "{stdout}"
     );
 
@@ -464,6 +469,27 @@ pub fn good(engine: &Mutex<E>, tracer: &Mutex<T>) {
     );
     let (ok, stdout) = run_lint(&root);
     assert!(ok, "declared-order acquisition must pass:\n{stdout}");
+
+    write(
+        &root,
+        "crates/bwpartd/src/server.rs",
+        r#"
+// lint: lock-order: engine < tracer
+pub fn good(engine: &Mutex<E>, ring: &Mutex<R>) {
+    let e = engine.lock().unwrap_or_else(|p| p.into_inner());
+    drop(e);
+    let r = ring.lock().unwrap_or_else(|p| p.into_inner());
+    drop(r);
+}
+"#,
+    );
+    let (ok, stdout) = run_lint(&root);
+    assert!(!ok, "a lock named in no table must fail:\n{stdout}");
+    assert!(
+        stdout.contains("crates/bwpartd/src/server.rs:6:")
+            && stdout.contains("[A4] lock `ring` is named in no lock-order table"),
+        "{stdout}"
+    );
 }
 
 #[test]
