@@ -6,9 +6,9 @@
 //! ```
 //!
 //! Measures wire-protocol throughput/latency against live loopback
-//! `bwpartd` instances — the synchronous threaded/JSON case and the
-//! pipelined reactor/binary case — plus epoch-decision latency in the
-//! bare engine (see [`bwpart_bench::serve_perf`]), prints a
+//! `bwpartd` instances — the synchronous JSON case and the pipelined
+//! binary case — plus epoch-decision latency in a bare one-shard map
+//! (see [`bwpart_bench::serve_perf`]), prints a
 //! human-readable summary, and writes the machine-readable report to
 //! `BENCH_serve.json` (or `--out PATH`). Exit status is non-zero only on
 //! a real failure — never on absolute timing, so CI smoke runs don't

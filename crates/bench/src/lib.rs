@@ -1,15 +1,12 @@
 //! Benchmark harnesses for the bwpart workspace.
 //!
-//! Two kinds live here:
-//!
-//! * `benches/` — criterion microbenches, one per paper table/figure plus
-//!   DRAM/simulator microbenches (`cargo bench -p bwpart-bench`).
 //! * [`perf`] — the perf-regression harness behind `cargo xtask bench`,
 //!   which times canonical workloads in seed mode vs the optimized default
 //!   and writes `BENCH_sim.json`.
 //! * [`serve_perf`] — the `bwpartd` service harness behind
 //!   `cargo xtask bench-serve`: wire-protocol throughput/latency against a
-//!   live loopback server plus epoch-decision latency in the bare engine;
+//!   live loopback server plus epoch-decision latency in a bare one-shard
+//!   `ShardMap`;
 //!   writes `BENCH_serve.json`.
 
 pub mod perf;

@@ -1,23 +1,21 @@
 //! Perf harness for the `bwpartd` online service behind
 //! `cargo xtask bench-serve`.
 //!
-//! Three measurements, written to `BENCH_serve.json` (schema v2):
+//! Three measurements, written to `BENCH_serve.json` (schema v3):
 //!
-//! * **Synchronous wire throughput/latency** — the threaded front-end on
-//!   loopback, `clients` blocking connections each driving a
-//!   telemetry → get-shares loop through the framed JSON protocol, one
-//!   request in flight per connection. This is the v1 case, kept
-//!   comparable with the committed baseline.
-//! * **Pipelined reactor throughput** — the reactor front-end
-//!   (`ServeConfig { reactor: true, shards, workers }`) under hundreds of
-//!   connections, each keeping a deep pipeline of binary-codec frames in
-//!   flight. This is the case the reactor exists for: per-request syscall
-//!   and thread-switch costs amortize across the pipeline, and tenant
-//!   shards solve their epochs independently.
-//! * **Epoch decision latency** — the [`bwpartd::Engine`] alone, no
+//! * **Synchronous wire throughput/latency** — the service on loopback,
+//!   `clients` blocking connections each driving a telemetry →
+//!   get-shares loop through the framed JSON protocol, one request in
+//!   flight per connection.
+//! * **Pipelined throughput** — a sharded service
+//!   (`ServeConfig { shards, workers }`) under hundreds of connections,
+//!   each keeping a deep pipeline of binary-codec frames in flight:
+//!   per-request syscall and wakeup costs amortize across the pipeline,
+//!   and tenant shards solve their epochs independently.
+//! * **Epoch decision latency** — a one-shard [`ShardMap`] alone, no
 //!   sockets: fold telemetry for `apps` applications and time
-//!   `run_epoch` (profile update + scheme solve + contract certification)
-//!   over many epochs.
+//!   [`ShardMap::run_epochs`] (profile update + scheme solve + contract
+//!   certification) over many epochs.
 //!
 //! Per-request latency is recorded through the `bwpart-obs` macro layer:
 //! every client thread carries its own pre-resolved [`obs_hist!`] hooks
@@ -44,8 +42,8 @@ use std::time::{Duration, Instant};
 use bwpart_mc::TelemetryDelta;
 use bwpart_obs::{obs_hist, Histogram, Registry};
 use bwpartd::{
-    protocol, serve, Client, Codec, Engine, EngineConfig, EpochOutcome, PartitionScheme, Request,
-    Response, ServeConfig,
+    protocol, serve, Client, Codec, EngineConfig, EpochOutcome, PartitionScheme, Request, Response,
+    ServeConfig, ShardMap,
 };
 use serde::{Deserialize, Serialize};
 
@@ -56,7 +54,7 @@ const BANDWIDTH: f64 = 0.0095;
 
 /// Current report schema tag. Bumped whenever the report shape changes;
 /// `--check` refuses to compare reports across schema versions.
-pub const SCHEMA: &str = "bwpart-bench-serve/v2";
+pub const SCHEMA: &str = "bwpart-bench-serve/v3";
 
 /// Maximum tolerated throughput drop of any wire case against the
 /// committed baseline before `--check` fails, in percent. Wider than the
@@ -77,13 +75,11 @@ pub struct LatencyStats {
 /// `--check` refuses to compare cases whose environments differ.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeCaseEnv {
-    /// Reactor front-end (`true`) or thread-per-connection (`false`).
-    pub reactor: bool,
     /// Wire codec the load generator framed requests in.
     pub codec: String,
     /// Tenant shards in the service.
     pub shards: usize,
-    /// Reactor worker threads (`0` = threaded front-end).
+    /// Reactor worker threads.
     pub workers: usize,
     /// Requests kept in flight per connection (1 = synchronous).
     pub pipeline: usize,
@@ -94,7 +90,7 @@ pub struct ServeCaseEnv {
 /// Throughput and latency of one wire-protocol case end to end.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WireBench {
-    /// Case name (`threaded_json_sync` or `reactor_binary_pipelined`).
+    /// Case name (`json_sync` or `binary_pipelined`).
     pub name: String,
     /// Concurrent client connections.
     pub clients: usize,
@@ -111,7 +107,8 @@ pub struct WireBench {
     pub env: ServeCaseEnv,
 }
 
-/// Latency of one epoch decision in the engine (no sockets).
+/// Latency of one epoch decision in a one-shard [`ShardMap`] (no
+/// sockets).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EpochBench {
     /// Registered applications.
@@ -121,7 +118,7 @@ pub struct EpochBench {
     /// How many of those epochs actually republished shares (the rest
     /// were held by hysteresis once the EWMA estimates settled).
     pub repartitions: u64,
-    /// Per-epoch `run_epoch` latency.
+    /// Per-epoch `run_epochs` latency.
     pub latency: LatencyStats,
 }
 
@@ -179,13 +176,18 @@ fn delta(app: usize, step: usize) -> TelemetryDelta {
     }
 }
 
+/// Reactor workers for the synchronous case (as many as the pipelined
+/// case runs).
+const SYNC_WORKERS: usize = 2;
+
 /// Run the synchronous wire case: `clients` blocking connections, `iters`
 /// telemetry+get-shares pairs each, one request in flight at a time.
 fn wire_bench_sync(clients: usize, iters: usize, registry: &Registry) -> WireBench {
-    const CASE: &str = "threaded_json_sync";
+    const CASE: &str = "json_sync";
     let cfg = ServeConfig {
         epoch_interval: Duration::from_secs(3600),
         engine: EngineConfig::new(PartitionScheme::SquareRoot, BANDWIDTH),
+        workers: SYNC_WORKERS,
         ..ServeConfig::default()
     };
     // lint: allow(R1): bench harness — failing to bind loopback is fatal
@@ -247,17 +249,16 @@ fn wire_bench_sync(clients: usize, iters: usize, registry: &Registry) -> WireBen
         requests_per_sec: (total as f64 / wall.as_secs_f64().max(1e-12)).round(),
         latency: stats(registry, CASE),
         env: ServeCaseEnv {
-            reactor: false,
             codec: Codec::Json.name().to_string(),
             shards: 1,
-            workers: 0,
+            workers: SYNC_WORKERS,
             pipeline: 1,
             host_cores: host_cores(),
         },
     }
 }
 
-/// Load-generator shape for the pipelined reactor case.
+/// Load-generator shape for the pipelined case.
 struct PipelinedLoad {
     /// Driver threads.
     threads: usize,
@@ -304,22 +305,21 @@ impl PipeConn {
     }
 }
 
-/// Run the pipelined reactor case: a sharded reactor service, `threads ×
+/// Run the pipelined case: a sharded service, `threads ×
 /// conns_per_thread` connections each keeping `pipeline` binary-codec
 /// frames in flight for `rounds` rounds.
 fn wire_bench_pipelined(load: &PipelinedLoad, registry: &Registry) -> WireBench {
-    const CASE: &str = "reactor_binary_pipelined";
+    const CASE: &str = "binary_pipelined";
     let codec = Codec::Binary;
     let cfg = ServeConfig {
         epoch_interval: Duration::from_secs(3600),
         engine: EngineConfig::new(PartitionScheme::SquareRoot, BANDWIDTH),
-        reactor: true,
         shards: load.shards,
         workers: load.workers,
         ..ServeConfig::default()
     };
     // lint: allow(R1): bench harness — failing to bind loopback is fatal
-    let handle = serve(cfg).expect("bind reactor bwpartd on loopback");
+    let handle = serve(cfg).expect("bind sharded bwpartd on loopback");
     let addr = handle.addr();
 
     let ready = Arc::new(Barrier::new(load.threads + 1));
@@ -439,7 +439,6 @@ fn wire_bench_pipelined(load: &PipelinedLoad, registry: &Registry) -> WireBench 
         requests_per_sec: (total as f64 / wall.as_secs_f64().max(1e-12)).round(),
         latency: stats(registry, CASE),
         env: ServeCaseEnv {
-            reactor: true,
             codec: codec.name().to_string(),
             shards: load.shards,
             workers: load.workers,
@@ -450,29 +449,29 @@ fn wire_bench_pipelined(load: &PipelinedLoad, registry: &Registry) -> WireBench 
 }
 
 /// Run the epoch-decision bench: fold telemetry for `apps` applications
-/// and time `run_epoch` alone over `epochs` epochs.
+/// and time `run_epochs` alone over `epochs` epochs.
 fn epoch_bench(apps: usize, epochs: usize, registry: &Registry) -> EpochBench {
     const CASE: &str = "epoch_decision";
-    let mut engine = Engine::new(EngineConfig::new(PartitionScheme::SquareRoot, BANDWIDTH))
+    let map = ShardMap::new(EngineConfig::new(PartitionScheme::SquareRoot, BANDWIDTH), 1)
         // lint: allow(R1): bench harness — the default config is valid
         .expect("engine config");
-    for i in 0..apps {
-        engine
-            .register(&format!("app-{i}"), 0.004 + 0.001 * i as f64)
-            // lint: allow(R1): bench harness — registration is fatal
-            .expect("register app");
-    }
+    let ids: Vec<usize> = (0..apps)
+        .map(|i| {
+            map.register(&format!("app-{i}"), 0.004 + 0.001 * i as f64)
+                // lint: allow(R1): bench harness — registration is fatal
+                .expect("register app")
+        })
+        .collect();
     let obs = latency_hooks(registry, CASE);
     let mut repartitions = 0u64;
     for e in 0..epochs {
-        for i in 0..apps {
-            engine
-                .push_telemetry(i, delta(i, e))
+        for (i, &id) in ids.iter().enumerate() {
+            map.push_telemetry(id, delta(i, e))
                 // lint: allow(R1): bench harness — app ids are valid here
                 .expect("push telemetry");
         }
         let t0 = Instant::now();
-        let outcome = engine.run_epoch();
+        let outcome = map.run_epochs();
         obs_hist!(obs, latency_us, t0.elapsed().as_nanos() as f64 / 1000.0);
         if outcome == EpochOutcome::Repartitioned {
             repartitions += 1;
@@ -592,25 +591,23 @@ mod tests {
         assert_eq!(report.wire.len(), 2);
 
         let sync = &report.wire[0];
-        assert_eq!(sync.name, "threaded_json_sync");
+        assert_eq!(sync.name, "json_sync");
         assert_eq!(sync.clients, 2);
         assert_eq!(sync.requests_total, sync.clients * sync.requests_per_client);
         assert!(sync.requests_per_sec > 0.0);
         assert!(sync.latency.p50_us > 0.0);
         assert!(sync.latency.p99_us >= sync.latency.p50_us);
-        assert!(!sync.env.reactor);
         assert_eq!(sync.env.codec, "json");
         assert_eq!(sync.env.pipeline, 1);
 
         let piped = &report.wire[1];
-        assert_eq!(piped.name, "reactor_binary_pipelined");
+        assert_eq!(piped.name, "binary_pipelined");
         assert_eq!(piped.clients, 16);
         assert_eq!(
             piped.requests_total,
             piped.clients * piped.requests_per_client
         );
         assert!(piped.requests_per_sec > 0.0);
-        assert!(piped.env.reactor);
         assert_eq!(piped.env.codec, "binary");
         assert_eq!(piped.env.shards, 4);
         assert!(piped.env.pipeline > 1);
@@ -642,7 +639,6 @@ mod tests {
                 p99_us: 20.0,
             },
             env: ServeCaseEnv {
-                reactor: true,
                 codec: "binary".into(),
                 shards: 4,
                 workers: 2,
@@ -662,7 +658,7 @@ mod tests {
         let report = |rps: f64| ServeBenchReport {
             schema: SCHEMA.to_string(),
             smoke: true,
-            wire: vec![case("reactor_binary_pipelined", rps)],
+            wire: vec![case("binary_pipelined", rps)],
             epoch: epoch.clone(),
         };
 
@@ -677,7 +673,7 @@ mod tests {
         // Beyond budget: a 50% drop fails.
         let out = check(&report(100_000.0), &report(50_000.0));
         assert!(!out.passed());
-        assert!(out.regressions[0].contains("reactor_binary_pipelined"));
+        assert!(out.regressions[0].contains("binary_pipelined"));
 
         // Environment mismatch: skipped, never a regression.
         let mut other = report(50_000.0);
@@ -689,7 +685,7 @@ mod tests {
 
         // Schema mismatch is an explicit failure.
         let mut old = report(100_000.0);
-        old.schema = "bwpart-bench-serve/v1".to_string();
+        old.schema = "bwpart-bench-serve/v2".to_string();
         assert!(!check(&old, &report(100_000.0)).passed());
     }
 }

@@ -1,8 +1,9 @@
 //! The epoch engine: fold telemetry, re-estimate, re-partition, publish.
 //!
 //! This is the service's brain, deliberately free of any networking so it
-//! can be driven deterministically in tests. Each call to
-//! [`Engine::run_epoch`] performs one Section IV-C cycle:
+//! can be driven deterministically in tests. [`ShardMap`] is its public
+//! surface: it keeps one private epoch engine per tenant group, and each
+//! epoch of a group engine performs one Section IV-C cycle:
 //!
 //! 1. **Fold** — drain every application's bounded telemetry queue into a
 //!    [`DeltaAccumulator`] and form the epoch's raw Eq. 12–13 `APC_alone`
@@ -128,7 +129,8 @@ impl EngineConfig {
     }
 }
 
-/// What one [`Engine::run_epoch`] call did.
+/// What one epoch did (aggregated across groups by
+/// [`ShardMap::run_epochs`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochOutcome {
     /// New shares were computed, certified, and published.
@@ -165,17 +167,17 @@ struct AppState {
     /// Pre-resolved `bwpartd_app_share{app="<name>"}` gauge, resolved
     /// once at registration so the per-epoch publish never resolves
     /// through the registry (and its internal table lock) while the
-    /// server holds the engine mutex.
+    /// shard lock is held.
     share_gauge: Gauge,
 }
 
-/// Pre-resolved handles for every metric the epoch path touches. The
-/// server calls [`Engine::run_epoch`] and [`Engine::push_telemetry`] with
-/// the `engine` mutex held; resolving a metric by name goes through the
-/// registry's internal `table` lock, so per-epoch resolution would nest
-/// that lock under `engine` on every epoch (workspace lock-order rule
-/// A4). Resolving once at construction keeps the epoch path down to
-/// plain atomic updates.
+/// Pre-resolved handles for every metric the epoch path touches. Group
+/// engines run epochs and queue telemetry with their shard lock held;
+/// resolving a metric by name goes through the registry's internal
+/// `table` lock, so per-epoch resolution would nest that lock under the
+/// shard lock on every epoch (workspace lock-order rule A4). Resolving
+/// once at construction keeps the epoch path down to plain atomic
+/// updates.
 #[derive(Debug)]
 struct EpochMetrics {
     /// `bwpartd_epochs_total`.
@@ -211,11 +213,12 @@ impl EpochMetrics {
     }
 }
 
-/// The deterministic, network-free service core. The TCP layer
-/// ([`crate::server`]) wraps one `Engine` in a mutex; tests drive it
-/// directly.
+/// One tenant group's deterministic, network-free epoch engine, owned by
+/// a [`ShardMap`] shard. Its methods are named apart from the map's so
+/// the name-based call graph behind lint rule A4 never mistakes a call on
+/// a group engine for a call on the map (which takes the shard lock).
 #[derive(Debug)]
-pub struct Engine {
+struct Engine {
     cfg: EngineConfig,
     apps: Vec<AppState>,
     epoch: u64,
@@ -226,11 +229,11 @@ pub struct Engine {
     failed_epochs: u64,
     phase_changes: u64,
     degraded: bool,
-    /// Observability registry: every service counter/gauge/histogram lives
-    /// here and is served verbatim by [`Engine::metrics`]. The engine is
-    /// cold-path code (one call per epoch), so it uses the registry
-    /// directly — lint rule R9's macro-only discipline applies to the
-    /// per-cycle simulator loops, not here.
+    /// Observability registry, shared by every group engine of a
+    /// [`ShardMap`] and served verbatim by [`ShardMap::metrics`]. The
+    /// engine is cold-path code (one call per epoch), so it uses the
+    /// registry directly — lint rule A1's macro-only discipline applies
+    /// to the per-cycle simulator loops, not here.
     registry: Registry,
     /// Pre-resolved epoch-decision latency histogram
     /// (`bwpartd_epoch_latency_seconds`).
@@ -241,18 +244,14 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build an engine; fails on nonsensical configuration.
-    pub fn new(cfg: EngineConfig) -> Result<Self, ServiceError> {
-        Engine::with_registry(cfg, Registry::new())
-    }
-
-    /// Build an engine publishing into an existing registry. Cloned
-    /// registries share their metric cells, so the per-tenant engines of a
-    /// [`ShardMap`] aggregate into one set of service counters for free
-    /// (`bwpartd_epochs_total` counts every tenant's epochs, etc.); the
-    /// `bwpartd_degraded` gauge is last-writer-wins across tenants — use
-    /// [`ShardMap::snapshot`]'s `degraded` (any tenant) for the aggregate.
-    pub fn with_registry(cfg: EngineConfig, registry: Registry) -> Result<Self, ServiceError> {
+    /// Build an engine publishing into an existing registry; fails on
+    /// nonsensical configuration. Cloned registries share their metric
+    /// cells, so the per-tenant engines of a [`ShardMap`] aggregate into
+    /// one set of service counters for free (`bwpartd_epochs_total` counts
+    /// every tenant's epochs, etc.); the `bwpartd_degraded` gauge is
+    /// last-writer-wins across tenants — use [`ShardMap::snapshot`]'s
+    /// `degraded` (any tenant) for the aggregate.
+    fn with_registry(cfg: EngineConfig, registry: Registry) -> Result<Self, ServiceError> {
         cfg.validate()?;
         let epoch_latency = registry.histogram("bwpartd_epoch_latency_seconds");
         let epoch_metrics = EpochMetrics::resolve(&registry);
@@ -273,43 +272,12 @@ impl Engine {
         })
     }
 
-    /// The engine's observability registry (shared handles; cloning a
-    /// metric elsewhere observes the same cells).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The service metrics in both machine-readable forms (the payload of
-    /// the wire protocol's `Metrics` request).
-    pub fn metrics(&self) -> MetricsReply {
-        let snapshot = self.registry.snapshot();
-        MetricsReply {
-            epoch: self.epoch,
-            prometheus: snapshot.render_prometheus(),
-            snapshot,
-        }
-    }
-
-    /// The configuration the engine runs with.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
-    /// Current epoch number (epochs completed so far).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Register an application by name. Idempotent: a known name gets its
-    /// existing id back (with `api` refreshed); a new name is appended.
-    pub fn register(&mut self, name: &str, api: f64) -> Result<usize, ServiceError> {
-        self.register_with_cache(name, api, None)
-    }
-
-    /// Register with an optional client-measured [`CacheSpec`], fitted
-    /// here into a [`CacheAwareProfile`] (re-registering refreshes both
-    /// `api` and the cache profile; `None` clears it).
-    pub fn register_with_cache(
+    /// Register an application by name with an optional client-measured
+    /// [`CacheSpec`], fitted here into a [`CacheAwareProfile`]. Idempotent:
+    /// a known name gets its existing id back (re-registering refreshes
+    /// both `api` and the cache profile; `None` clears it); a new name is
+    /// appended.
+    fn enroll_app(
         &mut self,
         name: &str,
         api: f64,
@@ -354,11 +322,7 @@ impl Engine {
     /// when full, the *oldest* delta is shed (newest data wins) and the
     /// shed counter ticks — backpressure never blocks and never errors.
     /// Returns the epoch the delta will be folded into.
-    pub fn push_telemetry(
-        &mut self,
-        app_id: usize,
-        delta: TelemetryDelta,
-    ) -> Result<u64, ServiceError> {
+    fn enqueue_delta(&mut self, app_id: usize, delta: TelemetryDelta) -> Result<u64, ServiceError> {
         let cap = self.cfg.queue_capacity;
         let app = self.app_mut(app_id)?;
         let mut shed = false;
@@ -380,7 +344,11 @@ impl Engine {
     /// `Σ IPC_target,i × API_i` still fits inside `B`. A rejection is a
     /// structured error and leaves all previously admitted applications
     /// untouched.
-    pub fn qos_admit(&mut self, app_id: usize, ipc_target: f64) -> Result<QosGrant, ServiceError> {
+    fn admit_qos_target(
+        &mut self,
+        app_id: usize,
+        ipc_target: f64,
+    ) -> Result<QosGrant, ServiceError> {
         if !(ipc_target.is_finite() && ipc_target > 0.0) {
             return Err(ServiceError::new(
                 ErrorCode::InvalidArgument,
@@ -440,13 +408,13 @@ impl Engine {
     /// Run one epoch: fold queued telemetry, refresh estimates, re-solve,
     /// and (subject to hysteresis) publish. Also records the epoch's
     /// decision latency and outcome counters into the metrics registry.
-    pub fn run_epoch(&mut self) -> EpochOutcome {
+    fn run_epoch(&mut self) -> EpochOutcome {
         let t0 = Instant::now();
         let was_degraded = self.degraded;
         let outcome = self.run_epoch_inner();
         self.epoch_latency.record(t0.elapsed().as_secs_f64());
-        // Pre-resolved handles only from here down: the server calls
-        // run_epoch with the engine mutex held, and resolving through the
+        // Pre-resolved handles only from here down: the shard map calls
+        // run_epoch with the shard lock held, and resolving through the
         // registry would take its internal table lock under that guard
         // (workspace lock-order rule A4) — as well as paying a hash
         // lookup per metric per epoch.
@@ -552,7 +520,7 @@ impl Engine {
 
     /// The currently published shares (epoch-consistent: identical for
     /// every caller between two repartitions).
-    pub fn get_shares(&self) -> Result<SharesReply, ServiceError> {
+    fn published_shares(&self) -> Result<SharesReply, ServiceError> {
         self.published.clone().ok_or_else(|| {
             ServiceError::new(
                 ErrorCode::NotReady,
@@ -564,7 +532,7 @@ impl Engine {
     /// What-if solve under a different scheme using the current estimates.
     /// Bypasses QoS reservations (it answers "what would `scheme` give?",
     /// not "what will be enforced") and does not touch published state.
-    pub fn solve_with(&self, scheme: PartitionScheme) -> Result<SharesReply, ServiceError> {
+    fn what_if_shares(&self, scheme: PartitionScheme) -> Result<SharesReply, ServiceError> {
         if scheme == PartitionScheme::Coordinated {
             return self.solve_coordinated_current(false);
         }
@@ -581,8 +549,8 @@ impl Engine {
         Ok(self.assemble_reply(&ids, outcome))
     }
 
-    /// Service counters and per-application state.
-    pub fn snapshot(&self) -> ServiceSnapshot {
+    /// Group counters and per-application state.
+    fn group_status(&self) -> ServiceSnapshot {
         ServiceSnapshot {
             epoch: self.epoch,
             scheme: self.cfg.scheme.canonical_name(),
@@ -958,12 +926,12 @@ struct Shard {
 /// `N` independent groups of epoch engines behind `N` locks.
 ///
 /// Tenant groups (see [`tenant_of`]) hash to shards by FNV-1a, and each
-/// group gets its *own* [`Engine`] — its own telemetry queues, QoS
+/// group gets its *own* epoch engine — its own telemetry queues, QoS
 /// reservations, hysteresis state, and epoch counter — so one tenant's
 /// burst cannot delay another's repartition decision, and two shards'
 /// epochs run concurrently on the reactor's workers. Every solve is still
-/// certified per-engine (`ensures_simplex!` / `ensures_capped!` in
-/// [`Engine::run_epoch`]); each group partitions the full configured
+/// certified per group engine (`ensures_simplex!` / `ensures_capped!` in
+/// its solve); each group partitions the full configured
 /// bandwidth `B` independently, modelling separate enforcement domains.
 ///
 /// Public application ids interleave shards (`id = seq × shards + shard`)
@@ -1011,15 +979,14 @@ impl ShardMap {
     }
 
     /// The shared observability registry (all tenant engines publish into
-    /// it; see [`Engine::with_registry`]).
+    /// clones of it, which share its metric cells).
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
 
     /// Lock shard `idx`. The single choke point for shard locking so the
-    /// lock-order table has one name for it; recovers from poisoning the
-    /// same way the server's engine lock does (a panicked epoch must not
-    /// take the service down).
+    /// lock-order table has one name for it; recovers from poisoning (a
+    /// panicked epoch must not take the service down).
     fn lock_shard(&self, idx: usize) -> std::sync::MutexGuard<'_, Shard> {
         self.shards[idx]
             .lock()
@@ -1041,14 +1008,15 @@ impl ShardMap {
     }
 
     /// Register an application, creating its tenant group's engine on
-    /// first sight. Idempotent like [`Engine::register`]: a known name
-    /// returns its existing public id.
+    /// first sight. Idempotent: a known name returns its existing public
+    /// id (with `api` refreshed).
     pub fn register(&self, name: &str, api: f64) -> Result<usize, ServiceError> {
         self.register_with_cache(name, api, None)
     }
 
-    /// Register with an optional cache profile (see
-    /// [`Engine::register_with_cache`]).
+    /// Register with an optional client-measured [`CacheSpec`], fitted
+    /// into the model's cache-aware profile (re-registering refreshes both
+    /// `api` and the cache profile; `None` clears it).
     pub fn register_with_cache(
         &self,
         name: &str,
@@ -1075,9 +1043,7 @@ impl ShardMap {
                 shard.tenants.len() - 1
             }
         };
-        let local = shard.tenants[tenant]
-            .engine
-            .register_with_cache(name, api, cache)?;
+        let local = shard.tenants[tenant].engine.enroll_app(name, api, cache)?;
         if let Some(seq) = shard.dir.iter().position(|&e| e == (tenant, local)) {
             return Ok(self.public_id(shard_idx, seq));
         }
@@ -1104,7 +1070,7 @@ impl ShardMap {
         let (shard_idx, seq) = self.locate(app_id);
         let mut shard = self.lock_shard(shard_idx);
         let (tenant, local) = Self::entry(&shard, seq, app_id)?;
-        shard.tenants[tenant].engine.push_telemetry(local, delta)
+        shard.tenants[tenant].engine.enqueue_delta(local, delta)
     }
 
     /// Eq. 11 admission against the application's group engine (each
@@ -1113,7 +1079,9 @@ impl ShardMap {
         let (shard_idx, seq) = self.locate(app_id);
         let mut shard = self.lock_shard(shard_idx);
         let (tenant, local) = Self::entry(&shard, seq, app_id)?;
-        let grant = shard.tenants[tenant].engine.qos_admit(local, ipc_target)?;
+        let grant = shard.tenants[tenant]
+            .engine
+            .admit_qos_target(local, ipc_target)?;
         Ok(QosGrant { app_id, ..grant })
     }
 
@@ -1149,14 +1117,15 @@ impl ShardMap {
     /// epoch and `degraded` is true if *any* group is degraded. Errors
     /// with `NotReady` only when no group has published anything.
     pub fn get_shares(&self) -> Result<SharesReply, ServiceError> {
-        self.collect_shares(|engine| engine.get_shares())
+        self.collect_shares(Engine::published_shares)
     }
 
-    /// What-if aggregate: every group re-solved under `scheme` (see
-    /// [`Engine::solve_with`]; bypasses QoS, does not touch published
-    /// state).
+    /// What-if aggregate: every group re-solved under `scheme` from its
+    /// current estimates (bypasses QoS reservations — it answers "what
+    /// would `scheme` give?", not "what will be enforced" — and does not
+    /// touch published state).
     pub fn solve_with(&self, scheme: PartitionScheme) -> Result<SharesReply, ServiceError> {
-        self.collect_shares(|engine| engine.solve_with(scheme))
+        self.collect_shares(|engine| engine.what_if_shares(scheme))
     }
 
     /// One group's shares, exactly as its engine published them (a single
@@ -1177,8 +1146,8 @@ impl ShardMap {
         };
         let engine = &shard.tenants[tenant].engine;
         let mut reply = match scheme {
-            Some(s) => engine.solve_with(s)?,
-            None => engine.get_shares()?,
+            Some(s) => engine.what_if_shares(s)?,
+            None => engine.published_shares()?,
         };
         for row in &mut reply.apps {
             row.app_id = self.resolve_public(&shard, shard_idx, tenant, row.app_id);
@@ -1210,7 +1179,7 @@ impl ShardMap {
         for shard_idx in 0..self.shards.len() {
             let shard = self.lock_shard(shard_idx);
             for (tenant, cell) in shard.tenants.iter().enumerate() {
-                let snap = cell.engine.snapshot();
+                let snap = cell.engine.group_status();
                 agg.epoch = agg.epoch.max(snap.epoch);
                 agg.repartitions += snap.repartitions;
                 agg.held_epochs += snap.held_epochs;
@@ -1241,7 +1210,7 @@ impl ShardMap {
         for idx in 0..self.shards.len() {
             let shard = self.lock_shard(idx);
             for cell in &shard.tenants {
-                epoch = epoch.max(cell.engine.epoch());
+                epoch = epoch.max(cell.engine.epoch);
             }
         }
         let snapshot = self.registry.snapshot();
@@ -1289,11 +1258,6 @@ impl ShardMap {
         // one, so what-if aggregates answer under the asked-for scheme.
         let mut scheme = self.cfg.scheme.canonical_name();
         for shard_idx in 0..self.shards.len() {
-            // lint: allow(A4): the reported cycle goes through the
-            // name-based call graph conflating `Engine::solve_with`
-            // (called by `group_shares` on a *tenant engine*, no shard
-            // lock inside) with `ShardMap::solve_with`; no caller of
-            // collect_shares holds a shard lock.
             let shard = self.lock_shard(shard_idx);
             for (tenant, cell) in shard.tenants.iter().enumerate() {
                 match per_engine(&cell.engine) {
@@ -1388,6 +1352,11 @@ fn resource_delta(prev: &AppShare, next: &AppShare) -> f64 {
 mod tests {
     use super::*;
 
+    /// A stand-alone group engine with its own registry.
+    fn engine(cfg: EngineConfig) -> Result<Engine, ServiceError> {
+        Engine::with_registry(cfg, Registry::new())
+    }
+
     /// A delta whose Eq. 12 estimate is exactly `apc_alone` (no
     /// interference, one mega-cycle window).
     fn clean_delta(apc_alone: f64) -> TelemetryDelta {
@@ -1400,12 +1369,12 @@ mod tests {
     }
 
     fn four_app_engine() -> (Engine, Vec<usize>) {
-        let mut e = Engine::new(EngineConfig::default()).unwrap();
+        let mut e = engine(EngineConfig::default()).unwrap();
         let ids = vec![
-            e.register("lbm", 0.00939).unwrap(),
-            e.register("libquantum", 0.00692).unwrap(),
-            e.register("omnetpp", 0.00519).unwrap(),
-            e.register("hmmer", 0.00529).unwrap(),
+            e.enroll_app("lbm", 0.00939, None).unwrap(),
+            e.enroll_app("libquantum", 0.00692, None).unwrap(),
+            e.enroll_app("omnetpp", 0.00519, None).unwrap(),
+            e.enroll_app("hmmer", 0.00529, None).unwrap(),
         ];
         (e, ids)
     }
@@ -1414,19 +1383,19 @@ mod tests {
 
     fn feed_epoch(e: &mut Engine, ids: &[usize]) {
         for (&id, &apc) in ids.iter().zip(&ALONE) {
-            e.push_telemetry(id, clean_delta(apc)).unwrap();
+            e.enqueue_delta(id, clean_delta(apc)).unwrap();
         }
     }
 
     #[test]
     fn register_is_idempotent_by_name() {
-        let mut e = Engine::new(EngineConfig::default()).unwrap();
-        let a = e.register("milc", 0.01).unwrap();
-        let b = e.register("milc", 0.02).unwrap();
+        let mut e = engine(EngineConfig::default()).unwrap();
+        let a = e.enroll_app("milc", 0.01, None).unwrap();
+        let b = e.enroll_app("milc", 0.02, None).unwrap();
         assert_eq!(a, b);
-        assert!((e.snapshot().apps[a].api - 0.02).abs() < 1e-15);
-        assert!(e.register("", 0.01).is_err());
-        assert!(e.register("x", f64::NAN).is_err());
+        assert!((e.group_status().apps[a].api - 0.02).abs() < 1e-15);
+        assert!(e.enroll_app("", 0.01, None).is_err());
+        assert!(e.enroll_app("x", f64::NAN, None).is_err());
     }
 
     #[test]
@@ -1436,7 +1405,7 @@ mod tests {
 
         feed_epoch(&mut e, &ids);
         assert_eq!(e.run_epoch(), EpochOutcome::Repartitioned);
-        let reply = e.get_shares().unwrap();
+        let reply = e.published_shares().unwrap();
         assert!(!reply.degraded);
 
         // Offline closed-form reference on the true profiles.
@@ -1444,12 +1413,12 @@ mod tests {
             .iter()
             .zip(&ALONE)
             .map(|(&id, &apc)| {
-                let st = e.snapshot();
+                let st = e.group_status();
                 AppProfile::new(st.apps[id].name.clone(), st.apps[id].api, apc).unwrap()
             })
             .collect();
         let offline = PartitionScheme::SquareRoot
-            .solve(&profiles, e.config().bandwidth)
+            .solve(&profiles, e.cfg.bandwidth)
             .unwrap();
         for (got, want) in reply.outcome.beta.iter().zip(&offline.beta) {
             assert!(
@@ -1464,12 +1433,12 @@ mod tests {
         let (mut e, ids) = four_app_engine();
         feed_epoch(&mut e, &ids);
         assert_eq!(e.run_epoch(), EpochOutcome::Repartitioned);
-        let first = e.get_shares().unwrap();
+        let first = e.published_shares().unwrap();
 
         // Same telemetry again → same estimates → max|Δβ| = 0 < hysteresis.
         feed_epoch(&mut e, &ids);
         assert_eq!(e.run_epoch(), EpochOutcome::Held);
-        let second = e.get_shares().unwrap();
+        let second = e.published_shares().unwrap();
         assert_eq!(first, second, "held epoch must serve the identical reply");
     }
 
@@ -1480,13 +1449,13 @@ mod tests {
         e.run_epoch();
 
         // lbm triples its standalone rate: a >50% jump must snap.
-        e.push_telemetry(ids[0], clean_delta(ALONE[0] * 3.0))
+        e.enqueue_delta(ids[0], clean_delta(ALONE[0] * 3.0))
             .unwrap();
         for (&id, &apc) in ids.iter().zip(&ALONE).skip(1) {
-            e.push_telemetry(id, clean_delta(apc)).unwrap();
+            e.enqueue_delta(id, clean_delta(apc)).unwrap();
         }
         e.run_epoch();
-        let st = e.snapshot();
+        let st = e.group_status();
         assert_eq!(st.phase_changes, 1);
         let est = st.apps[ids[0]].apc_alone_estimate.unwrap();
         assert!(
@@ -1501,10 +1470,10 @@ mod tests {
         let (mut e, ids) = four_app_engine();
         feed_epoch(&mut e, &ids);
         e.run_epoch();
-        let before = e.get_shares().unwrap();
+        let before = e.published_shares().unwrap();
         assert_eq!(e.run_epoch(), EpochOutcome::Idle);
-        assert_eq!(e.get_shares().unwrap(), before);
-        assert_eq!(e.snapshot().idle_epochs, 1);
+        assert_eq!(e.published_shares().unwrap(), before);
+        assert_eq!(e.group_status().idle_epochs, 1);
     }
 
     #[test]
@@ -1513,12 +1482,12 @@ mod tests {
             queue_capacity: 4,
             ..EngineConfig::default()
         };
-        let mut e = Engine::new(cfg).unwrap();
-        let id = e.register("burst", 0.01).unwrap();
+        let mut e = engine(cfg).unwrap();
+        let id = e.enroll_app("burst", 0.01, None).unwrap();
         for _ in 0..10 {
-            e.push_telemetry(id, clean_delta(0.02)).unwrap();
+            e.enqueue_delta(id, clean_delta(0.02)).unwrap();
         }
-        let st = e.snapshot();
+        let st = e.group_status();
         assert_eq!(st.apps[id].queued, 4);
         assert_eq!(st.apps[id].shed, 6);
     }
@@ -1528,7 +1497,7 @@ mod tests {
         let (mut e, ids) = four_app_engine();
         // No estimate yet → NotReady.
         assert_eq!(
-            e.qos_admit(ids[3], 0.5).unwrap_err().code,
+            e.admit_qos_target(ids[3], 0.5).unwrap_err().code,
             ErrorCode::NotReady
         );
 
@@ -1536,35 +1505,35 @@ mod tests {
         e.run_epoch();
 
         // hmmer: IPC_alone = 0.0046 / 0.00529 ≈ 0.8696.
-        let grant = e.qos_admit(ids[3], 0.6).unwrap();
+        let grant = e.admit_qos_target(ids[3], 0.6).unwrap();
         assert!((grant.reserved_apc - 0.6 * 0.00529).abs() < 1e-9);
 
         // Unreachable target (above standalone IPC) → QosUnreachable.
         assert_eq!(
-            e.qos_admit(ids[3], 2.0).unwrap_err().code,
+            e.admit_qos_target(ids[3], 2.0).unwrap_err().code,
             ErrorCode::QosUnreachable
         );
 
         // Infeasible: omnetpp asking for enough to blow the budget.
         // IPC_alone(omnetpp) ≈ 0.0306/0.00519 ≈ 5.896; a target of 1.4
         // needs 0.007266 APC, and 0.007266 + 0.003174 > B = 0.0095.
-        let before = e.snapshot();
-        let err = e.qos_admit(ids[2], 1.4).unwrap_err();
+        let before = e.group_status();
+        let err = e.admit_qos_target(ids[2], 1.4).unwrap_err();
         assert_eq!(err.code, ErrorCode::QosInfeasible);
         // The rejection must not disturb admitted state.
-        let after = e.snapshot();
+        let after = e.group_status();
         assert_eq!(before.apps, after.apps);
 
         // Unknown app id → UnknownApp.
         assert_eq!(
-            e.qos_admit(99, 0.1).unwrap_err().code,
+            e.admit_qos_target(99, 0.1).unwrap_err().code,
             ErrorCode::UnknownApp
         );
 
         // The next epoch honours the admitted reservation exactly (Eq. 11).
         feed_epoch(&mut e, &ids);
         e.run_epoch();
-        let reply = e.get_shares().unwrap();
+        let reply = e.published_shares().unwrap();
         assert!((reply.apps[ids[3]].allocation - 0.6 * 0.00529).abs() < 1e-6);
     }
 
@@ -1573,15 +1542,15 @@ mod tests {
         // Regression companion to the profiler-level all-idle test: an
         // engine fed only empty/zero telemetry must stay NotReady (never
         // publish NaN shares).
-        let mut e = Engine::new(EngineConfig::default()).unwrap();
-        let id = e.register("ghost", 0.01).unwrap();
-        e.push_telemetry(id, TelemetryDelta::default()).unwrap();
+        let mut e = engine(EngineConfig::default()).unwrap();
+        let id = e.enroll_app("ghost", 0.01, None).unwrap();
+        e.enqueue_delta(id, TelemetryDelta::default()).unwrap();
         assert_eq!(e.run_epoch(), EpochOutcome::Idle);
-        assert_eq!(e.get_shares().unwrap_err().code, ErrorCode::NotReady);
+        assert_eq!(e.published_shares().unwrap_err().code, ErrorCode::NotReady);
 
         // Cycles but zero accesses: a live-but-silent app solves to a zero
         // rate, which is excluded rather than folded into a NaN β.
-        e.push_telemetry(
+        e.enqueue_delta(
             id,
             TelemetryDelta {
                 accesses: 0,
@@ -1591,8 +1560,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(e.run_epoch(), EpochOutcome::Failed);
-        assert_eq!(e.get_shares().unwrap_err().code, ErrorCode::NotReady);
-        assert_eq!(e.snapshot().failed_epochs, 1);
+        assert_eq!(e.published_shares().unwrap_err().code, ErrorCode::NotReady);
+        assert_eq!(e.group_status().failed_epochs, 1);
     }
 
     #[test]
@@ -1600,11 +1569,11 @@ mod tests {
         let (mut e, ids) = four_app_engine();
         feed_epoch(&mut e, &ids);
         e.run_epoch();
-        let published = e.get_shares().unwrap();
-        let whatif = e.solve_with(PartitionScheme::Proportional).unwrap();
+        let published = e.published_shares().unwrap();
+        let whatif = e.what_if_shares(PartitionScheme::Proportional).unwrap();
         assert_eq!(whatif.outcome.scheme, "proportional");
         assert_ne!(whatif.outcome.beta, published.outcome.beta);
-        assert_eq!(e.get_shares().unwrap(), published);
+        assert_eq!(e.published_shares().unwrap(), published);
     }
 
     #[test]
@@ -1613,24 +1582,23 @@ mod tests {
             queue_capacity: 2,
             ..EngineConfig::default()
         };
-        let mut e = Engine::new(cfg).unwrap();
+        let mut e = engine(cfg).unwrap();
         let ids = [
-            e.register("lbm", 0.00939).unwrap(),
-            e.register("hmmer", 0.00529).unwrap(),
+            e.enroll_app("lbm", 0.00939, None).unwrap(),
+            e.enroll_app("hmmer", 0.00529, None).unwrap(),
         ];
         // Overflow one queue: 5 pushes into capacity 2 shed 3.
         for _ in 0..5 {
-            e.push_telemetry(ids[0], clean_delta(0.05)).unwrap();
+            e.enqueue_delta(ids[0], clean_delta(0.05)).unwrap();
         }
-        e.push_telemetry(ids[1], clean_delta(0.005)).unwrap();
+        e.enqueue_delta(ids[1], clean_delta(0.005)).unwrap();
         assert_eq!(e.run_epoch(), EpochOutcome::Repartitioned);
         assert_eq!(e.run_epoch(), EpochOutcome::Idle);
 
-        let m = e.metrics();
-        assert_eq!(m.epoch, 2);
+        assert_eq!(e.epoch, 2);
+        let m = e.registry.snapshot();
         let counter = |name: &str| {
-            m.snapshot
-                .counters
+            m.counters
                 .iter()
                 .find(|c| c.name == name)
                 .map(|c| c.value)
@@ -1641,24 +1609,24 @@ mod tests {
         assert_eq!(counter("bwpartd_idle_epochs_total"), 1);
         assert_eq!(counter("bwpartd_telemetry_shed_total"), 3);
         // Snapshot mirrors the aggregate shed count.
-        assert_eq!(e.snapshot().telemetry_shed_total, 3);
+        assert_eq!(e.group_status().telemetry_shed_total, 3);
         // Epoch latency was sampled once per epoch.
         let lat = m
-            .snapshot
             .histograms
             .iter()
             .find(|h| h.name == "bwpartd_epoch_latency_seconds")
             .expect("latency histogram registered");
         assert_eq!(lat.count, 2);
         // Per-app share gauges exist for both registered apps.
-        assert!(m.prometheus.contains("bwpartd_app_share{app=\"lbm\"}"));
-        assert!(m.prometheus.contains("bwpartd_app_share{app=\"hmmer\"}"));
+        let prometheus = m.render_prometheus();
+        assert!(prometheus.contains("bwpartd_app_share{app=\"lbm\"}"));
+        assert!(prometheus.contains("bwpartd_app_share{app=\"hmmer\"}"));
     }
 
     #[test]
     fn degraded_transitions_are_counted_once_per_flip() {
-        let mut e = Engine::new(EngineConfig::default()).unwrap();
-        let id = e.register("silent", 0.01).unwrap();
+        let mut e = engine(EngineConfig::default()).unwrap();
+        let id = e.enroll_app("silent", 0.01, None).unwrap();
         let zero_rate = TelemetryDelta {
             accesses: 0,
             shared_cycles: 1_000,
@@ -1666,15 +1634,15 @@ mod tests {
         };
         // Two consecutive failing epochs: one transition, not two.
         for _ in 0..2 {
-            e.push_telemetry(id, zero_rate).unwrap();
+            e.enqueue_delta(id, zero_rate).unwrap();
             assert_eq!(e.run_epoch(), EpochOutcome::Failed);
         }
         // Recovery: a real estimate flips degraded back off.
-        e.push_telemetry(id, clean_delta(0.02)).unwrap();
+        e.enqueue_delta(id, clean_delta(0.02)).unwrap();
         assert_eq!(e.run_epoch(), EpochOutcome::Repartitioned);
-        let m = e.metrics();
-        let flips = m
-            .snapshot
+        let flips = e
+            .registry
+            .snapshot()
             .counters
             .iter()
             .find(|c| c.name == "bwpartd_degraded_transitions_total")
@@ -1710,13 +1678,13 @@ mod tests {
 
         for (id, &apc) in ALONE.iter().enumerate() {
             map.push_telemetry(id, clean_delta(apc)).unwrap();
-            engine.push_telemetry(id, clean_delta(apc)).unwrap();
+            engine.enqueue_delta(id, clean_delta(apc)).unwrap();
         }
         assert_eq!(map.run_epochs(), EpochOutcome::Repartitioned);
         assert_eq!(engine.run_epoch(), EpochOutcome::Repartitioned);
 
         let sharded = map.get_shares().unwrap();
-        let plain = engine.get_shares().unwrap();
+        let plain = engine.published_shares().unwrap();
         assert_eq!(sharded.apps, plain.apps);
         assert_eq!(sharded.epoch, plain.epoch);
         assert_eq!(sharded.outcome.beta, plain.outcome.beta);
@@ -1834,28 +1802,28 @@ mod tests {
     #[test]
     fn config_validation_rejects_nonsense() {
         let base = EngineConfig::default;
-        assert!(Engine::new(EngineConfig {
+        assert!(engine(EngineConfig {
             bandwidth: -1.0,
             ..base()
         })
         .is_err());
-        assert!(Engine::new(EngineConfig {
+        assert!(engine(EngineConfig {
             ewma_alpha: 0.0,
             ..base()
         })
         .is_err());
-        assert!(Engine::new(EngineConfig {
+        assert!(engine(EngineConfig {
             queue_capacity: 0,
             ..base()
         })
         .is_err());
         // The coordinated scheme cannot run without an LLC to partition.
-        assert!(Engine::new(EngineConfig {
+        assert!(engine(EngineConfig {
             scheme: PartitionScheme::Coordinated,
             ..base()
         })
         .is_err());
-        assert!(Engine::new(EngineConfig {
+        assert!(engine(EngineConfig {
             total_ways: Some(0),
             ..base()
         })
@@ -1908,12 +1876,12 @@ mod tests {
             total_ways: Some(16),
             ..EngineConfig::new(PartitionScheme::Coordinated, 0.0095)
         };
-        let mut e = Engine::new(cfg).unwrap();
+        let mut e = engine(cfg).unwrap();
         let specs = [steep_spec(), flat_spec()];
         let ids = [
-            e.register_with_cache("llcfit", 0.002, Some(specs[0].clone()))
+            e.enroll_app("llcfit", 0.002, Some(specs[0].clone()))
                 .unwrap(),
-            e.register_with_cache("stream", 0.02, Some(specs[1].clone()))
+            e.enroll_app("stream", 0.02, Some(specs[1].clone()))
                 .unwrap(),
         ];
         let caches = vec![fitted("llcfit", &specs[0]), fitted("stream", &specs[1])];
@@ -1940,11 +1908,11 @@ mod tests {
         let mut enforced = [8usize, 8];
         for _ in 0..6 {
             for ((&id, cache), &w) in ids.iter().zip(&caches).zip(&enforced) {
-                e.push_telemetry(id, clean_delta(cache.apc_alone_at(w as f64)))
+                e.enqueue_delta(id, clean_delta(cache.apc_alone_at(w as f64)))
                     .unwrap();
             }
             e.run_epoch();
-            let snap = e.snapshot();
+            let snap = e.group_status();
             for (slot, &id) in enforced.iter_mut().zip(&ids) {
                 if let Some(w) = snap.apps[id].llc_ways {
                     *slot = w;
@@ -1952,7 +1920,7 @@ mod tests {
             }
         }
 
-        let reply = e.get_shares().unwrap();
+        let reply = e.published_shares().unwrap();
         assert!(!reply.degraded);
         assert_eq!(reply.outcome.scheme, "coordinated");
         let ways: Vec<usize> = ids
@@ -1975,7 +1943,7 @@ mod tests {
             );
         }
         // The snapshot reports the enforced ways per app.
-        let snap = e.snapshot();
+        let snap = e.group_status();
         for (&id, &w) in ids.iter().zip(&offline.ways) {
             assert_eq!(snap.apps[id].llc_ways, Some(w));
         }
@@ -1989,22 +1957,19 @@ mod tests {
             total_ways: Some(16),
             ..EngineConfig::new(PartitionScheme::Coordinated, 0.0095)
         };
-        let mut e = Engine::new(cfg).unwrap();
-        let a = e
-            .register_with_cache("llcfit", 0.002, Some(steep_spec()))
-            .unwrap();
-        let b = e.register("legacy", 0.02).unwrap();
-        e.push_telemetry(a, clean_delta(0.004)).unwrap();
-        e.push_telemetry(b, clean_delta(0.009)).unwrap();
+        let mut e = engine(cfg).unwrap();
+        let a = e.enroll_app("llcfit", 0.002, Some(steep_spec())).unwrap();
+        let b = e.enroll_app("legacy", 0.02, None).unwrap();
+        e.enqueue_delta(a, clean_delta(0.004)).unwrap();
+        e.enqueue_delta(b, clean_delta(0.009)).unwrap();
         assert_eq!(e.run_epoch(), EpochOutcome::Failed);
-        assert!(e.snapshot().degraded);
+        assert!(e.group_status().degraded);
         // Re-registering with a spec repairs the next epoch.
-        e.register_with_cache("legacy", 0.02, Some(flat_spec()))
-            .unwrap();
-        e.push_telemetry(a, clean_delta(0.004)).unwrap();
-        e.push_telemetry(b, clean_delta(0.009)).unwrap();
+        e.enroll_app("legacy", 0.02, Some(flat_spec())).unwrap();
+        e.enqueue_delta(a, clean_delta(0.004)).unwrap();
+        e.enqueue_delta(b, clean_delta(0.009)).unwrap();
         assert_eq!(e.run_epoch(), EpochOutcome::Repartitioned);
-        assert!(!e.snapshot().degraded);
+        assert!(!e.group_status().degraded);
     }
 
     /// A bandwidth-only engine can answer a coordinated what-if when it
@@ -2015,22 +1980,20 @@ mod tests {
             total_ways: Some(16),
             ..EngineConfig::default()
         };
-        let mut e = Engine::new(cfg).unwrap();
+        let mut e = engine(cfg).unwrap();
         let ids = [
-            e.register_with_cache("llcfit", 0.002, Some(steep_spec()))
-                .unwrap(),
-            e.register_with_cache("stream", 0.02, Some(flat_spec()))
-                .unwrap(),
+            e.enroll_app("llcfit", 0.002, Some(steep_spec())).unwrap(),
+            e.enroll_app("stream", 0.02, Some(flat_spec())).unwrap(),
         ];
         for &id in &ids {
-            e.push_telemetry(id, clean_delta(0.006)).unwrap();
+            e.enqueue_delta(id, clean_delta(0.006)).unwrap();
         }
         e.run_epoch();
-        let published = e.get_shares().unwrap();
+        let published = e.published_shares().unwrap();
         assert_eq!(published.outcome.scheme, "square-root");
         assert!(published.apps.iter().all(|a| a.resources.is_none()));
 
-        let whatif = e.solve_with(PartitionScheme::Coordinated).unwrap();
+        let whatif = e.what_if_shares(PartitionScheme::Coordinated).unwrap();
         assert_eq!(whatif.outcome.scheme, "coordinated");
         let total: usize = whatif
             .apps
@@ -2042,7 +2005,7 @@ mod tests {
             .sum();
         assert_eq!(total, 16);
         assert_eq!(
-            e.get_shares().unwrap(),
+            e.published_shares().unwrap(),
             published,
             "what-if must not publish"
         );
@@ -2054,22 +2017,22 @@ mod tests {
     fn coordinated_epoch_honours_qos_reservations() {
         let (mut e, ids, caches) = coordinated_engine();
         for (&id, cache) in ids.iter().zip(&caches) {
-            e.push_telemetry(id, clean_delta(cache.apc_alone_at(8.0)))
+            e.enqueue_delta(id, clean_delta(cache.apc_alone_at(8.0)))
                 .unwrap();
         }
         e.run_epoch();
 
         // Reserve most of what the streamer can use.
-        let st = e.snapshot();
+        let st = e.group_status();
         let ipc_alone = st.apps[ids[1]].apc_alone_estimate.unwrap() / st.apps[ids[1]].api;
-        let grant = e.qos_admit(ids[1], ipc_alone * 0.9).unwrap();
+        let grant = e.admit_qos_target(ids[1], ipc_alone * 0.9).unwrap();
 
         for (&id, cache) in ids.iter().zip(&caches) {
-            e.push_telemetry(id, clean_delta(cache.apc_alone_at(8.0)))
+            e.enqueue_delta(id, clean_delta(cache.apc_alone_at(8.0)))
                 .unwrap();
         }
         e.run_epoch();
-        let reply = e.get_shares().unwrap();
+        let reply = e.published_shares().unwrap();
         assert_eq!(reply.outcome.scheme, "coordinated");
         assert!(
             reply.apps[ids[1]].allocation >= grant.reserved_apc - 1e-9,

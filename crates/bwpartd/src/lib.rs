@@ -9,24 +9,24 @@
 //!
 //! * [`protocol`] — a versioned, length-prefixed JSON wire protocol
 //!   (pure codec, testable without sockets).
-//! * [`engine`] — the epoch engine: fold Section IV-C telemetry deltas
-//!   into Eq. 12–13 `APC_alone` estimates (EWMA-smoothed, with phase-change
-//!   snapping), re-solve the configured [`PartitionScheme`] each epoch
-//!   (honouring Eq. 11 QoS reservations), certify the result against the
-//!   model contracts, and publish it subject to hysteresis.
-//! * [`server`] — the threaded TCP front-end (`std::net` only, no
-//!   runtime): accept loop, per-connection threads with read timeouts,
-//!   epoch timer.
-//! * [`rserver`] — the reactor TCP front-end (vendored-`mio` epoll/poll
+//! * [`engine`] — the epoch engine behind one public type, [`ShardMap`]:
+//!   per tenant group, fold Section IV-C telemetry deltas into Eq. 12–13
+//!   `APC_alone` estimates (EWMA-smoothed, with phase-change snapping),
+//!   re-solve the configured [`PartitionScheme`] each epoch (honouring
+//!   Eq. 11 QoS reservations), certify the result against the model
+//!   contracts, and publish it subject to hysteresis.
+//! * [`server`] — the TCP front-end (vendored-`mio` epoll/poll
 //!   readiness loop, DESIGN.md §16): a fixed pool of nonblocking workers
-//!   multiplexing hundreds of pipelined connections, with per-tenant
-//!   engine shards ([`engine::ShardMap`]) ticking on a timer wheel.
+//!   multiplexing hundreds of pipelined connections, with bounded
+//!   per-connection buffers, shard epochs ticking on a timer wheel, and
+//!   an idle sweep.
 //! * [`client`] — a typed blocking client speaking the same codec
 //!   (JSON or the v2 binary framing, see [`protocol::Codec`]).
 //!
 //! Degradation is deliberate and bounded: malformed frames kill one
-//! connection, telemetry queues shed oldest-first, failed solves serve
-//! last-good shares flagged `degraded`, and all-idle epochs change nothing.
+//! connection, a client that stops reading is pushed back by TCP,
+//! telemetry queues shed oldest-first, failed solves serve last-good
+//! shares flagged `degraded`, and all-idle epochs change nothing.
 //!
 //! ```no_run
 //! use bwpartd::{serve, Client, ServeConfig};
@@ -50,11 +50,10 @@ pub use bwpart_core::PartitionScheme;
 pub mod client;
 pub mod engine;
 pub mod protocol;
-pub mod rserver;
 pub mod server;
 
 pub use client::{Client, ClientError};
-pub use engine::{Engine, EngineConfig, EpochOutcome, ShardMap};
+pub use engine::{EngineConfig, EpochOutcome, ShardMap};
 pub use protocol::{
     AppShare, AppStatus, CacheSpec, Codec, ErrorCode, FrameError, MetricsReply, MrcPoint, QosGrant,
     Request, ResourceShare, Response, ServiceError, ServiceSnapshot, SharesReply,

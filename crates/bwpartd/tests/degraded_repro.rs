@@ -2,7 +2,7 @@
 //! clear the `degraded` flag on the served reply (it used to stick).
 
 use bwpart_mc::TelemetryDelta;
-use bwpartd::{Engine, EngineConfig};
+use bwpartd::{EngineConfig, ShardMap};
 
 fn clean(apc: f64) -> TelemetryDelta {
     let cyc = 1_000_000u64;
@@ -15,10 +15,10 @@ fn clean(apc: f64) -> TelemetryDelta {
 
 #[test]
 fn recovered_publish_not_degraded() {
-    let mut e = Engine::new(EngineConfig::default()).unwrap();
-    let id = e.register("a", 0.01).unwrap();
+    let map = ShardMap::new(EngineConfig::default(), 1).unwrap();
+    let id = map.register("a", 0.01).unwrap();
     // Live-but-silent epoch: zero-rate estimate -> solve fails.
-    e.push_telemetry(
+    map.push_telemetry(
         id,
         TelemetryDelta {
             accesses: 0,
@@ -27,15 +27,15 @@ fn recovered_publish_not_degraded() {
         },
     )
     .unwrap();
-    e.run_epoch();
+    map.run_epochs();
     // Good telemetry: solve succeeds, first publish.
-    e.push_telemetry(id, clean(0.05)).unwrap();
-    let out = e.run_epoch();
+    map.push_telemetry(id, clean(0.05)).unwrap();
+    let out = map.run_epochs();
     println!("outcome = {out:?}");
-    let reply = e.get_shares().unwrap();
+    let reply = map.get_shares().unwrap();
     assert!(
         !reply.degraded,
         "freshly repartitioned reply must not be degraded (snapshot.degraded = {})",
-        e.snapshot().degraded
+        map.snapshot().degraded
     );
 }

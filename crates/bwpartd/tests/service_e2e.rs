@@ -420,20 +420,19 @@ fn client_shutdown_stops_service() {
     handle.join();
 }
 
-/// The reactor front-end with tenant sharding: two tenants each stream the
+/// Tenant sharding on two reactor workers: two tenants each stream the
 /// four-app workload over binary-codec connections, and every tenant
 /// group's published shares converge — independently — to within 2% of the
 /// offline closed-form Square_root solution, exactly like the unsharded
-/// threaded service.
+/// service.
 #[test]
 fn reactor_sharded_convergence_matches_offline_square_root() {
     let handle = serve(ServeConfig {
-        reactor: true,
         shards: 4,
         workers: 2,
         ..base_config()
     })
-    .expect("bind reactor on loopback");
+    .expect("bind on loopback");
     let mut rng = Lcg(0xacce55);
 
     const TENANTS: [&str; 2] = ["acme", "zeta"];
@@ -509,16 +508,12 @@ fn reactor_sharded_convergence_matches_offline_square_root() {
     handle.join();
 }
 
-/// JSON and binary clients interleave on the same reactor server and see
+/// JSON and binary clients interleave on the same server and see
 /// identical epoch-consistent replies — the server answers each request in
 /// the codec it arrived in, with no per-connection negotiation.
 #[test]
 fn mixed_codec_clients_see_identical_epoch_state() {
-    let handle = serve(ServeConfig {
-        reactor: true,
-        ..base_config()
-    })
-    .expect("bind reactor on loopback");
+    let handle = start_service();
     let mut rng = Lcg(0x0dec);
 
     let mut json = Client::connect(handle.addr()).expect("connect json");
@@ -555,56 +550,43 @@ fn mixed_codec_clients_see_identical_epoch_state() {
 }
 
 /// A frame carrying an unknown protocol version byte earns a structured
-/// `UnsupportedVersion` error and a closed connection — on both the
-/// threaded and reactor front-ends.
+/// `UnsupportedVersion` error and a closed connection.
 #[test]
 fn unknown_wire_version_is_rejected_with_structured_error() {
-    for reactor in [false, true] {
-        let handle = serve(ServeConfig {
-            reactor,
-            ..base_config()
-        })
-        .expect("bind on loopback");
+    let handle = start_service();
 
-        let mut s = TcpStream::connect(handle.addr()).expect("connect");
-        let mut frame = Vec::from(protocol::MAGIC);
-        frame.push(3); // one past the highest negotiated version
-        frame.push(0);
-        frame.extend_from_slice(&4u32.to_be_bytes());
-        frame.extend_from_slice(b"null");
-        s.write_all(&frame).expect("write versioned frame");
-        s.set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("timeout");
+    let mut s = TcpStream::connect(handle.addr()).expect("connect");
+    let mut frame = Vec::from(protocol::MAGIC);
+    frame.push(3); // one past the highest negotiated version
+    frame.push(0);
+    frame.extend_from_slice(&4u32.to_be_bytes());
+    frame.extend_from_slice(b"null");
+    s.write_all(&frame).expect("write versioned frame");
+    s.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
 
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 1024];
-        let resp: Response = loop {
-            match protocol::decode::<Response>(&buf) {
-                Ok(Some((resp, _))) => break resp,
-                Ok(None) => {}
-                Err(e) => panic!("reactor={reactor}: reply did not frame: {e}"),
-            }
-            let n = s.read(&mut chunk).expect("read error reply");
-            assert!(
-                n > 0,
-                "reactor={reactor}: connection closed before the error reply"
-            );
-            buf.extend_from_slice(&chunk[..n]);
-        };
-        let Response::Error(service_err) = resp else {
-            panic!("reactor={reactor}: expected an error, got {resp:?}");
-        };
-        assert_eq!(service_err.code, ErrorCode::UnsupportedVersion);
-        // ...and the offending connection is closed.
-        let n = s.read(&mut chunk).expect("read EOF");
-        assert_eq!(
-            n, 0,
-            "reactor={reactor}: connection must close after a version error"
-        );
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 1024];
+    let resp: Response = loop {
+        match protocol::decode::<Response>(&buf) {
+            Ok(Some((resp, _))) => break resp,
+            Ok(None) => {}
+            Err(e) => panic!("reply did not frame: {e}"),
+        }
+        let n = s.read(&mut chunk).expect("read error reply");
+        assert!(n > 0, "connection closed before the error reply");
+        buf.extend_from_slice(&chunk[..n]);
+    };
+    let Response::Error(service_err) = resp else {
+        panic!("expected an error, got {resp:?}");
+    };
+    assert_eq!(service_err.code, ErrorCode::UnsupportedVersion);
+    // ...and the offending connection is closed.
+    let n = s.read(&mut chunk).expect("read EOF");
+    assert_eq!(n, 0, "connection must close after a version error");
 
-        handle.shutdown();
-        handle.join();
-    }
+    handle.shutdown();
+    handle.join();
 }
 
 /// The what-if query answers under a different scheme without changing

@@ -119,9 +119,6 @@ pub enum Parsed {
         /// Exit after this many epochs (`None` → run until a client sends
         /// shutdown).
         epochs: Option<u64>,
-        /// Use the reactor front-end (vendored-mio event loops) instead of
-        /// a thread per connection.
-        reactor: bool,
         /// Number of tenant shards (independent epoch engines).
         shards: usize,
         /// Reactor worker threads (`0` → auto).
@@ -430,7 +427,6 @@ impl Parsed {
                 let mut ways = None;
                 let mut epoch_ms = 100;
                 let mut epochs = None;
-                let mut reactor = false;
                 let mut shards = 1usize;
                 let mut workers = 0usize;
                 let mut i = 1;
@@ -457,7 +453,9 @@ impl Parsed {
                             epochs =
                                 Some(parse_num(take_value(args, &mut i, "--epochs")?, "epochs")?)
                         }
-                        "--reactor" => reactor = true,
+                        // The reactor is the only front-end; the flag is
+                        // kept so existing command lines keep working.
+                        "--reactor" => {}
                         "--shards" => {
                             shards = parse_num(take_value(args, &mut i, "--shards")?, "shards")?;
                             if shards == 0 {
@@ -478,7 +476,6 @@ impl Parsed {
                     ways,
                     epoch_ms,
                     epochs,
-                    reactor,
                     shards,
                     workers,
                 })
@@ -674,7 +671,6 @@ mod tests {
                 ways: None,
                 epoch_ms: 100,
                 epochs: None,
-                reactor: false,
                 shards: 1,
                 workers: 0,
             }
@@ -709,7 +705,6 @@ mod tests {
                 ways: Some(16),
                 epoch_ms: 50,
                 epochs: Some(10),
-                reactor: true,
                 shards: 4,
                 workers: 2,
             }

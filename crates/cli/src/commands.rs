@@ -230,7 +230,6 @@ pub fn dispatch(parsed: &Parsed) -> Result<String, String> {
             ways,
             epoch_ms,
             epochs,
-            reactor,
             shards,
             workers,
         } => {
@@ -242,7 +241,6 @@ pub fn dispatch(parsed: &Parsed) -> Result<String, String> {
                     ..EngineConfig::new(*scheme, *bandwidth)
                 },
                 epoch_interval: std::time::Duration::from_millis(*epoch_ms),
-                reactor: *reactor,
                 shards: *shards,
                 workers: *workers,
                 ..ServeConfig::default()

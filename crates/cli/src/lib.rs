@@ -19,7 +19,7 @@ USAGE:
   bwpart experiment <artifact> [--fast]
   bwpart serve      [--addr h:p] [--scheme <name>] [--bandwidth <apc>]
                     [--ways <n>] [--epoch-ms <ms>] [--epochs <n>]
-                    [--reactor] [--shards <n>] [--workers <n>]
+                    [--shards <n>] [--workers <n>]
   bwpart client     --addr h:p [--codec json|binary] <operation>
 
 CLIENT OPERATIONS:
@@ -30,6 +30,11 @@ CLIENT OPERATIONS:
   qos-admit <app_id> <ipc_target>
   snapshot
   shutdown
+
+SERVE:
+  One epoll reactor: --workers event loops (0 = host parallelism, at
+  most 4) over --shards tenant shards. `--reactor` is still accepted and
+  changes nothing.
 
 SCHEMES:
   Canonical kebab-case names (no-partitioning, equal, proportional,

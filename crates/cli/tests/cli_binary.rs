@@ -186,10 +186,11 @@ fn service_smoke_three_clients() {
     assert!(status.success(), "serve exit: {status:?}");
 }
 
-/// Reactor smoke: the same register → telemetry → group-shares → shutdown
-/// journey against `bwpart serve --reactor --shards 4`, with one client
-/// process per codec, so CI proves the nonblocking front-end, the tenant
-/// sharding, and both wire codecs end to end through the real binary.
+/// Sharded smoke: the same register → telemetry → group-shares → shutdown
+/// journey against `bwpart serve --reactor --shards 4` (`--reactor` is a
+/// no-op kept for existing command lines), with one client process per
+/// codec, so CI proves the tenant sharding and both wire codecs end to
+/// end through the real binary.
 #[test]
 fn service_smoke_reactor_sharded_both_codecs() {
     use std::io::BufRead;

@@ -37,7 +37,7 @@
 //! the basis of the controller-side `ProbeCache` (see
 //! [`crate::dram::DramSystem::sched_probe`]).
 //!
-//! Hot functions in this module are subject to lint rule **R14**: no heap
+//! Hot functions in this module are subject to lint rule **A1**: no heap
 //! allocation and no `Vec::push` — state is sized once at construction and
 //! only ever indexed thereafter.
 

@@ -18,7 +18,7 @@
 //!   need no features of their own — enabling `bwpart-obs/trace` anywhere
 //!   in the build graph turns instrumentation on everywhere.
 //!
-//! Hot-path discipline (enforced by lint rule R9): per-cycle code in
+//! Hot-path discipline (enforced by lint rule A1): per-cycle code in
 //! `crates/dram` and `crates/mc` must instrument exclusively through
 //! these macros over an `Option<Box<Hooks>>` of pre-resolved handles —
 //! never by calling the registry (a mutex + map lookup) directly.
