@@ -1,10 +1,10 @@
 //! Print the scheme-sweep outcome fingerprint for determinism diffing.
 //!
 //! The CI `determinism-matrix` job runs this binary under each
-//! `RAYON_NUM_THREADS` ∈ {1, 2, 4, 8} with fast-forward on and off and
+//! `RAYON_NUM_THREADS` ∈ {1, 2, 4, 8} with per-core clocks on and off and
 //! the parallel per-app candidate gather on and off, and diffs the
 //! outputs pairwise: every cell of the matrix must be bit-identical, or
-//! the pool's index-ordered merge, the fast-forward event path, or the
+//! the pool's index-ordered merge, the per-core clocks, or the
 //! parallel gather has changed observable simulation results.
 //!
 //! ```text
@@ -12,7 +12,7 @@
 //! ```
 //!
 //! `--full` uses the full phase budgets instead of the CI smoke budgets;
-//! `--no-fast-forward` runs the cycle-exact path; `--parallel-channels`
+//! `--no-fast-forward` runs the per-cycle reference; `--parallel-channels`
 //! fans the memory controller's per-app gather over the pool.
 
 use std::process::ExitCode;

@@ -3,7 +3,7 @@
 //! Times two canonical workloads — one mix end-to-end and one full scheme
 //! sweep — in *seed* mode (single-threaded pool, per-cycle stepping, the
 //! behaviour before the performance work) and in the *optimized* default
-//! mode (work-stealing pool + event-driven fast-forward), then emits the
+//! mode (work-stealing pool + per-core clocks), then emits the
 //! machine-readable [`BenchReport`] that `bench_sim` writes to
 //! `BENCH_sim.json`.
 //!
@@ -70,8 +70,8 @@ pub struct BenchCase {
     /// Seed behaviour: `rayon` pool pinned to one thread, per-cycle
     /// stepping (`fast_forward: false`).
     pub baseline: ModeResult,
-    /// Default behaviour: work-stealing pool + event-driven fast-forward
-    /// (plus analytic hybrid stepping in the hybrid case).
+    /// Default behaviour: work-stealing pool + per-core clocks (plus
+    /// analytic hybrid stepping in the hybrid case).
     pub optimized: ModeResult,
     /// `baseline.wall_ms / optimized.wall_ms`.
     pub speedup: f64,
@@ -226,7 +226,7 @@ fn fingerprint(outcomes: &[SimOutcome]) -> String {
 
 /// One run of the mix-end-to-end case: `fig1_mix` under the first enforced
 /// scheme, warmup → profile → measure. `optimized` selects the default
-/// fast path (event-driven fast-forward + parallel per-app gather) vs the
+/// fast path (per-core clocks + parallel per-app gather) vs the
 /// seed behaviour (per-cycle, sequential gather).
 fn run_mix(optimized: bool, phases: PhaseConfig) -> Vec<SimOutcome> {
     let r = runner(optimized, optimized, phases);
@@ -471,7 +471,7 @@ fn bench_case(
             *expected, fp,
             "{name}: baseline outcomes diverged between reps"
         );
-        // Optimized: default pool width + event-driven fast-forward.
+        // Optimized: default pool width + per-core clocks.
         let (wall, out) = timed(0, || run(true));
         best_opt = best_opt.min(wall);
         assert_eq!(

@@ -154,17 +154,13 @@ impl Cache {
     /// (bit `i` enables way `i`). An empty or out-of-range mask behaves as
     /// a full mask. [`Cache::access`] is the unmasked special case.
     pub fn access_masked(&mut self, addr: u64, is_write: bool, way_mask: u64) -> CacheOutcome {
+        if self.access_if_hit(addr, is_write) {
+            return CacheOutcome::Hit;
+        }
         self.clock += 1;
         let (set, tag) = self.set_of(addr);
         let base = set * self.cfg.ways;
         let ways = &mut self.lines[base..base + self.cfg.ways];
-
-        if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = self.clock;
-            line.dirty |= is_write;
-            self.hits += 1;
-            return CacheOutcome::Hit;
-        }
 
         self.misses += 1;
         // Victim: an invalid masked way, else the LRU masked way. A mask
@@ -195,6 +191,24 @@ impl Cache {
             lru: self.clock,
         };
         CacheOutcome::Miss { writeback }
+    }
+
+    /// Hit-only access: on a hit, exactly [`access`](Self::access)'s effect
+    /// (LRU touch, dirty marking, hit count) and `true`; on a miss, no
+    /// state changes at all and `false`, so the caller can still take the
+    /// full [`access`](Self::access) later as if this probe never ran.
+    pub fn access_if_hit(&mut self, addr: u64, is_write: bool) -> bool {
+        let (set, tag) = self.set_of(addr);
+        let base = set * self.cfg.ways;
+        let ways = &mut self.lines[base..base + self.cfg.ways];
+        let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) else {
+            return false;
+        };
+        self.clock += 1;
+        line.lru = self.clock;
+        line.dirty |= is_write;
+        self.hits += 1;
+        true
     }
 
     /// Probe without modifying state (diagnostics).
@@ -418,6 +432,36 @@ mod tests {
         assert_eq!(a.hits, b.hits);
         assert_eq!(a.misses, b.misses);
         assert_eq!(a.writebacks, b.writebacks);
+    }
+
+    #[test]
+    fn access_if_hit_equals_access_on_hits_and_is_inert_on_misses() {
+        // One cache takes every access directly; the other probes hit-only
+        // first and falls back to a full access on a miss. Outcomes,
+        // counters, victims and dirty writebacks must all agree.
+        let mut direct = small();
+        let mut probed = small();
+        for i in 0..400u64 {
+            let addr = (i * 7919) % 24 * 64;
+            let is_write = i % 5 == 0;
+            let want = direct.access(addr, is_write);
+            let before = format!("{probed:?}");
+            let got = if probed.access_if_hit(addr, is_write) {
+                CacheOutcome::Hit
+            } else {
+                assert_eq!(
+                    format!("{probed:?}"),
+                    before,
+                    "a missed probe changed state"
+                );
+                probed.access(addr, is_write)
+            };
+            assert_eq!(got, want, "access {i} at {addr:#x}");
+        }
+        assert_eq!(
+            (direct.hits, direct.misses, direct.writebacks, direct.clock),
+            (probed.hits, probed.misses, probed.writebacks, probed.clock)
+        );
     }
 
     #[test]

@@ -98,28 +98,21 @@ pub struct CoreCounters {
     pub stall_cycles: u64,
 }
 
-/// What [`Core::step`] would do in the next cycle, classified for the
-/// event-driven fast-forward in `CmpSystem::run`.
-///
-/// The two idle variants have *exactly* one per-cycle counter effect each,
-/// which is what makes batch compensation via [`Core::apply_idle_cycles`]
-/// bit-identical to stepping:
-///
-/// * `L2Wait(w)` — `step` decrements the serialized L2-hit penalty and
-///   returns before the execute loop (no stall is charged);
-/// * `Blocked` — the ROB/MSHR limits block the very first instruction, so
-///   `step` only charges one `stall_cycles`.
-///
-/// Both states are stable until a memory completion arrives or (for
-/// `L2Wait`) the penalty counter reaches zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IdleState {
-    /// The core would retire at least one instruction this cycle.
-    Executing,
-    /// Serialized L2-hit penalty with `w > 0` cycles left.
-    L2Wait(u32),
-    /// Fully stalled on the ROB window or MSHR limit.
-    Blocked,
+/// A core's own clock, as [`Core::run_ahead`] leaves it: the core has
+/// simulated every cycle before `cycle` and possibly the start of `cycle`
+/// itself, which [`Core::step_from`] finishes once the rest of the system
+/// has reached it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct CoreClock {
+    /// The cycle the core stands in (the run's limit when every cycle up
+    /// to it was private).
+    pub(crate) cycle: u64,
+    /// Issue slots left in `cycle` (the full width when it has not begun).
+    pub(crate) budget: u32,
+    /// The memory instruction due in `cycle` is held by the ROB/MSHR
+    /// limits, given the completions delivered so far. Until a completion
+    /// reaches the core, it and every later cycle only stall.
+    pub(crate) blocked: bool,
 }
 
 /// One core with its private cache hierarchy and workload.
@@ -230,82 +223,6 @@ impl Core {
         false
     }
 
-    /// Classify what [`step`](Self::step) would do in the next cycle. Pure:
-    /// repeated calls without intervening `step`/`complete` agree.
-    pub fn idle_state(&self) -> IdleState {
-        if self.l2_wait > 0 {
-            return IdleState::L2Wait(self.l2_wait);
-        }
-        if self.gap_left == 0 && self.limits_block() {
-            return IdleState::Blocked;
-        }
-        IdleState::Executing
-    }
-
-    /// Apply `cycles` cycles of idleness at once — the batch equivalent of
-    /// calling [`step`](Self::step) that many times while the core stays in
-    /// its current idle state. Callers (the fast-forward path) must ensure
-    /// the state really is stable for the whole span: no completion is
-    /// delivered inside it and, for `L2Wait(w)`, `cycles ≤ w`.
-    pub fn apply_idle_cycles(&mut self, cycles: u64) {
-        match self.idle_state() {
-            IdleState::L2Wait(w) => {
-                bwpart_core::invariant!(
-                    cycles <= u64::from(w),
-                    "skipping {cycles} cycles across the end of an L2 wait of {w}"
-                );
-                // Mirrors the `l2_wait -= 1; return` path: no stall charge.
-                self.l2_wait = w.saturating_sub(cycles as u32);
-            }
-            IdleState::Blocked => {
-                // Mirrors the blocked path: one stall cycle per cycle.
-                self.counters.stall_cycles += cycles;
-            }
-            IdleState::Executing => {
-                bwpart_core::invariant!(false, "apply_idle_cycles on a core that would execute");
-            }
-        }
-    }
-
-    /// How many upcoming cycles are *pure gap*: the core only retires
-    /// `width` non-memory instructions per cycle and cannot reach its
-    /// pending memory instruction — so it cannot touch the caches or the
-    /// memory controller. `step`'s execute loop consumes
-    /// `min(gap_left, width)` gap instructions before considering the
-    /// memory op, so a cycle is pure exactly while `gap_left ≥ width`;
-    /// `gap_left / width` such cycles remain. Only meaningful when
-    /// [`idle_state`](Self::idle_state) is [`IdleState::Executing`].
-    pub fn pure_gap_cycles(&self) -> u64 {
-        if self.l2_wait > 0 {
-            return 0;
-        }
-        u64::from(self.gap_left / self.cfg.width)
-    }
-
-    /// Batch-execute `cycles` pure-gap cycles at once — the exact effect of
-    /// calling [`step`](Self::step) that many times while each cycle stays
-    /// pure gap: `width` instructions retired per cycle, no stall, no cache
-    /// or controller traffic. Callers (the fast-forward path) must keep
-    /// `cycles ≤` [`pure_gap_cycles`](Self::pure_gap_cycles).
-    pub fn apply_gap_cycles(&mut self, cycles: u64) {
-        bwpart_core::invariant!(
-            self.l2_wait == 0,
-            "gap batching inside an L2 wait of {}",
-            self.l2_wait
-        );
-        let instrs = cycles.saturating_mul(u64::from(self.cfg.width));
-        bwpart_core::invariant!(
-            instrs <= u64::from(self.gap_left),
-            "batching {instrs} gap instructions with only {} left",
-            self.gap_left
-        );
-        self.gap_left = self
-            .gap_left
-            .saturating_sub(u32::try_from(instrs).unwrap_or(u32::MAX));
-        self.seq += instrs;
-        self.counters.retired += instrs;
-    }
-
     /// Advance the next access from the workload.
     fn fetch_next(&mut self) {
         self.current = self.workload.next_access();
@@ -342,21 +259,130 @@ impl Core {
     /// private L2 and the memory controller. With `llc` absent this is
     /// exactly the private-hierarchy [`step`](Self::step); with it present,
     /// L2 misses probe the LLC first — an LLC hit serializes the LLC hit
-    /// penalty through the same wait machinery as an L2 hit (so the
-    /// event-driven fast-forward stays bit-identical), and only LLC misses
-    /// and dirty LLC victims produce DRAM traffic.
-    pub fn step_llc(
-        &mut self,
-        now: u64,
-        mc: &mut MemoryController,
-        mut llc: Option<&mut SharedLlc>,
-    ) {
+    /// penalty through the same wait machinery as an L2 hit, and only LLC
+    /// misses and dirty LLC victims produce DRAM traffic.
+    pub fn step_llc(&mut self, now: u64, mc: &mut MemoryController, llc: Option<&mut SharedLlc>) {
         if self.l2_wait > 0 {
             self.l2_wait -= 1;
             return;
         }
-        let mut budget = self.cfg.width;
-        let mut progressed = false;
+        self.step_from(now, self.cfg.width, mc, llc);
+    }
+
+    /// Run this core alone from the start of cycle `from` through every
+    /// cycle that touches only its private state, up to `limit`.
+    ///
+    /// Private work is a serialized L2/LLC-hit wait, gap instructions, and
+    /// memory instructions that hit in L1 ([`Cache::access_if_hit`]). The
+    /// run stops *before* a memory instruction that misses in L1 or is held
+    /// by the ROB/MSHR limits; the returned clock names that begun cycle and
+    /// the issue budget left in it, for [`step_from`](Self::step_from) to
+    /// finish once the system has delivered that cycle's completions. When
+    /// every cycle before `limit` was private, the clock stands at `limit`
+    /// with a fresh budget.
+    ///
+    /// Running ahead of the rest of the system is exact. The only shared
+    /// state a private cycle reads is the ROB/MSHR check, through
+    /// `outstanding`, and a completion can only relax that check:
+    /// [`complete`](Self::complete) marks entries done and pops the done
+    /// front, so the outstanding count never rises and the oldest
+    /// outstanding sequence number never falls. A cycle that does not block
+    /// with the completions delivered so far therefore does not block with
+    /// more of them, and has the effect per-cycle [`step`](Self::step)
+    /// would give it. A cycle that does block stops the run (`blocked`),
+    /// since a completion landing by then may still release it.
+    pub(crate) fn run_ahead(&mut self, from: u64, limit: u64) -> CoreClock {
+        let width = self.cfg.width;
+        let mut now = from;
+        while now < limit {
+            if self.l2_wait > 0 {
+                // A wait cycle only counts the wait down.
+                let wait = u64::from(self.l2_wait).min(limit - now);
+                self.l2_wait -= wait as u32;
+                now += wait;
+                continue;
+            }
+            // Pure-gap cycles retire `width` non-memory instructions each
+            // and never reach the memory instruction.
+            let pure = u64::from(self.gap_left / width).min(limit - now);
+            if pure > 0 {
+                let instrs = pure * u64::from(width);
+                self.gap_left -= instrs as u32;
+                self.seq += instrs;
+                self.counters.retired += instrs;
+                now += pure;
+                continue;
+            }
+            // A cycle that reaches a memory instruction: `step_from`'s loop
+            // restricted to L1 hits.
+            let mut budget = width;
+            while budget > 0 {
+                if self.gap_left > 0 {
+                    let k = self.gap_left.min(budget);
+                    self.gap_left -= k;
+                    budget -= k;
+                    self.seq += u64::from(k);
+                    self.counters.retired += u64::from(k);
+                    continue;
+                }
+                let blocked = self.limits_block();
+                let addr = self.phys(self.current.addr);
+                if blocked || !self.l1.access_if_hit(addr, self.current.is_write) {
+                    return CoreClock {
+                        cycle: now,
+                        budget,
+                        blocked,
+                    };
+                }
+                self.counters.l1_hits += 1;
+                self.retire_mem();
+                budget -= 1;
+            }
+            now += 1;
+        }
+        CoreClock {
+            cycle: limit,
+            budget: width,
+            blocked: false,
+        }
+    }
+
+    /// Release a blocked clock at cycle `now`, after a completion reached
+    /// this core then (or, at the end of a run, with `now` the run's end).
+    /// When `now` is past the begun cycle, the rest of that cycle and every
+    /// cycle since held the blocked instruction: each charges one stall
+    /// (the begun cycle only if it retired nothing), and the clock restarts
+    /// at `now` with a fresh budget. Otherwise the begun cycle still lies
+    /// ahead and only loses its `blocked` mark.
+    pub(crate) fn wake(&mut self, clock: &mut CoreClock, now: u64) {
+        if !clock.blocked {
+            return;
+        }
+        clock.blocked = false;
+        if now > clock.cycle {
+            let begun_stall = u64::from(clock.budget == self.cfg.width);
+            self.counters.stall_cycles += now - clock.cycle - 1 + begun_stall;
+            clock.cycle = now;
+            clock.budget = self.cfg.width;
+        }
+    }
+
+    /// Finish cycle `now` from where [`run_ahead`](Self::run_ahead) stopped,
+    /// with `budget` issue slots left, against the shared LLC (when present)
+    /// and the memory controller. The caller must already have delivered
+    /// every completion due by `now`. On a core outside an L2 wait,
+    /// `step_from(now, width, ..)` is one whole
+    /// [`step_llc`](Self::step_llc) cycle.
+    pub(crate) fn step_from(
+        &mut self,
+        now: u64,
+        budget: u32,
+        mc: &mut MemoryController,
+        mut llc: Option<&mut SharedLlc>,
+    ) {
+        let mut budget = budget;
+        // Only a cycle that retired something has used part of its budget.
+        let mut progressed = budget < self.cfg.width;
         while budget > 0 {
             if self.gap_left > 0 {
                 let k = self.gap_left.min(budget);
@@ -497,24 +523,29 @@ mod tests {
         }
     }
 
-    fn mk_core(gap: u32, step: u64, mshrs: usize) -> Core {
+    fn core_with(cfg: CoreConfig, gap: u32, step: u64, is_write: bool, region: u64) -> Core {
         Core::new(
             0,
-            CoreConfig {
-                mshrs,
-                ..CoreConfig::default()
-            },
+            cfg,
             CacheConfig::l1d(),
             CacheConfig::l2(),
             Box::new(Stride {
                 gap,
                 next: 0,
                 step,
-                is_write: false,
+                is_write,
             }),
             0,
-            1 << 29,
+            region,
         )
+    }
+
+    fn mk_core(gap: u32, step: u64, mshrs: usize) -> Core {
+        let cfg = CoreConfig {
+            mshrs,
+            ..CoreConfig::default()
+        };
+        core_with(cfg, gap, step, false, 1 << 29)
     }
 
     fn mk_mc() -> MemoryController {
@@ -640,126 +671,154 @@ mod tests {
         assert_eq!(max_out, 1, "ROB window should serialize distant misses");
     }
 
-    #[test]
-    fn idle_state_matches_step_effects() {
-        // gap 0 + MSHR limit 1: the core blocks as soon as one miss is out.
-        let mut core = mk_core(0, 64, 1);
-        let mut mc = mk_mc();
-        assert_eq!(core.idle_state(), IdleState::Executing);
-        core.step(0, &mut mc); // issues the first miss, then blocks
-        assert_eq!(core.idle_state(), IdleState::Blocked);
-        // Blocked stepping charges exactly one stall per cycle.
-        let stalls = core.counters.stall_cycles;
-        let retired = core.counters.retired;
-        for now in 1..4 {
-            core.step(now, &mut mc);
-        }
-        assert_eq!(core.counters.stall_cycles, stalls + 3);
-        assert_eq!(core.counters.retired, retired);
-        // Batch compensation produces the identical counter state.
-        core.apply_idle_cycles(5);
-        assert_eq!(core.counters.stall_cycles, stalls + 8);
-        assert_eq!(core.counters.retired, retired);
-        assert_eq!(core.idle_state(), IdleState::Blocked);
-    }
-
-    #[test]
-    fn l2_wait_batch_equals_stepping() {
-        // Two cores driven identically into an L2 wait; one steps, one
-        // batches. The 64 KB working set (1024 lines at stride 128 over a
-        // 128 KB region) overflows the 32 KB L1 but stays L2-resident, so
-        // steady state is a stream of L2 hits, each serializing a wait.
-        let mk = || {
-            Core::new(
-                0,
-                CoreConfig::default(),
-                CacheConfig::l1d(),
-                CacheConfig::l2(),
-                Box::new(Stride {
-                    gap: 0,
-                    next: 0,
-                    step: 128,
-                    is_write: false,
-                }),
-                0,
-                1 << 17,
-            )
-        };
-        let mut stepped = mk();
-        let mut batched = mk();
-        let mut mc = mk_mc();
-        let mut mc2 = mk_mc();
-        // Warm both identically until one lands in an L2 wait.
-        let mut now = 0;
-        while !matches!(stepped.idle_state(), IdleState::L2Wait(_)) && now < 400_000 {
-            stepped.step(now, &mut mc);
-            for c in mc.drain_completions(now) {
-                stepped.complete(c.addr);
-            }
-            batched.step(now, &mut mc2);
-            for c in mc2.drain_completions(now) {
-                batched.complete(c.addr);
-            }
+    /// The reference: one `step` per cycle after that cycle's tick and
+    /// completions, as `CmpSystem::step` orders them.
+    fn run_stepped(core: &mut Core, mc: &mut MemoryController, cycles: u64) {
+        for now in 0..cycles {
             mc.tick(now);
-            mc2.tick(now);
-            now += 1;
+            while let Some(c) = mc.pop_completion(now) {
+                core.complete(c.addr);
+            }
+            core.step(now, mc);
         }
-        let IdleState::L2Wait(w) = stepped.idle_state() else {
-            panic!("expected an L2 wait, got {:?}", stepped.idle_state());
-        };
-        assert!(w > 0);
-        assert_eq!(batched.idle_state(), IdleState::L2Wait(w));
-        for k in 0..u64::from(w) {
-            stepped.step(now + k, &mut mc);
+    }
+
+    /// The same cycles on the core's own clock: visit only controller
+    /// events and the core's begun cycles, as `CmpSystem::run` does.
+    fn run_clocked(core: &mut Core, mc: &mut MemoryController, cycles: u64) -> u64 {
+        let mut clock = core.run_ahead(0, cycles);
+        let mut now = 0;
+        let mut visits = 0;
+        loop {
+            let mut t = mc.next_event_cycle(now).unwrap_or(cycles);
+            if !clock.blocked {
+                t = t.min(clock.cycle);
+            }
+            if t >= cycles {
+                break;
+            }
+            visits += 1;
+            mc.tick(t);
+            while let Some(c) = mc.pop_completion(t) {
+                core.complete(c.addr);
+                core.wake(&mut clock, t);
+            }
+            if clock.cycle == t && !clock.blocked {
+                core.step_from(t, clock.budget, mc, None);
+                clock = core.run_ahead(t + 1, cycles);
+            }
+            now = t + 1;
         }
-        batched.apply_idle_cycles(u64::from(w));
-        assert_eq!(stepped.idle_state(), batched.idle_state());
-        assert_eq!(stepped.counters.stall_cycles, batched.counters.stall_cycles);
-        assert_eq!(stepped.counters.retired, batched.counters.retired);
-        // The wait is fully consumed in both (whatever follows it).
-        assert!(!matches!(stepped.idle_state(), IdleState::L2Wait(_)));
+        core.wake(&mut clock, cycles);
+        visits
     }
 
     #[test]
-    fn pure_gap_batching_matches_stepping() {
-        // gap 64 at width 8: exactly 8 pure-gap cycles before the memory
-        // instruction can be reached.
-        let mut stepped = mk_core(64, 64, 8);
-        let mut batched = mk_core(64, 64, 8);
+    fn run_ahead_then_step_from_equals_per_cycle_step() {
+        // (gap, stride, writes, region, mshrs, width): L1-resident, an
+        // L2-resident set (serialized L2-hit waits), MSHR-bound and
+        // ROB-bound streams, a store stream with dirty writebacks, and a
+        // 1-wide core.
+        let cases = [
+            (7, 0, false, 1 << 29, 8, 8),
+            (0, 128, false, 1 << 17, 8, 8),
+            (0, 64, false, 1 << 29, 2, 8),
+            (300, 64, false, 1 << 29, 8, 4),
+            (10, 64, true, 1 << 19, 4, 3),
+            (3, 64, true, 1 << 29, 16, 1),
+        ];
+        for (gap, step, is_write, region, mshrs, width) in cases {
+            let cfg = CoreConfig {
+                width,
+                mshrs,
+                ..CoreConfig::default()
+            };
+            let mut stepped = core_with(cfg, gap, step, is_write, region);
+            let mut clocked = core_with(cfg, gap, step, is_write, region);
+            let (mut mc_s, mut mc_c) = (mk_mc(), mk_mc());
+            let cycles = 60_000;
+            run_stepped(&mut stepped, &mut mc_s, cycles);
+            let visits = run_clocked(&mut clocked, &mut mc_c, cycles);
+            let case = (gap, step, is_write, region, mshrs, width);
+            assert_eq!(stepped.counters, clocked.counters, "{case:?}");
+            assert_eq!(stepped.outstanding, clocked.outstanding, "{case:?}");
+            assert_eq!(
+                (stepped.seq, stepped.gap_left, stepped.l2_wait),
+                (clocked.seq, clocked.gap_left, clocked.l2_wait),
+                "{case:?}"
+            );
+            assert_eq!(mc_s.stats(), mc_c.stats(), "{case:?}");
+            assert_eq!(mc_s.dram().stats(), mc_c.dram().stats(), "{case:?}");
+            assert!(visits < cycles, "{case:?}: every cycle was visited");
+        }
+    }
+
+    #[test]
+    fn run_ahead_stops_before_an_l1_miss_without_touching_it() {
+        // gap 10 at width 8: cycle 0 is pure gap; cycle 1 retires the last
+        // two gap instructions and reaches a cold L1 miss.
+        let mut core = mk_core(10, 64, 8);
+        let clock = core.run_ahead(0, 100);
+        assert_eq!(
+            clock,
+            CoreClock {
+                cycle: 1,
+                budget: 6,
+                blocked: false
+            }
+        );
+        assert_eq!(core.counters.retired, 10);
+        assert_eq!((core.l1.hits, core.l1.misses), (0, 0));
         let mut mc = mk_mc();
-        assert_eq!(stepped.idle_state(), IdleState::Executing);
-        assert_eq!(stepped.pure_gap_cycles(), 8);
-        for now in 0..8 {
+        core.step_from(1, clock.budget, &mut mc, None);
+        assert_eq!(core.counters.l1_misses, 1);
+        assert_eq!(core.counters.mem_reads, 1);
+        assert_eq!(core.counters.stall_cycles, 0, "cycle 1 already progressed");
+        // Once its one cold miss is back, an L1-resident core runs all the
+        // way to the limit.
+        let mut warm = mk_core(7, 0, 8);
+        warm.step(0, &mut mc);
+        warm.complete(0);
+        let clock = warm.run_ahead(1, 1_000);
+        assert_eq!(
+            (clock.cycle, clock.budget, clock.blocked),
+            (1_000, 8, false)
+        );
+    }
+
+    #[test]
+    fn a_blocked_clock_charges_its_stalls_in_bulk() {
+        // gap 0 with one MSHR: the first miss blocks every later cycle.
+        let mut stepped = mk_core(0, 64, 1);
+        let mut clocked = mk_core(0, 64, 1);
+        let mut mc = mk_mc();
+        stepped.step(0, &mut mc);
+        clocked.step(0, &mut mc);
+        let mut clock = clocked.run_ahead(1, 100);
+        assert_eq!(
+            clock,
+            CoreClock {
+                cycle: 1,
+                budget: 8,
+                blocked: true
+            }
+        );
+        for now in 1..40 {
             stepped.step(now, &mut mc);
         }
-        // Pure-gap cycles never reach the memory system.
-        assert_eq!(mc.total_queued(), 0);
-        batched.apply_gap_cycles(8);
-        assert_eq!(stepped.counters, batched.counters);
-        assert_eq!(stepped.counters.retired, 64);
-        assert_eq!(stepped.pure_gap_cycles(), 0);
-        assert_eq!(batched.pure_gap_cycles(), 0);
-        assert_eq!(stepped.idle_state(), batched.idle_state());
-        // A partial batch also agrees with stepping.
-        let mut stepped2 = mk_core(64, 64, 8);
-        let mut batched2 = mk_core(64, 64, 8);
-        for now in 0..3 {
-            stepped2.step(now, &mut mc);
-        }
-        batched2.apply_gap_cycles(3);
-        assert_eq!(stepped2.counters, batched2.counters);
-        assert_eq!(batched2.pure_gap_cycles(), 5);
-    }
-
-    #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
-    fn apply_idle_cycles_rejects_executing_core() {
-        let mut core = mk_core(10, 64, 8);
-        assert_eq!(core.idle_state(), IdleState::Executing);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            core.apply_idle_cycles(1);
-        }));
-        assert!(err.is_err());
+        clocked.wake(&mut clock, 40);
+        assert_eq!(stepped.counters, clocked.counters);
+        assert_eq!(stepped.counters.stall_cycles, 39);
+        assert_eq!((clock.cycle, clock.budget, clock.blocked), (40, 8, false));
+        // A wake before the begun cycle only clears the mark.
+        let mut ahead = CoreClock {
+            cycle: 50,
+            budget: 3,
+            blocked: true,
+        };
+        clocked.wake(&mut ahead, 45);
+        assert_eq!((ahead.cycle, ahead.budget, ahead.blocked), (50, 3, false));
+        assert_eq!(clocked.counters.stall_cycles, 39);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod runner;
 pub mod stats;
 pub mod system;
 
-pub use crate::core::{Access, Core, CoreConfig, IdleState, Workload};
+pub use crate::core::{Access, Core, CoreConfig, Workload};
 pub use cache::{Cache, CacheConfig};
 pub use hybrid::HybridConfig;
 pub use llc::{LlcAppCounters, LlcConfig, SharedLlc};

@@ -1,8 +1,8 @@
 //! Observability wiring for the CMP simulator.
 //!
-//! [`CmpObsHooks`] carries the pre-resolved handles the global cycle loop
-//! touches through the zero-cost `obs_*!` macros (step counts and
-//! event-driven fast-forward accounting); [`RunObserver`] bundles the
+//! [`CmpObsHooks`] carries the pre-resolved handles the system loop
+//! touches through the zero-cost `obs_*!` macros (visit counts and the
+//! cycles the per-core clocks skip); [`RunObserver`] bundles the
 //! registry and optional tracer a caller hands to
 //! [`crate::Runner::run_scheme_traced`] to collect metrics and a
 //! Chrome-trace timeline from one simulation.
@@ -12,12 +12,14 @@ use bwpart_obs::{Counter, Registry, Tracer};
 /// Pre-resolved metric handles for [`crate::CmpSystem`]'s cycle loop.
 #[derive(Debug, Clone)]
 pub struct CmpObsHooks {
-    /// Per-cycle steps actually simulated (`cmp_steps_total`).
+    /// System-loop visits: cycles with a shared event, or every cycle
+    /// under per-cycle stepping (`cmp_steps_total`).
     pub steps: Counter,
-    /// Event-driven fast-forward jumps taken (`cmp_ff_jumps_total`).
+    /// Runs of consecutive cycles with no visit, hybrid jumps included
+    /// (`cmp_ff_jumps_total`).
     pub ff_jumps: Counter,
-    /// Cycles crossed by fast-forward jumps instead of stepping
-    /// (`cmp_ff_skipped_cycles_total`).
+    /// Cycles with no visit, hybrid jumps included; visits plus these
+    /// equal the simulated cycles (`cmp_ff_skipped_cycles_total`).
     pub ff_skipped_cycles: Counter,
 }
 

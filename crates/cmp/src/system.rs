@@ -7,7 +7,7 @@ use bwpart_obs::obs_count;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::CacheConfig;
-use crate::core::{Core, CoreConfig, IdleState, Workload};
+use crate::core::{Core, CoreClock, CoreConfig, Workload};
 use crate::hybrid::{HybridConfig, HybridSnap, HybridState};
 use crate::llc::{LlcConfig, SharedLlc};
 use crate::obs::CmpObsHooks;
@@ -29,14 +29,12 @@ pub struct CmpConfig {
     /// application's FIFO head the controller looks for an issuable
     /// request; 1 = strict per-app FIFO).
     pub sched_window: usize,
-    /// Event-driven fast-forward: when every core is batchable (stalled on
-    /// outstanding misses, serializing an L2 hit, or executing pure
-    /// non-memory gap instructions), [`CmpSystem::run`] jumps straight to
-    /// the next memory-system event instead of stepping cycle by cycle,
-    /// bulk-applying each core's per-cycle counter effects.
-    /// Counter-identical to per-cycle stepping by
-    /// construction (see [`CmpSystem::run_per_cycle`] and the fast-forward
-    /// tests); disable only to cross-check timings.
+    /// Per-core clocks: [`CmpSystem::run`] lets each core run ahead through
+    /// its private cycles and visits only the cycles with shared events,
+    /// instead of stepping the whole system cycle by cycle.
+    /// Counter-identical to per-cycle stepping by construction (see
+    /// [`CmpSystem::run_per_cycle`], which `false` delegates to); disable
+    /// only to cross-check timings.
     pub fast_forward: bool,
     /// Fan the memory controller's per-tick candidate gather over the
     /// vendored thread pool
@@ -96,8 +94,11 @@ pub struct CmpSystem {
     cycle: u64,
     /// Lifetime retired-instruction counters (survive per-phase resets).
     lifetime_instr: Vec<u64>,
-    /// Event-driven cycle skipping enabled (from [`CmpConfig`]).
+    /// Per-core clocks enabled (from [`CmpConfig`]).
     fast_forward: bool,
+    /// Each core's clock during [`run_exact`](Self::run_exact), one per
+    /// core, reused across runs (contents are meaningful only inside it).
+    clocks: Vec<CoreClock>,
     /// Analytic hybrid stepping state (None: exact stepping only).
     hybrid: Option<Box<HybridState>>,
     /// Whether hybrid stepping is currently armed (see
@@ -160,6 +161,7 @@ impl CmpSystem {
             cycle: 0,
             lifetime_instr: vec![0; n],
             fast_forward: cfg.fast_forward,
+            clocks: vec![CoreClock::default(); n],
             hybrid: cfg.hybrid.map(|hc| Box::new(HybridState::new(hc))),
             hybrid_armed: true,
             obs: None,
@@ -255,27 +257,12 @@ impl CmpSystem {
 
     /// Run `cycles` CPU cycles.
     ///
-    /// With [`CmpConfig::fast_forward`] enabled (the default), windows in
-    /// which every core is *batchable* — fully stalled on outstanding
-    /// misses, serializing an L2-hit penalty, or executing pure non-memory
-    /// gap instructions — are crossed in one jump to the next event instead
-    /// of cycle by cycle. A skipped window is *provably* counter-identical
-    /// to stepping it:
-    ///
-    /// * each idle core's only per-cycle effect is a single counter update
-    ///   ([`Core::apply_idle_cycles`] applies the batch equivalent), and a
-    ///   pure-gap core retires exactly `width` instructions per cycle
-    ///   without reaching memory ([`Core::apply_gap_cycles`] applies the
-    ///   batch equivalent, bounded by [`Core::pure_gap_cycles`]),
-    /// * the jump never crosses a DRAM scheduling tick while requests are
-    ///   queued, a pending completion, the end of an L2 wait, or `cycles`'
-    ///   end ([`MemoryController::next_event_cycle`] bounds the first two),
-    /// * no core enqueues requests while idle, so the controller sees the
-    ///   identical request stream at identical cycles.
-    ///
-    /// [`run_per_cycle`](Self::run_per_cycle) is the always-stepping
-    /// reference; the `fast_forward` integration tests and the debug-mode
-    /// contracts in the skip path hold the two bit-identical.
+    /// With [`CmpConfig::fast_forward`] enabled (the default), every core
+    /// keeps its own clock: it runs ahead through the cycles that touch
+    /// only its private state, and the system loop visits only the cycles
+    /// with a shared event (see `run_exact`). Counter-identical to
+    /// [`run_per_cycle`](Self::run_per_cycle), the always-stepping
+    /// reference, which `fast_forward: false` delegates to.
     ///
     /// With [`CmpConfig::hybrid`] set, runs switch to analytic hybrid
     /// stepping ([`run_hybrid`](Self::run_hybrid)) — tolerance-certified
@@ -298,27 +285,81 @@ impl CmpSystem {
         self.hybrid_armed = on;
     }
 
-    /// The cycle-exact run loop (event-driven fast-forward included);
-    /// counter-identical to [`run_per_cycle`](Self::run_per_cycle).
+    /// The cycle-exact run loop on per-core clocks; counter-identical to
+    /// [`run_per_cycle`](Self::run_per_cycle).
+    ///
+    /// Each core first runs ahead alone ([`Core::run_ahead`]) to the first
+    /// cycle it cannot finish privately. The loop then visits, in order,
+    /// only the cycles on which something shared happens:
+    ///
+    /// * the controller ticks with work queued, or a completion lands
+    ///   ([`MemoryController::next_event_cycle`] names the next such
+    ///   cycle);
+    /// * a core must finish a begun cycle against the shared LLC or the
+    ///   controller.
+    ///
+    /// A visit runs that cycle's tick, then its completions, then
+    /// [`Core::step_from`] for every core whose clock stands in it, in core
+    /// order — the order [`step`](Self::step) uses — and each stepped core
+    /// runs ahead again. A core whose next instruction is held by the
+    /// ROB/MSHR limits needs no visit at all until a completion reaches it
+    /// ([`Core::wake`] then charges its stall cycles in bulk). Every other
+    /// cycle's tick finds no work queued and no completion due, and every
+    /// core's share of it is private, so skipping it changes nothing the
+    /// reference would not.
+    ///
+    /// `cmp_steps_total` counts visits, `cmp_ff_skipped_cycles_total` the
+    /// cycles with no visit, and `cmp_ff_jumps_total` the runs of such
+    /// cycles.
     fn run_exact(&mut self, cycles: u64) {
+        if !self.fast_forward {
+            self.run_per_cycle(cycles);
+            return;
+        }
         let end = self.cycle + cycles;
-        let mut stepped = 0u64;
+        for (core, clock) in self.cores.iter_mut().zip(&mut self.clocks) {
+            *clock = core.run_ahead(self.cycle, end);
+        }
+        let mut now = self.cycle;
+        let mut visits = 0u64;
         let mut jumps = 0u64;
-        let mut skipped = 0u64;
-        while self.cycle < end {
-            if self.fast_forward {
-                if let Some(target) = self.skip_target(end) {
-                    skipped += self.fast_forward_to(target);
-                    jumps += 1;
-                    continue;
+        loop {
+            let mut t = self.mc.next_event_cycle(now).unwrap_or(end);
+            for clock in &self.clocks {
+                if !clock.blocked {
+                    t = t.min(clock.cycle);
                 }
             }
-            self.step();
-            stepped += 1;
+            if t >= end {
+                break;
+            }
+            bwpart_core::invariant!(t >= now, "system clock ran back from {now} to {t}");
+            jumps += u64::from(t > now);
+            visits += 1;
+            self.mc.tick(t);
+            while let Some(c) = self.mc.pop_completion(t) {
+                if !c.is_write {
+                    self.cores[c.app].complete(c.addr);
+                    self.cores[c.app].wake(&mut self.clocks[c.app], t);
+                }
+            }
+            for (core, clock) in self.cores.iter_mut().zip(&mut self.clocks) {
+                if clock.cycle == t && !clock.blocked {
+                    core.step_from(t, clock.budget, &mut self.mc, self.llc.as_mut());
+                    *clock = core.run_ahead(t + 1, end);
+                }
+            }
+            now = t + 1;
         }
-        obs_count!(self.obs, steps, stepped);
+        jumps += u64::from(end > now);
+        // Cores still blocked stalled through the end of the run.
+        for (core, clock) in self.cores.iter_mut().zip(&mut self.clocks) {
+            core.wake(clock, end);
+        }
+        self.cycle = end;
+        obs_count!(self.obs, steps, visits);
         obs_count!(self.obs, ff_jumps, jumps);
-        obs_count!(self.obs, ff_skipped_cycles, skipped);
+        obs_count!(self.obs, ff_skipped_cycles, cycles - visits);
     }
 
     /// Analytic hybrid stepping ([`crate::hybrid`]): run cycle-exact
@@ -403,73 +444,13 @@ impl CmpSystem {
 
     /// Run `cycles` CPU cycles strictly one [`step`](Self::step) at a time,
     /// regardless of [`CmpConfig::fast_forward`] — the reference behaviour
-    /// the event-driven path must reproduce exactly.
+    /// the per-core clocks of [`run`](Self::run) must reproduce exactly.
     pub fn run_per_cycle(&mut self, cycles: u64) {
         let end = self.cycle + cycles;
         while self.cycle < end {
             self.step();
         }
         obs_count!(self.obs, steps, cycles);
-    }
-
-    /// If every core's next cycles are batchable at the current cycle, the
-    /// cycle (at most `end`) to jump to; `None` when any core is about to
-    /// reach a memory instruction or an event is due right now.
-    ///
-    /// Batchable means each core is either idle (`Blocked`, or inside an
-    /// `L2Wait` whose remaining cycles bound the jump) or executing *pure
-    /// gap* — retiring `width` non-memory instructions per cycle without
-    /// any chance of touching the memory system ([`Core::pure_gap_cycles`]
-    /// bounds the jump so the cycle that reaches the memory instruction is
-    /// still simulated by [`step`](Self::step)).
-    fn skip_target(&self, end: u64) -> Option<u64> {
-        let now = self.cycle;
-        let mut target = end;
-        for core in &self.cores {
-            match core.idle_state() {
-                IdleState::Executing => {
-                    let pure = core.pure_gap_cycles();
-                    if pure == 0 {
-                        return None;
-                    }
-                    target = target.min(now + pure);
-                }
-                // The wait's last cycle is `now + w - 1`; at `now + w` the
-                // core executes again, which `step` must simulate.
-                IdleState::L2Wait(w) => target = target.min(now + u64::from(w)),
-                IdleState::Blocked => {}
-            }
-        }
-        if let Some(event) = self.mc.next_event_cycle(now) {
-            target = target.min(event);
-        }
-        (target > now).then_some(target)
-    }
-
-    /// Jump from the current cycle to `target`, applying each core's batch
-    /// compensation — idle-counter updates for blocked/waiting cores, bulk
-    /// gap retirement for pure-gap cores. Debug contracts re-check the
-    /// soundness conditions [`skip_target`](Self::skip_target) established.
-    /// Returns the number of cycles skipped (the caller batches jump
-    /// accounting into one counter add per [`run`](Self::run) call).
-    fn fast_forward_to(&mut self, target: u64) -> u64 {
-        let delta = target - self.cycle;
-        bwpart_core::invariant!(delta > 0, "fast-forward must move time");
-        bwpart_core::invariant!(
-            self.mc
-                .next_event_cycle(self.cycle)
-                .is_none_or(|e| e >= target),
-            "fast-forward would jump a memory-system event"
-        );
-        for core in &mut self.cores {
-            if matches!(core.idle_state(), IdleState::Executing) {
-                core.apply_gap_cycles(delta);
-            } else {
-                core.apply_idle_cycles(delta);
-            }
-        }
-        self.cycle = target;
-        delta
     }
 
     /// Snapshot lifetime counters (for windowed deltas).

@@ -587,11 +587,13 @@ impl MemoryController {
     /// completions matter, and those may finish off-grid; the minimum of
     /// the two bounds every cycle on which [`tick`](Self::tick) or
     /// [`drain_completions`](Self::drain_completions) would do anything.
+    /// A completion already overdue at `now` (left behind by a jump of the
+    /// caller's clock) makes `now` itself the event, never a past cycle.
     ///
-    /// `CmpSystem::run`'s event-driven fast-forward relies on exactly that
-    /// guarantee: skipping to the returned cycle (or anywhere before it)
-    /// with only per-cycle-idle compensation leaves every controller
-    /// counter bit-identical to per-cycle stepping.
+    /// `CmpSystem::run`'s per-core clocks rely on exactly that guarantee:
+    /// a system loop that visits only the returned cycles (and its cores'
+    /// own events) leaves every controller counter bit-identical to
+    /// per-cycle stepping.
     pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
         let completion = self.next_completion_at();
         if let Some(done) = completion {
@@ -610,7 +612,7 @@ impl MemoryController {
         } else {
             Some(self.next_tick.max(now))
         };
-        match (tick, completion) {
+        match (tick, completion.map(|c| c.max(now))) {
             (Some(t), Some(c)) => Some(t.min(c)),
             (t, c) => t.or(c),
         }
@@ -806,6 +808,18 @@ mod tests {
         assert!(mc.drain_completions(done - 1).is_empty());
         assert_eq!(mc.drain_completions(done).len(), 1);
         assert_eq!(mc.next_event_cycle(done + 1), None);
+    }
+
+    #[test]
+    fn next_event_cycle_never_returns_a_past_cycle() {
+        let mut mc = MemoryController::new(DramConfig::ddr2_400(), 1, Policy::fcfs(1));
+        mc.enqueue(MemRequest::read(0, 64, 0));
+        mc.tick(0);
+        let done = mc.next_completion_at().expect("request in flight");
+        // A caller whose clock jumped past the completion finds it due now.
+        assert_eq!(mc.next_event_cycle(done + 1000), Some(done + 1000));
+        assert_eq!(mc.drain_completions(done + 1000).len(), 1);
+        assert_eq!(mc.next_event_cycle(done + 1001), None);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! * **A1 — hot-path purity.** No allocation, lock acquisition, blocking
 //!   call, or per-event registry resolution may be *reachable* from the
-//!   hot simulator functions — the hot fn's own body (depth 0) through a
-//!   bounded call depth. The finding reports the full call path from the
-//!   hot fn to the danger site.
+//!   hot simulator functions (the DRAM and controller per-tick surface and
+//!   the CMP run loop) — the hot fn's own body (depth 0) through a bounded
+//!   call depth. The finding reports the full call path from the hot fn
+//!   to the danger site.
 //! * **A2 — contract reachability.** A public share producer — returning
 //!   a bare `Vec<f64>` or an owned `Allocation` / `MultiAllocation` /
 //!   `CoordOutcome` wrapper (in `crates/core` / `crates/bwpartd`) — must
@@ -105,6 +106,18 @@ const HOT_FNS: [&str; 7] = [
     "pop_completion",
 ];
 
+/// The CMP run loop in `crates/cmp`: the per-core-clock system loop, each
+/// core's private run and its shared-cycle finish, and the cache accesses
+/// they make on every simulated memory instruction.
+const CMP_HOT_FNS: [&str; 6] = [
+    "run_exact",
+    "run_ahead",
+    "step_from",
+    "step_llc",
+    "access",
+    "access_if_hit",
+];
+
 /// The SoA timing core's per-tick surface (`crates/dram/src/soa.rs`):
 /// every function the controller's scheduling scan calls once per
 /// candidate per DRAM tick. Stack-only by contract — one heap allocation
@@ -124,9 +137,9 @@ const SOA_HOT_FNS: [&str; 8] = [
 
 #[derive(Clone, Copy, PartialEq)]
 enum HotOrigin {
-    /// [`HOT_FNS`] in `crates/dram` and `crates/mc`: allocation, locking,
-    /// blocking and registry resolution at any depth; container growth
-    /// exempt.
+    /// [`HOT_FNS`] in `crates/dram` and `crates/mc`, and [`CMP_HOT_FNS`]
+    /// in `crates/cmp`: allocation, locking, blocking and registry
+    /// resolution at any depth; container growth exempt.
     Sim,
     /// [`SOA_HOT_FNS`] in the SoA core: every danger, growth included.
     Soa,
@@ -135,8 +148,14 @@ enum HotOrigin {
 fn rule_a1(ws: &Workspace, g: &CallGraph, files: &[&SourceFile]) -> Vec<Finding> {
     let mut origins: Vec<(usize, HotOrigin)> = Vec::new();
     for (fi, file) in ws.files.iter().enumerate() {
-        let sim_scope =
-            file.path.starts_with("crates/dram/") || file.path.starts_with("crates/mc/");
+        let hot_fns: &[&str] =
+            if file.path.starts_with("crates/dram/") || file.path.starts_with("crates/mc/") {
+                &HOT_FNS
+            } else if file.path.starts_with("crates/cmp/") {
+                &CMP_HOT_FNS
+            } else {
+                &[]
+            };
         let soa_scope = file.path == "crates/dram/src/soa.rs";
         for (fj, f) in file.fns.iter().enumerate() {
             if f.in_test {
@@ -146,7 +165,7 @@ fn rule_a1(ws: &Workspace, g: &CallGraph, files: &[&SourceFile]) -> Vec<Finding>
             // A soa.rs fn named in both lists gets the stricter SoA origin.
             if soa_scope && SOA_HOT_FNS.contains(&f.name.as_str()) {
                 origins.push((node, HotOrigin::Soa));
-            } else if sim_scope && HOT_FNS.contains(&f.name.as_str()) {
+            } else if hot_fns.contains(&f.name.as_str()) {
                 origins.push((node, HotOrigin::Sim));
             }
         }

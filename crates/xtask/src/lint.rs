@@ -207,7 +207,8 @@ impl Rule {
             }
             Rule::A1 => {
                 "no allocation, locking, blocking or registry resolution in or \
-                         reachable from hot simulator fns (crates/dram, crates/mc)"
+                         reachable from hot simulator fns (crates/dram, crates/mc, \
+                         the crates/cmp run loop)"
             }
             Rule::A2 => {
                 "pub fns returning shares (Vec<f64>, or owned Allocation/MultiAllocation/\
@@ -302,19 +303,21 @@ impl Rule {
                 "A1 — hot-path purity, transitively.\n\
                  \n\
                  The simulator's per-cycle functions (tick/step/issue/probe/… in\n\
-                 crates/dram and crates/mc) and the SoA timing core's per-tick surface\n\
-                 (bank_earliest/grid_clear/raw_probe/… in crates/dram/src/soa.rs) run\n\
-                 millions of times per simulated second. From each hot fn, its own\n\
-                 body and every function reachable within 8 call hops is scanned for\n\
-                 danger sites — fresh allocation (Vec::new, vec![], collect,\n\
-                 with_capacity, Box::new, …), lock acquisition, blocking calls (sleep,\n\
-                 recv, wait) and per-event metrics-registry resolution (.counter()/\n\
-                 .gauge()/.histogram(), which hash a name and take the registry's\n\
-                 lock; pre-resolve handles at attach time and touch them through the\n\
-                 zero-cost obs_*! macros). Container *growth* (.push, .extend,\n\
-                 .reserve) is only flagged for the SoA core, which is stack-only by\n\
-                 contract — amortized growth of caller-owned scratch is the honest\n\
-                 idiom elsewhere (that is what enqueue is for).\n\
+                 crates/dram and crates/mc), the CMP run loop (run_exact/run_ahead/\n\
+                 step_from/step_llc and the cache access/access_if_hit in crates/cmp)\n\
+                 and the SoA timing core's per-tick surface (bank_earliest/grid_clear/\n\
+                 raw_probe/… in crates/dram/src/soa.rs) run millions of times per\n\
+                 simulated second. From each hot fn, its own body and every function\n\
+                 reachable within 8 call hops is scanned for danger sites — fresh\n\
+                 allocation (Vec::new, vec![], collect, with_capacity, Box::new, …),\n\
+                 lock acquisition, blocking calls (sleep, recv, wait) and per-event\n\
+                 metrics-registry resolution (.counter()/.gauge()/.histogram(), which\n\
+                 hash a name and take the registry's lock; pre-resolve handles at\n\
+                 attach time and touch them through the zero-cost obs_*! macros).\n\
+                 Container *growth* (.push, .extend, .reserve) is only flagged for the\n\
+                 SoA core, which is stack-only by contract — amortized growth of\n\
+                 caller-owned scratch is the honest idiom elsewhere (that is what\n\
+                 enqueue is for).\n\
                  \n\
                  The finding is anchored at the danger site and reports the full call\n\
                  path from the hot fn, so the fix target is visible: hoist the\n\

@@ -75,6 +75,56 @@ fn fan_out() -> Vec<u64> {
     );
 }
 
+/// A1 covers the CMP run loop too: a core's private run-ahead that
+/// reaches a per-cycle allocation fails, while the same shape in a cold
+/// cmp fn, or a fn of the same name outside `crates/cmp`, passes.
+#[test]
+fn a1_covers_the_cmp_run_loop() {
+    let root = fixture_root("bwpart-analyze-a1-cmp");
+    write(
+        &root,
+        "crates/cmp/src/core.rs",
+        r#"
+pub struct Core;
+impl Core {
+    pub fn run_ahead(&mut self, from: u64, limit: u64) -> u64 {
+        let trail = record(from);
+        trail.len() as u64 + limit
+    }
+    pub fn report(&self) -> Vec<u64> {
+        let mut v = Vec::new();
+        v.push(1);
+        v
+    }
+}
+fn record(cycle: u64) -> Vec<u64> {
+    vec![cycle]
+}
+"#,
+    );
+    write(
+        &root,
+        "crates/demo/src/lib.rs",
+        r#"
+pub fn run_ahead(from: u64) -> Vec<u64> {
+    vec![from]
+}
+"#,
+    );
+    let (ok, stdout) = run_lint(&root, &[]);
+    assert!(!ok, "run-ahead allocation must fail:\n{stdout}");
+    assert!(
+        stdout.contains("A1") && stdout.contains("run_ahead") && stdout.contains("record"),
+        "finding must name the call path:\n{stdout}"
+    );
+    assert_eq!(
+        stdout.matches("[A1]").count(),
+        1,
+        "only the hot path may be flagged:\n{stdout}"
+    );
+    assert!(!stdout.contains("crates/demo/src/lib.rs"), "{stdout}");
+}
+
 /// A2: a pub share-vector producer whose certification lives in a callee
 /// passes; one with no reachable certification fails.
 #[test]
