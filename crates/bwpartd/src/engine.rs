@@ -1,22 +1,15 @@
-//! The epoch engine: fold telemetry, re-estimate, re-partition, publish.
+//! The epoch engine: queue telemetry, decide, publish.
 //!
 //! This is the service's brain, deliberately free of any networking so it
 //! can be driven deterministically in tests. [`ShardMap`] is its public
-//! surface: it keeps one private epoch engine per tenant group, and each
-//! epoch of a group engine performs one Section IV-C cycle:
-//!
-//! 1. **Fold** — drain every application's bounded telemetry queue into a
-//!    [`DeltaAccumulator`] and form the epoch's raw Eq. 12–13 `APC_alone`
-//!    estimate.
-//! 2. **Smooth** — blend the raw estimate into the application's running
-//!    estimate with an EWMA, unless the jump is large enough to be a
-//!    *phase change*, in which case the estimate snaps to the new value so
-//!    the partition tracks the phase instead of averaging across it.
-//! 3. **Solve** — recompute the partition with the configured
-//!    [`PartitionScheme`] (honouring Eq. 11 QoS reservations when
-//!    applications have been admitted), certify the result with the model
-//!    contracts, and publish it — unless **hysteresis** judges the change
-//!    too small to be worth disturbing the enforcement mechanism.
+//! surface: it keeps one private engine per tenant group. The decision
+//! itself — fold the Section IV-C deltas, smooth the Eq. 12–13 estimates,
+//! re-solve (with Eq. 11 QoS or the coordinated solve), certify, and
+//! publish subject to hysteresis — is [`bwpart_mc::EpochPolicy`], the
+//! same policy the simulator's phase runner decides through. A group
+//! engine adds only what a service needs around it: names and public ids,
+//! bounded telemetry queues with shedding, metric handles and decision
+//! latency, and wire replies with their error codes.
 //!
 //! Degradation is explicit: an all-idle epoch keeps the previous estimates
 //! and shares; a failed solve keeps the last-good shares and marks the
@@ -26,14 +19,17 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use bwpart_core::prelude::*;
-use bwpart_core::{contracts, ensures_capped, ensures_simplex, qos};
-use bwpart_mc::{DeltaAccumulator, TelemetryDelta};
+use bwpart_mc::{Decision, EpochConfig, EpochPolicy, PolicyError, Refusal, TelemetryDelta};
 use bwpart_obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::protocol::{
     AppShare, AppStatus, CacheSpec, ErrorCode, MetricsReply, QosGrant, ResourceShare, ServiceError,
     ServiceSnapshot, SharesReply,
 };
+
+/// What one epoch did (aggregated across groups by
+/// [`ShardMap::run_epochs`]): the policy's [`bwpart_mc::Verdict`].
+pub use bwpart_mc::Verdict as EpochOutcome;
 
 /// Tuning knobs for the epoch engine.
 #[derive(Debug, Clone)]
@@ -43,19 +39,12 @@ pub struct EngineConfig {
     pub scheme: PartitionScheme,
     /// Total off-chip bandwidth `B` to partition, in APC units.
     pub bandwidth: f64,
-    /// EWMA weight of the *new* epoch estimate in `[0, 1]`; `1` disables
+    /// EWMA weight of the *new* epoch estimate in `(0, 1]`; `1` disables
     /// smoothing entirely.
     pub ewma_alpha: f64,
     /// Minimum `max_i |Δβ_i|` that justifies republishing; smaller changes
     /// are held (the enforcement mechanism keeps its current partition).
     pub hysteresis: f64,
-    /// Relative jump in an application's raw estimate that is treated as a
-    /// phase change: `|new − old| / old > phase_change_ratio` snaps the
-    /// estimate to `new` instead of smoothing toward it.
-    pub phase_change_ratio: f64,
-    /// Floor on `T_cyc,alone` as a fraction of the reported window
-    /// (mirrors [`bwpart_mc::ApcProfiler`]).
-    pub min_alone_fraction: f64,
     /// Telemetry deltas buffered per application between epochs; the
     /// oldest are shed when a client reports faster than epochs run.
     pub queue_capacity: usize,
@@ -74,8 +63,6 @@ impl Default for EngineConfig {
             bandwidth: 0.0095,
             ewma_alpha: 0.5,
             hysteresis: 0.002,
-            phase_change_ratio: 0.5,
-            min_alone_fraction: 0.02,
             queue_capacity: 1024,
             total_ways: None,
         }
@@ -110,9 +97,6 @@ impl EngineConfig {
         if !(self.hysteresis.is_finite() && self.hysteresis >= 0.0) {
             return bad("hysteresis", self.hysteresis);
         }
-        if !(self.phase_change_ratio.is_finite() && self.phase_change_ratio > 0.0) {
-            return bad("phase_change_ratio", self.phase_change_ratio);
-        }
         if self.queue_capacity == 0 {
             return bad("queue_capacity", 0.0);
         }
@@ -129,41 +113,26 @@ impl EngineConfig {
     }
 }
 
-/// What one epoch did (aggregated across groups by
-/// [`ShardMap::run_epochs`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpochOutcome {
-    /// New shares were computed, certified, and published.
-    Repartitioned,
-    /// The solve succeeded but the change was below the hysteresis
-    /// threshold; the previous shares stand.
-    Held,
-    /// No application reported any cycles; estimates and shares are
-    /// untouched.
-    Idle,
-    /// The solve failed; last-good shares remain published and replies are
-    /// marked degraded until a solve succeeds.
-    Failed,
+impl From<PolicyError> for ServiceError {
+    fn from(e: PolicyError) -> Self {
+        let code = match e.kind {
+            Refusal::NotReady => ErrorCode::NotReady,
+            Refusal::UnknownApp => ErrorCode::UnknownApp,
+            Refusal::InvalidArgument => ErrorCode::InvalidArgument,
+            Refusal::QosUnreachable => ErrorCode::QosUnreachable,
+            Refusal::QosInfeasible => ErrorCode::QosInfeasible,
+            Refusal::SolveFailed => ErrorCode::SolveFailed,
+        };
+        ServiceError::new(code, e.message)
+    }
 }
 
-/// Per-application engine state.
+/// Per-application service state (the decision state lives in the
+/// group's [`EpochPolicy`], under the same id).
 #[derive(Debug, Clone)]
 struct AppState {
-    name: String,
-    api: f64,
     queue: VecDeque<TelemetryDelta>,
     shed: u64,
-    /// Smoothed `APC_alone` estimate; `None` until the first non-idle
-    /// epoch mentions this application.
-    estimate: Option<f64>,
-    qos_target: Option<f64>,
-    /// Fitted cache-aware profile, present when the client registered a
-    /// [`CacheSpec`]; required for coordinated solves.
-    cache: Option<CacheAwareProfile>,
-    /// LLC ways most recently *published* for this application; the
-    /// calibration anchor for the next coordinated solve (`None` until
-    /// the first coordinated publish — the fair split is assumed).
-    ways: Option<usize>,
     /// Pre-resolved `bwpartd_app_share{app="<name>"}` gauge, resolved
     /// once at registration so the per-epoch publish never resolves
     /// through the registry (and its internal table lock) while the
@@ -219,16 +188,13 @@ impl EpochMetrics {
 /// a group engine for a call on the map (which takes the shard lock).
 #[derive(Debug)]
 struct Engine {
-    cfg: EngineConfig,
+    queue_capacity: usize,
+    policy: EpochPolicy,
     apps: Vec<AppState>,
-    epoch: u64,
-    published: Option<SharesReply>,
     repartitions: u64,
     held_epochs: u64,
     idle_epochs: u64,
     failed_epochs: u64,
-    phase_changes: u64,
-    degraded: bool,
     /// Observability registry, shared by every group engine of a
     /// [`ShardMap`] and served verbatim by [`ShardMap::metrics`]. The
     /// engine is cold-path code (one call per epoch), so it uses the
@@ -251,21 +217,24 @@ impl Engine {
     /// every tenant's epochs, etc.); the `bwpartd_degraded` gauge is
     /// last-writer-wins across tenants — use [`ShardMap::snapshot`]'s
     /// `degraded` (any tenant) for the aggregate.
-    fn with_registry(cfg: EngineConfig, registry: Registry) -> Result<Self, ServiceError> {
+    fn with_registry(cfg: &EngineConfig, registry: Registry) -> Result<Self, ServiceError> {
         cfg.validate()?;
         let epoch_latency = registry.histogram("bwpartd_epoch_latency_seconds");
         let epoch_metrics = EpochMetrics::resolve(&registry);
         Ok(Engine {
-            cfg,
+            queue_capacity: cfg.queue_capacity,
+            policy: EpochPolicy::new(EpochConfig {
+                scheme: cfg.scheme,
+                bandwidth: cfg.bandwidth,
+                ewma_alpha: cfg.ewma_alpha,
+                hysteresis: cfg.hysteresis,
+                total_ways: cfg.total_ways,
+            }),
             apps: Vec::new(),
-            epoch: 0,
-            published: None,
             repartitions: 0,
             held_epochs: 0,
             idle_epochs: 0,
             failed_epochs: 0,
-            phase_changes: 0,
-            degraded: false,
             registry,
             epoch_latency,
             epoch_metrics,
@@ -296,26 +265,19 @@ impl Engine {
             ));
         }
         let cache = cache.map(|spec| fit_cache_spec(name, &spec)).transpose()?;
-        if let Some(id) = self.apps.iter().position(|a| a.name == name) {
-            self.apps[id].api = api;
-            self.apps[id].cache = cache;
+        if let Some(id) = self.policy.apps().iter().position(|a| a.name == name) {
+            self.policy.refresh(id, api, cache);
             return Ok(id);
         }
         self.apps.push(AppState {
-            name: name.to_string(),
-            api,
             queue: VecDeque::new(),
             shed: 0,
-            estimate: None,
-            qos_target: None,
-            cache,
-            ways: None,
             // Once per registration, not per epoch (see `EpochMetrics`).
             share_gauge: self
                 .registry
                 .gauge(&format!("bwpartd_app_share{{app=\"{name}\"}}")),
         });
-        Ok(self.apps.len() - 1)
+        Ok(self.policy.enroll(name, api, cache))
     }
 
     /// Queue one telemetry delta for the next epoch. The queue is bounded:
@@ -323,95 +285,32 @@ impl Engine {
     /// shed counter ticks — backpressure never blocks and never errors.
     /// Returns the epoch the delta will be folded into.
     fn enqueue_delta(&mut self, app_id: usize, delta: TelemetryDelta) -> Result<u64, ServiceError> {
-        let cap = self.cfg.queue_capacity;
-        let app = self.app_mut(app_id)?;
-        let mut shed = false;
+        let cap = self.queue_capacity;
+        let app = self
+            .apps
+            .get_mut(app_id)
+            .ok_or_else(|| unknown_app(app_id))?;
         if app.queue.len() >= cap {
             app.queue.pop_front();
             app.shed += 1;
-            shed = true;
-        }
-        app.queue.push_back(delta);
-        if shed {
             self.epoch_metrics.telemetry_shed.inc();
         }
-        Ok(self.epoch + 1)
+        app.queue.push_back(delta);
+        Ok(self.policy.epoch() + 1)
     }
 
-    /// Eq. 11 admission control. Admits the application (recording its
-    /// target for every subsequent epoch solve) only if the target is
-    /// reachable (`IPC_target ≤ IPC_alone`) and the total reservation
-    /// `Σ IPC_target,i × API_i` still fits inside `B`. A rejection is a
-    /// structured error and leaves all previously admitted applications
-    /// untouched.
-    fn admit_qos_target(
-        &mut self,
-        app_id: usize,
-        ipc_target: f64,
-    ) -> Result<QosGrant, ServiceError> {
-        if !(ipc_target.is_finite() && ipc_target > 0.0) {
-            return Err(ServiceError::new(
-                ErrorCode::InvalidArgument,
-                format!("invalid ipc_target: {ipc_target}"),
-            ));
-        }
-        let b = self.cfg.bandwidth;
-        let app = self.app(app_id)?;
-        let Some(apc_alone) = app.estimate else {
-            return Err(ServiceError::new(
-                ErrorCode::NotReady,
-                format!(
-                    "no APC_alone estimate for `{}` yet; send telemetry and wait an epoch",
-                    app.name
-                ),
-            ));
-        };
-        // Eq. 1: IPC_alone = APC_alone / API.
-        let ipc_alone = apc_alone / app.api;
-        if ipc_target > ipc_alone {
-            return Err(ServiceError::new(
-                ErrorCode::QosUnreachable,
-                format!(
-                    "target IPC {ipc_target} exceeds `{}`'s standalone IPC {ipc_alone:.6}",
-                    app.name
-                ),
-            ));
-        }
-        // Eq. 11 reservation, checked against B together with every
-        // already-admitted application's reservation.
-        let reserve = ipc_target * app.api;
-        let existing: f64 = self
-            .apps
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != app_id)
-            .filter_map(|(_, a)| a.qos_target.map(|t| t * a.api))
-            .sum();
-        let total = existing + reserve;
-        if !contracts::approx_le(total, b, contracts::TOLERANCE) {
-            return Err(ServiceError::new(
-                ErrorCode::QosInfeasible,
-                format!(
-                    "reserving {reserve:.6} APC would bring QoS reservations to {total:.6}, \
-                     exceeding B = {b:.6} (Eq. 11)"
-                ),
-            ));
-        }
-        self.app_mut(app_id)?.qos_target = Some(ipc_target);
-        Ok(QosGrant {
-            app_id,
-            reserved_apc: reserve,
-            remaining_apc: b - total,
-        })
-    }
-
-    /// Run one epoch: fold queued telemetry, refresh estimates, re-solve,
-    /// and (subject to hysteresis) publish. Also records the epoch's
-    /// decision latency and outcome counters into the metrics registry.
+    /// Run one epoch: fold the queued telemetry into the policy and let it
+    /// decide. Also records the epoch's decision latency and outcome
+    /// counters into the metrics registry.
     fn run_epoch(&mut self) -> EpochOutcome {
         let t0 = Instant::now();
-        let was_degraded = self.degraded;
-        let outcome = self.run_epoch_inner();
+        let was_degraded = self.policy.failure().is_some();
+        for (id, app) in self.apps.iter_mut().enumerate() {
+            for d in app.queue.drain(..) {
+                self.policy.fold(id, d);
+            }
+        }
+        let outcome = self.policy.decide();
         self.epoch_latency.record(t0.elapsed().as_secs_f64());
         // Pre-resolved handles only from here down: the shard map calls
         // run_epoch with the shard lock held, and resolving through the
@@ -419,409 +318,85 @@ impl Engine {
         // (workspace lock-order rule A4) — as well as paying a hash
         // lookup per metric per epoch.
         self.epoch_metrics.epochs.inc();
-        match outcome {
-            EpochOutcome::Repartitioned => self.epoch_metrics.repartitions.inc(),
-            EpochOutcome::Held => self.epoch_metrics.held.inc(),
-            EpochOutcome::Idle => self.epoch_metrics.idle.inc(),
-            EpochOutcome::Failed => self.epoch_metrics.failed.inc(),
-        }
-        if self.degraded != was_degraded {
+        let (count, counter) = match outcome {
+            EpochOutcome::Repartitioned => {
+                (&mut self.repartitions, &self.epoch_metrics.repartitions)
+            }
+            EpochOutcome::Held => (&mut self.held_epochs, &self.epoch_metrics.held),
+            EpochOutcome::Idle => (&mut self.idle_epochs, &self.epoch_metrics.idle),
+            EpochOutcome::Failed => (&mut self.failed_epochs, &self.epoch_metrics.failed),
+        };
+        *count += 1;
+        counter.inc();
+        let degraded = self.policy.failure().is_some();
+        if degraded != was_degraded {
             self.epoch_metrics.degraded_transitions.inc();
         }
         self.epoch_metrics
             .degraded
-            .set(if self.degraded { 1.0 } else { 0.0 });
-        if let Some(p) = &self.published {
-            for a in &p.apps {
-                // Published replies only ever name registered apps; the
-                // linear scan is over the (small) service population.
-                if let Some(state) = self.apps.iter().find(|s| s.name == a.name) {
-                    state.share_gauge.set(a.beta);
-                }
+            .set(if degraded { 1.0 } else { 0.0 });
+        if let Some(d) = self.policy.published() {
+            for (app, (beta, _)) in self.apps.iter().zip(d.per_app()) {
+                app.share_gauge.set(beta);
             }
         }
         outcome
     }
 
-    fn run_epoch_inner(&mut self) -> EpochOutcome {
-        self.epoch += 1;
-        let frac = self.cfg.min_alone_fraction;
-        let alpha = self.cfg.ewma_alpha;
-        let snap_ratio = self.cfg.phase_change_ratio;
-
-        let mut any_signal = false;
-        let mut phase_changes = 0u64;
-        for app in &mut self.apps {
-            let mut acc = DeltaAccumulator::new();
-            for d in app.queue.drain(..) {
-                acc.fold(d);
-            }
-            let Some(raw) = acc.apc_alone(frac) else {
-                continue; // idle this epoch: keep the previous estimate
-            };
-            any_signal = true;
-            app.estimate = Some(match app.estimate {
-                None => raw,
-                Some(old) => {
-                    // Relative jump beyond the ratio is a phase change:
-                    // snap so the partition tracks the new phase instead
-                    // of averaging across the boundary.
-                    if old > 0.0 && ((raw - old).abs() / old) > snap_ratio {
-                        phase_changes += 1;
-                        raw
-                    } else {
-                        alpha * raw + (1.0 - alpha) * old
-                    }
-                }
-            });
-        }
-        self.phase_changes += phase_changes;
-
-        if !any_signal {
-            self.idle_epochs += 1;
-            return EpochOutcome::Idle;
-        }
-
-        match self.solve_current() {
-            Ok(mut reply) => {
-                self.degraded = false;
-                // The reply was assembled while the previous epoch's
-                // degraded flag was still set; a successful solve clears
-                // it for the reply being published too.
-                reply.degraded = false;
-                if let Some(prev) = &self.published {
-                    let delta = max_share_delta(prev, &reply);
-                    if delta < self.cfg.hysteresis {
-                        self.held_epochs += 1;
-                        // Clear any stale degraded flag on the held reply.
-                        if let Some(p) = &mut self.published {
-                            p.degraded = false;
-                        }
-                        return EpochOutcome::Held;
-                    }
-                }
-                self.published = Some(reply);
-                self.note_published_ways();
-                self.repartitions += 1;
-                EpochOutcome::Repartitioned
-            }
-            Err(_) => {
-                self.failed_epochs += 1;
-                self.degraded = true;
-                // Last-good fallback: keep serving the previous shares,
-                // flagged degraded so clients can tell.
-                if let Some(p) = &mut self.published {
-                    p.degraded = true;
-                }
-                EpochOutcome::Failed
-            }
-        }
-    }
-
     /// The currently published shares (epoch-consistent: identical for
     /// every caller between two repartitions).
     fn published_shares(&self) -> Result<SharesReply, ServiceError> {
-        self.published.clone().ok_or_else(|| {
-            ServiceError::new(
-                ErrorCode::NotReady,
-                "no shares published yet; send telemetry and wait an epoch",
-            )
-        })
+        let d = self.policy.published().ok_or_else(not_published)?;
+        Ok(self.reply(d))
     }
 
-    /// What-if solve under a different scheme using the current estimates.
-    /// Bypasses QoS reservations (it answers "what would `scheme` give?",
-    /// not "what will be enforced") and does not touch published state.
+    /// What-if solve under a different scheme using the current estimates
+    /// (see [`EpochPolicy::what_if`]); does not touch published state.
     fn what_if_shares(&self, scheme: PartitionScheme) -> Result<SharesReply, ServiceError> {
-        if scheme == PartitionScheme::Coordinated {
-            return self.solve_coordinated_current(false);
-        }
-        let (ids, profiles) = self.profiled_apps();
-        if profiles.is_empty() {
-            return Err(ServiceError::new(
-                ErrorCode::NotReady,
-                "no application has an APC_alone estimate yet",
-            ));
-        }
-        let outcome = scheme
-            .solve(&profiles, self.cfg.bandwidth)
-            .map_err(|e| ServiceError::new(ErrorCode::SolveFailed, e.to_string()))?;
-        Ok(self.assemble_reply(&ids, outcome))
+        Ok(self.reply(&self.policy.what_if(scheme)?))
     }
 
     /// Group counters and per-application state.
     fn group_status(&self) -> ServiceSnapshot {
+        let cfg = self.policy.config();
         ServiceSnapshot {
-            epoch: self.epoch,
-            scheme: self.cfg.scheme.canonical_name(),
-            bandwidth: self.cfg.bandwidth,
+            epoch: self.policy.epoch(),
+            scheme: cfg.scheme.canonical_name(),
+            bandwidth: cfg.bandwidth,
             repartitions: self.repartitions,
             held_epochs: self.held_epochs,
             idle_epochs: self.idle_epochs,
             failed_epochs: self.failed_epochs,
-            phase_changes: self.phase_changes,
+            phase_changes: self.policy.phase_changes(),
             telemetry_shed_total: self.apps.iter().map(|a| a.shed).sum(),
-            degraded: self.degraded,
+            degraded: self.policy.failure().is_some(),
             shards: 1,
             groups: Vec::new(),
             apps: self
                 .apps
                 .iter()
+                .zip(self.policy.apps())
                 .enumerate()
-                .map(|(id, a)| AppStatus {
+                .map(|(id, (a, p))| AppStatus {
                     app_id: id,
-                    name: a.name.clone(),
-                    api: a.api,
-                    apc_alone_estimate: a.estimate,
-                    qos_target: a.qos_target,
+                    name: p.name.clone(),
+                    api: p.api,
+                    apc_alone_estimate: p.estimate,
+                    qos_target: p.qos_target,
                     queued: a.queue.len(),
                     shed: a.shed,
-                    llc_ways: a.ways,
+                    llc_ways: p.ways,
                 })
                 .collect(),
         }
     }
 
-    // -- internals ---------------------------------------------------------
-
-    /// Fold the just-published coordinated way counts back into per-app
-    /// state: they are the calibration anchor for the next epoch's solve
-    /// (what the enforcement mechanism is now giving each application).
-    fn note_published_ways(&mut self) {
-        let Some(p) = &self.published else { return };
-        let published: Vec<(usize, usize)> = p
-            .apps
-            .iter()
-            .filter_map(|row| {
-                let rs = row.resources.as_ref()?;
-                let w = rs.iter().find(|r| r.kind == "llc-ways")?;
-                Some((row.app_id, w.amount.round() as usize))
-            })
-            .collect();
-        for (id, w) in published {
-            if let Some(a) = self.apps.get_mut(id) {
-                a.ways = Some(w);
-            }
-        }
-    }
-
-    fn app(&self, app_id: usize) -> Result<&AppState, ServiceError> {
-        self.apps.get(app_id).ok_or_else(|| unknown_app(app_id))
-    }
-
-    fn app_mut(&mut self, app_id: usize) -> Result<&mut AppState, ServiceError> {
-        self.apps.get_mut(app_id).ok_or_else(|| unknown_app(app_id))
-    }
-
-    /// Applications with a usable (positive) estimate, as model profiles,
-    /// plus their engine ids.
-    fn profiled_apps(&self) -> (Vec<usize>, Vec<AppProfile>) {
-        let mut ids = Vec::new();
-        let mut profiles = Vec::new();
-        for (id, a) in self.apps.iter().enumerate() {
-            let Some(est) = a.estimate else { continue };
-            let Ok(p) = AppProfile::new(a.name.clone(), a.api, est) else {
-                continue; // zero-rate estimate: nothing to allocate to
-            };
-            ids.push(id);
-            profiles.push(p);
-        }
-        (ids, profiles)
-    }
-
-    /// Solve for the configured scheme with QoS reservations and certify
-    /// the result. The share vector this produces is the service's public
-    /// contract, so it is certified here (simplex + caps) even though the
-    /// underlying solvers certify too — the remap from solver indices back
-    /// to engine ids is exactly the step a bug would hide in.
-    fn solve_current(&self) -> Result<SharesReply, ServiceError> {
-        if self.cfg.scheme == PartitionScheme::Coordinated {
-            return self.solve_coordinated_current(true);
-        }
-        let (ids, profiles) = self.profiled_apps();
-        if profiles.is_empty() {
-            return Err(ServiceError::new(
-                ErrorCode::NotReady,
-                "no application has an APC_alone estimate yet",
-            ));
-        }
-        let b = self.cfg.bandwidth;
-        let requests: Vec<qos::QosRequest> = ids
-            .iter()
-            .enumerate()
-            .filter_map(|(solver_idx, &id)| {
-                self.apps[id].qos_target.map(|t| qos::QosRequest {
-                    app: solver_idx,
-                    target_ipc: t,
-                })
-            })
-            .collect();
-
-        let outcome = if requests.is_empty() {
-            self.cfg
-                .scheme
-                .solve(&profiles, b)
-                .map_err(|e| ServiceError::new(ErrorCode::SolveFailed, e.to_string()))?
-        } else {
-            let part = qos::partition(&profiles, &requests, self.cfg.scheme, b)
-                .map_err(|e| ServiceError::new(ErrorCode::SolveFailed, e.to_string()))?;
-            SharesOutcome {
-                scheme: self.cfg.scheme.canonical_name(),
-                bandwidth: b,
-                beta: part.shares(),
-                allocation: part.allocation,
-            }
-        };
-
-        // Certify the published contract (debug builds / CI with
-        // debug-assertions): β on the simplex, allocation within each
-        // application's standalone cap.
-        ensures_simplex!(outcome.beta);
-        let caps: Vec<f64> = profiles.iter().map(|p| p.apc_alone).collect();
-        ensures_capped!(outcome.allocation, caps);
-
-        Ok(self.assemble_reply(&ids, outcome))
-    }
-
-    /// The coordinated (bandwidth × LLC ways) epoch solve. Every profiled
-    /// application must have registered a [`CacheSpec`]; the analytic
-    /// `APC_alone(w)` of each fitted profile is calibrated so it matches
-    /// the Eq. 12–13 telemetry estimate at the currently enforced way
-    /// count, then [`solve_coordinated_scaled`] runs the alternating
-    /// descent. QoS reservations (when honoured) re-split the bandwidth
-    /// dimension at the solved way vector through Eq. 11.
-    fn solve_coordinated_current(&self, honour_qos: bool) -> Result<SharesReply, ServiceError> {
-        let total_ways = self.cfg.total_ways.ok_or_else(|| {
-            ServiceError::new(
-                ErrorCode::SolveFailed,
-                "coordinated solve requires total_ways in the engine config",
-            )
-        })?;
-        let b = self.cfg.bandwidth;
-
-        let mut ids = Vec::new();
-        let mut caches: Vec<CacheAwareProfile> = Vec::new();
-        let mut estimates = Vec::new();
-        for (id, a) in self.apps.iter().enumerate() {
-            let Some(est) = a.estimate else { continue };
-            if !(est.is_finite() && est > 0.0) {
-                continue; // zero-rate estimate: nothing to allocate to
-            }
-            let Some(cache) = &a.cache else {
-                return Err(ServiceError::new(
-                    ErrorCode::SolveFailed,
-                    format!(
-                        "`{}` has telemetry but no cache spec; \
-                         coordinated solves need every application's MRC",
-                        a.name
-                    ),
-                ));
-            };
-            ids.push(id);
-            caches.push(cache.clone());
-            estimates.push(est);
-        }
-        if ids.is_empty() {
-            return Err(ServiceError::new(
-                ErrorCode::NotReady,
-                "no application has an APC_alone estimate yet",
-            ));
-        }
-        let n = ids.len();
-
-        // Calibrate: the telemetry estimate reflects the ways currently
-        // enforced (last published coordinated split, or the fair split
-        // before any publish), so the model is scaled to agree there and
-        // extrapolated along the MRC everywhere else.
-        let fair = (total_ways / n).max(1);
-        let scales: Vec<f64> = ids
-            .iter()
-            .zip(&caches)
-            .zip(&estimates)
-            .map(|((&id, cache), &est)| {
-                let anchor = self.apps[id].ways.unwrap_or(fair) as f64;
-                let model = cache.apc_alone_at(anchor);
-                if model > 0.0 && (est / model).is_finite() {
-                    (est / model).max(1e-6)
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-
-        let coord_cfg = CoordConfig::new(b, total_ways);
-        let coord = solve_coordinated_scaled(&caches, &scales, &coord_cfg)
-            .map_err(|e| ServiceError::new(ErrorCode::SolveFailed, e.to_string()))?;
-
-        let requests: Vec<qos::QosRequest> = if honour_qos {
-            ids.iter()
-                .enumerate()
-                .filter_map(|(solver_idx, &id)| {
-                    self.apps[id].qos_target.map(|t| qos::QosRequest {
-                        app: solver_idx,
-                        target_ipc: t,
-                    })
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let scheme = PartitionScheme::Coordinated.canonical_name();
-        let outcome = if requests.is_empty() {
-            SharesOutcome {
-                scheme,
-                bandwidth: b,
-                beta: coord.bandwidth.beta.clone(),
-                allocation: coord.bandwidth.allocation.clone(),
-            }
-        } else {
-            // QoS applies to the bandwidth dimension: Eq. 11 reservations
-            // over the profiles materialized at the coordinated ways.
-            let part = qos::partition(&coord.profiles, &requests, coord_cfg.inner, b)
-                .map_err(|e| ServiceError::new(ErrorCode::SolveFailed, e.to_string()))?;
-            SharesOutcome {
-                scheme,
-                bandwidth: b,
-                beta: part.shares(),
-                allocation: part.allocation,
-            }
-        };
-
-        // Certify the published contract per resource: the bandwidth β on
-        // the simplex and capped by the calibrated standalone rates, the
-        // way shares on the simplex and each count within the LLC.
-        ensures_simplex!(outcome.beta);
-        let caps: Vec<f64> = coord.profiles.iter().map(|p| p.apc_alone).collect();
-        ensures_capped!(outcome.allocation, caps);
-        let way_shares: Vec<f64> = coord
-            .ways
-            .iter()
-            .map(|&w| w as f64 / total_ways as f64)
-            .collect();
-        ensures_simplex!(way_shares);
-        let ways_f: Vec<f64> = coord.ways.iter().map(|&w| w as f64).collect();
-        ensures_capped!(ways_f, vec![total_ways as f64; n]);
-
-        Ok(self.assemble_reply_with_ways(&ids, outcome, Some((&coord.ways, total_ways))))
-    }
-
-    /// Expand a solver outcome (indexed over profiled apps) into a reply
-    /// covering every registered application (unprofiled ones get 0).
-    fn assemble_reply(&self, ids: &[usize], outcome: SharesOutcome) -> SharesReply {
-        self.assemble_reply_with_ways(ids, outcome, None)
-    }
-
-    /// As [`Engine::assemble_reply`], additionally attaching a
-    /// per-resource breakdown (`bandwidth` + `llc-ways`) to each solved
-    /// row when a coordinated way vector is present.
-    fn assemble_reply_with_ways(
-        &self,
-        ids: &[usize],
-        outcome: SharesOutcome,
-        ways: Option<(&[usize], usize)>,
-    ) -> SharesReply {
-        let mut apps: Vec<AppShare> = self
-            .apps
+    /// The wire form of a decision: one row per application enrolled when
+    /// it was solved (0 for those it did not cover), with a per-resource
+    /// breakdown (`bandwidth` + `llc-ways`) on each solved row of a
+    /// coordinated decision.
+    fn reply(&self, d: &Decision) -> SharesReply {
+        let mut apps: Vec<AppShare> = self.policy.apps()[..d.apps]
             .iter()
             .enumerate()
             .map(|(id, a)| AppShare {
@@ -832,38 +407,42 @@ impl Engine {
                 resources: None,
             })
             .collect();
-        for (solver_idx, &id) in ids.iter().enumerate() {
-            apps[id].beta = outcome.beta[solver_idx];
-            apps[id].allocation = outcome.allocation[solver_idx];
-            if let Some((ways, total)) = ways {
-                let w = ways[solver_idx];
-                apps[id].resources = Some(vec![
+        for (k, &id) in d.ids.iter().enumerate() {
+            let row = &mut apps[id];
+            row.beta = d.outcome.beta[k];
+            row.allocation = d.outcome.allocation[k];
+            if let Some((ways, total)) = &d.ways {
+                row.resources = Some(vec![
                     ResourceShare {
                         kind: "bandwidth".into(),
-                        share: outcome.beta[solver_idx],
-                        amount: outcome.allocation[solver_idx],
+                        share: row.beta,
+                        amount: row.allocation,
                     },
                     ResourceShare {
                         kind: "llc-ways".into(),
-                        share: w as f64 / total as f64,
-                        amount: w as f64,
+                        share: ways[k] as f64 / *total as f64,
+                        amount: ways[k] as f64,
                     },
                 ]);
             }
         }
         SharesReply {
-            epoch: self.epoch,
-            outcome,
+            epoch: d.epoch,
+            outcome: d.outcome.clone(),
             apps,
-            degraded: self.degraded,
+            degraded: self.policy.failure().is_some(),
         }
     }
 }
 
 fn unknown_app(app_id: usize) -> ServiceError {
+    PolicyError::unknown_app(app_id).into()
+}
+
+fn not_published() -> ServiceError {
     ServiceError::new(
-        ErrorCode::UnknownApp,
-        format!("no application with id {app_id}; register first"),
+        ErrorCode::NotReady,
+        "no shares published yet; send telemetry and wait an epoch",
     )
 }
 
@@ -1035,7 +614,7 @@ impl ShardMap {
         let tenant = match shard.tenants.iter().position(|t| t.group == group) {
             Some(t) => t,
             None => {
-                let engine = Engine::with_registry(self.cfg.clone(), self.registry.clone())?;
+                let engine = Engine::with_registry(&self.cfg, self.registry.clone())?;
                 shard.tenants.push(TenantCell {
                     group: group.to_string(),
                     engine,
@@ -1079,10 +658,13 @@ impl ShardMap {
         let (shard_idx, seq) = self.locate(app_id);
         let mut shard = self.lock_shard(shard_idx);
         let (tenant, local) = Self::entry(&shard, seq, app_id)?;
-        let grant = shard.tenants[tenant]
-            .engine
-            .admit_qos_target(local, ipc_target)?;
-        Ok(QosGrant { app_id, ..grant })
+        let policy = &mut shard.tenants[tenant].engine.policy;
+        let (reserved_apc, remaining_apc) = policy.admit(local, ipc_target)?;
+        Ok(QosGrant {
+            app_id,
+            reserved_apc,
+            remaining_apc,
+        })
     }
 
     /// Run one epoch on every tenant engine of shard `idx` (the reactor
@@ -1210,7 +792,7 @@ impl ShardMap {
         for idx in 0..self.shards.len() {
             let shard = self.lock_shard(idx);
             for cell in &shard.tenants {
-                epoch = epoch.max(cell.engine.epoch);
+                epoch = epoch.max(cell.engine.policy.epoch());
             }
         }
         let snapshot = self.registry.snapshot();
@@ -1276,12 +858,7 @@ impl ShardMap {
             }
         }
         if published_groups == 0 {
-            return Err(last_err.unwrap_or_else(|| {
-                ServiceError::new(
-                    ErrorCode::NotReady,
-                    "no shares published yet; send telemetry and wait an epoch",
-                )
-            }));
+            return Err(last_err.unwrap_or_else(not_published));
         }
         rows.sort_by_key(|r| r.app_id);
         Ok(SharesReply {
@@ -1315,46 +892,13 @@ fn combine_outcomes(a: EpochOutcome, b: EpochOutcome) -> EpochOutcome {
     }
 }
 
-/// Largest per-application `|Δβ|` between two replies, matching rows by
-/// app id. A changed application set always counts as a full change.
-fn max_share_delta(prev: &SharesReply, next: &SharesReply) -> f64 {
-    if prev.apps.len() != next.apps.len() {
-        return f64::INFINITY;
-    }
-    prev.apps
-        .iter()
-        .zip(&next.apps)
-        .map(|(p, n)| (p.beta - n.beta).abs().max(resource_delta(p, n)))
-        .fold(0.0, f64::max)
-}
-
-/// Largest per-resource share change between two rows of the same app
-/// (0 when neither row carries a resource breakdown; ∞ when the shape
-/// changed, so hysteresis can never mask a way reallocation).
-fn resource_delta(prev: &AppShare, next: &AppShare) -> f64 {
-    match (&prev.resources, &next.resources) {
-        (None, None) => 0.0,
-        (Some(p), Some(n)) => {
-            let mut delta = 0.0f64;
-            for nr in n {
-                match p.iter().find(|pr| pr.kind == nr.kind) {
-                    Some(pr) => delta = delta.max((pr.share - nr.share).abs()),
-                    None => return f64::INFINITY,
-                }
-            }
-            delta
-        }
-        _ => f64::INFINITY,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// A stand-alone group engine with its own registry.
     fn engine(cfg: EngineConfig) -> Result<Engine, ServiceError> {
-        Engine::with_registry(cfg, Registry::new())
+        Engine::with_registry(&cfg, Registry::new())
     }
 
     /// A delta whose Eq. 12 estimate is exactly `apc_alone` (no
@@ -1381,12 +925,6 @@ mod tests {
 
     const ALONE: [f64; 4] = [0.0531, 0.0341, 0.0306, 0.0046];
 
-    fn feed_epoch(e: &mut Engine, ids: &[usize]) {
-        for (&id, &apc) in ids.iter().zip(&ALONE) {
-            e.enqueue_delta(id, clean_delta(apc)).unwrap();
-        }
-    }
-
     #[test]
     fn register_is_idempotent_by_name() {
         let mut e = engine(EngineConfig::default()).unwrap();
@@ -1396,84 +934,6 @@ mod tests {
         assert!((e.group_status().apps[a].api - 0.02).abs() < 1e-15);
         assert!(e.enroll_app("", 0.01, None).is_err());
         assert!(e.enroll_app("x", f64::NAN, None).is_err());
-    }
-
-    #[test]
-    fn epoch_converges_to_offline_solution() {
-        let (mut e, ids) = four_app_engine();
-        assert_eq!(e.run_epoch(), EpochOutcome::Idle);
-
-        feed_epoch(&mut e, &ids);
-        assert_eq!(e.run_epoch(), EpochOutcome::Repartitioned);
-        let reply = e.published_shares().unwrap();
-        assert!(!reply.degraded);
-
-        // Offline closed-form reference on the true profiles.
-        let profiles: Vec<AppProfile> = ids
-            .iter()
-            .zip(&ALONE)
-            .map(|(&id, &apc)| {
-                let st = e.group_status();
-                AppProfile::new(st.apps[id].name.clone(), st.apps[id].api, apc).unwrap()
-            })
-            .collect();
-        let offline = PartitionScheme::SquareRoot
-            .solve(&profiles, e.cfg.bandwidth)
-            .unwrap();
-        for (got, want) in reply.outcome.beta.iter().zip(&offline.beta) {
-            assert!(
-                (got - want).abs() / want < 0.02,
-                "beta {got} vs offline {want}"
-            );
-        }
-    }
-
-    #[test]
-    fn hysteresis_holds_tiny_changes() {
-        let (mut e, ids) = four_app_engine();
-        feed_epoch(&mut e, &ids);
-        assert_eq!(e.run_epoch(), EpochOutcome::Repartitioned);
-        let first = e.published_shares().unwrap();
-
-        // Same telemetry again → same estimates → max|Δβ| = 0 < hysteresis.
-        feed_epoch(&mut e, &ids);
-        assert_eq!(e.run_epoch(), EpochOutcome::Held);
-        let second = e.published_shares().unwrap();
-        assert_eq!(first, second, "held epoch must serve the identical reply");
-    }
-
-    #[test]
-    fn phase_change_snaps_instead_of_smoothing() {
-        let (mut e, ids) = four_app_engine();
-        feed_epoch(&mut e, &ids);
-        e.run_epoch();
-
-        // lbm triples its standalone rate: a >50% jump must snap.
-        e.enqueue_delta(ids[0], clean_delta(ALONE[0] * 3.0))
-            .unwrap();
-        for (&id, &apc) in ids.iter().zip(&ALONE).skip(1) {
-            e.enqueue_delta(id, clean_delta(apc)).unwrap();
-        }
-        e.run_epoch();
-        let st = e.group_status();
-        assert_eq!(st.phase_changes, 1);
-        let est = st.apps[ids[0]].apc_alone_estimate.unwrap();
-        assert!(
-            (est - ALONE[0] * 3.0).abs() / (ALONE[0] * 3.0) < 0.01,
-            "estimate {est} should have snapped to {}",
-            ALONE[0] * 3.0
-        );
-    }
-
-    #[test]
-    fn idle_epoch_keeps_last_shares() {
-        let (mut e, ids) = four_app_engine();
-        feed_epoch(&mut e, &ids);
-        e.run_epoch();
-        let before = e.published_shares().unwrap();
-        assert_eq!(e.run_epoch(), EpochOutcome::Idle);
-        assert_eq!(e.published_shares().unwrap(), before);
-        assert_eq!(e.group_status().idle_epochs, 1);
     }
 
     #[test]
@@ -1493,87 +953,22 @@ mod tests {
     }
 
     #[test]
-    fn qos_admission_and_structured_rejection() {
+    fn qos_rejection_leaves_app_status_untouched() {
         let (mut e, ids) = four_app_engine();
-        // No estimate yet → NotReady.
-        assert_eq!(
-            e.admit_qos_target(ids[3], 0.5).unwrap_err().code,
-            ErrorCode::NotReady
-        );
-
-        feed_epoch(&mut e, &ids);
+        for (&id, &apc) in ids.iter().zip(&ALONE) {
+            e.enqueue_delta(id, clean_delta(apc)).unwrap();
+        }
         e.run_epoch();
+        e.policy.admit(ids[3], 0.6).unwrap();
+        // Queued telemetry is part of the status a rejection must keep.
+        e.enqueue_delta(ids[0], clean_delta(ALONE[0])).unwrap();
 
-        // hmmer: IPC_alone = 0.0046 / 0.00529 ≈ 0.8696.
-        let grant = e.admit_qos_target(ids[3], 0.6).unwrap();
-        assert!((grant.reserved_apc - 0.6 * 0.00529).abs() < 1e-9);
-
-        // Unreachable target (above standalone IPC) → QosUnreachable.
-        assert_eq!(
-            e.admit_qos_target(ids[3], 2.0).unwrap_err().code,
-            ErrorCode::QosUnreachable
-        );
-
-        // Infeasible: omnetpp asking for enough to blow the budget.
-        // IPC_alone(omnetpp) ≈ 0.0306/0.00519 ≈ 5.896; a target of 1.4
-        // needs 0.007266 APC, and 0.007266 + 0.003174 > B = 0.0095.
+        // omnetpp at IPC 1.4 needs 0.007266 APC; with hmmer's 0.003174
+        // that exceeds B = 0.0095 (Eq. 11).
         let before = e.group_status();
-        let err = e.admit_qos_target(ids[2], 1.4).unwrap_err();
+        let err = ServiceError::from(e.policy.admit(ids[2], 1.4).unwrap_err());
         assert_eq!(err.code, ErrorCode::QosInfeasible);
-        // The rejection must not disturb admitted state.
-        let after = e.group_status();
-        assert_eq!(before.apps, after.apps);
-
-        // Unknown app id → UnknownApp.
-        assert_eq!(
-            e.admit_qos_target(99, 0.1).unwrap_err().code,
-            ErrorCode::UnknownApp
-        );
-
-        // The next epoch honours the admitted reservation exactly (Eq. 11).
-        feed_epoch(&mut e, &ids);
-        e.run_epoch();
-        let reply = e.published_shares().unwrap();
-        assert!((reply.apps[ids[3]].allocation - 0.6 * 0.00529).abs() < 1e-6);
-    }
-
-    #[test]
-    fn all_idle_engine_never_publishes_nan() {
-        // Regression companion to the profiler-level all-idle test: an
-        // engine fed only empty/zero telemetry must stay NotReady (never
-        // publish NaN shares).
-        let mut e = engine(EngineConfig::default()).unwrap();
-        let id = e.enroll_app("ghost", 0.01, None).unwrap();
-        e.enqueue_delta(id, TelemetryDelta::default()).unwrap();
-        assert_eq!(e.run_epoch(), EpochOutcome::Idle);
-        assert_eq!(e.published_shares().unwrap_err().code, ErrorCode::NotReady);
-
-        // Cycles but zero accesses: a live-but-silent app solves to a zero
-        // rate, which is excluded rather than folded into a NaN β.
-        e.enqueue_delta(
-            id,
-            TelemetryDelta {
-                accesses: 0,
-                shared_cycles: 1_000,
-                interference_cycles: 0,
-            },
-        )
-        .unwrap();
-        assert_eq!(e.run_epoch(), EpochOutcome::Failed);
-        assert_eq!(e.published_shares().unwrap_err().code, ErrorCode::NotReady);
-        assert_eq!(e.group_status().failed_epochs, 1);
-    }
-
-    #[test]
-    fn what_if_solve_does_not_touch_published_state() {
-        let (mut e, ids) = four_app_engine();
-        feed_epoch(&mut e, &ids);
-        e.run_epoch();
-        let published = e.published_shares().unwrap();
-        let whatif = e.what_if_shares(PartitionScheme::Proportional).unwrap();
-        assert_eq!(whatif.outcome.scheme, "proportional");
-        assert_ne!(whatif.outcome.beta, published.outcome.beta);
-        assert_eq!(e.published_shares().unwrap(), published);
+        assert_eq!(before.apps, e.group_status().apps);
     }
 
     #[test]
@@ -1593,9 +988,12 @@ mod tests {
         }
         e.enqueue_delta(ids[1], clean_delta(0.005)).unwrap();
         assert_eq!(e.run_epoch(), EpochOutcome::Repartitioned);
+        let shares = e.published_shares().unwrap();
         assert_eq!(e.run_epoch(), EpochOutcome::Idle);
+        assert_eq!(e.published_shares().unwrap(), shares);
+        assert_eq!(e.group_status().idle_epochs, 1);
 
-        assert_eq!(e.epoch, 2);
+        assert_eq!(e.policy.epoch(), 2);
         let m = e.registry.snapshot();
         let counter = |name: &str| {
             m.counters
@@ -1738,7 +1136,7 @@ mod tests {
 
         // One group going degraded does not touch the other. Zero-rate
         // deltas snap BOTH acme estimates to zero (|0 − old|/old = 1 >
-        // phase_change_ratio), leaving acme's solve nothing to allocate.
+        // PHASE_CHANGE_RATIO), leaving acme's solve nothing to allocate.
         for id in [a0, a1] {
             map.push_telemetry(
                 id,
@@ -1866,179 +1264,45 @@ mod tests {
         }
     }
 
-    /// The engine-side fit of a wire spec, for building offline references.
-    fn fitted(name: &str, spec: &CacheSpec) -> CacheAwareProfile {
-        fit_cache_spec(name, spec).unwrap()
-    }
-
-    fn coordinated_engine() -> (Engine, [usize; 2], Vec<CacheAwareProfile>) {
+    /// A coordinated publish goes on the wire with a `bandwidth` and an
+    /// `llc-ways` row per application, and the snapshot reports the
+    /// enforced ways; a group missing a cache spec degrades with the
+    /// solver's reason as a structured error on the what-if path.
+    #[test]
+    fn coordinated_replies_carry_resource_rows() {
         let cfg = EngineConfig {
             total_ways: Some(16),
             ..EngineConfig::new(PartitionScheme::Coordinated, 0.0095)
-        };
-        let mut e = engine(cfg).unwrap();
-        let specs = [steep_spec(), flat_spec()];
-        let ids = [
-            e.enroll_app("llcfit", 0.002, Some(specs[0].clone()))
-                .unwrap(),
-            e.enroll_app("stream", 0.02, Some(specs[1].clone()))
-                .unwrap(),
-        ];
-        let caches = vec![fitted("llcfit", &specs[0]), fitted("stream", &specs[1])];
-        (e, ids, caches)
-    }
-
-    /// The ISSUE's acceptance criterion: telemetry-driven coordinated
-    /// epochs converge to within 2% of the offline
-    /// [`solve_coordinated`] answer. Each epoch the emulated system
-    /// reports the model's standalone rate *at the ways the service
-    /// currently enforces*, so the calibration loop (estimate ÷ model at
-    /// the anchor) has a consistent fixed point to find.
-    #[test]
-    fn coordinated_epochs_converge_to_offline_solve() {
-        let (mut e, ids, caches) = coordinated_engine();
-        let offline = solve_coordinated(&caches, &CoordConfig::new(0.0095, 16)).unwrap();
-        assert!(
-            offline.ways[0] > offline.ways[1],
-            "the steep-MRC app must win ways offline: {:?}",
-            offline.ways
-        );
-
-        // Before any coordinated publish the fair split is enforced.
-        let mut enforced = [8usize, 8];
-        for _ in 0..6 {
-            for ((&id, cache), &w) in ids.iter().zip(&caches).zip(&enforced) {
-                e.enqueue_delta(id, clean_delta(cache.apc_alone_at(w as f64)))
-                    .unwrap();
-            }
-            e.run_epoch();
-            let snap = e.group_status();
-            for (slot, &id) in enforced.iter_mut().zip(&ids) {
-                if let Some(w) = snap.apps[id].llc_ways {
-                    *slot = w;
-                }
-            }
-        }
-
-        let reply = e.published_shares().unwrap();
-        assert!(!reply.degraded);
-        assert_eq!(reply.outcome.scheme, "coordinated");
-        let ways: Vec<usize> = ids
-            .iter()
-            .map(|&id| {
-                let rs = reply.apps[id].resources.as_ref().expect("resource rows");
-                rs.iter()
-                    .find(|r| r.kind == "llc-ways")
-                    .expect("llc-ways row")
-                    .amount
-                    .round() as usize
-            })
-            .collect();
-        assert_eq!(ways, offline.ways, "way allocation must match offline");
-        for (&id, want) in ids.iter().zip(&offline.bandwidth.beta) {
-            let got = reply.apps[id].beta;
-            assert!(
-                (got - want).abs() / want < 0.02,
-                "beta {got} vs offline {want}"
-            );
-        }
-        // The snapshot reports the enforced ways per app.
-        let snap = e.group_status();
-        for (&id, &w) in ids.iter().zip(&offline.ways) {
-            assert_eq!(snap.apps[id].llc_ways, Some(w));
-        }
-    }
-
-    /// Coordinated solves need every profiled application's MRC; a
-    /// missing spec degrades the epoch instead of publishing nonsense.
-    #[test]
-    fn coordinated_epoch_fails_without_cache_specs() {
-        let cfg = EngineConfig {
-            total_ways: Some(16),
-            ..EngineConfig::new(PartitionScheme::Coordinated, 0.0095)
-        };
-        let mut e = engine(cfg).unwrap();
-        let a = e.enroll_app("llcfit", 0.002, Some(steep_spec())).unwrap();
-        let b = e.enroll_app("legacy", 0.02, None).unwrap();
-        e.enqueue_delta(a, clean_delta(0.004)).unwrap();
-        e.enqueue_delta(b, clean_delta(0.009)).unwrap();
-        assert_eq!(e.run_epoch(), EpochOutcome::Failed);
-        assert!(e.group_status().degraded);
-        // Re-registering with a spec repairs the next epoch.
-        e.enroll_app("legacy", 0.02, Some(flat_spec())).unwrap();
-        e.enqueue_delta(a, clean_delta(0.004)).unwrap();
-        e.enqueue_delta(b, clean_delta(0.009)).unwrap();
-        assert_eq!(e.run_epoch(), EpochOutcome::Repartitioned);
-        assert!(!e.group_status().degraded);
-    }
-
-    /// A bandwidth-only engine can answer a coordinated what-if when it
-    /// knows the LLC geometry, without touching its published shares.
-    #[test]
-    fn coordinated_what_if_from_a_bandwidth_engine() {
-        let cfg = EngineConfig {
-            total_ways: Some(16),
-            ..EngineConfig::default()
         };
         let mut e = engine(cfg).unwrap();
         let ids = [
             e.enroll_app("llcfit", 0.002, Some(steep_spec())).unwrap(),
             e.enroll_app("stream", 0.02, Some(flat_spec())).unwrap(),
         ];
-        for &id in &ids {
-            e.enqueue_delta(id, clean_delta(0.006)).unwrap();
+        for (&id, &apc) in ids.iter().zip(&[0.004, 0.009]) {
+            e.enqueue_delta(id, clean_delta(apc)).unwrap();
         }
-        e.run_epoch();
-        let published = e.published_shares().unwrap();
-        assert_eq!(published.outcome.scheme, "square-root");
-        assert!(published.apps.iter().all(|a| a.resources.is_none()));
-
-        let whatif = e.what_if_shares(PartitionScheme::Coordinated).unwrap();
-        assert_eq!(whatif.outcome.scheme, "coordinated");
-        let total: usize = whatif
-            .apps
-            .iter()
-            .filter_map(|a| a.resources.as_ref())
-            .flat_map(|rs| rs.iter())
-            .filter(|r| r.kind == "llc-ways")
-            .map(|r| r.amount.round() as usize)
-            .sum();
-        assert_eq!(total, 16);
-        assert_eq!(
-            e.published_shares().unwrap(),
-            published,
-            "what-if must not publish"
-        );
-    }
-
-    /// Eq. 11 reservations ride the bandwidth dimension of a coordinated
-    /// publish: the admitted app's allocation covers its reservation.
-    #[test]
-    fn coordinated_epoch_honours_qos_reservations() {
-        let (mut e, ids, caches) = coordinated_engine();
-        for (&id, cache) in ids.iter().zip(&caches) {
-            e.enqueue_delta(id, clean_delta(cache.apc_alone_at(8.0)))
-                .unwrap();
-        }
-        e.run_epoch();
-
-        // Reserve most of what the streamer can use.
-        let st = e.group_status();
-        let ipc_alone = st.apps[ids[1]].apc_alone_estimate.unwrap() / st.apps[ids[1]].api;
-        let grant = e.admit_qos_target(ids[1], ipc_alone * 0.9).unwrap();
-
-        for (&id, cache) in ids.iter().zip(&caches) {
-            e.enqueue_delta(id, clean_delta(cache.apc_alone_at(8.0)))
-                .unwrap();
-        }
-        e.run_epoch();
+        assert_eq!(e.run_epoch(), EpochOutcome::Repartitioned);
         let reply = e.published_shares().unwrap();
         assert_eq!(reply.outcome.scheme, "coordinated");
-        assert!(
-            reply.apps[ids[1]].allocation >= grant.reserved_apc - 1e-9,
-            "allocation {} must cover the reservation {}",
-            reply.apps[ids[1]].allocation,
-            grant.reserved_apc
-        );
+        let snap = e.group_status();
+        let mut total = 0;
+        for (&id, row) in ids.iter().zip(&reply.apps) {
+            let rs = row.resources.as_ref().expect("resource rows");
+            assert_eq!(rs[0].kind, "bandwidth");
+            assert_eq!(rs[0].share.to_bits(), row.beta.to_bits());
+            assert_eq!(rs[1].kind, "llc-ways");
+            let ways = rs[1].amount.round() as usize;
+            assert_eq!(snap.apps[id].llc_ways, Some(ways));
+            total += ways;
+        }
+        assert_eq!(total, 16);
+
+        e.enroll_app("stream", 0.02, None).unwrap();
+        let err = e.what_if_shares(PartitionScheme::Coordinated).unwrap_err();
+        assert_eq!(err.code, ErrorCode::SolveFailed);
+        assert!(err
+            .message
+            .contains("`stream` has telemetry but no cache spec"));
     }
 }

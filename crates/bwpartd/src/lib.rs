@@ -10,11 +10,13 @@
 //! * [`protocol`] — a versioned, length-prefixed JSON wire protocol
 //!   (pure codec, testable without sockets).
 //! * [`engine`] — the epoch engine behind one public type, [`ShardMap`]:
-//!   per tenant group, fold Section IV-C telemetry deltas into Eq. 12–13
+//!   per tenant group, queue Section IV-C telemetry deltas and, each
+//!   epoch, let a [`bwpart_mc::EpochPolicy`] — the decision loop the
+//!   simulator's phase runner shares — fold them into Eq. 12–13
 //!   `APC_alone` estimates (EWMA-smoothed, with phase-change snapping),
-//!   re-solve the configured [`PartitionScheme`] each epoch (honouring
-//!   Eq. 11 QoS reservations), certify the result against the model
-//!   contracts, and publish it subject to hysteresis.
+//!   re-solve the configured [`PartitionScheme`] (honouring Eq. 11 QoS
+//!   reservations), certify the result against the model contracts, and
+//!   publish it subject to hysteresis.
 //! * [`server`] — the TCP front-end (vendored-`mio` epoll/poll
 //!   readiness loop, DESIGN.md §16): a fixed pool of nonblocking workers
 //!   multiplexing hundreds of pipelined connections, with bounded

@@ -338,6 +338,29 @@ impl Harness {
         assert!(self.handle.snapshot().telemetry_shed_total > 0);
     }
 
+    /// What-if solves whose power-family weights `APC_alone^α` overflow
+    /// (large negative α) or underflow (large positive α) get a
+    /// structured `SolveFailed`, never a panicked worker or a torn reply.
+    fn unsolvable_what_ifs(&mut self) {
+        let mut c = Client::connect(self.handle.addr()).expect("connect");
+        c.set_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        for scheme in ["power:-300", "power:-1e308", "power:300", "power:1e308"] {
+            let group = GROUPS[self.rng.below(GROUPS.len() as u64) as usize];
+            for reply in [
+                c.get_shares(Some(scheme)),
+                c.group_shares(group, Some(scheme)),
+            ] {
+                match reply {
+                    Err(ClientError::Service(e)) => {
+                        assert_eq!(e.code, ErrorCode::SolveFailed, "{scheme}: {}", e.message)
+                    }
+                    other => panic!("{scheme}: expected SolveFailed, got {other:?}"),
+                }
+            }
+        }
+    }
+
     /// Pipeline until TCP pushes back without ever reading, half-close,
     /// and check the service while that connection stays parked.
     fn never_reading_pipeliner(&mut self) {
@@ -383,6 +406,7 @@ fn service_survives_hostile_clients() {
         ("oversized length", Harness::oversized_length),
         ("telemetry flood", Harness::telemetry_flood),
         ("never-reading pipeliner", Harness::never_reading_pipeliner),
+        ("unsolvable what-ifs", Harness::unsolvable_what_ifs),
     ];
     let mut h = Harness::start();
     // Seeded Fisher-Yates: the order is part of what the seed replays.

@@ -401,6 +401,13 @@ impl Parsed {
                     i += 1;
                 }
                 let mix = mix.ok_or("--mix is required")?;
+                if scheme == PartitionScheme::Coordinated && cmd != "profile" {
+                    return Err(format!(
+                        "`{cmd}` runs the bandwidth-only schemes; the `coordinated` scheme \
+                         needs cache-aware profiles and an LLC to partition — serve it with \
+                         `bwpart serve --scheme coordinated --ways <n>`"
+                    ));
+                }
                 match cmd.as_str() {
                     "simulate" => Ok(Parsed::Simulate {
                         mix,

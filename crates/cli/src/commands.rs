@@ -101,7 +101,9 @@ pub fn dispatch(parsed: &Parsed) -> Result<String, String> {
                 phases: cfg.phases,
             };
             let (w, cc) = mix.build(1, cfg.seed);
-            let out = runner.run_scheme(*scheme, w, cc, ShareSource::OnlineProfile);
+            let out = runner.try_run_scheme(*scheme, w, cc, None).map_err(|e| {
+                format!("cannot simulate {} under {scheme}: {}", mix.name, e.message)
+            })?;
             let mut s = format!(
                 "{} × {} (measure {} cycles, seed {seed})\n",
                 mix.name,
@@ -146,13 +148,9 @@ pub fn dispatch(parsed: &Parsed) -> Result<String, String> {
             };
             let (w, cc) = mix.build(1, cfg.seed);
             let observer = RunObserver::with_tracer(1 << 16);
-            let sim = runner.run_scheme_traced(
-                *scheme,
-                w,
-                cc,
-                ShareSource::OnlineProfile,
-                Some(&observer),
-            );
+            let sim = runner
+                .try_run_scheme(*scheme, w, cc, Some(&observer))
+                .map_err(|e| format!("cannot trace {} under {scheme}: {}", mix.name, e.message))?;
             let tracer = observer
                 .tracer
                 .as_ref()

@@ -41,8 +41,8 @@ SCHEMES:
   square-root, two-thirds-power, priority-apc, priority-api,
   power:<alpha>); the paper's spellings (Square_root, 2/3_power, ...) and
   shorthands (sqrt, prop, fcfs) are accepted aliases. The `coordinated`
-  scheme co-partitions bandwidth and LLC ways (`serve --ways <n>`,
-  cache specs on register).
+  scheme co-partitions bandwidth and LLC ways; only the service runs it
+  (`serve --ways <n>`, cache specs on register).
 
 MIXES:
   homo-1..7, hetero-1..7, fig1, mix-1, mix-2, cache-1, cache-2

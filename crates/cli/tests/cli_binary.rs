@@ -103,6 +103,86 @@ fn simulate_fast_runs_end_to_end() {
     assert!(stdout.contains("Hsp"));
 }
 
+/// `simulate` and `trace` run only the bandwidth-only schemes: asking for
+/// `coordinated` is a usage error (exit 2) that points at the service,
+/// not a panic deep in the runner.
+#[test]
+fn simulate_and_trace_reject_the_coordinated_scheme() {
+    for cmd in ["simulate", "trace"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bwpart"))
+            .args([
+                cmd,
+                "--mix",
+                "hetero-1",
+                "--scheme",
+                "coordinated",
+                "--fast",
+            ])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains("serve --scheme coordinated --ways"),
+            "{cmd}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
+}
+
+/// A power exponent whose weights overflow (or underflow) is a solver
+/// error, never NaN shares.
+#[test]
+fn partition_rejects_an_unsolvable_power_exponent() {
+    for scheme in ["power:300", "power:-300"] {
+        let (ok, stdout, stderr) = bwpart(&[
+            "partition",
+            "--scheme",
+            scheme,
+            "--bandwidth",
+            "0.0095",
+            "--app",
+            "libquantum:0.0341:0.00692",
+            "--app",
+            "gobmk:0.0041:0.00191",
+        ]);
+        assert!(!ok, "{scheme}: {stdout}");
+        assert!(stderr.contains("error"), "{scheme}: {stderr}");
+        assert!(!stdout.contains("NaN"), "{scheme}: {stdout}");
+    }
+}
+
+/// The same exponents under `simulate` and `trace` fail at the profile
+/// boundary, where the measured estimates are first solved: a CLI error
+/// (exit 1) naming the overflow, not a panic in the runner.
+#[test]
+fn simulate_and_trace_report_an_unsolvable_power_exponent() {
+    let dir = std::env::temp_dir().join(format!("bwpart-unsolvable-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace_out = dir.join("trace.json");
+    for scheme in ["power:300", "power:-300"] {
+        for cmd in ["simulate", "trace"] {
+            let mut args = vec![cmd, "--mix", "hetero-1", "--scheme", scheme, "--fast"];
+            if cmd == "trace" {
+                args.extend(["--out", trace_out.to_str().expect("utf-8 temp path")]);
+            }
+            let out = Command::new(env!("CARGO_BIN_EXE_bwpart"))
+                .args(&args)
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {scheme}: {stderr}");
+            assert!(
+                stderr.contains("error: cannot") && stderr.contains("overflows or underflows"),
+                "{cmd} {scheme}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{cmd} {scheme}: {stderr}");
+        }
+    }
+    assert!(!trace_out.exists(), "a failed trace writes no file");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Service smoke: spawn `bwpart serve`, then drive three client processes
 /// through register → telemetry → get-shares → qos-admit and finally
 /// shutdown. Each step is a fresh process, so this exercises connection

@@ -3,7 +3,7 @@
 //! chosen partitioning scheme — plus standalone runs for ground truth.
 
 use bwpart_core::prelude::*;
-use bwpart_mc::Policy;
+use bwpart_mc::{EpochConfig, EpochPolicy, Policy, PolicyError, TelemetryDelta, Verdict};
 use bwpart_obs::{obs_span, Tracer};
 use serde::{Deserialize, Serialize};
 
@@ -52,20 +52,13 @@ impl PhaseConfig {
     }
 }
 
-/// Where the `APC_alone`/`API` reference values come from.
+/// Where the `APC_alone`/`API` reference values come from: online, from
+/// the profile phase (Eq. 12–13) — the paper's methodology and the only
+/// source.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ShareSource {
-    /// Estimate online from the profile phase (Eq. 12–13) — the paper's
-    /// default methodology.
+    /// Estimate online from the profile phase (Eq. 12–13).
     OnlineProfile,
-    /// Use externally supplied reference values (e.g. ground truth from
-    /// standalone runs, or OS-provided targets as Section IV-C suggests).
-    Provided {
-        /// `APC_alone` per application.
-        apc_alone: Vec<f64>,
-        /// `API` per application.
-        api: Vec<f64>,
-    },
 }
 
 /// Ground-truth standalone profile of one workload.
@@ -152,38 +145,61 @@ fn clamp_pos(v: f64) -> f64 {
     }
 }
 
-fn profiles_from(names: &[String], apc_alone: &[f64], api: &[f64]) -> Vec<AppProfile> {
-    names
-        .iter()
-        .zip(apc_alone.iter().zip(api))
-        .map(|(n, (&apc, &a))| {
-            AppProfile::new(n.clone(), clamp_pos(a), clamp_pos(apc))
-                // lint: allow(R1): clamp_pos guarantees finite positive inputs
-                .expect("clamped values are valid")
-        })
-        .collect()
+/// Fold one window's controller counters (`take_epoch_counters`) into the
+/// policy as Section IV-C deltas and take its decision.
+fn decide(
+    policy: &mut EpochPolicy,
+    (accesses, interference): &(Vec<u64>, Vec<u64>),
+    window_cycles: u64,
+) -> Verdict {
+    for (app, (&accesses, &interference_cycles)) in accesses.iter().zip(interference).enumerate() {
+        policy.fold(
+            app,
+            TelemetryDelta {
+                accesses,
+                shared_cycles: window_cycles,
+                interference_cycles,
+            },
+        );
+    }
+    policy.decide()
 }
 
-/// Record one per-app share counter sample per application (track id =
-/// app index) for share-based schemes; priority/baseline schemes have no
-/// share vector, so nothing is emitted.
-fn emit_share_tracks(
-    tracer: &Tracer,
-    scheme: PartitionScheme,
-    profiles: &[AppProfile],
-    b: f64,
-    ts: u64,
-) {
-    if let Ok(shares) = scheme.shares(profiles, b) {
-        for (app, &s) in shares.iter().enumerate() {
-            tracer.counter_at("share", app as u64, ts, s);
+/// The scheduler enforcing `scheme` from the policy's state: STF over the
+/// published `β` (an application left out of it gets no share), strict
+/// priority on the estimates or API, or FCFS. `None` while a share scheme
+/// has nothing published.
+fn enforcement(scheme: PartitionScheme, policy: &EpochPolicy) -> Option<Policy> {
+    let apps = policy.apps();
+    Some(match scheme {
+        PartitionScheme::NoPartitioning => Policy::fcfs(apps.len()),
+        PartitionScheme::PriorityApc => {
+            Policy::priority(apps.iter().map(|a| a.estimate.unwrap_or(0.0)).collect())
+        }
+        PartitionScheme::PriorityApi => Policy::priority(apps.iter().map(|a| a.api).collect()),
+        _ => Policy::stf(policy.published()?.per_app().iter().map(|r| r.0).collect()),
+    })
+}
+
+/// Record the published decision's `β` as one share counter sample per
+/// application (track id = app index).
+fn trace_shares(tracer: Option<&Tracer>, policy: &EpochPolicy, ts: u64) {
+    if let (Some(t), Some(d)) = (tracer, policy.published()) {
+        for (app, (beta, _)) in d.per_app().into_iter().enumerate() {
+            t.counter_at("share", app as u64, ts, beta);
         }
     }
 }
 
 impl Runner {
-    /// Build the scheduling policy realizing `scheme` for `profiles` over
-    /// total bandwidth `b`.
+    /// Build the scheduling policy realizing `scheme` for fixed
+    /// `profiles` over total bandwidth `b`: the offline counterpart of
+    /// what [`Runner::try_run_scheme`] enforces after each decision.
+    ///
+    /// # Panics
+    /// For [`PartitionScheme::Coordinated`], which needs cache-aware
+    /// profiles and an LLC, and for a power exponent whose weights over
+    /// `profiles` overflow or underflow.
     pub fn policy_for(scheme: PartitionScheme, profiles: &[AppProfile], b: f64) -> Policy {
         let n = profiles.len();
         match scheme {
@@ -197,14 +213,17 @@ impl Runner {
             _ => Policy::stf(
                 scheme
                     .shares(profiles, b)
-                    // lint: allow(R1): the match covers every non-power scheme above
-                    .expect("power-family schemes always yield shares"),
+                    // lint: allow(R1): documented panic — Coordinated and unsolvable exponents
+                    .expect("a power-family scheme whose weights the profiles can carry"),
             ),
         }
     }
 
     /// Run one workload mix under `scheme`, following the paper's phase
     /// methodology. `workloads[i]` runs on core `i` with `core_cfgs[i]`.
+    ///
+    /// # Panics
+    /// Where [`Runner::try_run_scheme`] errors.
     pub fn run_scheme(
         &self,
         scheme: PartitionScheme,
@@ -223,6 +242,9 @@ impl Runner {
     /// wall-clock phase spans. Passing `None` is byte-identical to
     /// [`run_scheme`](Self::run_scheme); observation never changes the
     /// simulation.
+    ///
+    /// # Panics
+    /// Where [`Runner::try_run_scheme`] errors.
     pub fn run_scheme_traced(
         &self,
         scheme: PartitionScheme,
@@ -231,6 +253,30 @@ impl Runner {
         source: ShareSource,
         obs: Option<&RunObserver>,
     ) -> SimOutcome {
+        let ShareSource::OnlineProfile = source;
+        self.try_run_scheme(scheme, workloads, core_cfgs, obs)
+            // lint: allow(R1): documented panic — try_run_scheme is the fallible form
+            .unwrap_or_else(|e| panic!("cannot run {scheme}: {}", e.message))
+    }
+
+    /// The fallible form of [`run_scheme_traced`](Self::run_scheme_traced).
+    /// Each Section IV-C decision — at the profile boundary and at every
+    /// repartition epoch — is an [`EpochPolicy`] epoch with `ewma_alpha =
+    /// 1` and `hysteresis = 0`: exactly `scheme.solve` of that window's
+    /// estimates, enforced in place (STF start tags carry over). A window
+    /// without any memory access keeps the partition in force.
+    ///
+    /// # Errors
+    /// When the profile phase leaves a share scheme nothing to enforce:
+    /// [`PartitionScheme::Coordinated`] (no cache-aware profiles), a power
+    /// exponent the estimates cannot carry, or no memory access at all.
+    pub fn try_run_scheme(
+        &self,
+        scheme: PartitionScheme,
+        workloads: Vec<Box<dyn Workload>>,
+        core_cfgs: Vec<CoreConfig>,
+        obs: Option<&RunObserver>,
+    ) -> Result<SimOutcome, PolicyError> {
         let n = workloads.len();
         let mut sys = CmpSystem::new(&self.cmp, workloads, core_cfgs, Policy::fcfs(n));
         // Warm-up and profiling stay cycle-exact even in hybrid runs: the
@@ -241,9 +287,6 @@ impl Runner {
             sys.attach_obs(&o.registry);
         }
         let tracer: Option<&Tracer> = obs.and_then(|o| o.tracer.as_ref());
-        let names: Vec<String> = (0..n)
-            .map(|i| sys.core(i).workload_name().to_string())
-            .collect();
 
         // Phase 1: warm-up.
         {
@@ -261,46 +304,61 @@ impl Runner {
             obs_span!(tracer, "phase:profile");
             sys.run(self.phases.profile);
         }
-        let (acc, intf) = sys.mc_mut().take_epoch_counters();
-        let instr: Vec<u64> = (0..n).map(|i| sys.core(i).counters.retired).collect();
-        let elapsed = self.phases.profile;
-        let floor = (elapsed / 50).max(1);
-        let apc_alone_est: Vec<f64> = acc
+        let counters = sys.mc_mut().take_epoch_counters();
+        let api_ref: Vec<f64> = counters
+            .0
             .iter()
-            .zip(&intf)
-            .map(|(&a, &i)| a as f64 / elapsed.saturating_sub(i).max(floor) as f64)
+            .enumerate()
+            .map(|(i, &a)| a as f64 / sys.core(i).counters.retired.max(1) as f64)
             .collect();
-        let api_est: Vec<f64> = acc
+        let mut policy = EpochPolicy::new(EpochConfig {
+            scheme,
+            bandwidth: clamp_pos(
+                counters.0.iter().sum::<u64>() as f64 / self.phases.profile as f64,
+            ),
+            ewma_alpha: 1.0,
+            hysteresis: 0.0,
+            total_ways: None,
+        });
+        for (i, &api) in api_ref.iter().enumerate() {
+            policy.enroll(sys.core(i).workload_name(), clamp_pos(api), None);
+        }
+        // No_partitioning has no analytic partition, so this decision
+        // fails; it still refreshes the estimates every figure is
+        // normalised to.
+        decide(&mut policy, &counters, self.phases.profile);
+        let apc_alone_ref: Vec<f64> = policy
+            .apps()
             .iter()
-            .zip(&instr)
-            .map(|(&a, &ins)| a as f64 / ins.max(1) as f64)
+            .map(|a| a.estimate.unwrap_or(0.0))
             .collect();
-        let b_est = acc.iter().sum::<u64>() as f64 / elapsed as f64;
-
-        let (apc_alone_ref, api_ref) = match source {
-            ShareSource::OnlineProfile => (apc_alone_est, api_est),
-            ShareSource::Provided { apc_alone, api } => {
-                assert_eq!(apc_alone.len(), n, "apc_alone length");
-                assert_eq!(api.len(), n, "api length");
-                (apc_alone, api)
-            }
-        };
-        let profiles = profiles_from(&names, &apc_alone_ref, &api_ref);
-        sys.mc_mut()
-            .set_policy(Self::policy_for(scheme, &profiles, clamp_pos(b_est)));
+        let enforced = enforcement(scheme, &policy).ok_or_else(|| {
+            policy
+                .failure()
+                .cloned()
+                .unwrap_or_else(PolicyError::not_ready)
+        })?;
+        sys.mc_mut().set_policy(enforced);
         if let Some(t) = tracer {
             t.instant_at("profile_end", 0, sys.cycle());
-            emit_share_tracks(t, scheme, &profiles, clamp_pos(b_est), sys.cycle());
         }
+        trace_shares(tracer, &policy, sys.cycle());
 
-        // Phase 3: measure (optionally re-profiling each epoch).
+        // Phase 3: measure, re-deciding at every repartition epoch
+        // (No_partitioning enforces nothing, so it never re-decides).
         sys.set_hybrid_armed(true);
         sys.reset_phase_counters();
         let start = sys.snapshot();
         obs_span!(tracer, "phase:measure");
-        match self.phases.repartition_epoch {
-            Some(epoch) if epoch > 0 && epoch < self.phases.measure => {
-                let mut remaining = self.phases.measure;
+        let measure = self.phases.measure;
+        match self
+            .phases
+            .repartition_epoch
+            .filter(|&e| e > 0 && e < measure)
+        {
+            None => sys.run(measure),
+            Some(epoch) => {
+                let mut remaining = measure;
                 while remaining > 0 {
                     let chunk = epoch.min(remaining);
                     let epoch_start = sys.cycle();
@@ -312,39 +370,28 @@ impl Runner {
                     if let Some(o) = obs {
                         sys.publish_metrics(&o.registry);
                     }
-                    if remaining > 0 {
-                        let (acc, intf) = sys.mc_mut().take_epoch_counters();
-                        let floor = (chunk / 50).max(1);
-                        let apc: Vec<f64> = acc
-                            .iter()
-                            .zip(&intf)
-                            .map(|(&a, &i)| a as f64 / chunk.saturating_sub(i).max(floor) as f64)
-                            .collect();
-                        // Update the enforced partition from fresh estimates
-                        // (API is stable; keep the reference values).
-                        let fresh = profiles_from(&names, &apc, &api_ref);
-                        match scheme {
-                            PartitionScheme::NoPartitioning => {}
-                            PartitionScheme::PriorityApc => sys
-                                .mc_mut()
-                                .policy_mut()
-                                .set_keys(fresh.iter().map(|p| p.apc_alone).collect()),
-                            PartitionScheme::PriorityApi => {}
-                            _ => {
-                                if let Ok(shares) = scheme.shares(&fresh, clamp_pos(b_est)) {
-                                    if let Some(t) = tracer {
-                                        for (app, &s) in shares.iter().enumerate() {
-                                            t.counter_at("share", app as u64, sys.cycle(), s);
-                                        }
-                                    }
-                                    sys.mc_mut().policy_mut().set_shares(shares);
-                                }
-                            }
-                        }
+                    if remaining == 0 {
+                        break;
+                    }
+                    // Taken under No_partitioning too, which decides
+                    // nothing: taking restarts the interference tally
+                    // that the measured stats report.
+                    let counters = sys.mc_mut().take_epoch_counters();
+                    if scheme == PartitionScheme::NoPartitioning {
+                        continue;
+                    }
+                    let verdict = decide(&mut policy, &counters, chunk);
+                    // Priority keys follow every window's estimates; β
+                    // moves only on a Repartitioned verdict, so otherwise
+                    // this re-applies the one in force.
+                    if let Some(next) = enforcement(scheme, &policy) {
+                        sys.mc_mut().policy_mut().retarget(next);
+                    }
+                    if verdict == Verdict::Repartitioned {
+                        trace_shares(tracer, &policy, sys.cycle());
                     }
                 }
             }
-            _ => sys.run(self.phases.measure),
         }
         let end = sys.snapshot();
         let stats = sys.window_stats(&start, &end);
@@ -360,13 +407,13 @@ impl Runner {
             t.instant_at("measure_end", 0, sys.cycle());
         }
 
-        SimOutcome {
+        Ok(SimOutcome {
             scheme: scheme.name(),
             stats,
             apc_alone_ref,
             api_ref,
             total_bandwidth,
-        }
+        })
     }
 
     /// Run a mix with an explicit share vector enforced by start-time-fair
@@ -523,11 +570,49 @@ mod tests {
         Box::new(Synthetic::new("light", 4, 40))
     }
 
+    /// Hot set only: no memory traffic once the caches are warm.
+    fn silent() -> Box<dyn Workload> {
+        Box::new(Synthetic::new("silent", 4, u32::MAX))
+    }
+
+    /// `heavy` for its first `left` accesses, silent after; `issued`
+    /// counts every access it hands out.
+    struct Fading {
+        inner: Synthetic,
+        left: u64,
+        issued: std::rc::Rc<std::cell::Cell<u64>>,
+    }
+
+    impl Workload for Fading {
+        fn next_access(&mut self) -> Access {
+            self.issued.set(self.issued.get() + 1);
+            match self.left.checked_sub(1) {
+                Some(left) => self.left = left,
+                None => self.inner.stream_period = u32::MAX,
+            }
+            self.inner.next_access()
+        }
+        fn name(&self) -> &str {
+            &self.inner.name
+        }
+    }
+
     fn runner() -> Runner {
         Runner {
             cmp: CmpConfig::default(),
             phases: PhaseConfig::fast(),
         }
+    }
+
+    /// Every `share` counter sample: (timestamp, app, β).
+    fn share_samples(obs: &crate::obs::RunObserver) -> Vec<(u64, u64, f64)> {
+        // lint: allow(R1): with_tracer always sets the tracer
+        let events = obs.tracer.as_ref().unwrap().events();
+        events
+            .iter()
+            .filter(|e| e.name == "share")
+            .filter_map(|e| Some((e.ts, e.tid, e.value?)))
+            .collect()
     }
 
     #[test]
@@ -602,22 +687,6 @@ mod tests {
             speedups[1] > speedups[0],
             "priority must favour the light app: {speedups:?}"
         );
-    }
-
-    #[test]
-    fn provided_source_overrides_estimates() {
-        let r = runner();
-        let out = r.run_scheme(
-            PartitionScheme::SquareRoot,
-            vec![heavy(), light()],
-            vec![CoreConfig::default(); 2],
-            ShareSource::Provided {
-                apc_alone: vec![0.008, 0.001],
-                api: vec![0.05, 0.005],
-            },
-        );
-        assert_eq!(out.apc_alone_ref, vec![0.008, 0.001]);
-        assert_eq!(out.api_ref, vec![0.05, 0.005]);
     }
 
     #[test]
@@ -704,6 +773,99 @@ mod tests {
                     .any(|e| e.name == "share" && e.tid == app && e.value.is_some()),
                 "missing share track for app {app}"
             );
+        }
+    }
+
+    #[test]
+    fn a_silent_app_gets_no_share() {
+        // No access in the profile window: the decision leaves the app
+        // out, so STF enforces β = 0 for it (served only when alone).
+        let obs = crate::obs::RunObserver::with_tracer(4096);
+        let out = runner()
+            .try_run_scheme(
+                PartitionScheme::SquareRoot,
+                vec![heavy(), silent()],
+                vec![CoreConfig::default(); 2],
+                Some(&obs),
+            )
+            .unwrap();
+        assert_eq!(out.apc_alone_ref[1..], [0.0]);
+        assert!(out.stats[0].mem_accesses > 0);
+        let shares: Vec<(u64, f64)> = share_samples(&obs)
+            .into_iter()
+            .map(|(_, app, beta)| (app, beta))
+            .collect();
+        assert_eq!(shares, [(0, 1.0), (1, 0.0)]);
+    }
+
+    #[test]
+    fn all_silent_epochs_keep_the_enforced_partition() {
+        let fading = |left: u64, issued: &std::rc::Rc<std::cell::Cell<u64>>| -> Box<dyn Workload> {
+            Box::new(Fading {
+                inner: Synthetic::new("fading", 4, 2),
+                left,
+                issued: issued.clone(),
+            })
+        };
+        // Calibrate: accesses issued through warm-up and profile.
+        let issued = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut r = runner();
+        r.phases.measure = 0;
+        r.run_scheme(
+            PartitionScheme::SquareRoot,
+            vec![fading(u64::MAX, &issued), heavy()],
+            vec![CoreConfig::default(); 2],
+            ShareSource::OnlineProfile,
+        );
+        let profiled = issued.get();
+
+        // Both apps go silent early in the first of four measure epochs,
+        // so epochs 2 and 3 see no memory access at all: they decide
+        // nothing and the first epoch's partition stays enforced.
+        let mut r = runner();
+        r.phases.repartition_epoch = Some(100_000);
+        let obs = crate::obs::RunObserver::with_tracer(4096);
+        let (a, b) = (std::rc::Rc::default(), std::rc::Rc::default());
+        let out = r
+            .try_run_scheme(
+                PartitionScheme::SquareRoot,
+                vec![fading(profiled + 200, &a), fading(profiled + 200, &b)],
+                vec![CoreConfig::default(); 2],
+                Some(&obs),
+            )
+            .unwrap();
+        assert!(out.stats.iter().all(|s| s.mem_accesses > 0));
+        let measure_start = r.phases.warmup + r.phases.profile;
+        let mut decided: Vec<u64> = share_samples(&obs)
+            .into_iter()
+            .map(|(ts, _, _)| ts - measure_start)
+            .collect();
+        decided.dedup();
+        assert_eq!(decided, [0, 100_000], "profile boundary and epoch 1 only");
+    }
+
+    #[test]
+    fn try_run_scheme_reports_what_it_cannot_enforce() {
+        let r = runner();
+        let run = |scheme, w: fn() -> Box<dyn Workload>| {
+            r.try_run_scheme(scheme, vec![w(), w()], vec![CoreConfig::default(); 2], None)
+        };
+        let err = run(PartitionScheme::SquareRoot, silent).unwrap_err();
+        assert_eq!(err.kind, bwpart_mc::Refusal::NotReady, "{}", err.message);
+        let err = run(PartitionScheme::Power(300.0), heavy).unwrap_err();
+        assert_eq!(err.kind, bwpart_mc::Refusal::SolveFailed);
+        assert!(
+            err.message.contains("overflows or underflows"),
+            "{}",
+            err.message
+        );
+        // The priority and baseline schemes enforce from the estimates
+        // alone, silent or not.
+        for scheme in [
+            PartitionScheme::PriorityApc,
+            PartitionScheme::NoPartitioning,
+        ] {
+            assert_eq!(run(scheme, silent).unwrap().apc_alone_ref, [0.0, 0.0]);
         }
     }
 

@@ -311,6 +311,9 @@ impl CmpSystem {
     /// `cmp_steps_total` counts visits, `cmp_ff_skipped_cycles_total` the
     /// cycles with no visit, and `cmp_ff_jumps_total` the runs of such
     /// cycles.
+    // The visit and jump tallies feed only `obs_count!`, which expands to
+    // nothing without the `trace` feature; the optimiser then drops them.
+    #[cfg_attr(not(feature = "trace"), allow(unused_variables, unused_assignments))]
     fn run_exact(&mut self, cycles: u64) {
         if !self.fast_forward {
             self.run_per_cycle(cycles);
@@ -370,6 +373,8 @@ impl CmpSystem {
     /// cleared), and a jump is taken only if a full observation window
     /// still fits before `cycles` end, so every run finishes on
     /// exactly-simulated state.
+    // The jump tallies feed only `obs_count!` (see `run_exact`).
+    #[cfg_attr(not(feature = "trace"), allow(unused_variables, unused_assignments))]
     fn run_hybrid(&mut self, cycles: u64) {
         // lint: allow(R1): run() dispatches here only when hybrid is Some
         let mut h = self.hybrid.take().expect("hybrid state present");

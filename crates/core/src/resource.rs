@@ -297,7 +297,19 @@ fn apportion_integral(weights: &[f64], total: usize, min_each: usize) -> Vec<usi
         }
         return grants;
     }
-    let ideal: Vec<f64> = weights.iter().map(|&w| free as f64 * w / wsum).collect();
+    let ideal: Vec<f64> = weights
+        .iter()
+        .map(|&w| {
+            // `free × w` overflows for a weight near f64::MAX; the ratio
+            // first cannot.
+            let x = free as f64 * w / wsum;
+            if x.is_finite() {
+                x
+            } else {
+                free as f64 * (w / wsum)
+            }
+        })
+        .collect();
     let mut assigned = 0usize;
     let mut rema: Vec<(usize, f64)> = Vec::with_capacity(n);
     for (i, &x) in ideal.iter().enumerate() {
@@ -375,21 +387,7 @@ impl PartitionScheme {
                     | PartitionScheme::Proportional
                     | PartitionScheme::SquareRoot
                     | PartitionScheme::TwoThirdsPower
-                    | PartitionScheme::Power(_) => {
-                        let Some(alpha) = self.power_exponent() else {
-                            return Err(ModelError::InvalidInput {
-                                what: "scheme (expected a power-family scheme)",
-                                value: f64::NAN,
-                            });
-                        };
-                        if !alpha.is_finite() {
-                            return Err(ModelError::InvalidInput {
-                                what: "power exponent",
-                                value: alpha,
-                            });
-                        }
-                        apps.iter().map(|a| a.apc_alone.powf(alpha)).collect()
-                    }
+                    | PartitionScheme::Power(_) => self.power_weights(apps)?,
                 };
                 let min_each = resource.min_unit.ceil() as usize;
                 let ways = apportion_integral(&weights, total, min_each);

@@ -179,24 +179,7 @@ impl PartitionScheme {
             | PartitionScheme::Proportional
             | PartitionScheme::SquareRoot
             | PartitionScheme::TwoThirdsPower
-            | PartitionScheme::Power(_) => {
-                // Every variant listed here is power-family, but route the
-                // impossible case through ModelError rather than panicking.
-                let Some(alpha) = self.power_exponent() else {
-                    return Err(ModelError::InvalidInput {
-                        what: "scheme (expected a power-family scheme)",
-                        value: f64::NAN,
-                    });
-                };
-                if !alpha.is_finite() {
-                    return Err(ModelError::InvalidInput {
-                        what: "power exponent",
-                        value: alpha,
-                    });
-                }
-                let weights: Vec<f64> = apps.iter().map(|a| a.apc_alone.powf(alpha)).collect();
-                solver::water_fill(&weights, &caps, b)
-            }
+            | PartitionScheme::Power(_) => solver::water_fill(&self.power_weights(apps)?, &caps, b),
         };
         crate::ensures_capped!(alloc, caps);
         Ok(alloc)
@@ -213,16 +196,9 @@ impl PartitionScheme {
         if apps.is_empty() {
             return Err(ModelError::NoApplications);
         }
-        if let Some(alpha) = self.power_exponent() {
-            if !alpha.is_finite() {
-                return Err(ModelError::InvalidInput {
-                    what: "power exponent",
-                    value: alpha,
-                });
-            }
-            let weights: Vec<f64> = apps.iter().map(|a| a.apc_alone.powf(alpha)).collect();
+        if self.power_exponent().is_some() {
+            let weights = self.power_weights(apps)?;
             let sum: f64 = weights.iter().sum();
-            crate::invariant!(sum > 0.0, "power-family weights must have positive mass");
             let beta: Vec<f64> = weights.iter().map(|&w| w / sum).collect();
             crate::ensures_simplex!(beta);
             return Ok(beta);
@@ -236,6 +212,40 @@ impl PartitionScheme {
         let beta: Vec<f64> = alloc.iter().map(|&a| a / total).collect();
         crate::ensures_simplex!(beta);
         Ok(beta)
+    }
+
+    /// The power-family weights `APC_alone,i^α` that [`allocation`],
+    /// [`shares`] and the LLC-way apportionment all split by.
+    ///
+    /// Errors with [`ModelError::InvalidInput`] for a scheme outside the
+    /// power family, a non-finite `α`, and an exponent the profiles
+    /// cannot carry: a weight that overflows, or every weight zero.
+    ///
+    /// [`allocation`]: PartitionScheme::allocation
+    /// [`shares`]: PartitionScheme::shares
+    // lint: allow(A2): raw weights, not shares — every caller normalises and certifies
+    pub(crate) fn power_weights(self, apps: &[AppProfile]) -> Result<Vec<f64>, ModelError> {
+        let Some(alpha) = self.power_exponent() else {
+            return Err(ModelError::InvalidInput {
+                what: "scheme (expected a power-family scheme)",
+                value: f64::NAN,
+            });
+        };
+        if !alpha.is_finite() {
+            return Err(ModelError::InvalidInput {
+                what: "power exponent",
+                value: alpha,
+            });
+        }
+        let weights: Vec<f64> = apps.iter().map(|a| a.apc_alone.powf(alpha)).collect();
+        let sum: f64 = weights.iter().sum();
+        if !(sum.is_finite() && sum > 0.0) {
+            return Err(ModelError::InvalidInput {
+                what: "power exponent (APC_alone^alpha overflows or underflows)",
+                value: alpha,
+            });
+        }
+        Ok(weights)
     }
 }
 
@@ -601,5 +611,21 @@ mod tests {
         let json = serde_json::to_string(&out).unwrap();
         let back: SharesOutcome = serde_json::from_str(&json).unwrap();
         assert_eq!(back, out);
+    }
+
+    #[test]
+    fn subnormal_power_weights_keep_their_exact_shares() {
+        // 0.05^240 ≈ 5.6e-313 and 0.048^240 ≈ 3.2e-317 are both subnormal.
+        let apps = vec![
+            AppProfile::new("a", 0.01, 0.05).unwrap(),
+            AppProfile::new("b", 0.01, 0.048).unwrap(),
+        ];
+        let raw: Vec<f64> = apps.iter().map(|a| a.apc_alone.powf(240.0)).collect();
+        assert!(raw.iter().all(|&w| w > 0.0 && w < f64::MIN_POSITIVE));
+        let sum: f64 = raw.iter().sum();
+        let want: Vec<f64> = raw.iter().map(|w| w / sum).collect();
+        let out = PartitionScheme::Power(240.0).solve(&apps, 0.05).unwrap();
+        assert_eq!(out.beta, want, "the plain ratios, bit for bit");
+        assert!((out.allocation.iter().sum::<f64>() - 0.05).abs() < 1e-12);
     }
 }

@@ -61,12 +61,19 @@ pub fn water_fill(weights: &[f64], caps: &[f64], b: f64) -> Vec<f64> {
     while remaining > 1e-15 && !active.is_empty() {
         let wsum: f64 = active.iter().map(|&i| weights[i]).sum();
         debug_assert!(wsum > 0.0);
+        // Every active weight subnormal: `remaining × w` would keep only a
+        // few bits. Scaling by 2^1022 is exact there and keeps each ratio.
+        let scale = if wsum < f64::MIN_POSITIVE {
+            2f64.powi(1022)
+        } else {
+            1.0
+        };
         let mut overflowed = false;
         let mut next_active = Vec::with_capacity(active.len());
         // First pass: find apps whose proportional grant would exceed the cap.
         let grants: Vec<(usize, f64)> = active
             .iter()
-            .map(|&i| (i, remaining * weights[i] / wsum))
+            .map(|&i| (i, remaining * (weights[i] * scale) / (wsum * scale)))
             .collect();
         for &(i, g) in &grants {
             let room = caps[i] - alloc[i];

@@ -481,3 +481,55 @@ proptest! {
         }
     }
 }
+
+/// Strategy: any finite power exponent — moderate ones, `|α| ≤ 200`
+/// (where the largest weight turns subnormal or nears `f64::MAX`), ones
+/// spread over every decade up to `f64::MAX` in both signs, and raw bit
+/// patterns (non-finite draws are rejected by the test).
+fn arb_alpha() -> impl Strategy<Value = f64> {
+    (0usize..4, -1.0f64..1.0, any::<u64>()).prop_map(|(kind, u, bits)| match kind {
+        0 => 8.0 * u,
+        1 => 200.0 * u,
+        2 => u.signum() * 10f64.powf(u.abs() * 308.0),
+        _ => f64::from_bits(bits),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Any finite exponent over valid profiles solves to a certified
+    /// simplex or a structured `InvalidInput` error, for the bandwidth
+    /// and the LLC-way apportionment alike — never a panic, never a NaN
+    /// share (`APC_alone^α` overflows for large negative α and underflows
+    /// for large positive α).
+    #[test]
+    fn power_solve_is_certified_or_an_error(
+        apps in arb_apps(),
+        alpha in arb_alpha(),
+        scale in 0.1f64..3.0,
+    ) {
+        prop_assume!(alpha.is_finite());
+        let scheme = PartitionScheme::Power(alpha);
+        let demand: f64 = apps.iter().map(|a| a.apc_alone).sum();
+        let b = scale * demand;
+        match scheme.solve(&apps, b) {
+            Ok(out) => {
+                bwpart_core::schemes::validate_shares(&out.beta, apps.len()).unwrap();
+                for (a, app) in out.allocation.iter().zip(&apps) {
+                    prop_assert!(*a >= 0.0 && *a <= app.apc_alone + 1e-12, "{a}");
+                }
+                let sum: f64 = out.allocation.iter().sum();
+                prop_assert!((sum - b.min(demand)).abs() < 1e-9, "α {alpha}: sum {sum}");
+            }
+            Err(e) => prop_assert!(matches!(e, ModelError::InvalidInput { .. }), "{e}"),
+        }
+        match scheme.solve_resource(&apps, &Resource::llc_ways(16)) {
+            Ok(ways) => {
+                let total: f64 = ways.amounts.iter().sum();
+                prop_assert!((total - 16.0).abs() < 1e-9, "α {alpha}: {total} ways");
+            }
+            Err(e) => prop_assert!(matches!(e, ModelError::InvalidInput { .. }), "{e}"),
+        }
+    }
+}

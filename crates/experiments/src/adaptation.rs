@@ -170,4 +170,21 @@ mod tests {
         let rendered = render(&r);
         assert!(rendered.contains("adaptive"));
     }
+
+    /// The exact `Debug` form — every f64 to the last bit — of the fast
+    /// run, the only experiment with repartition epochs. Any change to
+    /// the runner's profile or repartition path moves it.
+    #[test]
+    fn fast_adaptation_is_pinned_exactly() {
+        let r = run(&ExpConfig::fast());
+        assert_eq!(
+            format!("{r:?}"),
+            "AdaptationResult { \
+             static_metrics: [0.10382857459697653, 0.11797214193745893, 0.5593280223147, \
+             1.0653883333333332], \
+             adaptive_metrics: [0.13821269708207015, 0.1687850589305169, 0.49447324120396563, \
+             0.9668966666666667], \
+             morph_ipc_static: 0.061513333333333337, morph_ipc_adaptive: 0.08800833333333333 }"
+        );
+    }
 }

@@ -221,7 +221,7 @@ impl MemoryController {
     }
 
     /// Mutable access to the policy (epoch repartitioning:
-    /// [`Policy::set_shares`] / [`Policy::set_keys`]).
+    /// [`Policy::retarget`]).
     pub fn policy_mut(&mut self) -> &mut Policy {
         &mut self.policy
     }

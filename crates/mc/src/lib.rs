@@ -22,11 +22,15 @@
 //!   application.
 //! * [`profiler`] — Eq. 12–13 online `APC_alone` estimation from the three
 //!   per-application counters (`N_accesses`, `T_cyc,shared`,
-//!   `T_cyc,interference`).
+//!   `T_cyc,interference`), folded from [`TelemetryDelta`]s.
+//! * [`epoch`] — the Section IV-C epoch decision ([`EpochPolicy`]): fold,
+//!   smooth, solve, certify, publish. The simulator's phase runner and
+//!   the `bwpartd` service both decide through it.
 //! * [`controller`] — the [`MemoryController`] tying it together on the
 //!   DRAM command clock.
 
 pub mod controller;
+pub mod epoch;
 pub mod interference;
 pub mod obs;
 pub mod policy;
@@ -35,7 +39,8 @@ pub mod queue;
 pub mod request;
 
 pub use controller::{McStats, MemoryController};
+pub use epoch::{Decision, EpochConfig, EpochPolicy, PolicyApp, PolicyError, Refusal, Verdict};
 pub use obs::McObsHooks;
 pub use policy::{Policy, PolicyKind};
-pub use profiler::{ApcProfiler, DeltaAccumulator, ProfileSnapshot, TelemetryDelta};
+pub use profiler::{DeltaAccumulator, TelemetryDelta};
 pub use request::MemRequest;

@@ -193,21 +193,18 @@ impl Policy {
         self.kind
     }
 
-    /// Replace the STF share vector (epoch repartitioning). Tags are
-    /// preserved so accumulated credit carries across epochs.
-    pub fn set_shares(&mut self, shares: Vec<f64>) {
-        assert_eq!(shares.len(), self.shares.len(), "share vector length");
-        assert!(
-            shares.iter().all(|s| s.is_finite() && *s >= 0.0),
-            "shares must be non-negative"
-        );
-        self.shares = shares;
-    }
-
-    /// Replace the priority keys (epoch repartitioning).
-    pub fn set_keys(&mut self, keys: Vec<f64>) {
-        assert_eq!(keys.len(), self.keys.len(), "key vector length");
-        self.keys = keys;
+    /// Adopt `next`'s targets — the STF share vector and the priority
+    /// keys — while keeping this policy's scheduling state, so STF start
+    /// tags carry their accumulated credit across an epoch repartition.
+    ///
+    /// # Panics
+    /// If `next` is a different discipline or schedules a different
+    /// number of applications.
+    pub fn retarget(&mut self, next: Policy) {
+        assert_eq!(self.kind, next.kind, "retarget across disciplines");
+        assert_eq!(next.shares.len(), self.shares.len(), "share vector length");
+        self.shares = next.shares;
+        self.keys = next.keys;
     }
 
     /// Current STF tag of `app` (tests/diagnostics).
@@ -475,11 +472,11 @@ mod tests {
     }
 
     #[test]
-    fn set_shares_preserves_tags() {
+    fn retarget_preserves_tags() {
         let mut p = Policy::stf(vec![0.5, 0.5]);
         p.on_served(0);
         let t = p.tag(0);
-        p.set_shares(vec![0.9, 0.1]);
+        p.retarget(Policy::stf(vec![0.9, 0.1]));
         assert_eq!(p.tag(0), t);
         p.on_served(0);
         assert!((p.tag(0) - (t + 1.0 / 0.9)).abs() < 1e-12);
@@ -493,9 +490,24 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "share vector length")]
-    fn set_shares_rejects_length_change() {
+    fn retarget_rejects_length_change() {
         let mut p = Policy::stf(vec![0.5, 0.5]);
-        p.set_shares(vec![1.0]);
+        p.retarget(Policy::stf(vec![1.0]));
+    }
+
+    #[test]
+    fn retarget_replaces_priority_keys() {
+        let mut p = Policy::priority(vec![1.0, 2.0]);
+        p.retarget(Policy::priority(vec![3.0, 0.5]));
+        let c = [cand(0, 1, true), cand(1, 2, true)];
+        assert_eq!(p.pick(&c), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "retarget across disciplines")]
+    fn retarget_rejects_another_discipline() {
+        let mut p = Policy::stf(vec![0.5, 0.5]);
+        p.retarget(Policy::fcfs(2));
     }
 
     #[test]

@@ -17,92 +17,19 @@
 
 use serde::{Deserialize, Serialize};
 
-/// One epoch's profile estimate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ProfileSnapshot {
-    /// Epoch length in cycles (`T_cyc,shared`).
-    pub elapsed: u64,
-    /// Accesses served per application (`N_accesses`).
-    pub accesses: Vec<u64>,
-    /// Interference cycles per application (`T_cyc,interference`).
-    pub interference: Vec<u64>,
-    /// Estimated standalone bandwidth per application (`APC_alone`, Eq. 12).
-    pub apc_alone: Vec<f64>,
-    /// Observed shared-mode bandwidth per application (`APC_shared`).
-    pub apc_shared: Vec<f64>,
-}
-
-/// Epoch-based profiler: feed it the controller's counters at an epoch
-/// boundary and it produces the Eq. 12 estimates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ApcProfiler {
-    epoch_start: u64,
-    /// Floor on `T_cyc,alone` as a fraction of the epoch, guarding the
-    /// estimate against pathological interference counts.
-    min_alone_fraction: f64,
-}
-
-impl ApcProfiler {
-    /// Start profiling at `now`.
-    pub fn new(now: u64) -> Self {
-        ApcProfiler {
-            epoch_start: now,
-            min_alone_fraction: 0.02,
-        }
-    }
-
-    /// Cycle the current epoch began.
-    pub fn epoch_start(&self) -> u64 {
-        self.epoch_start
-    }
-
-    /// Produce the Eq. 12 estimate for the epoch `[epoch_start, now)` and
-    /// begin a new epoch at `now`. `accesses[i]` and `interference[i]` must
-    /// be the per-application counts accumulated over this epoch.
-    pub fn take_snapshot(
-        &mut self,
-        now: u64,
-        accesses: &[u64],
-        interference: &[u64],
-    ) -> ProfileSnapshot {
-        assert_eq!(accesses.len(), interference.len());
-        assert!(now > self.epoch_start, "epoch must have non-zero length");
-        let elapsed = now - self.epoch_start;
-        let floor = (elapsed as f64 * self.min_alone_fraction) as u64;
-        let apc_alone = accesses
-            .iter()
-            .zip(interference)
-            .map(|(&n, &intf)| {
-                // Eq. 13: T_alone = T_shared − T_interference, floored.
-                let t_alone = elapsed.saturating_sub(intf).max(floor).max(1);
-                n as f64 / t_alone as f64
-            })
-            .collect();
-        let apc_shared = accesses
-            .iter()
-            .map(|&n| n as f64 / elapsed as f64)
-            .collect();
-        let snap = ProfileSnapshot {
-            elapsed,
-            accesses: accesses.to_vec(),
-            interference: interference.to_vec(),
-            apc_alone,
-            apc_shared,
-        };
-        self.epoch_start = now;
-        snap
-    }
-}
+/// Floor on `T_cyc,alone` as a fraction of the folded window, guarding
+/// the Eq. 12 estimate against interference counts that approach the
+/// whole window.
+pub const MIN_ALONE_FRACTION: f64 = 0.02;
 
 /// One increment of the three Section IV-C counters, as reported by a
 /// telemetry source (a simulated controller, a hardware PMU read, or a
 /// `bwpartd` client) since its previous report.
 ///
 /// Deltas are what an online service can actually collect: counter reads
-/// arrive asynchronously and per-application, so absolute epoch-boundary
-/// counts (what [`ApcProfiler::take_snapshot`] consumes) are not available.
-/// Folding deltas into a [`DeltaAccumulator`] recovers the same Eq. 12–13
-/// estimate without requiring a synchronized epoch boundary.
+/// arrive asynchronously and per-application, with no synchronized epoch
+/// boundary. Folding them into a [`DeltaAccumulator`] recovers the
+/// Eq. 12–13 estimate over whatever window they cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TelemetryDelta {
     /// Memory accesses served (`ΔN_accesses`).
@@ -114,21 +41,14 @@ pub struct TelemetryDelta {
     pub interference_cycles: u64,
 }
 
-impl TelemetryDelta {
-    /// True when the delta carries no signal at all (an idle report).
-    pub fn is_empty(&self) -> bool {
-        self.accesses == 0 && self.shared_cycles == 0
-    }
-}
-
 /// Fold-from-deltas profiler: sums [`TelemetryDelta`]s and produces the
 /// Eq. 12–13 `APC_alone` estimate on demand.
 ///
-/// Unlike [`ApcProfiler::take_snapshot`] this never divides by zero: an
-/// accumulator that has seen no cycles yet (or only idle reports) yields
-/// `None` from [`DeltaAccumulator::apc_alone`], and interference counts
-/// that would drive `T_cyc,alone` to zero are floored the same way the
-/// epoch profiler floors them.
+/// It never divides by zero: an accumulator that has seen no cycles yet
+/// (or only idle reports) yields `None` from
+/// [`DeltaAccumulator::apc_alone`], and interference counts that would
+/// drive `T_cyc,alone` to zero are floored at [`MIN_ALONE_FRACTION`] of
+/// the window.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DeltaAccumulator {
     /// Total accesses folded so far.
@@ -140,11 +60,6 @@ pub struct DeltaAccumulator {
 }
 
 impl DeltaAccumulator {
-    /// Fresh accumulator with all counters at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Fold one delta in (saturating, so malicious or wrapped counter
     /// reports cannot overflow the totals).
     pub fn fold(&mut self, d: TelemetryDelta) {
@@ -155,113 +70,23 @@ impl DeltaAccumulator {
             .saturating_add(d.interference_cycles);
     }
 
-    /// Merge another accumulator (e.g. per-connection partial sums).
-    pub fn merge(&mut self, other: &DeltaAccumulator) {
-        self.accesses = self.accesses.saturating_add(other.accesses);
-        self.shared_cycles = self.shared_cycles.saturating_add(other.shared_cycles);
-        self.interference_cycles = self
-            .interference_cycles
-            .saturating_add(other.interference_cycles);
-    }
-
-    /// Reset all counters to zero (start of a new epoch window).
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-
-    /// True when nothing has been folded (or only idle reports).
-    pub fn is_idle(&self) -> bool {
-        self.shared_cycles == 0
-    }
-
     /// Eq. 12–13 estimate over everything folded so far:
-    /// `APC_alone = N / max(T_shared − T_interference, floor)` with the
-    /// same `min_alone_fraction` floor the epoch profiler applies.
-    /// Returns `None` while no shared cycles have been observed — the
-    /// caller decides how to treat an all-idle window (a `bwpartd` epoch
-    /// keeps its previous estimate rather than fabricating a zero rate).
-    pub fn apc_alone(&self, min_alone_fraction: f64) -> Option<f64> {
+    /// `APC_alone = N / max(T_shared − T_interference, floor)`, the floor
+    /// being [`MIN_ALONE_FRACTION`] of `T_shared`. Returns `None` while no
+    /// shared cycles have been observed — the caller decides how to treat
+    /// an all-idle window (an epoch keeps its previous estimate rather
+    /// than fabricating a zero rate).
+    pub fn apc_alone(&self) -> Option<f64> {
         if self.shared_cycles == 0 {
             return None;
         }
-        let floor = (self.shared_cycles as f64 * min_alone_fraction) as u64;
+        let floor = (self.shared_cycles as f64 * MIN_ALONE_FRACTION) as u64;
         let t_alone = self
             .shared_cycles
             .saturating_sub(self.interference_cycles)
             .max(floor)
             .max(1);
         Some(self.accesses as f64 / t_alone as f64)
-    }
-
-    /// Observed shared-mode bandwidth over the folded window
-    /// (`APC_shared = N / T_shared`), `None` while idle.
-    pub fn apc_shared(&self) -> Option<f64> {
-        if self.shared_cycles == 0 {
-            return None;
-        }
-        Some(self.accesses as f64 / self.shared_cycles as f64)
-    }
-}
-
-impl ApcProfiler {
-    /// The `T_cyc,alone` floor fraction this profiler applies (shared with
-    /// the fold-from-deltas path so both estimators agree).
-    pub fn min_alone_fraction(&self) -> f64 {
-        self.min_alone_fraction
-    }
-
-    /// Produce a [`ProfileSnapshot`] from per-application delta
-    /// accumulators instead of epoch-boundary counters. `now` advances the
-    /// profiler's epoch start exactly like
-    /// [`ApcProfiler::take_snapshot`]; the snapshot's `elapsed` is the
-    /// maximum shared-cycle window any application reported (applications
-    /// report asynchronously, so windows need not agree).
-    pub fn fold_snapshot(&mut self, now: u64, accs: &[DeltaAccumulator]) -> ProfileSnapshot {
-        let elapsed = accs
-            .iter()
-            .map(|a| a.shared_cycles)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        let apc_alone = accs
-            .iter()
-            .map(|a| a.apc_alone(self.min_alone_fraction).unwrap_or(0.0))
-            .collect();
-        let apc_shared = accs.iter().map(|a| a.apc_shared().unwrap_or(0.0)).collect();
-        let snap = ProfileSnapshot {
-            elapsed,
-            accesses: accs.iter().map(|a| a.accesses).collect(),
-            interference: accs.iter().map(|a| a.interference_cycles).collect(),
-            apc_alone,
-            apc_shared,
-        };
-        if now > self.epoch_start {
-            self.epoch_start = now;
-        }
-        snap
-    }
-}
-
-impl ProfileSnapshot {
-    /// Estimated `API` per application given instruction counts retired
-    /// over the same epoch (the core-side counter).
-    pub fn api(&self, instructions: &[u64]) -> Vec<f64> {
-        assert_eq!(instructions.len(), self.accesses.len());
-        self.accesses
-            .iter()
-            .zip(instructions)
-            .map(|(&n, &instr)| n as f64 / instr.max(1) as f64)
-            .collect()
-    }
-
-    /// Estimated standalone IPC per application (Eq. 1 applied to the
-    /// estimates): `APC_alone / API`.
-    pub fn ipc_alone(&self, instructions: &[u64]) -> Vec<f64> {
-        self.apc_alone
-            .iter()
-            .zip(self.api(instructions))
-            .map(|(&apc, api)| if api > 0.0 { apc / api } else { 0.0 })
-            .collect()
     }
 }
 
@@ -271,170 +96,71 @@ impl ProfileSnapshot {
 mod tests {
     use super::*;
 
+    fn delta(accesses: u64, shared_cycles: u64, interference_cycles: u64) -> TelemetryDelta {
+        TelemetryDelta {
+            accesses,
+            shared_cycles,
+            interference_cycles,
+        }
+    }
+
     #[test]
     fn eq12_eq13_arithmetic() {
-        let mut p = ApcProfiler::new(1000);
-        // Over 10_000 cycles: app 0 served 50 accesses with 5_000 cycles of
+        // Over 10_000 cycles: 50 accesses with 5_000 cycles of
         // interference → APC_alone = 50 / 5_000 = 0.01.
-        let snap = p.take_snapshot(11_000, &[50, 20], &[5_000, 0]);
-        assert_eq!(snap.elapsed, 10_000);
-        assert!((snap.apc_alone[0] - 0.01).abs() < 1e-12);
-        // No interference → alone rate equals shared rate.
-        assert!((snap.apc_alone[1] - 0.002).abs() < 1e-12);
-        assert!((snap.apc_shared[1] - 0.002).abs() < 1e-12);
-        // Next epoch starts at the snapshot point.
-        assert_eq!(p.epoch_start(), 11_000);
+        let mut acc = DeltaAccumulator::default();
+        acc.fold(delta(50, 10_000, 5_000));
+        assert!((acc.apc_alone().unwrap() - 0.01).abs() < 1e-12);
+        // No interference → the alone rate equals the shared rate.
+        let mut quiet = DeltaAccumulator::default();
+        quiet.fold(delta(20, 10_000, 0));
+        assert!((quiet.apc_alone().unwrap() - 0.002).abs() < 1e-12);
     }
 
     #[test]
-    fn interference_floor_prevents_blowup() {
-        let mut p = ApcProfiler::new(0);
-        // Interference ≈ the whole epoch: without the floor the estimate
-        // would explode.
-        let snap = p.take_snapshot(10_000, &[10], &[10_000]);
-        let floor_alone = (10_000.0 * 0.02) as u64;
-        assert!((snap.apc_alone[0] - 10.0 / floor_alone as f64).abs() < 1e-12);
-    }
-
-    #[test]
-    fn api_and_ipc_alone_derivations() {
-        let mut p = ApcProfiler::new(0);
-        let snap = p.take_snapshot(10_000, &[100, 0], &[2_000, 0]);
-        let api = snap.api(&[20_000, 5_000]);
-        assert!((api[0] - 0.005).abs() < 1e-12);
-        assert_eq!(api[1], 0.0);
-        let ipc = snap.ipc_alone(&[20_000, 5_000]);
-        // APC_alone = 100/8000 = 0.0125; IPC = 0.0125 / 0.005 = 2.5.
-        assert!((ipc[0] - 2.5).abs() < 1e-12);
-        assert_eq!(ipc[1], 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero length")]
-    fn zero_length_epoch_rejected() {
-        let mut p = ApcProfiler::new(5);
-        let _ = p.take_snapshot(5, &[1], &[0]);
-    }
-
-    #[test]
-    fn delta_fold_matches_epoch_snapshot() {
-        // Folding the same counters as deltas reproduces take_snapshot's
-        // Eq. 12 estimate exactly, regardless of how the deltas are split.
-        let mut epoch = ApcProfiler::new(0);
-        let snap = epoch.take_snapshot(10_000, &[50, 20], &[5_000, 0]);
-
-        let mut acc0 = DeltaAccumulator::new();
+    fn estimate_is_independent_of_how_deltas_are_split() {
+        let mut whole = DeltaAccumulator::default();
+        whole.fold(delta(50, 10_000, 5_000));
+        let mut split = DeltaAccumulator::default();
         for _ in 0..5 {
-            acc0.fold(TelemetryDelta {
-                accesses: 10,
-                shared_cycles: 2_000,
-                interference_cycles: 1_000,
-            });
+            split.fold(delta(10, 2_000, 1_000));
         }
-        let mut acc1 = DeltaAccumulator::new();
-        acc1.fold(TelemetryDelta {
-            accesses: 20,
-            shared_cycles: 10_000,
-            interference_cycles: 0,
-        });
-
-        let frac = epoch.min_alone_fraction();
-        assert!((acc0.apc_alone(frac).unwrap() - snap.apc_alone[0]).abs() < 1e-12);
-        assert!((acc1.apc_alone(frac).unwrap() - snap.apc_alone[1]).abs() < 1e-12);
-        assert!((acc1.apc_shared().unwrap() - snap.apc_shared[1]).abs() < 1e-12);
+        assert_eq!(split.apc_alone(), whole.apc_alone());
     }
 
     #[test]
     fn all_idle_accumulator_yields_none_not_nan() {
         // Regression: an all-idle epoch (no cycles reported) must not
         // divide by zero — the estimate is absent, never NaN/inf.
-        let acc = DeltaAccumulator::new();
-        assert!(acc.is_idle());
-        assert_eq!(acc.apc_alone(0.02), None);
-        assert_eq!(acc.apc_shared(), None);
+        let acc = DeltaAccumulator::default();
+        assert_eq!(acc.apc_alone(), None);
 
         // Zero accesses over a live window is a legitimate zero rate.
-        let mut quiet = DeltaAccumulator::new();
-        quiet.fold(TelemetryDelta {
-            accesses: 0,
-            shared_cycles: 10_000,
-            interference_cycles: 0,
-        });
-        let est = quiet.apc_alone(0.02).unwrap();
+        let mut quiet = DeltaAccumulator::default();
+        quiet.fold(delta(0, 10_000, 0));
+        let est = quiet.apc_alone().unwrap();
         assert!(est.is_finite());
         assert_eq!(est, 0.0);
     }
 
     #[test]
-    fn interference_floor_applies_to_deltas_too() {
-        let mut acc = DeltaAccumulator::new();
-        acc.fold(TelemetryDelta {
-            accesses: 10,
-            shared_cycles: 10_000,
-            interference_cycles: 10_000,
-        });
-        let floor_alone = (10_000.0 * 0.02) as u64;
-        let est = acc.apc_alone(0.02).unwrap();
+    fn interference_floor_prevents_blowup() {
+        // Interference ≈ the whole window: without the floor the
+        // estimate would explode.
+        let mut acc = DeltaAccumulator::default();
+        acc.fold(delta(10, 10_000, 10_000));
+        let floor_alone = (10_000.0 * MIN_ALONE_FRACTION) as u64;
+        let est = acc.apc_alone().unwrap();
         assert!((est - 10.0 / floor_alone as f64).abs() < 1e-12);
     }
 
     #[test]
     fn fold_saturates_instead_of_overflowing() {
-        let mut acc = DeltaAccumulator::new();
-        acc.fold(TelemetryDelta {
-            accesses: u64::MAX,
-            shared_cycles: u64::MAX,
-            interference_cycles: 0,
-        });
-        acc.fold(TelemetryDelta {
-            accesses: u64::MAX,
-            shared_cycles: 1,
-            interference_cycles: 1,
-        });
+        let mut acc = DeltaAccumulator::default();
+        acc.fold(delta(u64::MAX, u64::MAX, 0));
+        acc.fold(delta(u64::MAX, 1, 1));
         assert_eq!(acc.accesses, u64::MAX);
         assert_eq!(acc.shared_cycles, u64::MAX);
-        assert!(acc.apc_alone(0.02).unwrap().is_finite());
-    }
-
-    #[test]
-    fn merge_and_reset() {
-        let mut a = DeltaAccumulator::new();
-        a.fold(TelemetryDelta {
-            accesses: 5,
-            shared_cycles: 100,
-            interference_cycles: 10,
-        });
-        let mut b = DeltaAccumulator::new();
-        b.fold(TelemetryDelta {
-            accesses: 7,
-            shared_cycles: 200,
-            interference_cycles: 20,
-        });
-        a.merge(&b);
-        assert_eq!(a.accesses, 12);
-        assert_eq!(a.shared_cycles, 300);
-        assert_eq!(a.interference_cycles, 30);
-        a.reset();
-        assert!(a.is_idle());
-        assert_eq!(a.accesses, 0);
-    }
-
-    #[test]
-    fn fold_snapshot_mirrors_accumulators() {
-        let mut p = ApcProfiler::new(0);
-        let mut acc = DeltaAccumulator::new();
-        acc.fold(TelemetryDelta {
-            accesses: 50,
-            shared_cycles: 10_000,
-            interference_cycles: 5_000,
-        });
-        let idle = DeltaAccumulator::new();
-        let snap = p.fold_snapshot(10_000, &[acc.clone(), idle]);
-        assert_eq!(snap.elapsed, 10_000);
-        assert!((snap.apc_alone[0] - 0.01).abs() < 1e-12);
-        // Idle app: zero estimate, no NaN.
-        assert_eq!(snap.apc_alone[1], 0.0);
-        assert_eq!(snap.apc_shared[1], 0.0);
-        assert_eq!(p.epoch_start(), 10_000);
+        assert!(acc.apc_alone().unwrap().is_finite());
     }
 }

@@ -14,9 +14,10 @@
 //!   to the danger site.
 //! * **A2 — contract reachability.** A public share producer — returning
 //!   a bare `Vec<f64>` or an owned `Allocation` / `MultiAllocation` /
-//!   `CoordOutcome` wrapper (in `crates/core` / `crates/bwpartd`) — must
-//!   certify its output either directly or via a callee that does.
-//!   Reference accessors (`&Allocation`) are exempt.
+//!   `CoordOutcome` / `Decision` wrapper (in `crates/core`, the epoch
+//!   policy's `crates/mc`, or `crates/bwpartd`) — must certify its output
+//!   either directly or via a callee that does. Reference accessors
+//!   (`&Allocation`) are exempt.
 //! * **A3 — interprocedural unit flow.** R11's `_cycles` / `_ns` /
 //!   share-fraction naming discipline is checked across call boundaries:
 //!   an argument named in one unit must not flow into a parameter named in
@@ -225,18 +226,26 @@ fn rule_a1(ws: &Workspace, g: &CallGraph, files: &[&SourceFile]) -> Vec<Finding>
 const A2_DEPTH: usize = 3;
 
 /// Return types A2 treats as share/allocation producers: a bare share
-/// vector, or one of the owned multi-resource wrappers (`Allocation`,
-/// `MultiAllocation`, `CoordOutcome`). Reference returns (`&Allocation`
-/// accessors) hand out an already-certified value and are exempt.
+/// vector, or one of the owned wrappers (`Allocation`, `MultiAllocation`,
+/// `CoordOutcome`, and the epoch policy's `Decision`). Reference returns
+/// (`&Allocation` accessors) hand out an already-certified value and are
+/// exempt.
 fn is_share_producer_ret(ret: &str) -> bool {
     ret.contains("Vec<f64>")
-        || ((ret.contains("Allocation") || ret.contains("CoordOutcome")) && !ret.contains('&'))
+        || (["Allocation", "CoordOutcome", "Decision"]
+            .iter()
+            .any(|t| ret.contains(t))
+            && !ret.contains('&'))
 }
+
+/// Crates whose public fns hand shares across a boundary: the model, the
+/// epoch policy (`bwpart-mc`), and the service.
+const A2_CRATES: [&str; 3] = ["core", "mc", "bwpartd"];
 
 fn rule_a2(ws: &Workspace, g: &CallGraph, files: &[&SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for (fi, file) in ws.files.iter().enumerate() {
-        if !(file.crate_name == "core" || file.crate_name == "bwpartd") {
+        if !A2_CRATES.contains(&file.crate_name.as_str()) {
             continue;
         }
         for (fj, f) in file.fns.iter().enumerate() {
@@ -262,7 +271,7 @@ fn rule_a2(ws: &Workspace, g: &CallGraph, files: &[&SourceFile]) -> Vec<Finding>
                 Rule::A2,
                 format!(
                     "pub fn `{}` returns shares (Vec<f64> / Allocation / \
-                     MultiAllocation / CoordOutcome) but neither it nor any callee \
+                     MultiAllocation / CoordOutcome / Decision) but neither it nor any callee \
                      within {A2_DEPTH} calls certifies them (validate_shares / \
                      ensures_simplex / ensures_capped / Allocation::certified / \
                      invariant!)",
@@ -786,7 +795,11 @@ fn finish(shares: &[f64]) { validate_shares(shares); }
     #[test]
     fn a2_flags_uncertified_producer() {
         let bad = "pub fn shares(n: usize) -> Vec<f64> {\n    vec![1.0 / n as f64; n]\n}\n";
-        for path in ["crates/core/src/solver.rs", "crates/bwpartd/src/engine.rs"] {
+        for path in [
+            "crates/core/src/solver.rs",
+            "crates/mc/src/epoch.rs",
+            "crates/bwpartd/src/engine.rs",
+        ] {
             let r = report_for(&[(path, bad)]);
             assert_eq!(active_codes(&r), vec!["A2"], "{r:?}");
             assert_eq!(r[0].line, 1);

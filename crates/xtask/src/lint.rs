@@ -212,8 +212,8 @@ impl Rule {
             }
             Rule::A2 => {
                 "pub fns returning shares (Vec<f64>, or owned Allocation/MultiAllocation/\
-                         CoordOutcome) in bwpart-core or bwpartd must certify them directly \
-                         or via a callee"
+                         CoordOutcome/Decision) in bwpart-core, bwpart-mc or bwpartd must \
+                         certify them directly or via a callee"
             }
             Rule::A3 => "unit-suffixed values must not cross call boundaries into another unit",
             Rule::A4 => {
@@ -330,9 +330,10 @@ impl Rule {
                 "A2 — certification must be reachable.\n\
                  \n\
                  Eq. 9-11 of the paper require share vectors to lie on the capped\n\
-                 simplex. Every public fn in crates/core and crates/bwpartd returning\n\
-                 shares — a bare Vec<f64>, or an owned Allocation / MultiAllocation /\n\
-                 CoordOutcome wrapper — must certify its output (validate_shares /\n\
+                 simplex. Every public fn in crates/core, crates/mc (the epoch\n\
+                 policy) and crates/bwpartd returning shares — a bare Vec<f64>, or an\n\
+                 owned Allocation / MultiAllocation / CoordOutcome / Decision wrapper\n\
+                 — must certify its output (validate_shares /\n\
                  ensures_simplex / ensures_capped / Allocation::certified /\n\
                  invariant!) in its own body or in a callee reached within 3 call\n\
                  hops, so the certification is part of the producer, not the caller's\n\

@@ -163,6 +163,41 @@ fn validate_shares(_s: &[f64]) {}
     );
 }
 
+/// A2 covers the epoch policy's crate: a decision producer in
+/// `crates/mc` with no reachable certification fails, one that certifies
+/// through its solve passes, and the same code outside the scoped crates
+/// is not checked.
+#[test]
+fn a2_covers_the_epoch_policy_crate() {
+    let policy = r#"
+pub fn what_if(n: usize) -> Result<Decision, PolicyError> {
+    solve(n)
+}
+pub fn guess(n: usize) -> Result<Decision, PolicyError> {
+    Ok(Decision { beta: vec![1.0 / n as f64; n] })
+}
+fn solve(n: usize) -> Result<Decision, PolicyError> {
+    let beta = vec![1.0 / n as f64; n];
+    ensures_simplex!(beta);
+    Ok(Decision { beta })
+}
+"#;
+    let root = fixture_root("bwpart-analyze-a2-mc");
+    write(&root, "crates/mc/src/epoch.rs", policy);
+    let (ok, stdout) = run_lint(&root, &[]);
+    assert!(!ok, "uncertified decision producer must fail:\n{stdout}");
+    assert!(
+        stdout.contains("crates/mc/src/epoch.rs") && stdout.contains("`guess`"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("`what_if`"), "{stdout}");
+
+    let outside = fixture_root("bwpart-analyze-a2-cmp");
+    write(&outside, "crates/cmp/src/runner.rs", policy);
+    let (ok, stdout) = run_lint(&outside, &[]);
+    assert!(ok, "A2 is scoped to core, mc and bwpartd:\n{stdout}");
+}
+
 /// A3: a `_ns` value flowing into a `_cycles` parameter across a call
 /// boundary is flagged; the conversion fn itself is exempt.
 #[test]
