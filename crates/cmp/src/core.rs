@@ -684,7 +684,8 @@ mod tests {
     }
 
     /// The same cycles on the core's own clock: visit only controller
-    /// events and the core's begun cycles, as `CmpSystem::run` does.
+    /// events and the core's begun cycles, then settle the controller's
+    /// remaining stalled clocks, as `CmpSystem::run` does.
     fn run_clocked(core: &mut Core, mc: &mut MemoryController, cycles: u64) -> u64 {
         let mut clock = core.run_ahead(0, cycles);
         let mut now = 0;
@@ -709,6 +710,7 @@ mod tests {
             }
             now = t + 1;
         }
+        mc.settle_before(cycles);
         core.wake(&mut clock, cycles);
         visits
     }

@@ -292,7 +292,8 @@ impl CmpSystem {
     /// cycle it cannot finish privately. The loop then visits, in order,
     /// only the cycles on which something shared happens:
     ///
-    /// * the controller ticks with work queued, or a completion lands
+    /// * the controller has a command clock on which a queued request can
+    ///   issue — one at or above the DRAM floor — or a completion lands
     ///   ([`MemoryController::next_event_cycle`] names the next such
     ///   cycle);
     /// * a core must finish a begun cycle against the shared LLC or the
@@ -303,10 +304,13 @@ impl CmpSystem {
     /// order — the order [`step`](Self::step) uses — and each stepped core
     /// runs ahead again. A core whose next instruction is held by the
     /// ROB/MSHR limits needs no visit at all until a completion reaches it
-    /// ([`Core::wake`] then charges its stall cycles in bulk). Every other
-    /// cycle's tick finds no work queued and no completion due, and every
-    /// core's share of it is private, so skipping it changes nothing the
-    /// reference would not.
+    /// ([`Core::wake`] then charges its stall cycles in bulk). A command
+    /// clock skipped with work queued lies below the floor, where nothing
+    /// can issue: the next visit's tick settles it in closed form
+    /// ([`MemoryController::settle_before`]), before any core enqueues,
+    /// and the run's end settles the rest. Every other cycle's tick finds
+    /// no work queued and no completion due, and every core's share of it
+    /// is private, so skipping it changes nothing the reference would not.
     ///
     /// `cmp_steps_total` counts visits, `cmp_ff_skipped_cycles_total` the
     /// cycles with no visit, and `cmp_ff_jumps_total` the runs of such
@@ -354,6 +358,7 @@ impl CmpSystem {
             }
             now = t + 1;
         }
+        self.mc.settle_before(end);
         jumps += u64::from(end > now);
         // Cores still blocked stalled through the end of the run.
         for (core, clock) in self.cores.iter_mut().zip(&mut self.clocks) {
@@ -399,9 +404,15 @@ impl CmpSystem {
                     core.counters.l1_misses += d.l1[i];
                     core.counters.l2_misses += d.l2[i];
                 }
-                self.mc
-                    .analytic_jump(&d.served, &d.latency, &d.interference, d.busy, d.stalled);
                 self.cycle += jump;
+                self.mc.analytic_jump(
+                    &d.served,
+                    &d.latency,
+                    &d.interference,
+                    d.busy,
+                    d.stalled,
+                    self.cycle,
+                );
                 h.note_jump(jump);
                 jumps += 1;
                 jumped += jump;

@@ -209,17 +209,11 @@ impl DramSystem {
         self.channels.len()
     }
 
-    /// Monotone mutation counter of one channel (probe-cache tag). Bumps
-    /// exactly when a transaction commits on that channel.
-    #[inline]
-    pub fn channel_version(&self, channel: usize) -> u64 {
-        self.channels[channel].core().version()
-    }
-
     /// Channel-wide lower bound on any transaction's start cycle — one
     /// linear pass over the channel's flat bank lanes (see
     /// [`ChannelCore::channel_floor`]). While this exceeds `now`, nothing
-    /// on the channel can issue and whole scheduling scans can be skipped.
+    /// on the channel can issue, so the memory controller settles its
+    /// command clocks below the lowest floor in closed form.
     #[inline]
     pub fn channel_floor(&self, channel: usize) -> u64 {
         self.channels[channel].core().channel_floor()
@@ -400,6 +394,7 @@ impl DramSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PagePolicy;
 
     fn sys() -> DramSystem {
         let mut s = DramSystem::new(DramConfig::ddr2_400());
@@ -683,25 +678,48 @@ mod tests {
     }
 
     /// The channel floor must never exceed any request's probed start, and
-    /// while it exceeds `now` nothing may issue.
+    /// while it exceeds `now` nothing may issue — under close page, and
+    /// under open page, where half the stream is sequential (row hits) and
+    /// the rest scattered (conflicts).
     #[test]
     fn channel_floor_bounds_all_starts() {
-        let mut s = sys();
-        let mut now = warm_start(&s);
-        for i in 0..200u64 {
-            let txn = MemTransaction {
-                app: (i % 4) as usize,
-                addr: i.wrapping_mul(0x9E3779B97F4A7C15) & 0xFFF_FFC0,
-                is_write: i % 5 == 0,
-            };
-            let floor = s.channel_floor(s.channel_of(&txn));
-            let p = s.probe(&txn, now);
-            assert!(p.start >= floor, "floor {floor} unsound: start {}", p.start);
-            if floor > now {
-                assert!(!s.can_issue(&txn, now), "issuable below floor at {now}");
+        for policy in [PagePolicy::ClosePage, PagePolicy::OpenPage] {
+            let mut s = DramSystem::new(DramConfig {
+                page_policy: policy,
+                ..DramConfig::ddr2_400()
+            });
+            s.set_app_count(4);
+            let mut now = warm_start(&s);
+            let mut hits = 0;
+            for i in 0..200u64 {
+                let txn = MemTransaction {
+                    app: (i % 4) as usize,
+                    addr: if i % 2 == 0 {
+                        i * 32
+                    } else {
+                        i.wrapping_mul(0x9E3779B97F4A7C15) & 0xFFF_FFC0
+                    },
+                    is_write: i % 5 == 0,
+                };
+                let floor = s.channel_floor(s.channel_of(&txn));
+                let p = s.probe(&txn, now);
+                assert!(
+                    p.start >= floor,
+                    "{policy:?}: floor {floor} unsound: start {}",
+                    p.start
+                );
+                if floor > now {
+                    assert!(!s.can_issue(&txn, now), "issuable below floor at {now}");
+                }
+                let c = s.issue(&txn, p.start.max(now));
+                hits += u64::from(c.row_hit);
+                now = c.start_cycle;
             }
-            let c = s.issue(&txn, p.start.max(now));
-            now = c.start_cycle;
+            assert_eq!(
+                hits > 0,
+                policy == PagePolicy::OpenPage,
+                "{policy:?}: {hits} hits"
+            );
         }
     }
 

@@ -429,10 +429,13 @@ impl ChannelCore {
     /// per-bank minimum of the three wheels, hence at least the channel
     /// minimum, (b) a data-bus bound of at least `bus_free` minus the
     /// largest possible data offset, and (c) the command-slot bound; the
-    /// floor is the max of those three universal bounds. While
+    /// floor is the max of those three universal bounds. Under close page
+    /// every access is a row miss, whose data offset is `tRCD + CL` (or
+    /// `CWL`); open page also allows a conflict's extra `tRP`. While
     /// `channel_floor() > now`, no request on this channel can issue and
-    /// the controller skips its scheduling scans entirely. Pure function
-    /// of committed state — cache it against [`version`](Self::version).
+    /// the controller settles the command clock in closed form. Pure
+    /// function of committed state — cache it against
+    /// [`version`](Self::version).
     pub fn channel_floor(&self) -> u64 {
         let n = self.ranks * self.banks_per_rank;
         let mut bank_min = u64::MAX;
@@ -443,7 +446,11 @@ impl ChannelCore {
             bank_min = bank_min.min(m);
         }
         let t = &self.t;
-        let max_data_off = t.trp + t.trcd + t.cl.max(t.cwl);
+        let slowest = match self.policy {
+            PagePolicy::ClosePage => AccessKind::RowMiss,
+            PagePolicy::OpenPage => AccessKind::RowConflict,
+        };
+        let max_data_off = slowest.cas_offset(t) + t.cl.max(t.cwl);
         let bus_lb = self.bus_free.saturating_sub(max_data_off);
         bank_min.max(bus_lb).max(self.cmd_ready)
     }
@@ -608,25 +615,34 @@ mod tests {
 
     #[test]
     fn channel_floor_is_a_sound_lower_bound() {
-        let mut c = core();
-        assert_eq!(c.channel_floor(), 0, "idle channel floors at zero");
-        // Saturate a few banks, then check every possible request's raw
-        // probe respects the floor.
-        let mut now = 0;
-        for b in 0..8 {
-            let p = c.probe(0, b, 1, b % 2 == 0, now);
-            c.commit(0, b, 1, b % 2 == 0, 0, p.start);
-            now = p.start;
-        }
-        let floor = c.channel_floor();
-        for rank in 0..4 {
-            for bank in 0..8 {
-                for &w in &[false, true] {
-                    let (raw, _, _, _) = c.raw_probe(rank, bank, 99, w, 0);
-                    assert!(
-                        raw >= floor,
-                        "raw {raw} below floor {floor} for r{rank} b{bank} w{w}"
-                    );
+        for policy in [PagePolicy::ClosePage, PagePolicy::OpenPage] {
+            let mut c = ChannelCore::new(&DramConfig {
+                page_policy: policy,
+                ..DramConfig::ddr2_400()
+            });
+            assert_eq!(c.channel_floor(), 0, "idle channel floors at zero");
+            // Saturate a few banks, then check every possible request's
+            // raw probe respects the floor: a row hit or a conflict on an
+            // open bank, a miss on an idle one.
+            let mut now = 0;
+            for b in 0..8 {
+                let p = c.probe(0, b, 1, b % 2 == 0, now);
+                c.commit(0, b, 1, b % 2 == 0, 0, p.start);
+                now = p.start;
+            }
+            let floor = c.channel_floor();
+            for rank in 0..4 {
+                for bank in 0..8 {
+                    for row in [1, 99] {
+                        for w in [false, true] {
+                            let (raw, _, _, _) = c.raw_probe(rank, bank, row, w, 0);
+                            assert!(
+                                raw >= floor,
+                                "{policy:?}: raw {raw} below floor {floor} for r{rank} b{bank} \
+                                 row{row} w{w}"
+                            );
+                        }
+                    }
                 }
             }
         }

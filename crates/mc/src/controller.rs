@@ -123,11 +123,13 @@ pub struct MemoryController {
     /// ticks). Never observable: fully reset inside
     /// [`tick`](Self::tick) before every fan-out.
     fan_slots: Vec<FanSlot>,
-    /// Per-channel `(version, floor)` cache of
-    /// [`DramSystem::channel_floor`]: while a channel's version is
-    /// unchanged and its floor lies beyond `now`, no request on it can
-    /// issue and the scheduling window need not be scanned past the head.
-    floor_cache: Vec<(u64, u64)>,
+    /// The first command clock at or above the DRAM floor — the lowest
+    /// [`DramSystem::channel_floor`] over the channels — refreshed after
+    /// each issue (channel state changes only there). No request can
+    /// start on a clock before it, so
+    /// [`settle_before`](Self::settle_before) accounts those clocks in
+    /// closed form.
+    floor_clock: u64,
     /// Fan the candidate gather over the vendored thread pool
     /// (bit-identical to the sequential gather; see [`tick`](Self::tick)).
     parallel_channels: bool,
@@ -143,7 +145,6 @@ impl MemoryController {
         let mut dram = DramSystem::new(cfg);
         dram.set_app_count(apps);
         let tck = dram.timings().tck;
-        let channels = dram.num_channels();
         MemoryController {
             dram,
             queues: AppQueues::new(apps),
@@ -161,7 +162,7 @@ impl MemoryController {
             blocker_buf: Vec::with_capacity(apps),
             app_buf: Vec::with_capacity(apps),
             fan_slots: Vec::with_capacity(apps),
-            floor_cache: vec![(0, 0); channels],
+            floor_clock: 0,
             parallel_channels: false,
             obs: None,
         }
@@ -251,15 +252,30 @@ impl MemoryController {
         !self.queues.is_empty() || !self.completions.is_empty()
     }
 
-    /// Accept a request from a core.
+    /// Accept a request from a core. Enqueue after [`tick`](Self::tick)
+    /// for the cycle the request arrives in: command clocks before it are
+    /// accounted against the queues as they were.
     pub fn enqueue(&mut self, req: MemRequest) {
         self.queues.push(req);
     }
 
-    /// Advance the controller to CPU cycle `now`. Scheduling work happens
-    /// on DRAM command-clock boundaries; calling every CPU cycle is cheap
-    /// (early-out between clocks).
+    /// Advance the controller to CPU cycle `now`, accounting every DRAM
+    /// command clock from the last one accounted through `now` exactly
+    /// once.
+    ///
+    /// The clocks below the DRAM floor (the lowest
+    /// [`DramSystem::channel_floor`]; the first clock at or above it is
+    /// cached after each issue) are settled in closed form by
+    /// [`settle_before`](Self::settle_before): nothing can start on them,
+    /// so each is a stalled clock. When `now` itself is
+    /// a clock at or above the floor, the Section IV-B scheduler runs on
+    /// it and the Section IV-C interference counters are charged. Calling
+    /// every CPU cycle is cheap (early-out between clocks); calling only at
+    /// the cycles [`next_event_cycle`](Self::next_event_cycle) names, and
+    /// before every [`enqueue`](Self::enqueue), leaves every counter
+    /// bit-identical.
     pub fn tick(&mut self, now: u64) {
+        self.settle_before(now + 1);
         if now < self.next_tick {
             return;
         }
@@ -278,21 +294,16 @@ impl MemoryController {
         // test collapses to a few integer compares, and the head's
         // interference attribution rides along for free.
         //
-        // Two further cuts keep the (dominant) stalled-tick path flat:
-        //  * when a lone channel's conservative floor lies beyond `now`,
-        //    nothing anywhere on it can issue, so only each head is probed
-        //    (its attribution is still needed for interference accounting);
-        //  * with `parallel_channels` the per-application scans fan over
-        //    the vendored pool: probes run on local copies of the slot
-        //    caches against `&DramSystem` (committed state only), so the
-        //    answers are bit-identical to the sequential scan, and the
-        //    refreshed caches are written back in input order afterwards.
+        // With `parallel_channels` the per-application scans fan over the
+        // vendored pool: probes run on local copies of the slot caches
+        // against `&DramSystem` (committed state only), so the answers are
+        // bit-identical to the sequential scan, and the refreshed caches
+        // are written back in input order afterwards.
         self.cand_buf.clear();
         self.pos_buf.clear();
         self.blocker_buf.clear();
         self.app_buf.clear();
         self.app_buf.extend(self.queues.pending_apps());
-        let floor_skip = self.dram.num_channels() == 1 && self.cached_channel_floor(0) > now;
 
         // A 1-wide pool would run the fan-out inline anyway; take the
         // sequential path outright and skip its per-tick buffer clones.
@@ -304,11 +315,7 @@ impl MemoryController {
         if !fan_out {
             for i in 0..self.app_buf.len() {
                 let app = self.app_buf[i];
-                let limit = if floor_skip {
-                    1
-                } else {
-                    self.sched_window.min(self.queues.len(app))
-                };
+                let limit = self.sched_window.min(self.queues.len(app));
                 let mut chosen: Option<(usize, u64, bool)> = None; // (pos, arrival, row_hit)
                 let mut head_blocker: Option<usize> = None;
                 for pos in 0..limit {
@@ -353,11 +360,7 @@ impl MemoryController {
             let sched_window = self.sched_window;
             rayon::pool::for_each_mut(&mut self.fan_slots[..pending], |slot| {
                 let app = slot.app;
-                let limit = if floor_skip {
-                    1
-                } else {
-                    sched_window.min(queues.len(app))
-                };
+                let limit = sched_window.min(queues.len(app));
                 for pos in 0..limit {
                     // lint: allow(R1): pos < queues.len(app) by the loop bound
                     let (req, cache) = queues.slot(app, pos).expect("in range");
@@ -416,6 +419,10 @@ impl MemoryController {
                 is_write: req.is_write,
             };
             let completion = self.dram.issue(&txn, now);
+            let floor = (0..self.dram.num_channels())
+                .map(|c| self.dram.channel_floor(c))
+                .fold(u64::MAX, u64::min);
+            self.floor_clock = floor.div_ceil(self.tck) * self.tck;
             obs_count!(self.obs, issued);
             if self.pos_buf[idx] > 0 {
                 obs_count!(self.obs, window_bypass);
@@ -510,15 +517,81 @@ impl MemoryController {
         }
     }
 
-    /// `DramSystem::channel_floor`, memoized per channel version: the
-    /// floor is a pure function of committed channel state, so it stays
-    /// valid until the next commit bumps the version.
-    fn cached_channel_floor(&mut self, channel: usize) -> u64 {
-        let version = self.dram.channel_version(channel);
-        if self.floor_cache[channel].0 != version {
-            self.floor_cache[channel] = (version, self.dram.channel_floor(channel));
+    /// Account, in closed form, every DRAM command clock before `end` that
+    /// lies below the DRAM floor, and move the command clock past them.
+    ///
+    /// The result is bit-identical to ticking each of those `k` clocks,
+    /// for three reasons. Below the floor no request can start. The queues
+    /// are the ones the clocks saw, because callers enqueue only after
+    /// ticking the arrival cycle. And every queued request's probe is in
+    /// its `now`-independent regime (`now < raw`, see
+    /// `DramSystem::sched_probe`), so each head's interference attribution
+    /// is the same on every such clock. The `k` clocks therefore add `k`
+    /// to `busy_ticks` and `stalled_ticks`, and `k · tCK` of interference
+    /// to each head blocked by another application's traffic.
+    ///
+    /// [`tick`](Self::tick) calls this first; a run that ends between
+    /// [`next_event_cycle`](Self::next_event_cycle) visits calls it with
+    /// its end cycle, so counters read afterwards are complete.
+    pub fn settle_before(&mut self, end: u64) {
+        let stop = end.min(self.floor_clock);
+        if self.next_tick >= stop || self.queues.is_empty() {
+            return;
         }
-        self.floor_cache[channel].1
+        let first = self.next_tick;
+        // The clocks in [first, stop): `first` itself and every grid point
+        // after it. `first` is off the grid only after a hybrid jump; it
+        // may then lie at or above the floor, but then it is the only
+        // clock here, nothing can start off the grid, and the probes below
+        // are taken at `first` itself.
+        let grid_end = stop.div_ceil(self.tck);
+        let k = grid_end - first / self.tck;
+        self.next_tick = grid_end * self.tck;
+        self.stats.busy_ticks += k;
+        self.stats.stalled_ticks += k;
+
+        self.cand_buf.clear();
+        self.pos_buf.clear();
+        self.blocker_buf.clear();
+        self.app_buf.clear();
+        self.app_buf.extend(self.queues.pending_apps());
+        for i in 0..self.app_buf.len() {
+            let app = self.app_buf[i];
+            // lint: allow(R1): app came from pending_apps(), its queue is non-empty
+            let (req, cache) = self
+                .queues
+                .slot_mut(app, 0)
+                .expect("pending app has a head");
+            let txn = MemTransaction {
+                app: req.app,
+                addr: req.addr,
+                is_write: req.is_write,
+            };
+            let probe = self.dram.sched_probe(&txn, first, cache);
+            // Cross-layer contract: `channel_floor` bounds every start.
+            bwpart_core::invariant!(
+                !probe.issuable,
+                "request issuable at {} below the DRAM floor clock {}",
+                first,
+                self.floor_clock
+            );
+            self.push_candidate(app, None, probe.head_blocker);
+        }
+        // With nothing issuable no policy serves anyone. PARBS re-forms
+        // its batch on the first such pick; every later pick over the same
+        // candidates leaves the policy unchanged, so one pick stands for
+        // all `k`.
+        let served = self.policy.pick(&self.cand_buf);
+        bwpart_core::invariant!(
+            served.is_none(),
+            "policy served a blocked request (Section IV-B picks issuable heads only)"
+        );
+        for (c, blocker) in self.cand_buf.iter().zip(&self.blocker_buf) {
+            if blocker.is_some() {
+                self.interference.charge(c.app, k * self.tck);
+                obs_count!(self.obs, interference_charges, k);
+            }
+        }
     }
 
     /// Apply a closed-form analytic jump of the hybrid stepper: credit the
@@ -527,7 +600,9 @@ impl MemoryController {
     /// `interference_delta` are per-application; `busy`/`stalled` are DRAM
     /// command clocks. Micro-state (queues, bank wheels, in-flight
     /// completions) is deliberately left untouched — the hybrid stepper
-    /// resumes cycle-exact simulation from it after the jump.
+    /// resumes cycle-exact simulation from it at cycle `resume`. The
+    /// command clock moves to `resume`, so no jumped clock is accounted
+    /// again by the next [`tick`](Self::tick).
     pub fn analytic_jump(
         &mut self,
         served_delta: &[u64],
@@ -535,6 +610,7 @@ impl MemoryController {
         interference_delta: &[u64],
         busy: u64,
         stalled: u64,
+        resume: u64,
     ) {
         for app in 0..self.queues.apps() {
             self.stats.served[app] += served_delta[app];
@@ -546,6 +622,7 @@ impl MemoryController {
         }
         self.stats.busy_ticks += busy;
         self.stats.stalled_ticks += stalled;
+        self.next_tick = self.next_tick.max(resume);
     }
 
     /// Pop the oldest completion with `done_cycle ≤ now`, if any — the
@@ -577,23 +654,25 @@ impl MemoryController {
         self.completions.peek().map(|Reverse(p)| p.done)
     }
 
-    /// The next CPU cycle **at or after** `now` at which this controller
-    /// can change observable state, or `None` when it is fully idle.
+    /// The next CPU cycle **at or after** `now` that the caller must visit
+    /// with [`tick`](Self::tick), or `None` when the controller is fully
+    /// idle.
     ///
-    /// With requests queued, that is the next DRAM command clock — every
-    /// tick on the grid schedules, accounts `busy_ticks`/`stalled_ticks`
-    /// and charges interference, so those cycles cannot be jumped over.
-    /// Between grid points (and when the queues are empty) only pending
-    /// completions matter, and those may finish off-grid; the minimum of
-    /// the two bounds every cycle on which [`tick`](Self::tick) or
-    /// [`drain_completions`](Self::drain_completions) would do anything.
-    /// A completion already overdue at `now` (left behind by a jump of the
-    /// caller's clock) makes `now` itself the event, never a past cycle.
+    /// With requests queued, that is the first DRAM command clock at or
+    /// above the DRAM floor — the first clock on which a request might
+    /// issue. The clocks before it can only stall; the next `tick` (or
+    /// [`settle_before`](Self::settle_before), at the end of a run)
+    /// accounts them in closed form. Pending completions matter at any
+    /// cycle, and may finish off the command grid; the earlier of the two
+    /// is the event. A completion already overdue at `now` (left behind
+    /// by a jump of the caller's clock) makes `now` itself the event,
+    /// never a past cycle.
     ///
     /// `CmpSystem::run`'s per-core clocks rely on exactly that guarantee:
     /// a system loop that visits only the returned cycles (and its cores'
-    /// own events) leaves every controller counter bit-identical to
-    /// per-cycle stepping.
+    /// own events), ticking before it enqueues and settling at its end,
+    /// leaves every controller counter bit-identical to per-cycle
+    /// stepping.
     pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
         let completion = self.next_completion_at();
         if let Some(done) = completion {
@@ -610,7 +689,7 @@ impl MemoryController {
         let tick = if self.queues.is_empty() {
             None
         } else {
-            Some(self.next_tick.max(now))
+            Some(self.next_tick.max(self.floor_clock).max(now))
         };
         match (tick, completion.map(|c| c.max(now))) {
             (Some(t), Some(c)) => Some(t.min(c)),
@@ -642,7 +721,8 @@ impl MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bwpart_dram::DramConfig;
+    use crate::policy::tests::one_per_kind;
+    use bwpart_dram::{DramConfig, DramStats, PagePolicy};
 
     /// Drive the controller with `apps` synthetic streams that each always
     /// have a request ready (full saturation) for `cycles` CPU cycles, and
@@ -822,33 +902,171 @@ mod tests {
         assert_eq!(mc.next_event_cycle(done + 1001), None);
     }
 
-    #[test]
-    fn next_event_cycle_never_skips_a_scheduling_tick() {
-        let mut mc = MemoryController::new(DramConfig::ddr2_400(), 2, Policy::fcfs(2));
-        for i in 0..6u64 {
-            mc.enqueue(MemRequest::read((i % 2) as usize, i * 64, 0));
-        }
-        let mut now = 0u64;
-        while mc.busy() {
-            let Some(ev) = mc.next_event_cycle(now) else {
-                break;
+    /// A seeded arrival schedule over `[0, horizon)`, sorted by arrival:
+    /// bursts and lulls of reads and writes from `apps` applications, two
+    /// in three on a sequential stream per application (row hits under
+    /// open page), the rest scattered (bank and row conflicts).
+    fn arrival_schedule(seed: u64, apps: usize, horizon: u64) -> Vec<MemRequest> {
+        let mut state = seed | 1;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut next_line: Vec<u64> = (0..apps as u64).map(|a| a << 24).collect();
+        let mut out = Vec::new();
+        let mut at = 0;
+        loop {
+            at += match rng() % 8 {
+                0..=2 => 0,
+                3..=5 => rng() % 120,
+                _ => rng() % 600,
             };
-            assert!(ev >= now, "event {ev} before now {now}");
-            // With work queued, no scheduling tick may lie in (now, ev):
-            // ticks account busy/stalled/interference counters.
-            if !mc.queues.is_empty() {
-                let next_grid = (now / 25 + 1) * 25;
-                assert!(
-                    ev <= next_grid,
-                    "event {ev} would jump the tick at {next_grid}"
-                );
+            if at >= horizon {
+                return out;
             }
-            now = ev;
-            mc.tick(now);
-            let _ = mc.drain_completions(now);
-            now += 1;
+            let app = (rng() % apps as u64) as usize;
+            let addr = if rng() % 3 == 0 {
+                (rng() % (1 << 28)) & !63
+            } else {
+                next_line[app] += 1;
+                next_line[app] * 64
+            };
+            out.push(if rng() % 4 == 0 {
+                MemRequest::write(app, addr, at)
+            } else {
+                MemRequest::read(app, addr, at)
+            });
         }
-        assert_eq!(mc.stats().served, vec![3, 3]);
+    }
+
+    type ControllerDigest = (McStats, Vec<u64>, Vec<u64>, DramStats, Vec<Completion>);
+
+    fn controller_digest(mc: &MemoryController, done: Vec<Completion>) -> ControllerDigest {
+        (
+            mc.stats().clone(),
+            mc.interference.all().to_vec(),
+            mc.epoch_accesses().to_vec(),
+            mc.dram().stats().clone(),
+            done,
+        )
+    }
+
+    /// The reference: tick every CPU cycle, then enqueue that cycle's
+    /// arrivals, then drain its completions. The cached floor is cleared
+    /// before each tick, so every command clock runs the full scheduling
+    /// pass and nothing is ever settled in closed form.
+    fn drive_per_cycle(
+        mc: &mut MemoryController,
+        reqs: &[MemRequest],
+        horizon: u64,
+    ) -> Vec<Completion> {
+        let mut done = Vec::new();
+        let mut next = 0;
+        for now in 0..horizon {
+            mc.floor_clock = 0;
+            mc.tick(now);
+            while reqs.get(next).is_some_and(|r| r.arrival == now) {
+                mc.enqueue(reqs[next]);
+                next += 1;
+            }
+            while let Some(c) = mc.pop_completion(now) {
+                done.push(c);
+            }
+        }
+        done
+    }
+
+    /// Visit only the cycles `next_event_cycle` names and the arrival
+    /// cycles, then settle the run's end. Returns the completions and the
+    /// number of command clocks skipped with work queued; each of those
+    /// must lie below the DRAM floor at the time it was skipped.
+    fn drive_event_driven(
+        mc: &mut MemoryController,
+        reqs: &[MemRequest],
+        horizon: u64,
+    ) -> (Vec<Completion>, u64) {
+        let tck = mc.dram().timings().tck;
+        let mut skipped = 0;
+        let mut check_skipped = |mc: &MemoryController, from: u64, to: u64| {
+            if mc.total_queued() == 0 {
+                return;
+            }
+            let floor = (0..mc.dram().num_channels())
+                .map(|c| mc.dram().channel_floor(c))
+                .min()
+                .expect("at least one channel");
+            let mut clock = from.div_ceil(tck) * tck;
+            while clock < to {
+                assert!(
+                    clock < floor,
+                    "skipped clock {clock} at or above floor {floor}"
+                );
+                skipped += 1;
+                clock += tck;
+            }
+        };
+        let mut done = Vec::new();
+        let mut next = 0;
+        let mut now = 0;
+        loop {
+            let arrival = reqs.get(next).map_or(horizon, |r| r.arrival);
+            let t = mc.next_event_cycle(now).map_or(arrival, |e| e.min(arrival));
+            if t >= horizon {
+                break;
+            }
+            check_skipped(mc, now, t);
+            mc.tick(t);
+            while reqs.get(next).is_some_and(|r| r.arrival == t) {
+                mc.enqueue(reqs[next]);
+                next += 1;
+            }
+            while let Some(c) = mc.pop_completion(t) {
+                done.push(c);
+            }
+            now = t + 1;
+        }
+        check_skipped(mc, now, horizon);
+        mc.settle_before(horizon);
+        (done, skipped)
+    }
+
+    #[test]
+    fn event_driven_ticks_match_per_cycle_ticks() {
+        let horizon = 60_000;
+        for (d, dram) in [DramConfig::ddr2_400(), DramConfig::ddr2_1600()]
+            .iter()
+            .enumerate()
+        {
+            for page_policy in [PagePolicy::ClosePage, PagePolicy::OpenPage] {
+                let cfg = DramConfig {
+                    page_policy,
+                    ..dram.clone()
+                };
+                for (p, policy) in one_per_kind().into_iter().enumerate() {
+                    let reqs = arrival_schedule(0x5EED + (d * 8 + p) as u64, 3, horizon);
+                    let mut stepped = MemoryController::new(cfg.clone(), 3, policy.clone());
+                    let mut evented = MemoryController::new(cfg.clone(), 3, policy);
+                    let stepped_done = drive_per_cycle(&mut stepped, &reqs, horizon);
+                    let (evented_done, skipped) = drive_event_driven(&mut evented, &reqs, horizon);
+                    let case = (d, page_policy, evented.policy().kind());
+                    assert!(
+                        stepped_done.len() > reqs.len() / 2,
+                        "{case:?}: served too few"
+                    );
+                    assert_eq!(
+                        controller_digest(&stepped, stepped_done),
+                        controller_digest(&evented, evented_done),
+                        "{case:?}"
+                    );
+                    assert!(
+                        skipped > 0,
+                        "{case:?}: no stalled clock was settled in bulk"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -897,7 +1115,7 @@ mod tests {
     #[test]
     fn analytic_jump_credits_counters_only() {
         let mut mc = MemoryController::new(DramConfig::ddr2_400(), 2, Policy::fcfs(2));
-        mc.analytic_jump(&[10, 4], &[1000, 600], &[0, 250], 14, 3);
+        mc.analytic_jump(&[10, 4], &[1000, 600], &[0, 250], 14, 3, 0);
         assert_eq!(mc.stats().served, vec![10, 4]);
         assert_eq!(mc.stats().latency_sum, vec![1000, 600]);
         assert_eq!(mc.stats().busy_ticks, 14);
@@ -907,6 +1125,28 @@ mod tests {
         assert_eq!(mc.interference_cycles(1), 250);
         // No micro-state was fabricated: the controller is still idle.
         assert!(!mc.busy());
+    }
+
+    #[test]
+    fn analytic_jump_moves_the_command_clock_past_the_jump() {
+        let mut mc = MemoryController::new(DramConfig::ddr2_400(), 1, Policy::fcfs(1));
+        for i in 0..4u64 {
+            mc.enqueue(MemRequest::read(0, i * 64, 0));
+        }
+        mc.tick(0);
+        // Stalled clocks lie between the last tick and the floor: a jump
+        // that left the command clock here would count them again after
+        // the jump.
+        assert!(mc.next_event_cycle(1).expect("work queued") > 25);
+        let resume = 100_000;
+        mc.analytic_jump(&[0], &[0], &[0], 500, 400, resume);
+        mc.tick(resume);
+        assert_eq!(
+            mc.stats().busy_ticks,
+            1 + 500 + 1,
+            "jumped clocks counted twice"
+        );
+        assert_eq!(mc.stats().served, vec![2]);
     }
 
     #[test]

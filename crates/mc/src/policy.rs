@@ -362,8 +362,36 @@ impl Policy {
 #[cfg(test)]
 // exact float equality is intentional: these check pass-through/zero paths
 #[allow(clippy::float_cmp)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One policy of each [`PolicyKind`] for three applications.
+    pub(crate) fn one_per_kind() -> Vec<Policy> {
+        let policies = vec![
+            Policy::fcfs(3),
+            Policy::fr_fcfs(3),
+            Policy::stf(vec![0.5, 0.3, 0.2]),
+            Policy::priority(vec![2.0, 1.0, 3.0]),
+            Policy::parbs(3, 6),
+            Policy::atlas(3, 0.99),
+            Policy::tcm(3, 4),
+        ];
+        for kind in [
+            PolicyKind::Fcfs,
+            PolicyKind::FrFcfs,
+            PolicyKind::Stf,
+            PolicyKind::Priority,
+            PolicyKind::Parbs,
+            PolicyKind::Atlas,
+            PolicyKind::Tcm,
+        ] {
+            assert!(
+                policies.iter().any(|p| p.kind() == kind),
+                "{kind:?} not covered"
+            );
+        }
+        policies
+    }
 
     fn cand(app: usize, arrival: u64, issuable: bool) -> Candidate {
         Candidate {
@@ -707,6 +735,38 @@ mod tests {
             firsts.len() >= 2,
             "rotation should vary the bandwidth-cluster leader: {firsts:?}"
         );
+    }
+
+    /// `MemoryController::settle_before` lets one `pick` stand for a run
+    /// of stalled clocks: with nothing issuable every policy serves
+    /// nobody, and after the first such pick its state no longer moves.
+    #[test]
+    fn pick_with_nothing_issuable_serves_nobody_and_then_changes_nothing() {
+        let blocked: Vec<Candidate> = (0..3)
+            .map(|app| Candidate {
+                row_hit: app == 1,
+                queue_len: 1 + 2 * app,
+                ..cand(app, 10 - app as u64, false)
+            })
+            .collect();
+        for mut p in one_per_kind() {
+            // Some service history first, so every stateful field is live
+            // (TCM re-clusters, PARBS drains its batch).
+            for app in [0, 1, 0, 2, 0, 1] {
+                p.on_served(app);
+            }
+            assert_eq!(p.pick(&blocked), None, "{:?}", p.kind());
+            let state = format!("{p:?}");
+            for _ in 0..3 {
+                assert_eq!(p.pick(&blocked), None, "{:?}", p.kind());
+                assert_eq!(
+                    format!("{p:?}"),
+                    state,
+                    "{:?} changed on a repeat",
+                    p.kind()
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //!   down ones that warm up (and write back) within the run;
 //! * every scheduling policy, swapped between chunks;
 //! * a shared LLC on or off, with random way splits;
+//! * three DRAM channels: Table II's close-page DDR2-400, the open-page
+//!   DDR2-400 of the `ablation` experiment (row hits and conflicts, and
+//!   the open-page floor bound), and the DDR2-1600 of `fig4` (a 6-cycle
+//!   command clock instead of 25);
 //! * runs cut into chunks of random length (zero included), with
 //!   `reset_phase_counters` between them.
 //!
@@ -16,6 +20,7 @@
 //! interference counts and the LLC counters.
 
 use bwpart_cmp::{CacheConfig, CmpConfig, CmpSystem, LlcConfig, Workload};
+use bwpart_dram::{DramConfig, PagePolicy};
 use bwpart_mc::Policy;
 use bwpart_workloads::{cache_profiles, table3_profiles, BenchProfile};
 use proptest::prelude::*;
@@ -81,8 +86,9 @@ fn way_split(weights: &[usize], total: usize) -> Vec<usize> {
 
 /// Hierarchy 0 is Table II's under a 1 MB LLC; 1 and 2 scale it down so
 /// that the same 1–64 KB hot sets become L2 and LLC hits, and dirty
-/// lines reach DRAM, within a short run.
-fn config(geometry: usize, llc: bool) -> CmpConfig {
+/// lines reach DRAM, within a short run. DRAM 0 is Table II's close-page
+/// DDR2-400, 1 the same channel with open pages, 2 the DDR2-1600.
+fn config(geometry: usize, llc: bool, dram: usize) -> CmpConfig {
     let cache = |capacity: u64, ways: usize| CacheConfig {
         capacity: capacity as usize,
         ways,
@@ -93,9 +99,18 @@ fn config(geometry: usize, llc: bool) -> CmpConfig {
         1 => (cache(4 * KB, 2), cache(16 * KB, 8), 64 * KB),
         _ => (cache(2 * KB, 2), cache(8 * KB, 4), 32 * KB),
     };
+    let dram = match dram {
+        0 => DramConfig::ddr2_400(),
+        1 => DramConfig {
+            page_policy: PagePolicy::OpenPage,
+            ..DramConfig::ddr2_400()
+        },
+        _ => DramConfig::ddr2_1600(),
+    };
     CmpConfig {
         l1,
         l2,
+        dram,
         llc: llc.then_some(LlcConfig {
             cache: cache(llc_bytes, 16),
             hit_penalty: 12,
@@ -105,7 +120,7 @@ fn config(geometry: usize, llc: bool) -> CmpConfig {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(36))]
 
     #[test]
     fn per_core_clocks_match_per_cycle_stepping(
@@ -113,9 +128,10 @@ proptest! {
         cuts in prop::collection::vec(0u64..CYCLES, 0..=3),
         kinds in prop::collection::vec((0usize..7, any::<bool>()), 4),
         llc in (any::<bool>(), prop::collection::vec(1usize..=8, 4)),
-        geometry in 0usize..3,
+        hardware in (0usize..3, 0usize..3),
         seed in any::<u64>(),
     ) {
+        let (geometry, dram) = hardware;
         let n = apps.len();
         let profiles: Vec<BenchProfile> = apps
             .iter()
@@ -123,7 +139,7 @@ proptest! {
             .map(|(i, &a)| twin(a, i as u64))
             .collect();
         let (with_llc, way_weights) = llc;
-        let cfg = config(geometry, with_llc);
+        let cfg = config(geometry, with_llc, dram);
         let build = || {
             let workloads: Vec<Box<dyn Workload>> =
                 profiles.iter().map(|p| p.spawn(seed)).collect();
@@ -180,12 +196,14 @@ proptest! {
             prop_assert_eq!(
                 digest(&clocked),
                 digest(&stepped),
-                "diverged after chunk {} ending at cycle {} (profiles {:?}, llc {}, geometry {})",
+                "diverged after chunk {} ending at cycle {} (profiles {:?}, llc {}, geometry {}, \
+                 dram {})",
                 chunk,
                 edge,
                 profiles.iter().map(|p| p.name).collect::<Vec<_>>(),
                 with_llc,
-                geometry
+                geometry,
+                dram
             );
         }
     }
