@@ -52,9 +52,6 @@ pub struct ModeResult {
 pub struct CaseEnv {
     /// Worker threads the optimized mode's pool used.
     pub threads: usize,
-    /// Whether the optimized mode fanned per-app controller scans over
-    /// the pool (`CmpConfig::parallel_channels`).
-    pub parallel_channels: bool,
     /// Host logical core count at measurement time.
     pub host_cores: usize,
 }
@@ -183,7 +180,7 @@ fn phases(smoke: bool) -> PhaseConfig {
 
 /// Current report schema tag. Bumped whenever the report shape changes;
 /// `check` refuses to compare reports across schema versions.
-pub const SCHEMA: &str = "bwpart-bench-sim/v2";
+pub const SCHEMA: &str = "bwpart-bench-sim/v3";
 
 /// Maximum tolerated slowdown of any case's `optimized.wall_ms` against
 /// the committed baseline before `--check` fails, in percent.
@@ -196,11 +193,10 @@ pub const CHECK_REGRESSION_PCT: f64 = 10.0;
 /// to the tens-of-milliseconds cases the gate is really protecting.
 pub const CHECK_ABS_SLACK_MS: f64 = 1.0;
 
-fn runner(fast_forward: bool, parallel_channels: bool, phases: PhaseConfig) -> Runner {
+fn runner(fast_forward: bool, phases: PhaseConfig) -> Runner {
     Runner {
         cmp: CmpConfig {
             fast_forward,
-            parallel_channels,
             ..CmpConfig::default()
         },
         phases,
@@ -209,10 +205,9 @@ fn runner(fast_forward: bool, parallel_channels: bool, phases: PhaseConfig) -> R
 
 /// The environment fingerprint for the optimized mode as configured right
 /// now (default pool width on this host).
-fn current_env(parallel_channels: bool) -> CaseEnv {
+fn current_env() -> CaseEnv {
     CaseEnv {
         threads: rayon::pool::current_num_threads(),
-        parallel_channels,
         host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
 }
@@ -226,10 +221,9 @@ fn fingerprint(outcomes: &[SimOutcome]) -> String {
 
 /// One run of the mix-end-to-end case: `fig1_mix` under the first enforced
 /// scheme, warmup → profile → measure. `optimized` selects the default
-/// fast path (per-core clocks + parallel per-app gather) vs the
-/// seed behaviour (per-cycle, sequential gather).
+/// per-core clocks vs the seed behaviour (per-cycle stepping).
 fn run_mix(optimized: bool, phases: PhaseConfig) -> Vec<SimOutcome> {
-    let r = runner(optimized, optimized, phases);
+    let r = runner(optimized, phases);
     let mix = fig1_mix();
     let (w, cc) = mix.build(1, SEED);
     vec![r.run_scheme(
@@ -245,14 +239,12 @@ fn run_mix(optimized: bool, phases: PhaseConfig) -> Vec<SimOutcome> {
 /// where the pool is pinned to one thread).
 fn run_sweep_cfg(
     fast_forward: bool,
-    parallel_channels: bool,
     hybrid: Option<HybridConfig>,
     phases: PhaseConfig,
 ) -> Vec<SimOutcome> {
     let r = Runner {
         cmp: CmpConfig {
             fast_forward,
-            parallel_channels,
             hybrid,
             ..CmpConfig::default()
         },
@@ -269,7 +261,7 @@ fn run_sweep_cfg(
 }
 
 fn run_sweep(optimized: bool, phases: PhaseConfig) -> Vec<SimOutcome> {
-    run_sweep_cfg(optimized, optimized, None, phases)
+    run_sweep_cfg(optimized, None, phases)
 }
 
 /// Way splits driven by the coordinated-enforcement case: the fair split,
@@ -287,7 +279,6 @@ fn run_coordinated_sweep(optimized: bool, phases: PhaseConfig) -> Vec<SimOutcome
     let r = Runner {
         cmp: CmpConfig {
             fast_forward: optimized,
-            parallel_channels: optimized,
             llc: Some(LlcConfig {
                 cache: CacheConfig {
                     capacity: 1024 * 1024,
@@ -401,14 +392,12 @@ fn steady_mix() -> (Vec<Box<dyn Workload>>, Vec<CoreConfig>) {
 /// scheme.
 fn run_steady_sweep(
     fast_forward: bool,
-    parallel_channels: bool,
     hybrid: Option<HybridConfig>,
     phases: PhaseConfig,
 ) -> Vec<SimOutcome> {
     let r = Runner {
         cmp: CmpConfig {
             fast_forward,
-            parallel_channels,
             hybrid,
             ..CmpConfig::default()
         },
@@ -426,17 +415,11 @@ fn run_steady_sweep(
 /// Fingerprint of the full scheme sweep under the **current** pool
 /// configuration (thread count is whatever `RAYON_NUM_THREADS` /
 /// `pool::set_num_threads` says). The CI determinism matrix runs this
-/// across thread counts, fast-forward modes, and gather modes, and diffs
-/// the outputs: any divergence means the parallel merge, the fast-forward
-/// path, or the parallel candidate gather changed observable simulation
-/// results.
-pub fn sweep_fingerprint(fast_forward: bool, parallel_channels: bool, smoke: bool) -> String {
-    fingerprint(&run_sweep_cfg(
-        fast_forward,
-        parallel_channels,
-        None,
-        phases(smoke),
-    ))
+/// across thread counts and fast-forward modes, and diffs the outputs:
+/// any divergence means the parallel merge or the per-core clocks changed
+/// observable simulation results.
+pub fn sweep_fingerprint(fast_forward: bool, smoke: bool) -> String {
+    fingerprint(&run_sweep_cfg(fast_forward, None, phases(smoke)))
 }
 
 /// Time `f` once, in `mode_threads` pool mode, returning the wall time and
@@ -499,7 +482,7 @@ fn bench_case(
         },
         identical_outcomes: true,
         tolerance_certified: None,
-        env: current_env(true),
+        env: current_env(),
     }
 }
 
@@ -521,7 +504,7 @@ fn bench_hybrid_case(
     let mut best_opt = Duration::MAX;
     let mut reference: Option<Vec<SimOutcome>> = None;
     for _ in 0..reps.max(1) {
-        let (wall, out) = timed(1, || run_steady_sweep(false, false, None, phases));
+        let (wall, out) = timed(1, || run_steady_sweep(false, None, phases));
         best_base = best_base.min(wall);
         let exact = reference.get_or_insert_with(|| out.clone());
         assert_eq!(
@@ -529,7 +512,7 @@ fn bench_hybrid_case(
             fingerprint(&out),
             "scheme_sweep_hybrid: baseline outcomes diverged between reps"
         );
-        let (wall, out) = timed(0, || run_steady_sweep(true, true, Some(hc), phases));
+        let (wall, out) = timed(0, || run_steady_sweep(true, Some(hc), phases));
         best_opt = best_opt.min(wall);
         for (i, (e, h)) in exact.iter().zip(&out).enumerate() {
             assert!(
@@ -559,7 +542,7 @@ fn bench_hybrid_case(
         },
         identical_outcomes: false,
         tolerance_certified: Some(true),
-        env: current_env(true),
+        env: current_env(),
     }
 }
 
@@ -567,7 +550,7 @@ fn bench_hybrid_case(
 /// returning the outcomes and the total `cmp_steps_total` collected — a
 /// sanity signal that the attached mode really recorded metrics.
 fn run_sweep_observed(phases: PhaseConfig, attach: bool) -> (Vec<SimOutcome>, u64) {
-    let r = runner(true, true, phases);
+    let r = runner(true, phases);
     let mix = fig1_mix();
     let per_run: Vec<(SimOutcome, u64)> = PartitionScheme::ENFORCED_SCHEMES
         .par_iter()
@@ -857,7 +840,6 @@ mod tests {
             assert!(case.speedup > 0.0);
             assert!(case.env.threads >= 1);
             assert!(case.env.host_cores >= 1);
-            assert!(case.env.parallel_channels);
         }
         assert!(report.cases[0].identical_outcomes);
         assert!(report.cases[1].identical_outcomes);
@@ -939,6 +921,64 @@ mod tests {
             outcome.skipped_summary().as_deref(),
             Some("skipped 3 case(s) (env mismatch, budget mismatch)")
         );
+    }
+
+    /// A hand-built one-case report (no simulation runs).
+    fn one_case_report(schema: &str, threads: usize, wall_ms: f64) -> BenchReport {
+        let mode = ModeResult {
+            wall_ms,
+            cycles_per_sec: 1e8,
+        };
+        BenchReport {
+            schema: schema.to_string(),
+            smoke: true,
+            threads,
+            reps: 1,
+            cases: vec![BenchCase {
+                name: "scheme_sweep".into(),
+                simulated_cycles: 720_000,
+                baseline: mode.clone(),
+                optimized: mode,
+                speedup: 1.0,
+                identical_outcomes: true,
+                tolerance_certified: None,
+                env: CaseEnv {
+                    threads,
+                    host_cores: 2,
+                },
+            }],
+            snapshot: SnapshotMicrobench {
+                clone_ns_per_call: 1.0,
+                reuse_ns_per_call: 1.0,
+            },
+            obs: ObsOverhead {
+                detached_wall_ms: 1.0,
+                attached_wall_ms: 1.0,
+                overhead_pct: 0.0,
+                identical_outcomes: true,
+            },
+        }
+    }
+
+    #[test]
+    fn check_refuses_other_schemas_and_skips_thread_count_drift() {
+        // A committed report of the previous schema is one regression, and
+        // nothing is compared.
+        let v2 = one_case_report("bwpart-bench-sim/v2", 1, 9.0);
+        let outcome = check(&v2, &one_case_report(SCHEMA, 1, 9.0));
+        assert_eq!(outcome.regressions.len(), 1, "{:?}", outcome.regressions);
+        assert!(outcome.regressions[0].contains("schema mismatch"));
+        assert!(outcome.compared.is_empty());
+        assert!(outcome.skipped.is_empty());
+
+        // An environment that differs only in pool threads is skipped, not
+        // compared, even when the fresh case is ten times slower.
+        let committed = one_case_report(SCHEMA, 1, 9.0);
+        let outcome = check(&committed, &one_case_report(SCHEMA, 2, 90.0));
+        assert!(outcome.passed());
+        assert!(outcome.compared.is_empty());
+        assert_eq!(outcome.skipped.len(), 1);
+        assert!(outcome.skipped[0].1.contains("environment mismatch"));
     }
 
     #[test]

@@ -36,12 +36,6 @@ pub struct CmpConfig {
     /// [`CmpSystem::run_per_cycle`], which `false` delegates to); disable
     /// only to cross-check timings.
     pub fast_forward: bool,
-    /// Fan the memory controller's per-tick candidate gather over the
-    /// vendored thread pool
-    /// ([`MemoryController::set_parallel_channels`]). Probes are read-only
-    /// against committed DRAM state, so results are bit-identical to the
-    /// sequential gather at any thread count.
-    pub parallel_channels: bool,
     /// Analytic hybrid stepping (default `None` = off): jump over detected
     /// steady-state windows by crediting the paper-model counter rates
     /// instead of simulating every cycle. Tolerance-certified rather than
@@ -63,7 +57,6 @@ impl Default for CmpConfig {
             region_bits: 29,
             sched_window: 8,
             fast_forward: true,
-            parallel_channels: false,
             hybrid: None,
             llc: None,
         }
@@ -147,7 +140,6 @@ impl CmpSystem {
         let region = 1u64 << cfg.region_bits;
         let mut mc = MemoryController::new(cfg.dram.clone(), n, policy);
         mc.set_sched_window(cfg.sched_window);
-        mc.set_parallel_channels(cfg.parallel_channels);
         let cores = workloads
             .into_iter()
             .zip(core_cfgs.into_iter().zip(l2_cfgs))

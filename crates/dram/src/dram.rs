@@ -309,23 +309,6 @@ impl DramSystem {
         Self::cached_answer(core, txn, now, cache)
     }
 
-    /// Read-only variant of [`sched_probe`](Self::sched_probe) for the
-    /// parallel candidate gather: a stale `cache` is recomputed into a
-    /// local scratch instead of being refreshed in place, so concurrent
-    /// gathers over shared queues need no synchronization. Answers are
-    /// identical to `sched_probe`'s.
-    pub fn sched_probe_ro(&self, txn: &MemTransaction, now: u64, cache: &ProbeCache) -> SchedProbe {
-        if cache.version != 0 {
-            let core = self.channels[cache.channel as usize].core();
-            if core.version() == cache.version {
-                return Self::cached_answer(core, txn, now, cache);
-            }
-        }
-        let mut scratch = ProbeCache::default();
-        let core = self.fill_cache(txn, &mut scratch);
-        Self::cached_answer(core, txn, now, &scratch)
-    }
-
     /// Issue `txn` at cycle `now` (its first command is driven at the probe
     /// start, which must equal the aligned `now` for a controller that
     /// checked [`can_issue`](Self::can_issue) first; issuing "late" is
@@ -645,14 +628,12 @@ mod tests {
             for (txn, cache) in &mut pending {
                 let want_issuable = s.can_issue(txn, now);
                 let want_blocker = s.blocking_app(txn, now);
-                let got_rw = s.sched_probe(txn, now, cache);
-                let got_ro = s.sched_probe_ro(txn, now, cache);
-                assert_eq!(got_rw, got_ro, "ro/rw divergence at {now}");
-                assert_eq!(got_rw.issuable, want_issuable, "issuable at {now}");
+                let got = s.sched_probe(txn, now, cache);
+                assert_eq!(got.issuable, want_issuable, "issuable at {now}");
                 if want_issuable {
-                    assert_eq!(Some(got_rw.kind), s.issuable_at(txn, now));
+                    assert_eq!(Some(got.kind), s.issuable_at(txn, now));
                 } else {
-                    assert_eq!(got_rw.head_blocker, want_blocker, "blocker at {now}");
+                    assert_eq!(got.head_blocker, want_blocker, "blocker at {now}");
                 }
             }
             // Occasionally issue something to mutate channel state (and

@@ -8,7 +8,7 @@ use std::collections::BinaryHeap;
 use bwpart_obs::obs_count;
 use serde::{Deserialize, Serialize};
 
-use bwpart_dram::{Completion, DramConfig, DramSystem, MemTransaction, ProbeCache};
+use bwpart_dram::{Completion, DramConfig, DramSystem, MemTransaction};
 
 use crate::interference::InterferenceTracker;
 use crate::obs::McObsHooks;
@@ -69,24 +69,6 @@ impl PartialOrd for Pending {
     }
 }
 
-/// One per-application slot of the parallel gather's persistent scratch
-/// (see [`MemoryController::tick`]): the pool workers write their scan
-/// results in place, so the steady-state parallel branch allocates
-/// nothing at this layer — slot growth is one-time per application count,
-/// and each slot's `refreshed` spill keeps its capacity across ticks.
-#[derive(Debug, Clone, Default)]
-struct FanSlot {
-    /// Application scanned by this slot.
-    app: usize,
-    /// Chosen candidate: `(window position, arrival, row_hit)`.
-    chosen: Option<(usize, u64, bool)>,
-    /// Head-of-queue blocker attribution (window position 0 only).
-    head_blocker: Option<usize>,
-    /// Probe caches refreshed against local copies during the scan,
-    /// written back in input order after the fan-out joins.
-    refreshed: Vec<(usize, ProbeCache)>,
-}
-
 /// The shared memory controller.
 #[derive(Debug, Clone)]
 pub struct MemoryController {
@@ -118,11 +100,6 @@ pub struct MemoryController {
     /// per-slot probe caches need `&mut self.queues`, so the pending set is
     /// snapshotted first).
     app_buf: Vec<usize>,
-    /// Persistent per-application scratch for the parallel gather's
-    /// fan-out (one [`FanSlot`] per pending application, reused across
-    /// ticks). Never observable: fully reset inside
-    /// [`tick`](Self::tick) before every fan-out.
-    fan_slots: Vec<FanSlot>,
     /// The first command clock at or above the DRAM floor — the lowest
     /// [`DramSystem::channel_floor`] over the channels — refreshed after
     /// each issue (channel state changes only there). No request can
@@ -130,9 +107,6 @@ pub struct MemoryController {
     /// [`settle_before`](Self::settle_before) accounts those clocks in
     /// closed form.
     floor_clock: u64,
-    /// Fan the candidate gather over the vendored thread pool
-    /// (bit-identical to the sequential gather; see [`tick`](Self::tick)).
-    parallel_channels: bool,
     /// Optional observability hooks (pre-resolved metric handles). Never
     /// observable by the simulation: written only through the zero-cost
     /// `obs_*!` macros, shared by clones.
@@ -161,9 +135,7 @@ impl MemoryController {
             pos_buf: Vec::with_capacity(apps),
             blocker_buf: Vec::with_capacity(apps),
             app_buf: Vec::with_capacity(apps),
-            fan_slots: Vec::with_capacity(apps),
             floor_clock: 0,
-            parallel_channels: false,
             obs: None,
         }
     }
@@ -191,19 +163,6 @@ impl MemoryController {
     pub fn set_sched_window(&mut self, window: usize) {
         assert!(window >= 1, "window must be at least 1");
         self.sched_window = window;
-    }
-
-    /// Fan the per-application candidate gather over the vendored thread
-    /// pool. Probes are read-only against committed channel state, so the
-    /// gathered candidates — and therefore every scheduling decision and
-    /// counter — are bit-identical to the sequential gather.
-    pub fn set_parallel_channels(&mut self, on: bool) {
-        self.parallel_channels = on;
-    }
-
-    /// Whether the parallel candidate gather is enabled.
-    pub fn parallel_channels(&self) -> bool {
-        self.parallel_channels
     }
 
     /// Number of applications.
@@ -293,111 +252,36 @@ impl MemoryController {
         // (`DramSystem::sched_probe`): while the channel is unchanged the
         // test collapses to a few integer compares, and the head's
         // interference attribution rides along for free.
-        //
-        // With `parallel_channels` the per-application scans fan over the
-        // vendored pool: probes run on local copies of the slot caches
-        // against `&DramSystem` (committed state only), so the answers are
-        // bit-identical to the sequential scan, and the refreshed caches
-        // are written back in input order afterwards.
         self.cand_buf.clear();
         self.pos_buf.clear();
         self.blocker_buf.clear();
         self.app_buf.clear();
         self.app_buf.extend(self.queues.pending_apps());
-
-        // A 1-wide pool would run the fan-out inline anyway; take the
-        // sequential path outright and skip its per-tick buffer clones.
-        // Identical results either way — the parallel branch is
-        // bit-identical by construction.
-        let fan_out = self.parallel_channels
-            && self.app_buf.len() > 1
-            && rayon::pool::current_num_threads() > 1;
-        if !fan_out {
-            for i in 0..self.app_buf.len() {
-                let app = self.app_buf[i];
-                let limit = self.sched_window.min(self.queues.len(app));
-                let mut chosen: Option<(usize, u64, bool)> = None; // (pos, arrival, row_hit)
-                let mut head_blocker: Option<usize> = None;
-                for pos in 0..limit {
-                    // lint: allow(R1): pos < queues.len(app) by the loop bound
-                    let (req, cache) = self.queues.slot_mut(app, pos).expect("in range");
-                    let txn = MemTransaction {
-                        app: req.app,
-                        addr: req.addr,
-                        is_write: req.is_write,
-                    };
-                    let arrival = req.arrival;
-                    let probe = self.dram.sched_probe(&txn, now, cache);
-                    if probe.issuable {
-                        let row_hit = probe.kind == bwpart_dram::bank::AccessKind::RowHit;
-                        chosen = Some((pos, arrival, row_hit));
-                        break;
-                    }
-                    if pos == 0 {
-                        head_blocker = probe.head_blocker;
-                    }
-                }
-                self.push_candidate(app, chosen, head_blocker);
-            }
-        } else {
-            // The fan-out writes into persistent per-application slots
-            // (results and refreshed caches in place), so the steady-state
-            // parallel branch performs no fresh allocation at this layer
-            // (hot-path purity rule A1); growth is one-time per
-            // application count and each slot's spill keeps its capacity.
-            let pending = self.app_buf.len();
-            if self.fan_slots.len() < pending {
-                self.fan_slots.resize_with(pending, FanSlot::default);
-            }
-            for (slot, &app) in self.fan_slots.iter_mut().zip(&self.app_buf) {
-                slot.app = app;
-                slot.chosen = None;
-                slot.head_blocker = None;
-                slot.refreshed.clear();
-            }
-            let dram = &self.dram;
-            let queues = &self.queues;
-            let sched_window = self.sched_window;
-            rayon::pool::for_each_mut(&mut self.fan_slots[..pending], |slot| {
-                let app = slot.app;
-                let limit = sched_window.min(queues.len(app));
-                for pos in 0..limit {
-                    // lint: allow(R1): pos < queues.len(app) by the loop bound
-                    let (req, cache) = queues.slot(app, pos).expect("in range");
-                    let txn = MemTransaction {
-                        app: req.app,
-                        addr: req.addr,
-                        is_write: req.is_write,
-                    };
-                    let mut local = *cache;
-                    let probe = dram.sched_probe(&txn, now, &mut local);
-                    if local != *cache {
-                        slot.refreshed.push((pos, local));
-                    }
-                    if probe.issuable {
-                        let row_hit = probe.kind == bwpart_dram::bank::AccessKind::RowHit;
-                        slot.chosen = Some((pos, req.arrival, row_hit));
-                        break;
-                    }
-                    if pos == 0 {
-                        slot.head_blocker = probe.head_blocker;
-                    }
-                }
-            });
-            for i in 0..pending {
-                for j in 0..self.fan_slots[i].refreshed.len() {
-                    let (pos, cache) = self.fan_slots[i].refreshed[j];
-                    if let Some((_, cache_slot)) = self.queues.slot_mut(self.fan_slots[i].app, pos)
-                    {
-                        *cache_slot = cache;
-                    }
-                }
-                let (app, chosen, head_blocker) = {
-                    let s = &self.fan_slots[i];
-                    (s.app, s.chosen, s.head_blocker)
+        for i in 0..self.app_buf.len() {
+            let app = self.app_buf[i];
+            let limit = self.sched_window.min(self.queues.len(app));
+            let mut chosen: Option<(usize, u64, bool)> = None; // (pos, arrival, row_hit)
+            let mut head_blocker: Option<usize> = None;
+            for pos in 0..limit {
+                // lint: allow(R1): pos < queues.len(app) by the loop bound
+                let (req, cache) = self.queues.slot_mut(app, pos).expect("in range");
+                let txn = MemTransaction {
+                    app: req.app,
+                    addr: req.addr,
+                    is_write: req.is_write,
                 };
-                self.push_candidate(app, chosen, head_blocker);
+                let arrival = req.arrival;
+                let probe = self.dram.sched_probe(&txn, now, cache);
+                if probe.issuable {
+                    let row_hit = probe.kind == bwpart_dram::bank::AccessKind::RowHit;
+                    chosen = Some((pos, arrival, row_hit));
+                    break;
+                }
+                if pos == 0 {
+                    head_blocker = probe.head_blocker;
+                }
             }
+            self.push_candidate(app, chosen, head_blocker);
         }
 
         let served = self.policy.pick(&self.cand_buf);
@@ -1083,33 +967,6 @@ mod tests {
         }
         assert_eq!(mc.dram().stats().writes, 1);
         assert_eq!(mc.dram().stats().reads, 1);
-    }
-
-    #[test]
-    fn parallel_gather_is_bit_identical_to_sequential() {
-        let run = |par: bool| {
-            let mut mc =
-                MemoryController::new(DramConfig::ddr2_400(), 3, Policy::stf(vec![0.5, 0.3, 0.2]));
-            mc.set_parallel_channels(par);
-            let mut next_line: Vec<u64> = (0..3u64).map(|a| a << 32).collect();
-            for now in 0..120_000 {
-                for (app, line) in next_line.iter_mut().enumerate() {
-                    while mc.queue_len(app) < 4 {
-                        mc.enqueue(MemRequest::read(app, *line * 64, now));
-                        *line += 1;
-                    }
-                }
-                mc.tick(now);
-                let _ = mc.drain_completions(now);
-            }
-            let intf: Vec<u64> = (0..3).map(|a| mc.interference_cycles(a)).collect();
-            (mc.stats().clone(), intf, mc.dram().stats().clone())
-        };
-        rayon::pool::set_num_threads(2);
-        let par = run(true);
-        rayon::pool::set_num_threads(0);
-        let seq = run(false);
-        assert_eq!(seq, par);
     }
 
     #[test]

@@ -97,15 +97,8 @@ impl AppQueues {
         self.queues[app].get(idx).map(|s| &s.req)
     }
 
-    /// The request at position `idx` together with its probe cache
-    /// (read-only form for the parallel gather).
-    pub fn slot(&self, app: usize, idx: usize) -> Option<(&MemRequest, &ProbeCache)> {
-        self.queues[app].get(idx).map(|s| (&s.req, &s.cache))
-    }
-
     /// The request at position `idx` together with mutable access to its
-    /// probe cache (the sequential scheduling path refreshes caches in
-    /// place).
+    /// probe cache (the scheduler's gather refreshes caches in place).
     pub fn slot_mut(&mut self, app: usize, idx: usize) -> Option<(&MemRequest, &mut ProbeCache)> {
         self.queues[app]
             .get_mut(idx)

@@ -44,8 +44,9 @@
 //!   behind one is invisible to A1/A4. The danger *sites* themselves are
 //!   still visible wherever they lexically occur.
 //! * `vendor/` is outside the index: the vendored pool is certified by the
-//!   loomlite model check, not by this pass. `bwpart_mc`'s fan-out call
-//!   into `rayon::pool` therefore ends at the crate boundary.
+//!   loomlite model check, not by this pass. A workspace call into
+//!   `rayon` (the experiment and bench sweeps) therefore ends at the
+//!   crate boundary.
 //! * `.join(` is *not* a blocking danger: `Path::join` / `slice::join`
 //!   false positives outweigh the thread-join catch, and thread joins on
 //!   hot paths are already unreachable by construction here.

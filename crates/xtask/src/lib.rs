@@ -18,13 +18,10 @@
 //! * [`lint`] — the one pass (`cargo xtask lint`): rule catalogue, tree
 //!   walker, `lint: allow` resolution, inventory cross-check, and the
 //!   text/JSON/SARIF reports.
-//! * [`json`] — a minimal JSON parser used to structurally validate the
-//!   emitted reports in tests.
 
 pub mod analyze;
 pub mod callgraph;
 pub mod engine;
-pub mod json;
 pub mod lex;
 pub mod lint;
 pub mod symbols;

@@ -897,7 +897,7 @@ pub fn render_sarif(findings: &[Finding]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
+    use serde_json::Value;
 
     /// Every finding for one in-memory file (no inventory cross-check).
     fn check_one(path: &str, src: &str) -> Vec<Finding> {
@@ -1451,20 +1451,18 @@ pub fn overdue(now_cycles: u64, deadline_ns: u64) -> bool {
             "pub fn raw_shares(n: usize) -> Vec<f64> { vec![0.0; n] }\n",
         );
         assert_eq!(codes(&vs), vec!["A2"]);
-        let j = Json::parse(&render_json(&vs)).expect("json parses");
-        assert_eq!(j.get("tool").and_then(Json::str), Some("bwpart-audit"));
-        assert_eq!(j.path(&["counts", "active"]).and_then(Json::num), Some(1.0));
-        let sarif = Json::parse(&render_sarif(&vs)).expect("sarif parses");
-        assert_eq!(sarif.get("version").and_then(Json::str), Some("2.1.0"));
-        let results = sarif.path(&["runs", "0", "results"]).and_then(Json::arr);
-        assert_eq!(results.map(<[_]>::len), Some(1));
-        let rules = sarif
-            .path(&["runs", "0", "tool", "driver", "rules"])
-            .and_then(Json::arr);
-        assert_eq!(rules.map(<[_]>::len), Some(Rule::ALL.len()));
+        let j: Value = serde_json::from_str(&render_json(&vs)).expect("json parses");
+        assert_eq!(j["tool"].as_str(), Some("bwpart-audit"));
+        assert_eq!(j["counts"]["active"].as_f64(), Some(1.0));
+        let sarif: Value = serde_json::from_str(&render_sarif(&vs)).expect("sarif parses");
+        assert_eq!(sarif["version"].as_str(), Some("2.1.0"));
+        let results = sarif["runs"][0]["results"].as_array();
+        assert_eq!(results.map(Vec::len), Some(1));
+        let rules = sarif["runs"][0]["tool"]["driver"]["rules"].as_array();
+        assert_eq!(rules.map(Vec::len), Some(Rule::ALL.len()));
         // The empty report is still well-formed.
-        assert!(Json::parse(&render_sarif(&[])).is_ok());
-        assert!(Json::parse(&render_json(&[])).is_ok());
+        assert!(serde_json::from_str::<Value>(&render_sarif(&[])).is_ok());
+        assert!(serde_json::from_str::<Value>(&render_json(&[])).is_ok());
         assert!(render_text(&[]).contains("clean, 0 suppressed"));
         assert!(render_text(&vs).contains("1 violation(s), 0 suppressed"));
     }

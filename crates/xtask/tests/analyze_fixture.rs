@@ -11,7 +11,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use xtask::json::Json;
+use serde_json::Value;
 use xtask::lint::Rule;
 
 fn fixture_root(name: &str) -> PathBuf {
@@ -416,14 +416,10 @@ fn cold_init() {
 
     let (ok, json_out) = run_lint(&root, &["--json"]);
     assert!(ok, "{json_out}");
-    let j = Json::parse(&json_out).expect("json parses");
-    assert_eq!(
-        j.path(&["counts", "suppressed"]).and_then(Json::num),
-        Some(1.0)
-    );
-    let justification = j
-        .path(&["findings", "0", "justification"])
-        .and_then(Json::str)
+    let j: Value = serde_json::from_str(&json_out).expect("json parses");
+    assert_eq!(j["counts"]["suppressed"].as_f64(), Some(1.0));
+    let justification = j["findings"][0]["justification"]
+        .as_str()
         .unwrap_or_default();
     assert!(
         justification.contains("lazy init"),
@@ -443,36 +439,23 @@ fn sarif_report_is_structurally_valid() {
     );
     let (ok, sarif_out) = run_lint(&root, &["--sarif"]);
     assert!(!ok, "seeded A2 must fail the sarif run too:\n{sarif_out}");
-    let j = Json::parse(&sarif_out).expect("sarif parses");
-    assert_eq!(j.get("version").and_then(Json::str), Some("2.1.0"));
-    assert!(j
-        .get("$schema")
-        .and_then(Json::str)
+    let j: Value = serde_json::from_str(&sarif_out).expect("sarif parses");
+    assert_eq!(j["version"].as_str(), Some("2.1.0"));
+    assert!(j["$schema"]
+        .as_str()
         .is_some_and(|s| s.contains("sarif-2.1.0")));
-    let rules = j
-        .path(&["runs", "0", "tool", "driver", "rules"])
-        .and_then(Json::arr)
+    let rules = j["runs"][0]["tool"]["driver"]["rules"]
+        .as_array()
         .expect("rules");
     assert_eq!(rules.len(), Rule::ALL.len());
-    let results = j
-        .path(&["runs", "0", "results"])
-        .and_then(Json::arr)
-        .expect("results");
+    let results = j["runs"][0]["results"].as_array().expect("results");
     assert_eq!(results.len(), 1);
-    assert_eq!(results[0].get("ruleId").and_then(Json::str), Some("A2"));
-    let uri = results[0]
-        .path(&[
-            "locations",
-            "0",
-            "physicalLocation",
-            "artifactLocation",
-            "uri",
-        ])
-        .and_then(Json::str);
+    assert_eq!(results[0]["ruleId"].as_str(), Some("A2"));
+    let location = &results[0]["locations"][0]["physicalLocation"];
+    let uri = location["artifactLocation"]["uri"].as_str();
     assert_eq!(uri, Some("crates/core/src/solver.rs"));
-    assert!(results[0]
-        .path(&["locations", "0", "physicalLocation", "region", "startLine"])
-        .and_then(Json::num)
+    assert!(location["region"]["startLine"]
+        .as_f64()
         .is_some_and(|l| l >= 1.0));
 }
 

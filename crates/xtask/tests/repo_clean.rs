@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use xtask::json::Json;
+use serde_json::Value;
 use xtask::lint::Rule;
 
 /// The real workspace root: this test file lives in `crates/xtask/tests`.
@@ -49,22 +49,21 @@ fn committed_tree_is_violation_free() {
 fn committed_tree_json_report_is_clean_and_justified() {
     let (ok, stdout) = run_lint(&["--json"]);
     assert!(ok, "{stdout}");
-    let j = Json::parse(&stdout).expect("json parses");
-    assert_eq!(j.get("schema_version").and_then(Json::num), Some(1.0));
-    assert_eq!(j.path(&["counts", "active"]).and_then(Json::num), Some(0.0));
+    let j: Value = serde_json::from_str(&stdout).expect("json parses");
+    assert_eq!(j["schema_version"].as_f64(), Some(1.0));
+    assert_eq!(j["counts"]["active"].as_f64(), Some(0.0));
     // Every rule is present in the catalogue section.
-    let codes: Vec<&str> = j
-        .get("rules")
-        .and_then(Json::arr)
+    let codes: Vec<&str> = j["rules"]
+        .as_array()
         .expect("rules")
         .iter()
-        .filter_map(|r| r.get("code").and_then(Json::str))
+        .filter_map(|r| r["code"].as_str())
         .collect();
     let all: Vec<&str> = Rule::ALL.iter().map(|r| r.code()).collect();
     assert_eq!(codes, all, "{stdout}");
     // Every suppression carries a written reason.
-    for f in j.get("findings").and_then(Json::arr).expect("findings") {
-        let justification = f.get("justification").and_then(Json::str).unwrap_or("");
+    for f in j["findings"].as_array().expect("findings") {
+        let justification = f["justification"].as_str().unwrap_or("");
         assert!(
             justification.len() > 2,
             "suppression without a written reason: {stdout}"
@@ -76,16 +75,13 @@ fn committed_tree_json_report_is_clean_and_justified() {
 fn committed_tree_sarif_is_well_formed_and_clean() {
     let (ok, stdout) = run_lint(&["--sarif"]);
     assert!(ok, "sarif run must pass:\n{stdout}");
-    let j = Json::parse(&stdout).expect("sarif parses");
-    assert_eq!(j.get("version").and_then(Json::str), Some("2.1.0"));
-    let results = j
-        .path(&["runs", "0", "results"])
-        .and_then(Json::arr)
-        .expect("results array");
+    let j: Value = serde_json::from_str(&stdout).expect("sarif parses");
+    assert_eq!(j["version"].as_str(), Some("2.1.0"));
+    let results = j["runs"][0]["results"].as_array().expect("results array");
     // Suppressed results may appear, but every one must carry the
     // in-source suppression marker; none may be active.
     for r in results {
-        let suppressions = r.path(&["suppressions", "0", "kind"]).and_then(Json::str);
+        let suppressions = r["suppressions"][0]["kind"].as_str();
         assert_eq!(
             suppressions,
             Some("inSource"),
