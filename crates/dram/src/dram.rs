@@ -5,11 +5,9 @@ use bwpart_obs::obs_count;
 use serde::{Deserialize, Serialize};
 
 use crate::address::{AddressMapper, Location};
-use crate::bank::{AccessKind, Timings};
-use crate::channel::{BlockReason, Channel, ChannelProbe};
 use crate::config::DramConfig;
 use crate::obs::DramObsHooks;
-use crate::soa::{ChannelCore, NO_OWNER};
+use crate::soa::{AccessKind, ChannelCore, ChannelProbe, Timings, NO_OWNER};
 use crate::stats::DramStats;
 
 /// One line-granular memory transaction presented by the controller.
@@ -92,9 +90,10 @@ pub struct SchedProbe {
     pub issuable: bool,
     /// Command structure (hit/miss/conflict) the access would use.
     pub kind: AccessKind,
-    /// When blocked: the *other* application owning the blocking resource
-    /// — exactly [`DramSystem::blocking_app`]'s answer (`None` for
-    /// self-blocking, refresh, alignment, or an issuable probe).
+    /// When blocked: the *other* application whose traffic owns the
+    /// blocking bank, rank ACT window, data bus or command slot — the
+    /// paper's `T_cyc,interference` signal (Section IV-C). `None` for
+    /// self-blocking, refresh, alignment, or an issuable probe.
     pub head_blocker: Option<usize>,
 }
 
@@ -104,7 +103,7 @@ pub struct SchedProbe {
 pub struct DramSystem {
     cfg: DramConfig,
     mapper: AddressMapper,
-    channels: Vec<Channel>,
+    channels: Vec<ChannelCore>,
     stats: DramStats,
     /// Optional observability hooks (pre-resolved metric handles). Not
     /// part of the simulated state: they serialize as `Null` (identical
@@ -123,7 +122,7 @@ impl DramSystem {
             panic!("invalid DRAM configuration: {e}");
         }
         let mapper = AddressMapper::new(&cfg);
-        let channels = (0..cfg.channels).map(|_| Channel::new(&cfg)).collect();
+        let channels = (0..cfg.channels).map(|_| ChannelCore::new(&cfg)).collect();
         let stats = DramStats::new(0, cfg.total_banks());
         DramSystem {
             cfg,
@@ -176,34 +175,6 @@ impl DramSystem {
         self.channels[loc.channel].probe(loc.rank, loc.bank, loc.row, txn.is_write, now)
     }
 
-    /// Whether `txn`'s first command can be driven exactly at `now`
-    /// (the controller ticks on the DRAM clock grid).
-    pub fn can_issue(&self, txn: &MemTransaction, now: u64) -> bool {
-        self.issuable_at(txn, now).is_some()
-    }
-
-    /// Scheduling fast path: `Some(kind)` when `txn` could start at or
-    /// before `now` — exactly `probe(txn, now).start <= now` — computed
-    /// with an early rejection on the raw timing bounds (see
-    /// [`Channel::issuable_at`]). The memory controller runs this up to
-    /// `sched_window` times per pending application per DRAM clock.
-    pub fn issuable_at(&self, txn: &MemTransaction, now: u64) -> Option<crate::bank::AccessKind> {
-        let loc = self.decode(txn.addr);
-        self.channels[loc.channel].issuable_at(loc.rank, loc.bank, loc.row, txn.is_write, now)
-    }
-
-    /// If `txn` cannot issue at `now`, the application whose traffic owns
-    /// the blocking resource (bank, bus, or rank window) — `None` when the
-    /// block is self-inflicted, refresh-caused, or absent. This feeds the
-    /// paper's `T_cyc,interference` counters (Section IV-C).
-    pub fn blocking_app(&self, txn: &MemTransaction, now: u64) -> Option<usize> {
-        let p = self.probe(txn, now);
-        match p.block {
-            Some(BlockReason::Refresh) | None => None,
-            _ => p.blocker.filter(|&b| b != txn.app),
-        }
-    }
-
     /// Number of channels in this system.
     pub fn num_channels(&self) -> usize {
         self.channels.len()
@@ -216,13 +187,7 @@ impl DramSystem {
     /// command clocks below the lowest floor in closed form.
     #[inline]
     pub fn channel_floor(&self, channel: usize) -> u64 {
-        self.channels[channel].core().channel_floor()
-    }
-
-    /// The channel a transaction decodes to.
-    #[inline]
-    pub fn channel_of(&self, txn: &MemTransaction) -> usize {
-        self.decode(txn.addr).channel
+        self.channels[channel].channel_floor()
     }
 
     /// Resolve a cached probe against the current cycle. The cache regime
@@ -267,7 +232,7 @@ impl DramSystem {
     /// Fill `cache` from a fresh `now`-independent probe of `txn`'s channel.
     fn fill_cache(&self, txn: &MemTransaction, cache: &mut ProbeCache) -> &ChannelCore {
         let loc = self.decode(txn.addr);
-        let core = self.channels[loc.channel].core();
+        let core = &self.channels[loc.channel];
         // Fold from cycle 0: every lower bound is a pure function of
         // committed state, so the raw fold, the aligned start, and the
         // dominating owner are valid for *any* probed `now` (see
@@ -288,11 +253,14 @@ impl DramSystem {
     }
 
     /// Cached scheduling probe: semantically identical to
-    /// `(issuable_at(txn, now), blocking_app(txn, now))` but answered from
-    /// `cache` in a handful of integer compares while `txn`'s channel has
-    /// not committed anything since the cache was filled. On a version
-    /// miss the probe is recomputed once and the cache refilled; the cache
-    /// is transparent — answers never depend on whether it was hit.
+    /// [`probe`](Self::probe) (`issuable` is `probe(txn, now).start <= now`,
+    /// and the kind is the probe's) but answered from `cache` in a handful
+    /// of integer compares while `txn`'s channel has not committed
+    /// anything since the cache was filled. A bound past `now` in the
+    /// cached raw fold rejects without aligning or scanning refreshes. On
+    /// a version miss the probe is recomputed once and the cache refilled;
+    /// the cache is transparent — answers never depend on whether it was
+    /// hit.
     pub fn sched_probe(
         &self,
         txn: &MemTransaction,
@@ -300,7 +268,7 @@ impl DramSystem {
         cache: &mut ProbeCache,
     ) -> SchedProbe {
         if cache.version != 0 {
-            let core = self.channels[cache.channel as usize].core();
+            let core = &self.channels[cache.channel as usize];
             if core.version() == cache.version {
                 return Self::cached_answer(core, txn, now, cache);
             }
@@ -310,9 +278,10 @@ impl DramSystem {
     }
 
     /// Issue `txn` at cycle `now` (its first command is driven at the probe
-    /// start, which must equal the aligned `now` for a controller that
-    /// checked [`can_issue`](Self::can_issue) first; issuing "late" is
-    /// allowed and simply starts at the earliest legal cycle ≥ `now`).
+    /// start, which equals `now` for a controller whose
+    /// [`sched_probe`](Self::sched_probe) answered `issuable`; issuing
+    /// "late" is allowed and simply starts at the earliest legal cycle
+    /// ≥ `now`).
     pub fn issue(&mut self, txn: &MemTransaction, now: u64) -> Completion {
         let loc = self.decode(txn.addr);
         let mut probe =
@@ -320,19 +289,19 @@ impl DramSystem {
         if probe.start < now {
             probe.start = now;
         }
-        let (_, data_end) = self.channels[loc.channel].commit(
+        let (_, data_end, _) = self.channels[loc.channel].commit(
             loc.rank,
             loc.bank,
             loc.row,
             txn.is_write,
             txn.app,
-            &probe,
+            probe.start,
         );
-        let row_hit = probe.kind == crate::bank::AccessKind::RowHit;
+        let row_hit = probe.kind == AccessKind::RowHit;
         match probe.kind {
-            crate::bank::AccessKind::RowHit => obs_count!(self.obs, row_hits),
-            crate::bank::AccessKind::RowMiss => obs_count!(self.obs, row_misses),
-            crate::bank::AccessKind::RowConflict => obs_count!(self.obs, row_conflicts),
+            AccessKind::RowHit => obs_count!(self.obs, row_hits),
+            AccessKind::RowMiss => obs_count!(self.obs, row_misses),
+            AccessKind::RowConflict => obs_count!(self.obs, row_conflicts),
         }
         self.stats.record(
             txn.app,
@@ -359,7 +328,7 @@ impl DramSystem {
     pub fn quiesce_at(&self) -> u64 {
         self.channels
             .iter()
-            .map(Channel::quiesce_at)
+            .map(ChannelCore::quiesce_at)
             .fold(0, u64::max)
     }
 
@@ -367,17 +336,13 @@ impl DramSystem {
     pub fn stats(&self) -> &DramStats {
         &self.stats
     }
-
-    /// Reset statistics at a phase boundary (timing state is preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PagePolicy;
+    use crate::soa::BlockReason;
 
     fn sys() -> DramSystem {
         let mut s = DramSystem::new(DramConfig::ddr2_400());
@@ -388,6 +353,23 @@ mod tests {
     /// Skip past every rank's initial refresh blackout.
     fn warm_start(s: &DramSystem) -> u64 {
         s.timings().trfc + s.timings().trefi / 2
+    }
+
+    /// Whether `txn`'s first command can be driven exactly at `now`.
+    fn issuable(s: &DramSystem, txn: &MemTransaction, now: u64) -> bool {
+        s.probe(txn, now).start <= now
+    }
+
+    /// If `txn` cannot issue at `now`, the application whose traffic owns
+    /// the blocking resource (bank, bus, or rank window) — `None` when the
+    /// block is self-inflicted, refresh-caused, or absent: the uncached
+    /// oracle of [`SchedProbe::head_blocker`].
+    fn blocking_app(s: &DramSystem, txn: &MemTransaction, now: u64) -> Option<usize> {
+        let p = s.probe(txn, now);
+        match p.block {
+            Some(BlockReason::Refresh) | None => None,
+            _ => p.blocker.filter(|&b| b != txn.app),
+        }
     }
 
     #[test]
@@ -489,15 +471,15 @@ mod tests {
             is_write: false,
         };
         let during = c.start_cycle + 50;
-        assert!(!s.can_issue(&txn1, during));
-        assert_eq!(s.blocking_app(&txn1, during), Some(0));
+        assert!(!issuable(&s, &txn1, during));
+        assert_eq!(blocking_app(&s, &txn1, during), Some(0));
         // App 0 probing its own blocked bank sees no *interference*.
         let txn0b = MemTransaction {
             app: 0,
             addr: (1 << 22) + 2 * lines_per_sweep * 64,
             is_write: false,
         };
-        assert_eq!(s.blocking_app(&txn0b, during), None);
+        assert_eq!(blocking_app(&s, &txn0b, during), None);
     }
 
     #[test]
@@ -596,7 +578,7 @@ mod tests {
     }
 
     /// The cached scheduling probe must answer exactly like the uncached
-    /// `(issuable_at, blocking_app)` pair at every cycle — including
+    /// `probe` (and `blocking_app` over it) at every cycle — including
     /// off-grid cycles, refresh blackouts, and across cache invalidations —
     /// whether the cache is hot, cold, or stale.
     #[test]
@@ -626,12 +608,13 @@ mod tests {
             // Deliberately hit off-grid cycles too.
             now += 1 + rng() % 40;
             for (txn, cache) in &mut pending {
-                let want_issuable = s.can_issue(txn, now);
-                let want_blocker = s.blocking_app(txn, now);
+                let want = s.probe(txn, now);
+                let want_issuable = want.start <= now;
+                let want_blocker = blocking_app(&s, txn, now);
                 let got = s.sched_probe(txn, now, cache);
                 assert_eq!(got.issuable, want_issuable, "issuable at {now}");
                 if want_issuable {
-                    assert_eq!(Some(got.kind), s.issuable_at(txn, now));
+                    assert_eq!(got.kind, want.kind);
                 } else {
                     assert_eq!(got.head_blocker, want_blocker, "blocker at {now}");
                 }
@@ -639,7 +622,7 @@ mod tests {
             // Occasionally issue something to mutate channel state (and
             // invalidate caches), occasionally swap a request.
             if step % 3 == 0 {
-                if let Some((txn, _)) = pending.iter().find(|(t, _)| s.can_issue(t, now)) {
+                if let Some((txn, _)) = pending.iter().find(|(t, _)| issuable(&s, t, now)) {
                     let txn = *txn;
                     s.issue(&txn, now);
                 }
@@ -682,7 +665,7 @@ mod tests {
                     },
                     is_write: i % 5 == 0,
                 };
-                let floor = s.channel_floor(s.channel_of(&txn));
+                let floor = s.channel_floor(s.decode(txn.addr).channel);
                 let p = s.probe(&txn, now);
                 assert!(
                     p.start >= floor,
@@ -690,7 +673,7 @@ mod tests {
                     p.start
                 );
                 if floor > now {
-                    assert!(!s.can_issue(&txn, now), "issuable below floor at {now}");
+                    assert!(!issuable(&s, &txn, now), "issuable below floor at {now}");
                 }
                 let c = s.issue(&txn, p.start.max(now));
                 hits += u64::from(c.row_hit);

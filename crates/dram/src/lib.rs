@@ -40,14 +40,12 @@
 //! let mut dram = DramSystem::new(cfg);
 //! let txn = MemTransaction { app: 0, addr: 0x4000, is_write: false };
 //! let now = 0;
-//! assert!(dram.can_issue(&txn, now));
+//! assert_eq!(dram.probe(&txn, now).start, now);
 //! let completion = dram.issue(&txn, now);
 //! assert!(completion.done_cycle > now);
 //! ```
 
 pub mod address;
-pub mod bank;
-pub mod channel;
 pub mod config;
 pub mod dram;
 pub mod obs;
@@ -58,5 +56,5 @@ pub use address::{AddressMapper, Location, MappingScheme};
 pub use config::{DramConfig, PagePolicy, TimingNs};
 pub use dram::{Completion, DramSystem, MemTransaction, ProbeCache, SchedProbe};
 pub use obs::DramObsHooks;
-pub use soa::ChannelCore;
+pub use soa::{AccessKind, BlockReason, ChannelCore, ChannelProbe, Timings};
 pub use stats::DramStats;

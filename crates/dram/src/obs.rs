@@ -81,7 +81,7 @@ pub fn publish(registry: &Registry, cfg: &DramConfig, stats: &DramStats, elapsed
     // flat_bank is channel-major (channel * ranks * banks_per_rank + ...),
     // so each channel owns one contiguous slice of the per-bank counters.
     let banks_per_channel = cfg.ranks * cfg.banks_per_rank;
-    let tburst = crate::bank::Timings::from_config(cfg).tburst;
+    let tburst = cfg.burst_cycles();
     for ch in 0..cfg.channels {
         let served: u64 = stats
             .per_bank_served
@@ -110,13 +110,13 @@ pub fn publish(registry: &Registry, cfg: &DramConfig, stats: &DramStats, elapsed
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bank::AccessKind;
+    use crate::soa::AccessKind;
 
     #[test]
     fn publish_exports_utilization_and_per_channel_gauges() {
         let cfg = DramConfig::ddr2_400();
         let mut stats = DramStats::new(2, cfg.total_banks());
-        let tburst = crate::bank::Timings::from_config(&cfg).tburst;
+        let tburst = cfg.burst_cycles();
         stats.record(0, 0, false, AccessKind::RowMiss, tburst, 100);
         stats.record(1, 1, true, AccessKind::RowHit, tburst, 120);
         let reg = Registry::new();

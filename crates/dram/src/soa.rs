@@ -1,15 +1,24 @@
-//! Struct-of-arrays DRAM channel timing core.
+//! One DRAM channel: the struct-of-arrays timing core.
 //!
-//! The scheduling probe — "when could a transaction to this location
-//! start?" — is the simulator's hottest loop: the memory controller runs
-//! it up to `sched_window` times per pending application per DRAM clock.
-//! The original per-[`Bank`](crate::bank::Bank) layout scatters the four
-//! timing wheels a probe reads (`pre_ready`, `act_ready`, `cas_ready`,
-//! `open_row`) across one heap object per bank, so every probe chases a
-//! pointer and pulls a whole `Bank` cache line for one or two fields.
+//! [`ChannelCore`] coordinates everything a channel's transactions share:
+//! each bank's timing state, the rank ACT windows (tRRD/tFAW), refresh
+//! blackouts, data-bus occupancy and turnaround, and the one-transaction-
+//! start-per-DRAM-clock command-bus approximation. It answers two
+//! questions for the memory controller:
 //!
-//! [`ChannelCore`] keeps the same state as contiguous flat arrays indexed
-//! by `rank * banks_per_rank + bank`:
+//! 1. *when* could a transaction to a given location start (and with what
+//!    command structure), and
+//! 2. if it cannot start now, *whose* traffic is blocking it — the paper's
+//!    interference-attribution signal (Section IV-C).
+//!
+//! The first question is the simulator's hottest loop: the memory
+//! controller asks it for every request in its scheduling window. A
+//! per-bank object layout would scatter the four timing wheels a probe
+//! reads (`pre_ready`, `act_ready`, `cas_ready`, `open_row`) across one
+//! heap object per bank, so every probe would chase a pointer and pull a
+//! whole bank's cache line for one or two fields. The core keeps that
+//! state as contiguous flat arrays indexed by `rank * banks_per_rank +
+//! bank`:
 //!
 //! ```text
 //! open_row   : [u32; banks]   row id, NO_ROW when closed
@@ -24,11 +33,9 @@
 //!
 //! Per-bank probes touch exactly the lanes they need, a whole-channel scan
 //! ([`ChannelCore::channel_floor`]) is one linear pass, and the rank/bus
-//! scalars live in the same cache-friendly block. [`Channel`] is a thin
-//! view over this core; the object-per-bank implementation in
-//! [`bank`](crate::bank) survives as the differential-testing reference
-//! (see `tests/soa_equivalence.rs`), exactly like `run_per_cycle` does for
-//! event fast-forward.
+//! scalars live in the same cache-friendly block. The object-per-bank
+//! model this layout replaced is the oracle of `tests/soa_equivalence.rs`
+//! and lives in that file, as `run_per_cycle` anchors the per-core clocks.
 //!
 //! The core also maintains a monotone **version** counter, bumped on every
 //! state mutation ([`commit`](ChannelCore::commit)). Because probes are
@@ -43,9 +50,113 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::bank::{AccessKind, Timings};
-use crate::channel::{BlockReason, ChannelProbe};
 use crate::config::{DramConfig, PagePolicy};
+
+/// Bank/channel timing parameters pre-converted to CPU cycles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Timings {
+    /// DRAM clock period.
+    pub tck: u64,
+    /// Row precharge.
+    pub trp: u64,
+    /// ACT-to-CAS.
+    pub trcd: u64,
+    /// CAS-to-read-data.
+    pub cl: u64,
+    /// CAS-to-write-data.
+    pub cwl: u64,
+    /// Minimum row-active time.
+    pub tras: u64,
+    /// Write recovery (after last write data beat, before precharge).
+    pub twr: u64,
+    /// Write-to-read turnaround (after last write data beat).
+    pub twtr: u64,
+    /// Read-to-precharge.
+    pub trtp: u64,
+    /// ACT-to-ACT same rank.
+    pub trrd: u64,
+    /// Four-activate window.
+    pub tfaw: u64,
+    /// Refresh cycle time.
+    pub trfc: u64,
+    /// Refresh interval.
+    pub trefi: u64,
+    /// Data-bus occupancy of one line burst.
+    pub tburst: u64,
+}
+
+impl Timings {
+    /// Convert a configuration's nanosecond parameters to CPU cycles.
+    pub fn from_config(cfg: &DramConfig) -> Self {
+        Timings {
+            tck: cfg.tck_cycles(),
+            trp: cfg.ns_to_cycles(cfg.timing.trp),
+            trcd: cfg.ns_to_cycles(cfg.timing.trcd),
+            cl: cfg.ns_to_cycles(cfg.timing.cl),
+            cwl: cfg.ns_to_cycles(cfg.cwl_ns()),
+            tras: cfg.ns_to_cycles(cfg.timing.tras),
+            twr: cfg.ns_to_cycles(cfg.timing.twr),
+            twtr: cfg.ns_to_cycles(cfg.timing.twtr),
+            trtp: cfg.ns_to_cycles(cfg.timing.trtp),
+            trrd: cfg.ns_to_cycles(cfg.timing.trrd),
+            tfaw: cfg.ns_to_cycles(cfg.timing.tfaw),
+            trfc: cfg.ns_to_cycles(cfg.timing.trfc),
+            trefi: cfg.ns_to_cycles(cfg.timing.trefi),
+            tburst: cfg.burst_cycles(),
+        }
+    }
+}
+
+/// How an access will be serviced, and therefore its command structure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum AccessKind {
+    /// Open-page hit: CAS only.
+    RowHit,
+    /// Bank closed (or close-page policy): ACT + CAS.
+    RowMiss,
+    /// Open-page conflict: PRE + ACT + CAS.
+    RowConflict,
+}
+
+impl AccessKind {
+    /// Offset from the access start cycle to the CAS command.
+    pub fn cas_offset(self, t: &Timings) -> u64 {
+        match self {
+            AccessKind::RowHit => 0,
+            AccessKind::RowMiss => t.trcd,
+            AccessKind::RowConflict => t.trp + t.trcd,
+        }
+    }
+}
+
+/// Why a transaction cannot start at the probed cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum BlockReason {
+    /// The target bank's timing state forbids the first command.
+    Bank,
+    /// The shared data bus (occupancy or turnaround) forbids it.
+    DataBus,
+    /// Rank-level ACT constraints (tRRD/tFAW) forbid it.
+    RankAct,
+    /// The rank is inside a refresh blackout.
+    Refresh,
+    /// Command-bus slot taken this DRAM clock.
+    CommandSlot,
+}
+
+/// Outcome of probing a channel for a transaction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChannelProbe {
+    /// Earliest cycle the transaction's first command may be driven.
+    pub start: u64,
+    /// Command structure (hit/miss/conflict).
+    pub kind: AccessKind,
+    /// If `start` is later than the probed `now`: the dominating constraint.
+    pub block: Option<BlockReason>,
+    /// Application owning the blocking resource, if the constraint stems
+    /// from another application's traffic.
+    pub blocker: Option<usize>,
+}
 
 /// Sentinel in the flat `open_row` array: the bank has no open row.
 pub const NO_ROW: u32 = u32::MAX;
@@ -74,9 +185,8 @@ fn owner(o: u32) -> Option<usize> {
     }
 }
 
-/// Flat struct-of-arrays timing state of one DRAM channel. Semantically
-/// identical to the object-per-bank model in [`crate::bank`] +
-/// [`crate::channel`]; see the module docs for the layout rationale.
+/// One DRAM channel: banks, rank state and the shared data bus, held as
+/// flat struct-of-arrays lanes (see the module docs for the layout).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ChannelCore {
     t: Timings,
@@ -257,7 +367,8 @@ impl ChannelCore {
     /// Fold every raw (unaligned, refresh-unaware) lower bound on a
     /// transaction's start into the dominating `(start, reason, blocker)`
     /// triple, starting from `now`. Shared by [`probe`](Self::probe) and
-    /// [`issuable_at`](Self::issuable_at) so the two can never diverge.
+    /// the controller's cached probe (`DramSystem::sched_probe`) so the two
+    /// can never diverge.
     ///
     /// Whenever the result exceeds `now`, the triple is independent of
     /// `now` itself (every bound is a pure function of committed state and
@@ -397,32 +508,6 @@ impl ChannelCore {
         }
     }
 
-    /// Whether a transaction's first command could be driven at or before
-    /// `now` — exactly `probe(...).start <= now`, but rejected requests
-    /// usually resolve on the raw timing bounds alone, skipping the
-    /// division-heavy grid-alignment and refresh scan.
-    pub fn issuable_at(
-        &self,
-        rank: usize,
-        bank: usize,
-        row: usize,
-        is_write: bool,
-        now: u64,
-    ) -> Option<AccessKind> {
-        let (raw, _, _, kind) = self.raw_probe(rank, bank, row, is_write, now);
-        // Alignment and refresh avoidance only ever push the start later,
-        // so a raw bound past `now` is already a rejection.
-        if raw > now {
-            return None;
-        }
-        let (start, _) = self.align_and_avoid_refresh(rank, raw);
-        if start <= now {
-            Some(kind)
-        } else {
-            None
-        }
-    }
-
     /// A channel-wide lower bound on the start cycle of *any* transaction,
     /// computed in one branch-free pass over the flat bank lanes. Every
     /// request's raw probe folds (a) its bank's wheel — at least the
@@ -456,7 +541,8 @@ impl ChannelCore {
     }
 
     /// Commit a transaction whose first command is driven at `start`.
-    /// Returns `(data_start, data_end, kind)`; the kind is re-derived after
+    /// Returns `(data_start, data_end, kind)`: `data_end` is the completion
+    /// cycle handed back to the requester, and the kind is re-derived after
     /// refresh application (a refresh may have closed the row a probe saw).
     pub fn commit(
         &mut self,
@@ -560,36 +646,6 @@ impl ChannelCore {
         }
         q
     }
-
-    // ---- thin-view accessors (the `Channel`/`Bank` compatibility shim) ----
-
-    /// Open row of the bank at `(rank, bank)`, if any.
-    pub fn open_row(&self, rank: usize, bank: usize) -> Option<usize> {
-        let r = self.open_row[self.bank_index(rank, bank)];
-        if r == NO_ROW {
-            None
-        } else {
-            Some(r as usize)
-        }
-    }
-
-    /// Raw timing-wheel snapshot of one bank:
-    /// `(act_time, pre_ready, act_ready, cas_ready, busy_until)`.
-    pub fn bank_wheels(&self, rank: usize, bank: usize) -> (u64, u64, u64, u64, u64) {
-        let i = self.bank_index(rank, bank);
-        (
-            self.act_time[i],
-            self.pre_ready[i],
-            self.act_ready[i],
-            self.cas_ready[i],
-            self.busy_until[i],
-        )
-    }
-
-    /// Interference owner of the bank at `(rank, bank)`.
-    pub fn bank_owner(&self, rank: usize, bank: usize) -> Option<usize> {
-        owner(self.last_owner[self.bank_index(rank, bank)])
-    }
 }
 
 #[cfg(test)]
@@ -600,12 +656,39 @@ mod tests {
         ChannelCore::new(&DramConfig::ddr2_400())
     }
 
+    fn open_core() -> ChannelCore {
+        ChannelCore::new(&DramConfig {
+            page_policy: PagePolicy::OpenPage,
+            ..DramConfig::ddr2_400()
+        })
+    }
+
+    #[test]
+    fn timings_convert_to_cpu_cycles() {
+        let t = Timings::from_config(&DramConfig::ddr2_400());
+        assert_eq!(t.tck, 25);
+        assert_eq!(t.trp, 63);
+        assert_eq!(t.trcd, 63);
+        assert_eq!(t.cl, 63);
+        assert_eq!(t.cwl, 38); // 7.5 ns
+        assert_eq!(t.tras, 225);
+        assert_eq!(t.tburst, 100);
+    }
+
+    #[test]
+    fn cas_offsets_by_kind() {
+        let t = *core().timings();
+        assert_eq!(AccessKind::RowHit.cas_offset(&t), 0);
+        assert_eq!(AccessKind::RowMiss.cas_offset(&t), t.trcd);
+        assert_eq!(AccessKind::RowConflict.cas_offset(&t), t.trp + t.trcd);
+    }
+
     #[test]
     fn version_bumps_only_on_commit() {
         let mut c = core();
         let v0 = c.version();
         let _ = c.probe(0, 0, 5, false, 0);
-        let _ = c.issuable_at(1, 2, 9, true, 1000);
+        let _ = c.raw_probe(1, 2, 9, true, 1000);
         let _ = c.channel_floor();
         assert_eq!(c.version(), v0, "read paths must not invalidate caches");
         let p = c.probe(0, 0, 5, false, 0);
@@ -665,6 +748,8 @@ mod tests {
         assert!(c.grid_clear(1, in_blackout));
     }
 
+    /// Five and six ACTs to distinct banks of rank 0: the 5th must be
+    /// ≥ tFAW after the 1st, and the ring keeps sliding for the 6th.
     #[test]
     fn tfaw_ring_tracks_last_four_acts() {
         let mut c = core();
@@ -678,7 +763,292 @@ mod tests {
             now = p.start + t.tck;
         }
         // 5th and 6th ACT each ≥ tFAW after the one four before it.
-        assert!(starts[4] >= starts[0] + t.tfaw);
+        assert!(
+            starts[4] >= starts[0] + t.tfaw,
+            "acts: {starts:?}, tFAW {}",
+            t.tfaw
+        );
         assert!(starts[5] >= starts[1] + t.tfaw);
+    }
+
+    #[test]
+    fn close_page_read_timing() {
+        let mut c = core();
+        let t = *c.timings();
+        let p = c.probe(0, 0, 7, false, 0);
+        assert_eq!(p.start, 0);
+        assert_eq!(p.kind, AccessKind::RowMiss);
+        let (ds, de, kind) = c.commit(0, 0, 7, false, 0, p.start);
+        assert_eq!(kind, AccessKind::RowMiss);
+        // ACT at 0, RD at tRCD, data at tRCD + CL.
+        assert_eq!(ds, t.trcd + t.cl);
+        assert_eq!(de, ds + t.tburst);
+        // Close page: no row remains open; next ACT after pre point + tRP.
+        assert_eq!(c.open_row[0], NO_ROW);
+        let pre_point = (t.trcd + t.trtp).max(t.tras);
+        assert_eq!(c.act_ready[0], pre_point + t.trp);
+    }
+
+    #[test]
+    fn close_page_write_has_write_recovery() {
+        let mut c = core();
+        let t = *c.timings();
+        let (ds, de, _) = c.commit(0, 0, 3, true, 1, 0);
+        assert_eq!(ds, t.trcd + t.cwl);
+        let pre_point = (de + t.twr).max(t.tras);
+        assert_eq!(c.act_ready[0], pre_point + t.trp);
+        assert_eq!(owner(c.last_owner[0]), Some(1));
+    }
+
+    #[test]
+    fn consecutive_close_page_accesses_respect_trc_like_spacing() {
+        let mut c = core();
+        let t = *c.timings();
+        c.commit(0, 0, 1, false, 0, 0);
+        let next = c.probe(0, 0, 2, false, 0).start;
+        // tRAS + tRP at minimum (read-to-precharge path may extend it).
+        assert!(next >= t.tras + t.trp, "next {next}");
+        c.commit(0, 0, 2, false, 0, next);
+        assert!(c.act_ready[0] >= next + t.tras + t.trp);
+    }
+
+    #[test]
+    fn open_page_hit_skips_act() {
+        let mut c = open_core();
+        let t = *c.timings();
+        c.commit(0, 0, 9, false, 0, 0);
+        assert_eq!(c.open_row[0], 9);
+        let p = c.probe(0, 0, 9, false, 0);
+        assert_eq!(p.kind, AccessKind::RowHit);
+        let (ds, _, kind) = c.commit(0, 0, 9, false, 0, p.start);
+        assert_eq!(kind, AccessKind::RowHit);
+        // Hit: data after just CL from the CAS.
+        assert_eq!(ds, p.start + t.cl);
+    }
+
+    #[test]
+    fn open_page_conflict_pays_pre_act_cas() {
+        let mut c = open_core();
+        let t = *c.timings();
+        c.commit(0, 0, 9, false, 0, 0);
+        let p = c.probe(0, 0, 10, false, 0);
+        assert_eq!(p.kind, AccessKind::RowConflict);
+        // Precharge can't precede tRAS / read-to-pre constraints.
+        assert!(p.start >= (t.trcd + t.trtp).max(t.tras));
+        let (ds, _, kind) = c.commit(0, 0, 10, false, 0, p.start);
+        assert_eq!(kind, AccessKind::RowConflict);
+        assert_eq!(ds, p.start + t.trp + t.trcd + t.cl);
+        assert_eq!(c.open_row[0], 10);
+    }
+
+    #[test]
+    fn refresh_closes_row_and_delays_act() {
+        let mut c = open_core();
+        let t = *c.timings();
+        c.commit(0, 0, 9, false, 0, 0);
+        // Rank 0's first blackout is [tREFI/8, tREFI/8 + tRFC); the next
+        // commit on the rank applies it to every bank before anything else.
+        let done = t.trefi / 8 + t.trfc;
+        c.apply_refreshes(0, done);
+        assert_eq!(c.open_row[0], NO_ROW);
+        assert!(c.act_ready[0] >= done);
+        assert_eq!(c.bank_earliest(0, 9).1, AccessKind::RowMiss);
+    }
+
+    #[test]
+    fn idle_channel_starts_immediately() {
+        let c = core();
+        let p = c.probe(0, 0, 5, false, 0);
+        assert_eq!(p.start, 0);
+        assert_eq!(p.block, None);
+        assert_eq!(p.kind, AccessKind::RowMiss);
+    }
+
+    #[test]
+    fn back_to_back_same_bank_waits_for_bank() {
+        let mut c = core();
+        let p = c.probe(0, 0, 5, false, 0);
+        c.commit(0, 0, 5, false, 0, p.start);
+        let p2 = c.probe(0, 0, 6, false, p.start + 25);
+        assert!(p2.start >= 225 + 63, "tRAS+tRP at least, got {}", p2.start);
+        assert_eq!(p2.block, Some(BlockReason::Bank));
+        assert_eq!(p2.blocker, Some(0));
+    }
+
+    #[test]
+    fn different_banks_overlap_but_share_data_bus() {
+        let mut c = core();
+        let p0 = c.probe(0, 0, 5, false, 0);
+        let (_, de0, _) = c.commit(0, 0, 5, false, 0, p0.start);
+        // A second transaction on another bank can start before the first
+        // finishes, but its data must follow the first burst.
+        let p1 = c.probe(0, 1, 5, false, 25);
+        assert!(p1.start < de0);
+        let (ds1, _, _) = c.commit(0, 1, 5, false, 1, p1.start);
+        assert!(ds1 >= de0, "bursts must not overlap: {ds1} < {de0}");
+    }
+
+    #[test]
+    fn data_bus_blocking_attributes_owner() {
+        let mut c = core();
+        // Saturate the bus with app 0 on several banks.
+        let mut now = 0;
+        for b in 0..4 {
+            let p = c.probe(0, b, 1, false, now);
+            c.commit(0, b, 1, false, 0, p.start);
+            now = p.start + 25;
+        }
+        // App 1's probe on a fresh bank is bus-blocked by app 0.
+        let p = c.probe(1, 0, 1, false, now);
+        assert!(p.start > now);
+        assert_eq!(p.blocker, Some(0));
+    }
+
+    #[test]
+    fn write_to_read_turnaround_enforced() {
+        let mut c = core();
+        let pw = c.probe(0, 0, 1, true, 0);
+        let (_, wde, _) = c.commit(0, 0, 1, true, 0, pw.start);
+        let t = *c.timings();
+        let pr = c.probe(0, 1, 1, false, 25);
+        let (rds, _, _) = c.commit(0, 1, 1, false, 0, pr.start);
+        // Read CAS (data - CL) must be at least tWTR after write data end.
+        let read_cas = rds - t.cl;
+        assert!(
+            read_cas >= wde + t.twtr,
+            "read CAS {read_cas} < write end {wde} + tWTR {}",
+            t.twtr
+        );
+    }
+
+    #[test]
+    fn starts_are_aligned_and_unique_per_clock() {
+        let mut c = core();
+        let t = *c.timings();
+        let mut last = None;
+        let mut now = 0;
+        for b in 0..6 {
+            let p = c.probe(0, b % 8, 1, false, now);
+            assert_eq!(p.start % t.tck, 0, "unaligned start {}", p.start);
+            if let Some(prev) = last {
+                assert!(p.start > prev);
+            }
+            c.commit(0, b % 8, 1, false, 0, p.start);
+            last = Some(p.start);
+            now = p.start;
+        }
+    }
+
+    #[test]
+    fn refresh_blackout_delays_start() {
+        let c = core();
+        let t = *c.timings();
+        // Rank 0's first blackout begins at tREFI/8 (half-slot stagger over
+        // 4 ranks); a probe inside it is pushed to the blackout end.
+        let phase = t.trefi / 8;
+        let probe_at = phase + t.tck;
+        let p = c.probe(0, 0, 1, false, probe_at);
+        assert!(
+            p.start >= phase + t.trfc,
+            "start {} vs {}",
+            p.start,
+            phase + t.trfc
+        );
+        assert_eq!(p.block, Some(BlockReason::Refresh));
+        assert_eq!(p.blocker, None);
+        // Rank 1 is staggered to 3·tREFI/8, so the same instant is clear.
+        let p1 = c.probe(1, 0, 1, false, probe_at);
+        assert_eq!(p1.block, None);
+    }
+
+    #[test]
+    fn open_page_policy_produces_row_hits() {
+        let mut c = open_core();
+        let t = *c.timings();
+        let p = c.probe(0, 0, 7, false, t.trfc); // skip rank-0 blackout
+        assert_eq!(p.kind, AccessKind::RowMiss);
+        let (_, _, kind) = c.commit(0, 0, 7, false, 0, p.start);
+        assert_eq!(kind, p.kind);
+        let p2 = c.probe(0, 0, 7, false, p.start + t.tck);
+        assert_eq!(p2.kind, AccessKind::RowHit);
+        let p3 = c.probe(0, 0, 8, false, p.start + t.tck);
+        assert_eq!(p3.kind, AccessKind::RowConflict);
+    }
+
+    #[test]
+    fn bank_lanes_match_committed_state() {
+        let mut c = core();
+        let p = c.probe(0, 3, 5, false, 0);
+        c.commit(0, 3, 5, false, 2, p.start);
+        let b = c.bank_index(0, 3);
+        assert_eq!(c.open_row[b], NO_ROW, "close-page auto-precharges");
+        assert_eq!(owner(c.last_owner[b]), Some(2));
+        assert!(c.busy_until[b] > 0);
+        assert_eq!(c.busy_until[b], c.act_ready[b]);
+        // Untouched bank is idle.
+        let idle = c.bank_index(1, 0);
+        assert_eq!(owner(c.last_owner[idle]), None);
+        assert_eq!(c.busy_until[idle], 0);
+    }
+
+    #[test]
+    fn quiesce_bounds_every_committed_data_end() {
+        let mut c = core();
+        assert_eq!(c.quiesce_at(), 0, "idle channel has nothing pending");
+        let mut now = 0;
+        for b in 0..6 {
+            let p = c.probe(0, b % 8, 1, b % 3 == 0, now);
+            let (_, de, _) = c.commit(0, b % 8, 1, b % 3 == 0, 0, p.start);
+            assert!(
+                de <= c.quiesce_at(),
+                "data end {de} beyond quiesce {}",
+                c.quiesce_at()
+            );
+            now = p.start + 25;
+        }
+        // The bank's auto-precharge tail extends past the last burst.
+        assert!(c.quiesce_at() >= c.bus_free_at());
+    }
+
+    /// Exhaustive legality check: for random traffic, committed bursts never
+    /// overlap on the data bus and same-bank ACT spacing ≥ tRAS + tRP.
+    #[test]
+    fn random_traffic_is_timing_legal() {
+        let mut c = core();
+        let t = *c.timings();
+        let mut state = 0x12345u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut last_burst_end = 0u64;
+        let mut last_act_per_bank = vec![None::<u64>; 32];
+        let mut now = 0u64;
+        for _ in 0..500 {
+            let rank = (rng() % 4) as usize;
+            let bank = (rng() % 8) as usize;
+            let row = (rng() % 1024) as usize;
+            let is_write = rng() % 4 == 0;
+            let app = (rng() % 4) as usize;
+            let p = c.probe(rank, bank, row, is_write, now);
+            let (ds, de, _) = c.commit(rank, bank, row, is_write, app, p.start);
+            assert!(
+                ds >= last_burst_end,
+                "burst overlap: {ds} < {last_burst_end}"
+            );
+            last_burst_end = de;
+            let fb = rank * 8 + bank;
+            if let Some(prev) = last_act_per_bank[fb] {
+                assert!(
+                    p.start >= prev + t.tras + t.trp,
+                    "bank {fb} ACT spacing violated: {} < {prev} + tRC",
+                    p.start
+                );
+            }
+            last_act_per_bank[fb] = Some(p.start);
+            now = p.start;
+        }
     }
 }

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::bank::AccessKind;
+use crate::soa::AccessKind;
 
 /// Aggregated counters for one simulation run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -99,13 +99,6 @@ impl DramStats {
             self.per_app_latency[app] as f64 / self.per_app_served[app] as f64
         }
     }
-
-    /// Reset all counters, keeping dimensions (phase boundaries).
-    pub fn reset(&mut self) {
-        let apps = self.per_app_served.len();
-        let banks = self.per_bank_served.len();
-        *self = DramStats::new(apps, banks);
-    }
 }
 
 #[cfg(test)]
@@ -148,15 +141,5 @@ mod tests {
         assert_eq!(s.served, 1);
         assert_eq!(s.per_app_served, vec![0]);
         assert_eq!(s.avg_latency(7), 0.0);
-    }
-
-    #[test]
-    fn reset_preserves_dimensions() {
-        let mut s = DramStats::new(3, 8);
-        s.record(2, 5, true, AccessKind::RowHit, 10, 10);
-        s.reset();
-        assert_eq!(s.served, 0);
-        assert_eq!(s.per_app_served.len(), 3);
-        assert_eq!(s.per_bank_served.len(), 8);
     }
 }

@@ -8,7 +8,7 @@ use std::collections::BinaryHeap;
 use bwpart_obs::obs_count;
 use serde::{Deserialize, Serialize};
 
-use bwpart_dram::{Completion, DramConfig, DramSystem, MemTransaction};
+use bwpart_dram::{AccessKind, Completion, DramConfig, DramSystem, MemTransaction};
 
 use crate::interference::InterferenceTracker;
 use crate::obs::McObsHooks;
@@ -273,7 +273,7 @@ impl MemoryController {
                 let arrival = req.arrival;
                 let probe = self.dram.sched_probe(&txn, now, cache);
                 if probe.issuable {
-                    let row_hit = probe.kind == bwpart_dram::bank::AccessKind::RowHit;
+                    let row_hit = probe.kind == AccessKind::RowHit;
                     chosen = Some((pos, arrival, row_hit));
                     break;
                 }
@@ -353,9 +353,9 @@ impl MemoryController {
                         addr: head.addr,
                         is_write: head.is_write,
                     };
-                    // `SchedProbe::head_blocker` is exactly
-                    // `DramSystem::blocking_app`'s answer, and refreshing
-                    // the head's cache here pre-pays the next tick's probe.
+                    // `SchedProbe::head_blocker` is the uncached probe's
+                    // cross-application blocker, and refreshing the
+                    // head's cache here pre-pays the next tick's probe.
                     self.dram.sched_probe(&txn, now, cache).head_blocker
                 };
                 if blocker.is_some() {
