@@ -289,7 +289,10 @@ impl DramSystem {
         if probe.start < now {
             probe.start = now;
         }
-        let (_, data_end, _) = self.channels[loc.channel].commit(
+        // The committed kind, not the probe's: commit applies pending
+        // refreshes first, and a refresh may have closed the row the probe
+        // saw open.
+        let (_, data_end, kind) = self.channels[loc.channel].commit(
             loc.rank,
             loc.bank,
             loc.row,
@@ -297,8 +300,8 @@ impl DramSystem {
             txn.app,
             probe.start,
         );
-        let row_hit = probe.kind == AccessKind::RowHit;
-        match probe.kind {
+        let row_hit = kind == AccessKind::RowHit;
+        match kind {
             AccessKind::RowHit => obs_count!(self.obs, row_hits),
             AccessKind::RowMiss => obs_count!(self.obs, row_misses),
             AccessKind::RowConflict => obs_count!(self.obs, row_conflicts),
@@ -307,7 +310,7 @@ impl DramSystem {
             txn.app,
             loc.flat_bank(&self.cfg),
             txn.is_write,
-            probe.kind,
+            kind,
             self.timings().tburst,
             data_end.saturating_sub(now),
         );
@@ -516,6 +519,39 @@ mod tests {
         // Bus utilization consistent with served count.
         let util = s.stats().bus_utilization(horizon);
         assert!(util > 0.8 && util <= 1.01, "util {util}");
+    }
+
+    /// Open page, one row: a miss, a hit, then an access long after rank
+    /// 0's refreshes closed the row. The probe still sees the row open
+    /// (refreshes are applied lazily, at commit), so the last access must
+    /// be recorded as the miss it was timed as, not as a hit.
+    #[test]
+    fn issue_records_the_kind_committed_after_a_refresh() {
+        let mut s = DramSystem::new(DramConfig {
+            page_policy: PagePolicy::OpenPage,
+            ..DramConfig::ddr2_400()
+        });
+        s.set_app_count(1);
+        let t = *s.timings();
+        let txn = MemTransaction {
+            app: 0,
+            addr: 0,
+            is_write: false,
+        };
+        let first = s.issue(&txn, 0);
+        assert!(!first.row_hit);
+        assert_eq!(
+            first.done_cycle - first.start_cycle,
+            t.trcd + t.cl + t.tburst
+        );
+        let hit = s.issue(&txn, 226);
+        assert!(hit.row_hit);
+        assert_eq!(hit.done_cycle - hit.start_cycle, t.cl + t.tburst);
+        let late = s.issue(&txn, 10 * t.trefi);
+        assert_eq!(late.done_cycle - late.start_cycle, t.trcd + t.cl + t.tburst);
+        assert!(!late.row_hit, "a refresh closed the row");
+        let st = s.stats();
+        assert_eq!((st.row_hits, st.row_misses, st.row_conflicts), (1, 2, 0));
     }
 
     #[test]

@@ -90,31 +90,47 @@ proptest! {
         );
     }
 
-    /// Stats bookkeeping: served count equals issued count, and read/write
-    /// split matches the stream.
+    /// Stats bookkeeping under both page policies: served count equals
+    /// issued count, the read/write split matches the stream, every served
+    /// transaction is exactly one of hit/miss/conflict, and a completion
+    /// reports a row hit exactly when it was timed as one (CAS at the
+    /// start, so data ends CL or CWL plus one burst later).
     #[test]
     fn stats_match_stream(txns in arb_txns()) {
-        let mut sys = DramSystem::new(DramConfig::ddr2_400());
-        sys.set_app_count(4);
-        let mut now = 0u64;
-        let mut writes = 0u64;
-        let mut per_app = [0u64; 4];
-        for t in &txns {
-            now += t.gap;
-            let txn = MemTransaction { app: t.app, addr: t.line * 64, is_write: t.is_write };
-            let p = sys.probe(&txn, now);
-            let c = sys.issue(&txn, p.start.max(now));
-            now = c.start_cycle;
-            if t.is_write { writes += 1; }
-            per_app[t.app] += 1;
+        for policy in [PagePolicy::ClosePage, PagePolicy::OpenPage] {
+            let mut cfg = DramConfig::ddr2_400();
+            cfg.page_policy = policy;
+            let mut sys = DramSystem::new(cfg);
+            sys.set_app_count(4);
+            let t = *sys.timings();
+            let mut now = 0u64;
+            let mut writes = 0u64;
+            let mut per_app = [0u64; 4];
+            for tx in &txns {
+                now += tx.gap;
+                let txn = MemTransaction { app: tx.app, addr: tx.line * 64, is_write: tx.is_write };
+                let p = sys.probe(&txn, now);
+                let c = sys.issue(&txn, p.start.max(now));
+                let hit_latency = if tx.is_write { t.cwl } else { t.cl } + t.tburst;
+                prop_assert_eq!(c.row_hit, c.done_cycle - c.start_cycle == hit_latency,
+                    "{:?}: row_hit {} but {} cycles from start at {}", policy, c.row_hit,
+                    c.done_cycle - c.start_cycle, c.start_cycle);
+                now = c.start_cycle;
+                if tx.is_write { writes += 1; }
+                per_app[tx.app] += 1;
+            }
+            let st = sys.stats();
+            prop_assert_eq!(st.served, txns.len() as u64);
+            prop_assert_eq!(st.writes, writes);
+            for (a, &expected) in per_app.iter().enumerate() {
+                prop_assert_eq!(st.per_app_served[a], expected);
+            }
+            prop_assert_eq!(st.row_hits + st.row_misses + st.row_conflicts, st.served);
+            if policy == PagePolicy::ClosePage {
+                // Close page: no row hits possible.
+                prop_assert_eq!(st.row_hits, 0);
+            }
         }
-        prop_assert_eq!(sys.stats().served, txns.len() as u64);
-        prop_assert_eq!(sys.stats().writes, writes);
-        for (a, &expected) in per_app.iter().enumerate() {
-            prop_assert_eq!(sys.stats().per_app_served[a], expected);
-        }
-        // Close page: no row hits possible.
-        prop_assert_eq!(sys.stats().row_hits, 0);
     }
 
     /// The probe is a fixed point: issuing at the probed start yields that
