@@ -1,7 +1,7 @@
 //! Typed client for the `bwpartd` wire protocol.
 //!
 //! One method per request type, sharing a single blocking TCP stream and
-//! the same [`protocol`](crate::protocol) codec the server uses. Service
+//! the same [`protocol`] codec the server uses. Service
 //! errors come back as [`ClientError::Service`] with their structured
 //! [`ErrorCode`](crate::protocol::ErrorCode) intact, so callers can branch
 //! on e.g. a QoS rejection without string-matching.

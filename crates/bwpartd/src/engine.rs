@@ -518,7 +518,7 @@ struct Shard {
 /// the sequential ids the unsharded engine did.
 ///
 /// All methods take `&self`; shards are locked one at a time via
-/// [`ShardMap::lock_shard`] and never nested, so cross-shard aggregation
+/// `ShardMap::lock_shard` and never nested, so cross-shard aggregation
 /// cannot deadlock regardless of traversal order.
 // The engine resolves metrics through the registry's internal table lock
 // at registration time, under the shard lock.

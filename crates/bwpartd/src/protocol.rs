@@ -746,9 +746,9 @@ pub enum ErrorCode {
     /// The frame itself was malformed (the connection closes after this).
     BadFrame,
     /// The frame's version byte named a codec this build does not speak
-    /// (the connection closes after this). Distinct from [`BadFrame`]
-    /// (`ErrorCode::BadFrame`) so a newer client talking to an older
-    /// server gets a signal it can downgrade on.
+    /// (the connection closes after this). Distinct from
+    /// [`BadFrame`](ErrorCode::BadFrame) so a newer client talking to an
+    /// older server gets a signal it can downgrade on.
     UnsupportedVersion,
     /// `app_id` does not name a registered application.
     UnknownApp,

@@ -350,7 +350,7 @@ const IPC_FLOOR: f64 = 0.01;
 /// Certify a hybrid outcome against its cycle-exact reference: every
 /// application's bandwidth share must match within `epsilon` (absolute,
 /// shares are fractions) and its IPC within `epsilon` relative (with the
-/// denominator floored at [`IPC_FLOOR`] so starved apps compare by
+/// denominator floored at `IPC_FLOOR` so starved apps compare by
 /// absolute error). The check
 /// is `invariant!`-backed — under `debug_assertions` (or the release-CI
 /// `RUSTFLAGS` re-enable) a violation aborts, and the boolean result lets

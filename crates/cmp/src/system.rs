@@ -257,7 +257,7 @@ impl CmpSystem {
     /// reference, which `fast_forward: false` delegates to.
     ///
     /// With [`CmpConfig::hybrid`] set, runs switch to analytic hybrid
-    /// stepping ([`run_hybrid`](Self::run_hybrid)) — tolerance-certified
+    /// stepping (`run_hybrid`) — tolerance-certified
     /// rather than bit-identical; see [`crate::hybrid`].
     pub fn run(&mut self, cycles: u64) {
         if self.hybrid.is_some() && self.hybrid_armed {

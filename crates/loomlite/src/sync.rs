@@ -2,7 +2,7 @@
 //! subset the `vendor/rayon` pool uses.
 //!
 //! Inside a model execution every operation first calls into the
-//! scheduler ([`crate::sched`]) so the explorer can interleave it against
+//! scheduler (`crate::sched`) so the explorer can interleave it against
 //! the other model threads. Outside a model (no execution context bound to
 //! the calling thread), atomics and `OnceLock` degrade to their plain
 //! `std` behaviour; `Mutex` and `Condvar` refuse to operate, because

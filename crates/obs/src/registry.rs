@@ -88,7 +88,7 @@ pub const HIST_BUCKETS: usize = 2 + (MAX_EXP - MIN_EXP) as usize * SUBDIV;
 
 /// Map a recorded value to its bucket index, branch-free on the common
 /// path: the f64 exponent plus the top two mantissa bits select one of
-/// [`SUBDIV`] geometric sub-buckets per power-of-two octave.
+/// `SUBDIV` geometric sub-buckets per power-of-two octave.
 pub fn bucket_index(v: f64) -> usize {
     if v.is_nan() || v <= 0.0 {
         return 0; // underflow: zero, negatives, NaN

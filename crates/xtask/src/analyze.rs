@@ -97,12 +97,12 @@ fn fn_label(ws: &Workspace, files: &[&SourceFile], fi: usize, fj: usize) -> Stri
 const A1_DEPTH: usize = 8;
 
 /// The simulator's per-cycle/per-tick functions in `crates/dram` and
-/// `crates/mc`.
+/// `crates/mc`; `sched_probe` is the controller's per-candidate call.
 const HOT_FNS: [&str; 7] = [
     "tick",
     "step",
     "issue",
-    "issuable_at",
+    "sched_probe",
     "probe",
     "enqueue",
     "pop_completion",
@@ -126,12 +126,11 @@ const CMP_HOT_FNS: [&str; 6] = [
 /// here turns a nanosecond-scale probe into a malloc/free pair millions of
 /// times per simulated second, which is exactly the overhead the
 /// struct-of-arrays rewrite exists to remove.
-const SOA_HOT_FNS: [&str; 8] = [
+const SOA_HOT_FNS: [&str; 7] = [
     "bank_earliest",
     "grid_clear",
     "raw_probe",
     "probe",
-    "issuable_at",
     "channel_floor",
     "commit",
     "quiesce_at",

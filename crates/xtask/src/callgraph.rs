@@ -12,8 +12,8 @@
 //!    match is a std/external type: **no edge**, rather than a guess.
 //! 2. **Untyped method calls**: fall back to every same-named workspace
 //!    method, unless the name is a common std method
-//!    ([`STD_METHODS`]) or the candidate set is implausibly large
-//!    ([`FALLBACK_CAP`]) — both signs the receiver is probably not a
+//!    (`STD_METHODS`) or the candidate set is implausibly large
+//!    (`FALLBACK_CAP`) — both signs the receiver is probably not a
 //!    workspace type.
 //! 3. **Path calls**: `Self::f` → the enclosing impl's owner;
 //!    `crate::…::f` → the caller's crate; a leading segment naming a

@@ -302,9 +302,10 @@ impl Rule {
             Rule::A1 => {
                 "A1 — hot-path purity, transitively.\n\
                  \n\
-                 The simulator's per-cycle functions (tick/step/issue/probe/… in\n\
-                 crates/dram and crates/mc), the CMP run loop (run_exact/run_ahead/\n\
-                 step_from/step_llc and the cache access/access_if_hit in crates/cmp)\n\
+                 The simulator's per-cycle functions (tick/step/issue/sched_probe/\n\
+                 probe/… in crates/dram and crates/mc), the CMP run loop\n\
+                 (run_exact/run_ahead/step_from/step_llc and the cache\n\
+                 access/access_if_hit in crates/cmp)\n\
                  and the SoA timing core's per-tick surface (bank_earliest/grid_clear/\n\
                  raw_probe/… in crates/dram/src/soa.rs) run millions of times per\n\
                  simulated second. From each hot fn, its own body and every function\n\

@@ -150,7 +150,7 @@ pub struct FnFacts {
     pub params: Vec<Param>,
     /// Concatenated return-type tokens (empty when none).
     pub ret_text: String,
-    /// Body certifies a share vector (a [`CERTIFIERS`] call / `invariant!`).
+    /// Body certifies a share vector (a `CERTIFIERS` call / `invariant!`).
     pub certifies: bool,
     /// Every call site in the body (nested fns excluded).
     pub calls: Vec<CallSite>,
