@@ -1,9 +1,10 @@
 //! Perf-regression harness behind `cargo xtask bench`.
 //!
-//! Times two canonical workloads — one mix end-to-end and one full scheme
-//! sweep — in *seed* mode (single-threaded pool, per-cycle stepping, the
-//! behaviour before the performance work) and in the *optimized* default
-//! mode (work-stealing pool + per-core clocks), then emits the
+//! Times three canonical workloads — one mix end-to-end, one full scheme
+//! sweep and one coordinated-enforcement sweep under a shared LLC — in
+//! *seed* mode (single-threaded pool, per-cycle stepping, the behaviour
+//! before the performance work) and in the *optimized* default mode
+//! (work-stealing pool + per-core clocks), then emits the
 //! machine-readable [`BenchReport`] that `bench_sim` writes to
 //! `BENCH_sim.json`.
 //!
@@ -20,10 +21,8 @@
 
 use std::time::{Duration, Instant};
 
-use bwpart_cmp::hybrid::within_tolerance;
 use bwpart_cmp::{
-    Access, CacheConfig, CmpConfig, CoreConfig, HybridConfig, LlcConfig, PhaseConfig, RunObserver,
-    Runner, ShareSource, SimOutcome, Workload,
+    CacheConfig, CmpConfig, LlcConfig, PhaseConfig, RunObserver, Runner, ShareSource, SimOutcome,
 };
 use bwpart_core::schemes::PartitionScheme;
 use bwpart_workloads::mixes::{cache_mixes, fig1_mix};
@@ -60,27 +59,17 @@ pub struct CaseEnv {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchCase {
     /// Case name (`mix_end_to_end`, `scheme_sweep`, or
-    /// `scheme_sweep_hybrid`).
+    /// `coordinated_sweep`).
     pub name: String,
     /// Total simulated cycles per run (all schemes, all phases).
     pub simulated_cycles: u64,
     /// Seed behaviour: `rayon` pool pinned to one thread, per-cycle
     /// stepping (`fast_forward: false`).
     pub baseline: ModeResult,
-    /// Default behaviour: work-stealing pool + per-core clocks (plus
-    /// analytic hybrid stepping in the hybrid case).
+    /// Default behaviour: work-stealing pool + per-core clocks.
     pub optimized: ModeResult,
     /// `baseline.wall_ms / optimized.wall_ms`.
     pub speedup: f64,
-    /// Whether every rep of both modes produced byte-identical serialized
-    /// outcomes (the harness panics if not, so a written report always
-    /// says `true` for exact cases; the hybrid case is *not* bit-exact by
-    /// design and records `false`).
-    pub identical_outcomes: bool,
-    /// Hybrid case only: every scheme's end-state outcome passed
-    /// [`within_tolerance`] against the cycle-exact baseline (the harness
-    /// panics if not). `None` for exact cases.
-    pub tolerance_certified: Option<bool>,
     /// Environment fingerprint for like-for-like `--check` comparison.
     pub env: CaseEnv,
 }
@@ -180,7 +169,7 @@ fn phases(smoke: bool) -> PhaseConfig {
 
 /// Current report schema tag. Bumped whenever the report shape changes;
 /// `check` refuses to compare reports across schema versions.
-pub const SCHEMA: &str = "bwpart-bench-sim/v3";
+pub const SCHEMA: &str = "bwpart-bench-sim/v4";
 
 /// Maximum tolerated slowdown of any case's `optimized.wall_ms` against
 /// the committed baseline before `--check` fails, in percent.
@@ -237,19 +226,8 @@ fn run_mix(optimized: bool, phases: PhaseConfig) -> Vec<SimOutcome> {
 /// One run of the scheme-sweep case: `fig1_mix` under every enforced
 /// scheme, fanned out over the `rayon` pool (sequential in baseline mode,
 /// where the pool is pinned to one thread).
-fn run_sweep_cfg(
-    fast_forward: bool,
-    hybrid: Option<HybridConfig>,
-    phases: PhaseConfig,
-) -> Vec<SimOutcome> {
-    let r = Runner {
-        cmp: CmpConfig {
-            fast_forward,
-            hybrid,
-            ..CmpConfig::default()
-        },
-        phases,
-    };
+fn run_sweep(optimized: bool, phases: PhaseConfig) -> Vec<SimOutcome> {
+    let r = runner(optimized, phases);
     let mix = fig1_mix();
     PartitionScheme::ENFORCED_SCHEMES
         .par_iter()
@@ -258,10 +236,6 @@ fn run_sweep_cfg(
             r.run_scheme(s, w, cc, ShareSource::OnlineProfile)
         })
         .collect()
-}
-
-fn run_sweep(optimized: bool, phases: PhaseConfig) -> Vec<SimOutcome> {
-    run_sweep_cfg(optimized, None, phases)
 }
 
 /// Way splits driven by the coordinated-enforcement case: the fair split,
@@ -311,107 +285,6 @@ fn run_coordinated_sweep(optimized: bool, phases: PhaseConfig) -> Vec<SimOutcome
         .collect()
 }
 
-/// Stationary two-region workload for the hybrid case: every
-/// `stream_period`-th access streams through memory, the rest hit an
-/// L1-resident hot set, and the inter-access gap is drawn from a seeded
-/// xorshift64 over {3,4,5,6}. The jitter is load-bearing: with perfectly
-/// periodic streams the composite system (periodic apps × refresh clock ×
-/// bank timing) wanders a multi-million-cycle transient before locking
-/// into its periodic attractor, and the rates *after* lock-in differ from
-/// the rates before — a macro-transition the steady-state detector cannot
-/// see at window scale and a jump cannot reproduce. Per-access jitter
-/// breaks the cross-app phase coherence, making per-window rates genuinely
-/// stationary (verified flat to <0.1 % from 2 M to 5 M cycles), while CLT
-/// averaging over ~2 k accesses keeps window counts well inside the
-/// detector's stability band. Unlike the `BenchProfile`-driven synthetic
-/// mixes it has no burst structure longer than an observation window —
-/// which is the regime the analytic stepper is *for* — so the hybrid case
-/// measures steady-phase workloads and the exact cases keep the rng mix.
-struct SteadyStream {
-    name: String,
-    stream_period: u32,
-    counter: u32,
-    stream_next: u64,
-    hot_next: u64,
-    rng: u64,
-}
-
-impl SteadyStream {
-    fn new(name: &str, seed: u64, stream_period: u32) -> Self {
-        SteadyStream {
-            name: name.into(),
-            stream_period,
-            counter: 0,
-            stream_next: 1 << 24,
-            hot_next: 0,
-            rng: seed,
-        }
-    }
-}
-
-impl Workload for SteadyStream {
-    fn next_access(&mut self) -> Access {
-        self.counter += 1;
-        let addr = if self.counter.is_multiple_of(self.stream_period) {
-            let a = self.stream_next;
-            self.stream_next += 64;
-            a
-        } else {
-            let a = self.hot_next % (16 * 1024);
-            self.hot_next += 64;
-            a
-        };
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 7;
-        self.rng ^= self.rng << 17;
-        Access {
-            gap: 3 + (self.rng % 4) as u32,
-            addr,
-            is_write: false,
-        }
-    }
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// Two heavy + two light steady streams with distinct intensities (ties
-/// between identical apps make discrete-priority schemes knife-edged).
-fn steady_mix() -> (Vec<Box<dyn Workload>>, Vec<CoreConfig>) {
-    let w: Vec<Box<dyn Workload>> = vec![
-        Box::new(SteadyStream::new("steady-heavy0", 0x9e3779b97f4a7c15, 2)),
-        Box::new(SteadyStream::new("steady-heavy1", 0xd1b54a32d192ed03, 3)),
-        Box::new(SteadyStream::new("steady-light0", 0x94d049bb133111eb, 40)),
-        Box::new(SteadyStream::new("steady-light1", 0xbf58476d1ce4e5b9, 50)),
-    ];
-    let cc = vec![CoreConfig::default(); 4];
-    (w, cc)
-}
-
-/// One run of the hybrid-case sweep: the steady mix under every enforced
-/// scheme.
-fn run_steady_sweep(
-    fast_forward: bool,
-    hybrid: Option<HybridConfig>,
-    phases: PhaseConfig,
-) -> Vec<SimOutcome> {
-    let r = Runner {
-        cmp: CmpConfig {
-            fast_forward,
-            hybrid,
-            ..CmpConfig::default()
-        },
-        phases,
-    };
-    PartitionScheme::ENFORCED_SCHEMES
-        .par_iter()
-        .map(|&s| {
-            let (w, cc) = steady_mix();
-            r.run_scheme(s, w, cc, ShareSource::OnlineProfile)
-        })
-        .collect()
-}
-
 /// Fingerprint of the full scheme sweep under the **current** pool
 /// configuration (thread count is whatever `RAYON_NUM_THREADS` /
 /// `pool::set_num_threads` says). The CI determinism matrix runs this
@@ -419,7 +292,7 @@ fn run_steady_sweep(
 /// any divergence means the parallel merge or the per-core clocks changed
 /// observable simulation results.
 pub fn sweep_fingerprint(fast_forward: bool, smoke: bool) -> String {
-    fingerprint(&run_sweep_cfg(fast_forward, None, phases(smoke)))
+    fingerprint(&run_sweep(fast_forward, phases(smoke)))
 }
 
 /// Time `f` once, in `mode_threads` pool mode, returning the wall time and
@@ -480,68 +353,6 @@ fn bench_case(
             let s = best_base.as_secs_f64() / best_opt.as_secs_f64().max(1e-12);
             (s * 100.0).round() / 100.0
         },
-        identical_outcomes: true,
-        tolerance_certified: None,
-        env: current_env(),
-    }
-}
-
-/// Measure the hybrid sweep case: the [`steady_mix`] under every enforced
-/// scheme. Baseline is the seed behaviour (one pool thread, per-cycle
-/// stepping, no hybrid); optimized adds analytic hybrid
-/// stepping on top of the default fast path. Hybrid runs are *not*
-/// bit-exact by design, so instead of fingerprint identity every rep's
-/// outcomes are certified against the cycle-exact baseline with
-/// [`within_tolerance`] — the harness panics if any scheme drifts outside
-/// the configured epsilon.
-fn bench_hybrid_case(
-    simulated_cycles: u64,
-    reps: usize,
-    hc: HybridConfig,
-    phases: PhaseConfig,
-) -> BenchCase {
-    let mut best_base = Duration::MAX;
-    let mut best_opt = Duration::MAX;
-    let mut reference: Option<Vec<SimOutcome>> = None;
-    for _ in 0..reps.max(1) {
-        let (wall, out) = timed(1, || run_steady_sweep(false, None, phases));
-        best_base = best_base.min(wall);
-        let exact = reference.get_or_insert_with(|| out.clone());
-        assert_eq!(
-            fingerprint(exact),
-            fingerprint(&out),
-            "scheme_sweep_hybrid: baseline outcomes diverged between reps"
-        );
-        let (wall, out) = timed(0, || run_steady_sweep(true, Some(hc), phases));
-        best_opt = best_opt.min(wall);
-        for (i, (e, h)) in exact.iter().zip(&out).enumerate() {
-            assert!(
-                within_tolerance(e, h, hc.epsilon),
-                "scheme_sweep_hybrid: scheme {} outside the certified epsilon {}",
-                PartitionScheme::ENFORCED_SCHEMES[i].name(),
-                hc.epsilon,
-            );
-        }
-    }
-    let per_sec = |wall: Duration| simulated_cycles as f64 / wall.as_secs_f64().max(1e-12);
-    let round = |ms: f64| (ms * 1000.0).round() / 1000.0;
-    BenchCase {
-        name: "scheme_sweep_hybrid".to_string(),
-        simulated_cycles,
-        baseline: ModeResult {
-            wall_ms: round(best_base.as_secs_f64() * 1e3),
-            cycles_per_sec: per_sec(best_base).round(),
-        },
-        optimized: ModeResult {
-            wall_ms: round(best_opt.as_secs_f64() * 1e3),
-            cycles_per_sec: per_sec(best_opt).round(),
-        },
-        speedup: {
-            let s = best_base.as_secs_f64() / best_opt.as_secs_f64().max(1e-12);
-            (s * 100.0).round() / 100.0
-        },
-        identical_outcomes: false,
-        tolerance_certified: Some(true),
         env: current_env(),
     }
 }
@@ -642,46 +453,12 @@ fn snapshot_microbench() -> SnapshotMicrobench {
     }
 }
 
-/// Phase budgets for the hybrid case. The measure phase is deliberately
-/// long: the analytic stepper needs room to amortize its observation
-/// windows (`history + 1` windows between jumps) into large jumps, which
-/// is exactly the regime the hybrid mode exists for — long steady-state
-/// measurement runs.
-fn hybrid_phases(smoke: bool) -> PhaseConfig {
-    PhaseConfig {
-        // Warm-up and profile match `PhaseConfig::fast()`: the stepper is
-        // disarmed there anyway, and shorter budgets leave the system in a
-        // still-warming transient at measure start that the first jump
-        // would extrapolate (measured: ~30 % retirement undercredit).
-        warmup: 100_000,
-        profile: 300_000,
-        measure: if smoke { 5_160_000 } else { 10_500_000 },
-        repartition_epoch: None,
-    }
-}
-
-/// The hybrid configuration benchmarked (and certified) by the
-/// `scheme_sweep_hybrid` case. `jump_windows` is raised from the default
-/// so each full jump covers 960 k cycles; with the run loop clipping the
-/// final jump of a phase to the remaining budget, >85 % of the measure
-/// phase rides the analytic path and only the 60 k-cycle evidence spans
-/// between jumps are stepped exactly. `epsilon` stays at the default
-/// certified tolerance.
-fn hybrid_bench_config() -> HybridConfig {
-    HybridConfig {
-        jump_windows: 96,
-        ..HybridConfig::default()
-    }
-}
-
 /// Run the full harness. `smoke` shrinks the cycle budgets ~10× for CI;
 /// `reps` is the best-of-N count per mode.
 pub fn run(smoke: bool, reps: usize) -> BenchReport {
     let p = phases(smoke);
     let per_run = p.warmup + p.profile + p.measure;
     let n_schemes = PartitionScheme::ENFORCED_SCHEMES.len() as u64;
-    let hp = hybrid_phases(smoke);
-    let hybrid_cycles = (hp.warmup + hp.profile + hp.measure) * n_schemes;
     let threads = rayon::pool::current_num_threads();
 
     let cases = vec![
@@ -689,7 +466,6 @@ pub fn run(smoke: bool, reps: usize) -> BenchReport {
         bench_case("scheme_sweep", per_run * n_schemes, reps, |opt| {
             run_sweep(opt, p)
         }),
-        bench_hybrid_case(hybrid_cycles, reps, hybrid_bench_config(), hp),
         bench_case(
             "coordinated_sweep",
             per_run * COORD_WAY_SPLITS.len() as u64,
@@ -829,11 +605,10 @@ mod tests {
         let report = run(true, 1);
         assert_eq!(report.schema, SCHEMA);
         assert!(report.smoke);
-        assert_eq!(report.cases.len(), 4);
+        assert_eq!(report.cases.len(), 3);
         assert_eq!(report.cases[0].name, "mix_end_to_end");
         assert_eq!(report.cases[1].name, "scheme_sweep");
-        assert_eq!(report.cases[2].name, "scheme_sweep_hybrid");
-        assert_eq!(report.cases[3].name, "coordinated_sweep");
+        assert_eq!(report.cases[2].name, "coordinated_sweep");
         for case in &report.cases {
             assert!(case.baseline.wall_ms > 0.0);
             assert!(case.optimized.wall_ms > 0.0);
@@ -841,14 +616,6 @@ mod tests {
             assert!(case.env.threads >= 1);
             assert!(case.env.host_cores >= 1);
         }
-        assert!(report.cases[0].identical_outcomes);
-        assert!(report.cases[1].identical_outcomes);
-        assert!(report.cases[3].identical_outcomes);
-        assert_eq!(report.cases[0].tolerance_certified, None);
-        assert_eq!(report.cases[3].tolerance_certified, None);
-        // The hybrid case is tolerance-certified, not bit-exact.
-        assert!(!report.cases[2].identical_outcomes);
-        assert_eq!(report.cases[2].tolerance_certified, Some(true));
         assert_eq!(
             report.cases[1].simulated_cycles,
             report.cases[0].simulated_cycles * 6
@@ -867,12 +634,11 @@ mod tests {
         assert_eq!(back.schema, report.schema);
         assert_eq!(back.cases.len(), report.cases.len());
         assert_eq!(back.cases[2].env, report.cases[2].env);
-        assert_eq!(back.cases[2].tolerance_certified, Some(true));
 
         // `check` against itself compares every case and passes.
         let outcome = check(&back, &report);
         assert!(outcome.passed());
-        assert_eq!(outcome.compared.len(), 4);
+        assert_eq!(outcome.compared.len(), 3);
         assert!(outcome.skipped.is_empty());
 
         // A >10 % slowdown on an optimized case is a regression...
@@ -911,7 +677,7 @@ mod tests {
                 ),
                 ("qos_probe".into(), "environment mismatch (a vs b)".into()),
                 (
-                    "soa_hybrid".into(),
+                    "coordinated_sweep".into(),
                     "budget mismatch (smoke true vs false, cycles 1 vs 2)".into(),
                 ),
             ],
@@ -940,8 +706,6 @@ mod tests {
                 baseline: mode.clone(),
                 optimized: mode,
                 speedup: 1.0,
-                identical_outcomes: true,
-                tolerance_certified: None,
                 env: CaseEnv {
                     threads,
                     host_cores: 2,
@@ -964,8 +728,8 @@ mod tests {
     fn check_refuses_other_schemas_and_skips_thread_count_drift() {
         // A committed report of the previous schema is one regression, and
         // nothing is compared.
-        let v2 = one_case_report("bwpart-bench-sim/v2", 1, 9.0);
-        let outcome = check(&v2, &one_case_report(SCHEMA, 1, 9.0));
+        let v3 = one_case_report("bwpart-bench-sim/v3", 1, 9.0);
+        let outcome = check(&v3, &one_case_report(SCHEMA, 1, 9.0));
         assert_eq!(outcome.regressions.len(), 1, "{:?}", outcome.regressions);
         assert!(outcome.regressions[0].contains("schema mismatch"));
         assert!(outcome.compared.is_empty());

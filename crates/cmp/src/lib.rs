@@ -24,16 +24,12 @@
 //! * [`runner`] — the paper's phase methodology (warm-up → profile →
 //!   measure, Section V-B) plus standalone runs for ground-truth
 //!   `APC_alone`.
-//! * [`hybrid`] — analytic hybrid stepping: detect bandwidth steady state
-//!   and jump over it with the closed-form model's counter rates
-//!   (tolerance-certified against cycle-exact runs).
 //! * [`obs`] — observability wiring: cycle-loop hooks for `bwpart-obs`
 //!   and the [`RunObserver`] bundle for instrumented runs.
 //! * [`stats`] — per-application counters and derived rates.
 
 pub mod cache;
 pub mod core;
-pub mod hybrid;
 pub mod llc;
 pub mod obs;
 pub mod runner;
@@ -42,7 +38,6 @@ pub mod system;
 
 pub use crate::core::{Access, Core, CoreConfig, Workload};
 pub use cache::{Cache, CacheConfig};
-pub use hybrid::HybridConfig;
 pub use llc::{LlcAppCounters, LlcConfig, SharedLlc};
 pub use obs::{CmpObsHooks, RunObserver};
 pub use runner::{PhaseConfig, Runner, ShareSource, SimOutcome};

@@ -15,11 +15,10 @@ pub struct CmpObsHooks {
     /// System-loop visits: cycles with a shared event, or every cycle
     /// under per-cycle stepping (`cmp_steps_total`).
     pub steps: Counter,
-    /// Runs of consecutive cycles with no visit, hybrid jumps included
-    /// (`cmp_ff_jumps_total`).
+    /// Runs of consecutive cycles with no visit (`cmp_ff_jumps_total`).
     pub ff_jumps: Counter,
-    /// Cycles with no visit, hybrid jumps included; visits plus these
-    /// equal the simulated cycles (`cmp_ff_skipped_cycles_total`).
+    /// Cycles with no visit; visits plus these equal the simulated
+    /// cycles (`cmp_ff_skipped_cycles_total`).
     pub ff_skipped_cycles: Counter,
 }
 

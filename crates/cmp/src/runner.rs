@@ -279,10 +279,6 @@ impl Runner {
     ) -> Result<SimOutcome, PolicyError> {
         let n = workloads.len();
         let mut sys = CmpSystem::new(&self.cmp, workloads, core_cfgs, Policy::fcfs(n));
-        // Warm-up and profiling stay cycle-exact even in hybrid runs: the
-        // online estimates (and hence the enforced partition) must be
-        // identical to an exact run's; only measurement is jumped over.
-        sys.set_hybrid_armed(false);
         if let Some(o) = obs {
             sys.attach_obs(&o.registry);
         }
@@ -346,7 +342,6 @@ impl Runner {
 
         // Phase 3: measure, re-deciding at every repartition epoch
         // (No_partitioning enforces nothing, so it never re-decides).
-        sys.set_hybrid_armed(true);
         sys.reset_phase_counters();
         let start = sys.snapshot();
         obs_span!(tracer, "phase:measure");
@@ -463,9 +458,7 @@ impl Runner {
         if let Some(w) = ways {
             sys.set_llc_ways(w);
         }
-        sys.set_hybrid_armed(false);
         sys.run(self.phases.warmup + self.phases.profile);
-        sys.set_hybrid_armed(true);
         sys.mc_mut().set_policy(Policy::stf(shares));
         sys.reset_phase_counters();
         let _ = sys.mc_mut().take_epoch_counters();
@@ -489,9 +482,7 @@ impl Runner {
     /// measurement).
     pub fn run_alone(&self, workload: Box<dyn Workload>, core_cfg: CoreConfig) -> AloneProfile {
         let mut sys = CmpSystem::new(&self.cmp, vec![workload], vec![core_cfg], Policy::fcfs(1));
-        sys.set_hybrid_armed(false);
         sys.run(self.phases.warmup);
-        sys.set_hybrid_armed(true);
         sys.reset_phase_counters();
         let _ = sys.mc_mut().take_epoch_counters();
         let start = sys.snapshot();

@@ -8,7 +8,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::CacheConfig;
 use crate::core::{Core, CoreClock, CoreConfig, Workload};
-use crate::hybrid::{HybridConfig, HybridSnap, HybridState};
 use crate::llc::{LlcConfig, SharedLlc};
 use crate::obs::CmpObsHooks;
 use crate::stats::AppStats;
@@ -36,11 +35,6 @@ pub struct CmpConfig {
     /// [`CmpSystem::run_per_cycle`], which `false` delegates to); disable
     /// only to cross-check timings.
     pub fast_forward: bool,
-    /// Analytic hybrid stepping (default `None` = off): jump over detected
-    /// steady-state windows by crediting the paper-model counter rates
-    /// instead of simulating every cycle. Tolerance-certified rather than
-    /// bit-identical — see [`crate::hybrid`].
-    pub hybrid: Option<HybridConfig>,
     /// Shared, way-partitioned LLC between the private L2s and the memory
     /// controller (default `None` = the paper's private-hierarchy Table II
     /// system, bit-identical to builds without this field). See
@@ -57,7 +51,6 @@ impl Default for CmpConfig {
             region_bits: 29,
             sched_window: 8,
             fast_forward: true,
-            hybrid: None,
             llc: None,
         }
     }
@@ -92,11 +85,6 @@ pub struct CmpSystem {
     /// Each core's clock during [`run_exact`](Self::run_exact), one per
     /// core, reused across runs (contents are meaningful only inside it).
     clocks: Vec<CoreClock>,
-    /// Analytic hybrid stepping state (None: exact stepping only).
-    hybrid: Option<Box<HybridState>>,
-    /// Whether hybrid stepping is currently armed (see
-    /// [`set_hybrid_armed`](Self::set_hybrid_armed)).
-    hybrid_armed: bool,
     /// Pre-resolved observability handles (None: zero instrumentation).
     obs: Option<Box<CmpObsHooks>>,
 }
@@ -154,8 +142,6 @@ impl CmpSystem {
             lifetime_instr: vec![0; n],
             fast_forward: cfg.fast_forward,
             clocks: vec![CoreClock::default(); n],
-            hybrid: cfg.hybrid.map(|hc| Box::new(HybridState::new(hc))),
-            hybrid_armed: true,
             obs: None,
         }
     }
@@ -255,27 +241,15 @@ impl CmpSystem {
     /// with a shared event (see `run_exact`). Counter-identical to
     /// [`run_per_cycle`](Self::run_per_cycle), the always-stepping
     /// reference, which `fast_forward: false` delegates to.
-    ///
-    /// With [`CmpConfig::hybrid`] set, runs switch to analytic hybrid
-    /// stepping (`run_hybrid`) — tolerance-certified
-    /// rather than bit-identical; see [`crate::hybrid`].
     pub fn run(&mut self, cycles: u64) {
-        if self.hybrid.is_some() && self.hybrid_armed {
-            self.run_hybrid(cycles);
-        } else {
-            self.run_exact(cycles);
-        }
+        self.run_exact(cycles);
     }
 
-    /// Arm or disarm hybrid stepping without discarding its state. The
-    /// [`Runner`](crate::runner::Runner) disarms the stepper for the
-    /// warm-up and profiling phases — keeping online `APC_alone`/`API`
-    /// estimation (and therefore the derived partition) cycle-exact — and
-    /// arms it only for measurement, where steady state dominates. No-op
-    /// when the system was built without [`CmpConfig::hybrid`].
-    pub fn set_hybrid_armed(&mut self, on: bool) {
-        self.hybrid_armed = on;
-    }
+    /// Does nothing: the simulator has no hybrid stepping left to arm. The
+    /// two calls in `perfbench/src/llc.rs` keep it alive until ROADMAP
+    /// item 10 deletes this stub together with them.
+    #[doc(hidden)]
+    pub fn set_hybrid_armed(&mut self, _on: bool) {}
 
     /// The cycle-exact run loop on per-core clocks; counter-identical to
     /// [`run_per_cycle`](Self::run_per_cycle).
@@ -360,94 +334,6 @@ impl CmpSystem {
         obs_count!(self.obs, steps, visits);
         obs_count!(self.obs, ff_jumps, jumps);
         obs_count!(self.obs, ff_skipped_cycles, cycles - visits);
-    }
-
-    /// Analytic hybrid stepping ([`crate::hybrid`]): run cycle-exact
-    /// observation windows; once the detector certifies steady state, jump
-    /// `jump_windows × window` cycles by crediting the last window's
-    /// counter deltas (exact integer scaling) and resume exact stepping.
-    /// Each `run` call is treated as a phase boundary (detector history is
-    /// cleared), and a jump is taken only if a full observation window
-    /// still fits before `cycles` end, so every run finishes on
-    /// exactly-simulated state.
-    // The jump tallies feed only `obs_count!` (see `run_exact`).
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables, unused_assignments))]
-    fn run_hybrid(&mut self, cycles: u64) {
-        // lint: allow(R1): run() dispatches here only when hybrid is Some
-        let mut h = self.hybrid.take().expect("hybrid state present");
-        h.reset_phase();
-        let end = self.cycle + cycles;
-        let mut jumps = 0u64;
-        let mut jumped = 0u64;
-        while self.cycle < end {
-            let remaining = end - self.cycle;
-            let window = h.cfg().window;
-            // Jump up to `jump_windows` windows, clipped so at least one
-            // whole exact window still fits before `end` — the run must
-            // finish on freshly simulated micro-state, never straight off
-            // an extrapolation.
-            let k = (remaining.saturating_sub(window) / window).min(h.cfg().jump_windows);
-            if k >= 1 && h.steady() {
-                // Credit k × the history-mean window delta.
-                let jump = window * k;
-                let d = h.jump_delta(k);
-                for (i, core) in self.cores.iter_mut().enumerate() {
-                    core.counters.retired += d.retired[i];
-                    core.counters.l1_misses += d.l1[i];
-                    core.counters.l2_misses += d.l2[i];
-                }
-                self.cycle += jump;
-                self.mc.analytic_jump(
-                    &d.served,
-                    &d.latency,
-                    &d.interference,
-                    d.busy,
-                    d.stalled,
-                    self.cycle,
-                );
-                h.note_jump(jump);
-                jumps += 1;
-                jumped += jump;
-                continue;
-            }
-            let w = h.cfg().window.min(remaining);
-            h.begin_window(self.hybrid_snap());
-            self.run_exact(w);
-            if w == h.cfg().window {
-                let snap = self.hybrid_snap();
-                h.end_window(&snap);
-            } else {
-                h.discard_window();
-            }
-        }
-        self.hybrid = Some(h);
-        obs_count!(self.obs, ff_jumps, jumps);
-        obs_count!(self.obs, ff_skipped_cycles, jumped);
-    }
-
-    /// Counter snapshot bracketing a hybrid observation window.
-    fn hybrid_snap(&self) -> HybridSnap {
-        let n = self.cores.len();
-        HybridSnap {
-            served: self.mc.stats().served.clone(),
-            latency: self.mc.stats().latency_sum.clone(),
-            interference: (0..n).map(|i| self.mc.interference_cycles(i)).collect(),
-            retired: self.cores.iter().map(|c| c.counters.retired).collect(),
-            l1: self.cores.iter().map(|c| c.counters.l1_misses).collect(),
-            l2: self.cores.iter().map(|c| c.counters.l2_misses).collect(),
-            busy: self.mc.stats().busy_ticks,
-            stalled: self.mc.stats().stalled_ticks,
-            row_hits: self.mc.dram().stats().row_hits,
-            dram_served: self.mc.dram().stats().served,
-        }
-    }
-
-    /// `(jumps, cycles)` the hybrid stepper has credited analytically so
-    /// far; `(0, 0)` when hybrid stepping is off.
-    pub fn hybrid_jumped(&self) -> (u64, u64) {
-        self.hybrid
-            .as_ref()
-            .map_or((0, 0), |h| (h.jumps(), h.jumped_cycles()))
     }
 
     /// Run `cycles` CPU cycles strictly one [`step`](Self::step) at a time,

@@ -423,11 +423,12 @@ impl MemoryController {
             return;
         }
         let first = self.next_tick;
-        // The clocks in [first, stop): `first` itself and every grid point
-        // after it. `first` is off the grid only after a hybrid jump; it
-        // may then lie at or above the floor, but then it is the only
-        // clock here, nothing can start off the grid, and the probes below
-        // are taken at `first` itself.
+        // `tick` and this function, the only writers of `next_tick`, both
+        // write grid points, so `k` counts the clocks in [first, stop).
+        bwpart_core::invariant!(
+            first.is_multiple_of(self.tck),
+            "command clock {first} off the tCK grid"
+        );
         let grid_end = stop.div_ceil(self.tck);
         let k = grid_end - first / self.tck;
         self.next_tick = grid_end * self.tck;
@@ -478,37 +479,6 @@ impl MemoryController {
         }
     }
 
-    /// Apply a closed-form analytic jump of the hybrid stepper: credit the
-    /// paper-model predictions for a skipped steady-state window directly
-    /// to the controller's counters. `served_delta`, `latency_delta` and
-    /// `interference_delta` are per-application; `busy`/`stalled` are DRAM
-    /// command clocks. Micro-state (queues, bank wheels, in-flight
-    /// completions) is deliberately left untouched — the hybrid stepper
-    /// resumes cycle-exact simulation from it at cycle `resume`. The
-    /// command clock moves to `resume`, so no jumped clock is accounted
-    /// again by the next [`tick`](Self::tick).
-    pub fn analytic_jump(
-        &mut self,
-        served_delta: &[u64],
-        latency_delta: &[u64],
-        interference_delta: &[u64],
-        busy: u64,
-        stalled: u64,
-        resume: u64,
-    ) {
-        for app in 0..self.queues.apps() {
-            self.stats.served[app] += served_delta[app];
-            self.stats.latency_sum[app] += latency_delta[app];
-            self.epoch_accesses[app] += served_delta[app];
-            if interference_delta[app] > 0 {
-                self.interference.charge(app, interference_delta[app]);
-            }
-        }
-        self.stats.busy_ticks += busy;
-        self.stats.stalled_ticks += stalled;
-        self.next_tick = self.next_tick.max(resume);
-    }
-
     /// Pop the oldest completion with `done_cycle ≤ now`, if any — the
     /// allocation-free form of [`drain_completions`](Self::drain_completions)
     /// for callers polling every CPU cycle.
@@ -548,9 +518,9 @@ impl MemoryController {
     /// [`settle_before`](Self::settle_before), at the end of a run)
     /// accounts them in closed form. Pending completions matter at any
     /// cycle, and may finish off the command grid; the earlier of the two
-    /// is the event. A completion already overdue at `now` (left behind
-    /// by a jump of the caller's clock) makes `now` itself the event,
-    /// never a past cycle.
+    /// is the event. A caller that polls late, at a `now` past a pending
+    /// completion's cycle, gets `now` itself: the overdue completion is
+    /// due at once, and the returned cycle is never in the past.
     ///
     /// `CmpSystem::run`'s per-core clocks rely on exactly that guarantee:
     /// a system loop that visits only the returned cycles (and its cores'
@@ -780,7 +750,7 @@ mod tests {
         mc.enqueue(MemRequest::read(0, 64, 0));
         mc.tick(0);
         let done = mc.next_completion_at().expect("request in flight");
-        // A caller whose clock jumped past the completion finds it due now.
+        // A caller that polls late finds the overdue completion due now.
         assert_eq!(mc.next_event_cycle(done + 1000), Some(done + 1000));
         assert_eq!(mc.drain_completions(done + 1000).len(), 1);
         assert_eq!(mc.next_event_cycle(done + 1001), None);
@@ -967,43 +937,6 @@ mod tests {
         }
         assert_eq!(mc.dram().stats().writes, 1);
         assert_eq!(mc.dram().stats().reads, 1);
-    }
-
-    #[test]
-    fn analytic_jump_credits_counters_only() {
-        let mut mc = MemoryController::new(DramConfig::ddr2_400(), 2, Policy::fcfs(2));
-        mc.analytic_jump(&[10, 4], &[1000, 600], &[0, 250], 14, 3, 0);
-        assert_eq!(mc.stats().served, vec![10, 4]);
-        assert_eq!(mc.stats().latency_sum, vec![1000, 600]);
-        assert_eq!(mc.stats().busy_ticks, 14);
-        assert_eq!(mc.stats().stalled_ticks, 3);
-        assert_eq!(mc.epoch_accesses(), &[10, 4]);
-        assert_eq!(mc.interference_cycles(0), 0);
-        assert_eq!(mc.interference_cycles(1), 250);
-        // No micro-state was fabricated: the controller is still idle.
-        assert!(!mc.busy());
-    }
-
-    #[test]
-    fn analytic_jump_moves_the_command_clock_past_the_jump() {
-        let mut mc = MemoryController::new(DramConfig::ddr2_400(), 1, Policy::fcfs(1));
-        for i in 0..4u64 {
-            mc.enqueue(MemRequest::read(0, i * 64, 0));
-        }
-        mc.tick(0);
-        // Stalled clocks lie between the last tick and the floor: a jump
-        // that left the command clock here would count them again after
-        // the jump.
-        assert!(mc.next_event_cycle(1).expect("work queued") > 25);
-        let resume = 100_000;
-        mc.analytic_jump(&[0], &[0], &[0], 500, 400, resume);
-        mc.tick(resume);
-        assert_eq!(
-            mc.stats().busy_ticks,
-            1 + 500 + 1,
-            "jumped clocks counted twice"
-        );
-        assert_eq!(mc.stats().served, vec![2]);
     }
 
     #[test]

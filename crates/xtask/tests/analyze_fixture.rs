@@ -7,41 +7,11 @@
 //! Fixture trees are materialized under `CARGO_TARGET_TMPDIR`, like the
 //! lint fixtures.
 
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
 
+use common::{fixture_root, run_lint, write};
 use serde_json::Value;
 use xtask::lint::Rule;
-
-fn fixture_root(name: &str) -> PathBuf {
-    let base = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let root = base.join(name);
-    if root.exists() {
-        fs::remove_dir_all(&root).expect("clear stale fixture");
-    }
-    fs::create_dir_all(root.join("crates/demo/src")).expect("create fixture tree");
-    root
-}
-
-fn write(root: &Path, rel: &str, contents: &str) {
-    let path = root.join(rel);
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir).expect("fixture dirs");
-    }
-    fs::write(path, contents).expect("write fixture file");
-}
-
-fn run_lint(root: &Path, extra: &[&str]) -> (bool, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .arg("lint")
-        .args(extra)
-        .env("CARGO_MANIFEST_DIR", root.join("crates/xtask"))
-        .output()
-        .expect("run xtask lint");
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    (out.status.success(), stdout)
-}
 
 /// The seeded A1 regression mirrors the bug this pass was built to catch:
 /// a hot fn that looks clean locally but reaches a per-tick allocation

@@ -4,41 +4,9 @@
 //! The fixture workspace is materialized under `CARGO_TARGET_TMPDIR` so the
 //! test never writes outside the repository's target directory.
 
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
 
-fn fixture_root(name: &str) -> PathBuf {
-    let base = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let root = base.join(name);
-    if root.exists() {
-        fs::remove_dir_all(&root).expect("clear stale fixture");
-    }
-    fs::create_dir_all(root.join("crates/demo/src")).expect("create fixture tree");
-    root
-}
-
-fn write(root: &Path, rel: &str, contents: &str) {
-    fs::write(root.join(rel), contents).expect("write fixture file");
-}
-
-fn run_lint(root: &Path) -> (bool, String) {
-    run_lint_args(root, &[])
-}
-
-fn run_lint_args(root: &Path, extra: &[&str]) -> (bool, String) {
-    let exe = env!("CARGO_BIN_EXE_xtask");
-    // The binary resolves the workspace root as CARGO_MANIFEST_DIR/../..,
-    // so point the manifest dir at a synthetic crates/xtask inside the tree.
-    let out = Command::new(exe)
-        .arg("lint")
-        .args(extra)
-        .env("CARGO_MANIFEST_DIR", root.join("crates/xtask"))
-        .output()
-        .expect("run xtask lint");
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    (out.status.success(), stdout)
-}
+use common::{fixture_root, run_lint, write};
 
 #[test]
 fn seeded_violations_are_caught() {
@@ -57,7 +25,7 @@ pub fn broken(x: Option<f64>) -> f64 {
 pub fn silent() {}
 "#,
     );
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(!ok, "lint must fail on seeded violations:\n{stdout}");
     assert!(
         stdout.contains("[R1]"),
@@ -74,7 +42,6 @@ pub fn silent() {}
 #[test]
 fn seeded_core_producer_without_contract_is_caught() {
     let root = fixture_root("bwpart-audit-core");
-    fs::create_dir_all(root.join("crates/core/src")).expect("core tree");
     write(
         &root,
         "crates/core/src/lib.rs",
@@ -84,7 +51,7 @@ pub fn shares(n: usize) -> Vec<f64> {
 }
 "#,
     );
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(!ok, "uncertified producer must fail:\n{stdout}");
     assert!(stdout.contains("[A2]"), "{stdout}");
     assert!(stdout.contains("crates/core/src/lib.rs:2"), "{stdout}");
@@ -93,7 +60,6 @@ pub fn shares(n: usize) -> Vec<f64> {
 #[test]
 fn seeded_experiments_step_loop_is_caught() {
     let root = fixture_root("bwpart-audit-experiments");
-    fs::create_dir_all(root.join("crates/experiments/src")).expect("experiments tree");
     write(
         &root,
         "crates/experiments/src/lib.rs",
@@ -118,7 +84,7 @@ pub fn reference(sys: &mut CmpSystem) {
 }
 "#,
     );
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(!ok, "step loop in experiments must fail:\n{stdout}");
     assert!(stdout.contains("[R5]"), "{stdout}");
     assert!(
@@ -134,7 +100,6 @@ pub fn reference(sys: &mut CmpSystem) {
 #[test]
 fn seeded_hot_loop_registry_call_is_caught() {
     let root = fixture_root("bwpart-audit-hot-obs");
-    fs::create_dir_all(root.join("crates/mc/src")).expect("mc tree");
     write(
         &root,
         "crates/mc/src/lib.rs",
@@ -154,7 +119,7 @@ pub fn tick(registry: &Registry) {
 }
 "#,
     );
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(!ok, "hot-loop registry call must fail:\n{stdout}");
     assert!(stdout.contains("[A1]"), "{stdout}");
     assert!(stdout.contains("crates/mc/src/lib.rs:3"), "{stdout}");
@@ -169,7 +134,6 @@ fn seeded_concurrency_violations_are_caught() {
     // Rules R6-R8 over a fixture tree with a vendored pool: exactly the
     // violation mix a careless concurrency patch would introduce.
     let root = fixture_root("bwpart-audit-concurrency");
-    fs::create_dir_all(root.join("vendor/rayon/src")).expect("vendor tree");
     write(
         &root,
         "crates/demo/src/lib.rs",
@@ -196,7 +160,7 @@ pub fn spawn_direct() {
 }
 "#,
     );
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(!ok, "seeded concurrency violations must fail:\n{stdout}");
     // demo crate: one static mut (R7), one bare Relaxed (R6), one
     // SAFETY-less unsafe that is also missing from the (absent)
@@ -236,7 +200,6 @@ fn clean_concurrency_tree_passes() {
     // Justified orderings, SAFETY comments, a registered inventory, and a
     // shim-only vendored pool: the concurrency rules must stay silent.
     let root = fixture_root("bwpart-audit-concurrency-clean");
-    fs::create_dir_all(root.join("vendor/rayon/src")).expect("vendor tree");
     write(
         &root,
         "crates/demo/src/lib.rs",
@@ -267,7 +230,7 @@ pub fn read(p: *const u32) -> u32 {
         "vendor/rayon/src/lib.rs",
         "mod shim;\npub fn f() { let _ = shim::Mutex::new(()); }\n",
     );
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(ok, "clean concurrency fixture must pass:\n{stdout}");
 }
 
@@ -299,7 +262,7 @@ pub fn f(p: *const u32) -> u32 {
         "UNSAFE_AUDIT.md",
         "# inventory\n\n- `crates/demo/src/lib.rs` — 1 — macro-wrapped raw read\n",
     );
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(
         ok,
         "definition-site count must satisfy the audit:\n{stdout}"
@@ -311,7 +274,7 @@ pub fn f(p: *const u32) -> u32 {
         "UNSAFE_AUDIT.md",
         "# inventory\n\n- `crates/demo/src/lib.rs` — 3 — macro-wrapped raw read\n",
     );
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(!ok, "per-expansion count must be stale:\n{stdout}");
     assert!(
         stdout.contains("lists 3 unsafe site(s)") && stdout.contains("the source has 1"),
@@ -328,7 +291,7 @@ fn stale_unsafe_inventory_is_caught() {
         "UNSAFE_AUDIT.md",
         "- `crates/demo/src/lib.rs` — 2 — no longer true\n",
     );
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(!ok, "stale inventory must fail:\n{stdout}");
     assert!(stdout.contains("stale inventory entry"), "{stdout}");
 }
@@ -336,7 +299,6 @@ fn stale_unsafe_inventory_is_caught() {
 #[test]
 fn seeded_wildcard_scheme_match_is_caught() {
     let root = fixture_root("bwpart-audit-r10");
-    fs::create_dir_all(root.join("crates/core/src")).expect("core tree");
     let src = r#"
 pub fn exponent(s: PartitionScheme) -> Option<f64> {
     match s {
@@ -350,7 +312,7 @@ pub fn exponent(s: PartitionScheme) -> Option<f64> {
     // The identical match outside crates/core / crates/bwpartd must NOT
     // trip R10: exhaustiveness is a scheme/service-crate obligation.
     write(&root, "crates/demo/src/lib.rs", src);
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(!ok, "wildcard scheme match must fail:\n{stdout}");
     assert!(stdout.contains("[R10]"), "{stdout}");
     assert!(stdout.contains("crates/core/src/lib.rs:6"), "{stdout}");
@@ -377,7 +339,7 @@ pub fn fine(now_cycles: u64, deadline_ns: u64, freq: f64) -> bool {
 }
 "#,
     );
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(!ok, "cycles/ns comparison must fail:\n{stdout}");
     assert!(stdout.contains("[R11]"), "{stdout}");
     assert!(stdout.contains("crates/demo/src/lib.rs:3"), "{stdout}");
@@ -390,7 +352,6 @@ pub fn fine(now_cycles: u64, deadline_ns: u64, freq: f64) -> bool {
 #[test]
 fn seeded_unwired_obs_macro_is_caught() {
     let root = fixture_root("bwpart-audit-r12");
-    fs::create_dir_all(root.join("crates/mc/src")).expect("mc tree");
     let src = r#"
 pub fn tick(&mut self) {
     obs_count!(self.obs, mc_ticks);
@@ -403,14 +364,13 @@ pub fn tick(&mut self) {
         "[package]\nname = \"bwpart-mc\"\n\n[dependencies]\nbwpart-obs = { workspace = true }\n",
     );
     write(&root, "crates/mc/src/lib.rs", src);
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(!ok, "unwired obs macro must fail:\n{stdout}");
     assert!(stdout.contains("[R12]"), "{stdout}");
     assert!(stdout.contains("crates/mc/src/lib.rs:3"), "{stdout}");
 
     // Wiring the feature through the manifest resolves it.
     let root = fixture_root("bwpart-audit-r12-wired");
-    fs::create_dir_all(root.join("crates/mc/src")).expect("mc tree");
     write(
         &root,
         "crates/mc/Cargo.toml",
@@ -420,14 +380,13 @@ pub fn tick(&mut self) {
     );
     write(&root, "crates/mc/src/lib.rs", src);
     write(&root, "crates/demo/src/lib.rs", "pub fn ok() {}\n");
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(ok, "wired obs macro must pass:\n{stdout}");
 }
 
 #[test]
 fn seeded_lock_order_violations_are_caught() {
     let root = fixture_root("bwpart-audit-r13");
-    fs::create_dir_all(root.join("crates/bwpartd/src")).expect("bwpartd tree");
     write(
         &root,
         "crates/bwpartd/src/server.rs",
@@ -440,7 +399,7 @@ pub fn bad(engine: &Mutex<E>, tracer: &Mutex<T>) {
 }
 "#,
     );
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(!ok, "out-of-order acquisition must fail:\n{stdout}");
     assert!(stdout.contains("[A4]"), "{stdout}");
     assert!(
@@ -454,7 +413,6 @@ pub fn bad(engine: &Mutex<E>, tracer: &Mutex<T>) {
 
     // The declared order, followed, passes — and an undeclared lock fails.
     let root = fixture_root("bwpart-audit-r13-clean");
-    fs::create_dir_all(root.join("crates/bwpartd/src")).expect("bwpartd tree");
     write(
         &root,
         "crates/bwpartd/src/server.rs",
@@ -467,7 +425,7 @@ pub fn good(engine: &Mutex<E>, tracer: &Mutex<T>) {
 }
 "#,
     );
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(ok, "declared-order acquisition must pass:\n{stdout}");
 
     write(
@@ -483,7 +441,7 @@ pub fn good(engine: &Mutex<E>, ring: &Mutex<R>) {
 }
 "#,
     );
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(!ok, "a lock named in no table must fail:\n{stdout}");
     assert!(
         stdout.contains("crates/bwpartd/src/server.rs:6:")
@@ -509,7 +467,7 @@ pub fn tolerated(x: Option<f64>) -> f64 {
 }
 "#,
     );
-    let (ok, stdout) = run_lint_args(&root, &["--json"]);
+    let (ok, stdout) = run_lint(&root, &["--json"]);
     assert!(!ok, "active finding must still fail --json runs:\n{stdout}");
     assert!(stdout.contains("\"schema_version\": 1"), "{stdout}");
     assert!(stdout.contains("\"tool\": \"bwpart-audit\""), "{stdout}");
@@ -534,7 +492,7 @@ pub fn tolerated(x: Option<f64>) -> f64 {
     // A clean tree still emits the full schema and exits zero.
     let root = fixture_root("bwpart-audit-json-clean");
     write(&root, "crates/demo/src/lib.rs", "pub fn ok() {}\n");
-    let (ok, stdout) = run_lint_args(&root, &["--json"]);
+    let (ok, stdout) = run_lint(&root, &["--json"]);
     assert!(ok, "clean tree must pass --json:\n{stdout}");
     assert!(
         stdout.contains("\"counts\": {\"total\": 0, \"active\": 0, \"suppressed\": 0}"),
@@ -545,11 +503,11 @@ pub fn tolerated(x: Option<f64>) -> f64 {
 #[test]
 fn explain_subcommand_prints_rationale() {
     let root = fixture_root("bwpart-audit-explain");
-    let (ok, stdout) = run_lint_args(&root, &["--explain", "R10"]);
+    let (ok, stdout) = run_lint(&root, &["--explain", "R10"]);
     assert!(ok, "--explain must succeed:\n{stdout}");
     assert!(stdout.contains("R10"), "{stdout}");
     assert!(stdout.contains("variant"), "{stdout}");
-    let (ok, _) = run_lint_args(&root, &["--explain", "R99"]);
+    let (ok, _) = run_lint(&root, &["--explain", "R99"]);
     assert!(!ok, "--explain must reject unknown rules");
 }
 
@@ -580,7 +538,7 @@ mod tests {
 }
 "#,
     );
-    let (ok, stdout) = run_lint(&root);
+    let (ok, stdout) = run_lint(&root, &[]);
     assert!(ok, "clean fixture must pass:\n{stdout}");
     assert!(stdout.contains("clean"), "{stdout}");
 }

@@ -7,9 +7,11 @@
 //! justification, so the waiver budget is visible in review rather than
 //! accreting silently.
 
-use std::path::PathBuf;
-use std::process::Command;
+mod common;
 
+use std::path::PathBuf;
+
+use common::run_lint;
 use serde_json::Value;
 use xtask::lint::Rule;
 
@@ -21,22 +23,9 @@ fn workspace_root() -> PathBuf {
     root
 }
 
-fn run_lint(extra: &[&str]) -> (bool, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .arg("lint")
-        .args(extra)
-        .env("CARGO_MANIFEST_DIR", workspace_root().join("crates/xtask"))
-        .output()
-        .expect("run xtask lint");
-    (
-        out.status.success(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-    )
-}
-
 #[test]
 fn committed_tree_is_violation_free() {
-    let (ok, stdout) = run_lint(&[]);
+    let (ok, stdout) = run_lint(&workspace_root(), &[]);
     assert!(
         ok,
         "the committed tree has lint findings — fix them (or annotate with \
@@ -47,7 +36,7 @@ fn committed_tree_is_violation_free() {
 
 #[test]
 fn committed_tree_json_report_is_clean_and_justified() {
-    let (ok, stdout) = run_lint(&["--json"]);
+    let (ok, stdout) = run_lint(&workspace_root(), &["--json"]);
     assert!(ok, "{stdout}");
     let j: Value = serde_json::from_str(&stdout).expect("json parses");
     assert_eq!(j["schema_version"].as_f64(), Some(1.0));
@@ -73,7 +62,7 @@ fn committed_tree_json_report_is_clean_and_justified() {
 
 #[test]
 fn committed_tree_sarif_is_well_formed_and_clean() {
-    let (ok, stdout) = run_lint(&["--sarif"]);
+    let (ok, stdout) = run_lint(&workspace_root(), &["--sarif"]);
     assert!(ok, "sarif run must pass:\n{stdout}");
     let j: Value = serde_json::from_str(&stdout).expect("sarif parses");
     assert_eq!(j["version"].as_str(), Some("2.1.0"));
