@@ -110,6 +110,12 @@ fn main() -> ExitCode {
         report.snapshot.clone_ns_per_call, report.snapshot.reuse_ns_per_call
     );
     println!(
+        "  cache: L1 hit {:.2} ns, L2 miss {:.2} ns, LLC masked miss {:.2} ns per access",
+        report.cache.l1_hit_ns_per_access,
+        report.cache.l2_miss_ns_per_access,
+        report.cache.llc_masked_miss_ns_per_access
+    );
+    println!(
         "  obs guardrail: detached {:.3} ms, attached {:.3} ms, overhead {:+.2}% (budget {:.0}%)",
         report.obs.detached_wall_ms,
         report.obs.attached_wall_ms,

@@ -4,9 +4,9 @@
 //! sweep and one coordinated-enforcement sweep under a shared LLC — in
 //! *seed* mode (single-threaded pool, per-cycle stepping, the behaviour
 //! before the performance work) and in the *optimized* default mode
-//! (work-stealing pool + per-core clocks), then emits the
-//! machine-readable [`BenchReport`] that `bench_sim` writes to
-//! `BENCH_sim.json`.
+//! (work-stealing pool + per-core clocks), times three seeded replays
+//! through [`Cache`] alone, then emits the machine-readable
+//! [`BenchReport`] that `bench_sim` writes to `BENCH_sim.json`.
 //!
 //! Methodology notes:
 //!
@@ -22,7 +22,8 @@
 use std::time::{Duration, Instant};
 
 use bwpart_cmp::{
-    CacheConfig, CmpConfig, LlcConfig, PhaseConfig, RunObserver, Runner, ShareSource, SimOutcome,
+    Cache, CacheConfig, CmpConfig, LlcConfig, PhaseConfig, RunObserver, Runner, ShareSource,
+    SimOutcome,
 };
 use bwpart_core::schemes::PartitionScheme;
 use bwpart_workloads::mixes::{cache_mixes, fig1_mix};
@@ -86,11 +87,9 @@ pub struct ObsOverhead {
     pub attached_wall_ms: f64,
     /// `(attached - detached) / detached × 100` (negative values are
     /// timing noise). The CI smoke gate fails above
-    /// [`OBS_OVERHEAD_BUDGET_PCT`].
+    /// [`OBS_OVERHEAD_BUDGET_PCT`]. Attached and detached reps always
+    /// produce byte-identical outcomes: the harness panics otherwise.
     pub overhead_pct: f64,
-    /// Whether attached and detached reps produced byte-identical
-    /// serialized outcomes (the harness panics if not).
-    pub identical_outcomes: bool,
 }
 
 /// Maximum tolerated metrics-attached overhead, in percent, enforced by
@@ -127,6 +126,24 @@ pub struct SnapshotMicrobench {
     pub reuse_ns_per_call: f64,
 }
 
+/// Best-of-N cost per access of [`Cache`] on three fixed, seeded replays
+/// of [`CACHE_REPLAY_ACCESSES`] accesses (one write in four), each timed
+/// on a cache one untimed pass has already warmed. Reported, not gated.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct CacheMicrobench {
+    /// Table II L1 (32 KB, 2-way) replaying a 16 KB working set it holds
+    /// entirely: every timed access hits.
+    pub l1_hit_ns_per_access: f64,
+    /// Table II L2 (256 KB, 8-way) replaying random lines of a 16 MB
+    /// footprint: almost every access misses and picks a victim among 8
+    /// ways.
+    pub l2_miss_ns_per_access: f64,
+    /// A 1 MB, 16-way LLC split into four 4-way masks, taking random
+    /// lines of a 64 MB footprint from the four masks in turn: almost every
+    /// access misses, probes 16 ways and picks a victim among its 4.
+    pub llc_masked_miss_ns_per_access: f64,
+}
+
 /// The full report serialized to `BENCH_sim.json`. Deserializable so
 /// `--check` can reload the committed baseline and compare.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -144,6 +161,8 @@ pub struct BenchReport {
     pub cases: Vec<BenchCase>,
     /// Snapshot clone-vs-reuse micro-benchmark.
     pub snapshot: SnapshotMicrobench,
+    /// Cache replay micro-benchmark.
+    pub cache: CacheMicrobench,
     /// Metrics-attached vs. detached sweep overhead guardrail.
     pub obs: ObsOverhead,
 }
@@ -169,7 +188,7 @@ fn phases(smoke: bool) -> PhaseConfig {
 
 /// Current report schema tag. Bumped whenever the report shape changes;
 /// `check` refuses to compare reports across schema versions.
-pub const SCHEMA: &str = "bwpart-bench-sim/v4";
+pub const SCHEMA: &str = "bwpart-bench-sim/v5";
 
 /// Maximum tolerated slowdown of any case's `optimized.wall_ms` against
 /// the committed baseline before `--check` fails, in percent.
@@ -415,7 +434,6 @@ fn obs_overhead_bench(smoke: bool, reps: usize) -> ObsOverhead {
         detached_wall_ms: round(det * 1e3),
         attached_wall_ms: round(att * 1e3),
         overhead_pct: ((att - det) / det.max(1e-12) * 100.0 * 100.0).round() / 100.0,
-        identical_outcomes: true,
     }
 }
 
@@ -453,6 +471,76 @@ fn snapshot_microbench() -> SnapshotMicrobench {
     }
 }
 
+/// Accesses per cache replay.
+pub const CACHE_REPLAY_ACCESSES: usize = 1 << 18;
+
+/// Best-of-`reps` ns per access of replaying `addrs` through `cache`,
+/// the `i`-th access under `masks[i % masks.len()]`, after one untimed
+/// warming pass. Returns the misses of the last pass too.
+fn cache_replay(mut cache: Cache, addrs: &[u64], masks: &[u64], reps: usize) -> (f64, u64) {
+    let pass = |cache: &mut Cache| {
+        cache.reset_counters();
+        let t0 = Instant::now();
+        for (i, (&addr, &mask)) in addrs.iter().zip(masks.iter().cycle()).enumerate() {
+            std::hint::black_box(cache.access_masked(addr, i % 4 == 0, mask));
+        }
+        t0.elapsed()
+    };
+    pass(&mut cache);
+    let best = (0..reps.max(1)).fold(Duration::MAX, |best, _| best.min(pass(&mut cache)));
+    let ns = best.as_nanos() as f64 / addrs.len() as f64;
+    ((ns * 100.0).round() / 100.0, cache.misses)
+}
+
+/// [`CACHE_REPLAY_ACCESSES`] line addresses drawn uniformly from a
+/// `footprint`-byte region (a power of two) by a seeded xorshift64*.
+fn replay_addrs(footprint: u64, seed: u64) -> Vec<u64> {
+    let lines = footprint / 64;
+    let mut x = seed;
+    (0..CACHE_REPLAY_ACCESSES)
+        .map(|_| {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) % lines * 64
+        })
+        .collect()
+}
+
+/// Time the three cache replays of [`CacheMicrobench`].
+fn cache_microbench(reps: usize) -> CacheMicrobench {
+    const KB: u64 = 1024;
+    let (l1_hit, l1_misses) = cache_replay(
+        Cache::new(CacheConfig::l1d()),
+        &replay_addrs(16 * KB, SEED),
+        &[u64::MAX],
+        reps,
+    );
+    assert_eq!(l1_misses, 0, "the L1 replay must hit on every access");
+    let (l2_miss, _) = cache_replay(
+        Cache::new(CacheConfig::l2()),
+        &replay_addrs(16 * KB * KB, SEED),
+        &[u64::MAX],
+        reps,
+    );
+    let llc = CacheConfig {
+        capacity: 1024 * 1024,
+        ways: 16,
+        line_bytes: 64,
+    };
+    let (llc_miss, _) = cache_replay(
+        Cache::new(llc),
+        &replay_addrs(64 * KB * KB, SEED),
+        &[0x000F, 0x00F0, 0x0F00, 0xF000],
+        reps,
+    );
+    CacheMicrobench {
+        l1_hit_ns_per_access: l1_hit,
+        l2_miss_ns_per_access: l2_miss,
+        llc_masked_miss_ns_per_access: llc_miss,
+    }
+}
+
 /// Run the full harness. `smoke` shrinks the cycle budgets ~10× for CI;
 /// `reps` is the best-of-N count per mode.
 pub fn run(smoke: bool, reps: usize) -> BenchReport {
@@ -481,6 +569,7 @@ pub fn run(smoke: bool, reps: usize) -> BenchReport {
         reps,
         cases,
         snapshot: snapshot_microbench(),
+        cache: cache_microbench(reps),
         obs: obs_overhead_bench(smoke, reps),
     }
 }
@@ -622,7 +711,9 @@ mod tests {
         );
         assert!(report.snapshot.clone_ns_per_call > 0.0);
         assert!(report.snapshot.reuse_ns_per_call > 0.0);
-        assert!(report.obs.identical_outcomes);
+        assert!(report.cache.l1_hit_ns_per_access > 0.0);
+        assert!(report.cache.l2_miss_ns_per_access > 0.0);
+        assert!(report.cache.llc_masked_miss_ns_per_access > 0.0);
         assert!(report.obs.detached_wall_ms > 0.0);
         assert!(report.obs.attached_wall_ms > 0.0);
         assert!(report.obs.overhead_pct.is_finite());
@@ -715,11 +806,15 @@ mod tests {
                 clone_ns_per_call: 1.0,
                 reuse_ns_per_call: 1.0,
             },
+            cache: CacheMicrobench {
+                l1_hit_ns_per_access: 1.0,
+                l2_miss_ns_per_access: 1.0,
+                llc_masked_miss_ns_per_access: 1.0,
+            },
             obs: ObsOverhead {
                 detached_wall_ms: 1.0,
                 attached_wall_ms: 1.0,
                 overhead_pct: 0.0,
-                identical_outcomes: true,
             },
         }
     }
@@ -728,8 +823,8 @@ mod tests {
     fn check_refuses_other_schemas_and_skips_thread_count_drift() {
         // A committed report of the previous schema is one regression, and
         // nothing is compared.
-        let v3 = one_case_report("bwpart-bench-sim/v3", 1, 9.0);
-        let outcome = check(&v3, &one_case_report(SCHEMA, 1, 9.0));
+        let v4 = one_case_report("bwpart-bench-sim/v4", 1, 9.0);
+        let outcome = check(&v4, &one_case_report(SCHEMA, 1, 9.0));
         assert_eq!(outcome.regressions.len(), 1, "{:?}", outcome.regressions);
         assert!(outcome.regressions[0].contains("schema mismatch"));
         assert!(outcome.compared.is_empty());
@@ -751,7 +846,6 @@ mod tests {
             detached_wall_ms: det,
             attached_wall_ms: att,
             overhead_pct: (att - det) / det * 100.0,
-            identical_outcomes: true,
         };
         // 7 % over on a 6 ms sweep is within the absolute slack.
         assert!(obs(6.0, 6.0 * 1.07).within_budget());

@@ -72,23 +72,32 @@ pub enum CacheOutcome {
     },
 }
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU timestamp (higher = more recent).
-    lru: u64,
-}
-
 /// One cache level.
+///
+/// The state is three set-major lanes indexed by `set * ways + way`: tags,
+/// LRU stamps and dirty flags (17 bytes per way). A way holds a line
+/// exactly when its stamp is non-zero: the clock ticks before every stamp,
+/// an empty way keeps stamp 0, and no line is ever invalidated. Hence the
+/// hit probe matches a tag only on a non-zero stamp (no tag value can mark
+/// an empty way, since 1-byte lines in a single set make every `u64` a
+/// tag), and "the first enabled way with the lowest stamp" is the first
+/// empty enabled way, else the least recently used one (filled ways'
+/// stamps are all distinct).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Cache {
     cfg: CacheConfig,
-    lines: Vec<Line>,
+    /// Tag of each way (meaningless while its stamp is 0).
+    tags: Vec<u64>,
+    /// Clock value of each way's last fill or hit (higher = more recent);
+    /// 0 until its first fill.
+    stamps: Vec<u64>,
+    /// Whether each way holds a line written since its fill.
+    dirty: Vec<bool>,
     clock: u64,
     set_mask: u64,
     line_shift: u32,
+    /// `line_shift` plus the set-index width: `addr >> tag_shift` is the tag.
+    tag_shift: u32,
     /// Hits observed.
     pub hits: u64,
     /// Misses observed.
@@ -108,20 +117,17 @@ impl Cache {
             panic!("invalid cache configuration: {e}");
         }
         let sets = cfg.sets();
+        let lanes = sets * cfg.ways;
+        let line_shift = cfg.line_bytes.trailing_zeros();
         Cache {
             cfg,
-            lines: vec![
-                Line {
-                    tag: 0,
-                    valid: false,
-                    dirty: false,
-                    lru: 0,
-                };
-                sets * cfg.ways
-            ],
+            tags: vec![0; lanes],
+            stamps: vec![0; lanes],
+            dirty: vec![false; lanes],
             clock: 0,
             set_mask: (sets - 1) as u64,
-            line_shift: cfg.line_bytes.trailing_zeros(),
+            line_shift,
+            tag_shift: line_shift + sets.trailing_zeros(),
             hits: 0,
             misses: 0,
             writebacks: 0,
@@ -133,11 +139,19 @@ impl Cache {
         &self.cfg
     }
 
-    fn set_of(&self, addr: u64) -> (usize, u64) {
-        let line_addr = addr >> self.line_shift;
-        let set = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
-        (set, tag)
+    /// Lane index of way 0 of `addr`'s set, and `addr`'s tag.
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let set = ((addr >> self.line_shift) & self.set_mask) as usize;
+        (set * self.cfg.ways, addr >> self.tag_shift)
+    }
+
+    /// The way of the set at `base` holding `tag`, if any.
+    fn way_of(&self, base: usize, tag: u64) -> Option<usize> {
+        let ways = base..base + self.cfg.ways;
+        self.tags[ways.clone()]
+            .iter()
+            .zip(&self.stamps[ways])
+            .position(|(&t, &stamp)| t == tag && stamp != 0)
     }
 
     /// Access `addr`. On a miss the line is filled (write-allocate) and the
@@ -154,42 +168,43 @@ impl Cache {
     /// (bit `i` enables way `i`). An empty or out-of-range mask behaves as
     /// a full mask. [`Cache::access`] is the unmasked special case.
     pub fn access_masked(&mut self, addr: u64, is_write: bool, way_mask: u64) -> CacheOutcome {
-        if self.access_if_hit(addr, is_write) {
+        let (base, tag) = self.locate(addr);
+        if self.touch(base, tag, is_write) {
             return CacheOutcome::Hit;
         }
         self.clock += 1;
-        let (set, tag) = self.set_of(addr);
-        let base = set * self.cfg.ways;
-        let ways = &mut self.lines[base..base + self.cfg.ways];
-
         self.misses += 1;
-        // Victim: an invalid masked way, else the LRU masked way. A mask
-        // with no in-range bits would leave no victim; treat it as full.
+        // Victim: the first masked way with the lowest stamp (see the type
+        // docs). A mask with no in-range bits would leave no victim; treat
+        // it as full. Ways past bit 63 are always enabled.
         let in_range = way_mask & (u64::MAX >> (64 - self.cfg.ways.min(64) as u32));
         let mask = if in_range == 0 { u64::MAX } else { way_mask };
-        let victim = ways
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i >= 64 || mask & (1u64 << i) != 0)
-            .min_by_key(|&(_, l)| (l.valid, l.lru))
-            .map(|(i, _)| i)
-            // lint: allow(R1): the mask is never empty after the fixup above
-            .expect("mask selects at least one way");
-        let v = &mut ways[victim];
-        let writeback = if v.valid && v.dirty {
+        let mut victim = 0;
+        let mut lowest = u64::MAX;
+        for (w, &stamp) in self.stamps[base..base + self.cfg.ways].iter().enumerate() {
+            let enabled = w >= 64 || (mask >> w) & 1 != 0;
+            // Every stamp is at most the clock, which never reaches
+            // `u64::MAX`: an enabled way always beats the start value and a
+            // disabled one never does.
+            let key = if enabled { stamp } else { u64::MAX };
+            if key < lowest {
+                lowest = key;
+                victim = w;
+            }
+        }
+        let v = base + victim;
+        // Only a filled way can be dirty.
+        let writeback = if self.dirty[v] {
             self.writebacks += 1;
-            // Reconstruct the victim's address.
-            let line_addr = (v.tag << self.set_mask.count_ones()) | set as u64;
-            Some(line_addr << self.line_shift)
+            // The victim shares `addr`'s set bits.
+            let set_bits = addr & (self.set_mask << self.line_shift);
+            Some((self.tags[v] << self.tag_shift) | set_bits)
         } else {
             None
         };
-        *v = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            lru: self.clock,
-        };
+        self.tags[v] = tag;
+        self.stamps[v] = self.clock;
+        self.dirty[v] = is_write;
         CacheOutcome::Miss { writeback }
     }
 
@@ -198,31 +213,32 @@ impl Cache {
     /// state changes at all and `false`, so the caller can still take the
     /// full [`access`](Self::access) later as if this probe never ran.
     pub fn access_if_hit(&mut self, addr: u64, is_write: bool) -> bool {
-        let (set, tag) = self.set_of(addr);
-        let base = set * self.cfg.ways;
-        let ways = &mut self.lines[base..base + self.cfg.ways];
-        let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) else {
+        let (base, tag) = self.locate(addr);
+        self.touch(base, tag, is_write)
+    }
+
+    /// The hit half of an access: re-stamp and dirty the way holding `tag`
+    /// in the set at `base` and count the hit, or change nothing.
+    fn touch(&mut self, base: usize, tag: u64, is_write: bool) -> bool {
+        let Some(w) = self.way_of(base, tag) else {
             return false;
         };
         self.clock += 1;
-        line.lru = self.clock;
-        line.dirty |= is_write;
+        self.stamps[base + w] = self.clock;
+        self.dirty[base + w] |= is_write;
         self.hits += 1;
         true
     }
 
     /// Probe without modifying state (diagnostics).
     pub fn contains(&self, addr: u64) -> bool {
-        let (set, tag) = self.set_of(addr);
-        let base = set * self.cfg.ways;
-        self.lines[base..base + self.cfg.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        let (base, tag) = self.locate(addr);
+        self.way_of(base, tag).is_some()
     }
 
     /// Number of valid lines (diagnostics / capacity invariants).
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.stamps.iter().filter(|&&stamp| stamp != 0).count()
     }
 
     /// Miss rate so far.

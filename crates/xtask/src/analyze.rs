@@ -136,14 +136,28 @@ const SOA_HOT_FNS: [&str; 7] = [
     "quiesce_at",
 ];
 
+/// The cache's per-access surface (`crates/cmp/src/cache.rs`): every
+/// simulated memory instruction probes L1 through `access_if_hit`, and
+/// L2 and the LLC fill through `access_masked`. `Cache::new` sizes the
+/// tag, stamp and dirty lanes once; an access must never grow them.
+const CACHE_HOT_FNS: [&str; 2] = ["access_masked", "access_if_hit"];
+
+/// Files whose named fns are stack-only by contract, so they get the
+/// [`HotOrigin::Strict`] origin.
+const STRICT_HOT_FNS: [(&str, &[&str]); 2] = [
+    ("crates/dram/src/soa.rs", &SOA_HOT_FNS),
+    ("crates/cmp/src/cache.rs", &CACHE_HOT_FNS),
+];
+
 #[derive(Clone, Copy, PartialEq)]
 enum HotOrigin {
     /// [`HOT_FNS`] in `crates/dram` and `crates/mc`, and [`CMP_HOT_FNS`]
     /// in `crates/cmp`: allocation, locking, blocking and registry
     /// resolution at any depth; container growth exempt.
     Sim,
-    /// [`SOA_HOT_FNS`] in the SoA core: every danger, growth included.
-    Soa,
+    /// [`STRICT_HOT_FNS`] (the SoA core and the cache lanes): every
+    /// danger, growth included.
+    Strict,
 }
 
 fn rule_a1(ws: &Workspace, g: &CallGraph, files: &[&SourceFile]) -> Vec<Finding> {
@@ -157,15 +171,18 @@ fn rule_a1(ws: &Workspace, g: &CallGraph, files: &[&SourceFile]) -> Vec<Finding>
             } else {
                 &[]
             };
-        let soa_scope = file.path == "crates/dram/src/soa.rs";
+        let strict_fns: &[&str] = STRICT_HOT_FNS
+            .iter()
+            .find(|(path, _)| file.path == *path)
+            .map_or(&[], |(_, fns)| fns);
         for (fj, f) in file.fns.iter().enumerate() {
             if f.in_test {
                 continue;
             }
             let Some(node) = g.node(fi, fj) else { continue };
-            // A soa.rs fn named in both lists gets the stricter SoA origin.
-            if soa_scope && SOA_HOT_FNS.contains(&f.name.as_str()) {
-                origins.push((node, HotOrigin::Soa));
+            // A fn named in both lists gets the strict origin.
+            if strict_fns.contains(&f.name.as_str()) {
+                origins.push((node, HotOrigin::Strict));
             } else if hot_fns.contains(&f.name.as_str()) {
                 origins.push((node, HotOrigin::Sim));
             }
@@ -180,7 +197,7 @@ fn rule_a1(ws: &Workspace, g: &CallGraph, files: &[&SourceFile]) -> Vec<Finding>
         for &n in &reach.order {
             let (fi, fj) = g.nodes[n];
             for danger in &ws.files[fi].fns[fj].dangers {
-                let flagged = kind == HotOrigin::Soa || danger.kind != DangerKind::AllocGrow;
+                let flagged = kind == HotOrigin::Strict || danger.kind != DangerKind::AllocGrow;
                 if !flagged || !seen.insert((fi, danger.span.0, danger.span.1)) {
                     continue;
                 }
@@ -740,7 +757,7 @@ impl ChannelTiming {
     }
 }
 "#;
-        // `probe` is in both hot lists; the SoA origin also flags growth,
+        // `probe` is in both hot lists; the strict origin also flags growth,
         // and macro arguments are scanned too.
         let r = report_for(&[("crates/dram/src/soa.rs", src)]);
         let lines: Vec<usize> = active(&r).iter().map(|f| f.line).collect();

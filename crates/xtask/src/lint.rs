@@ -305,20 +305,23 @@ impl Rule {
                  The simulator's per-cycle functions (tick/step/issue/sched_probe/\n\
                  probe/… in crates/dram and crates/mc), the CMP run loop\n\
                  (run_exact/run_ahead/step_from/step_llc and the cache\n\
-                 access/access_if_hit in crates/cmp)\n\
-                 and the SoA timing core's per-tick surface (bank_earliest/grid_clear/\n\
-                 raw_probe/… in crates/dram/src/soa.rs) run millions of times per\n\
-                 simulated second. From each hot fn, its own body and every function\n\
-                 reachable within 8 call hops is scanned for danger sites — fresh\n\
-                 allocation (Vec::new, vec![], collect, with_capacity, Box::new, …),\n\
-                 lock acquisition, blocking calls (sleep, recv, wait) and per-event\n\
-                 metrics-registry resolution (.counter()/.gauge()/.histogram(), which\n\
-                 hash a name and take the registry's lock; pre-resolve handles at\n\
-                 attach time and touch them through the zero-cost obs_*! macros).\n\
+                 access/access_if_hit in crates/cmp), the SoA timing core's per-tick\n\
+                 surface (bank_earliest/grid_clear/raw_probe/… in\n\
+                 crates/dram/src/soa.rs) and the cache lanes' per-access surface\n\
+                 (access_masked/access_if_hit in crates/cmp/src/cache.rs) run\n\
+                 millions of times per simulated second. From each hot fn, its own\n\
+                 body and every function reachable within 8 call hops is scanned for\n\
+                 danger sites — fresh allocation (Vec::new, vec![], collect,\n\
+                 with_capacity, Box::new, …), lock acquisition, blocking calls\n\
+                 (sleep, recv, wait) and per-event metrics-registry resolution\n\
+                 (.counter()/.gauge()/.histogram(), which hash a name and take the\n\
+                 registry's lock; pre-resolve handles at attach time and touch them\n\
+                 through the zero-cost obs_*! macros).\n\
                  Container *growth* (.push, .extend, .reserve) is only flagged for the\n\
-                 SoA core, which is stack-only by contract — amortized growth of\n\
-                 caller-owned scratch is the honest idiom elsewhere (that is what\n\
-                 enqueue is for).\n\
+                 SoA core and the cache lanes, which are stack-only by contract\n\
+                 (Cache::new sizes the lanes; an access never grows them) — amortized\n\
+                 growth of caller-owned scratch is the honest idiom elsewhere (that is\n\
+                 what enqueue is for).\n\
                  \n\
                  The finding is anchored at the danger site and reports the full call\n\
                  path from the hot fn, so the fix target is visible: hoist the\n\

@@ -95,6 +95,39 @@ pub fn run_ahead(from: u64) -> Vec<u64> {
     assert!(!stdout.contains("crates/demo/src/lib.rs"), "{stdout}");
 }
 
+/// The cache lanes are stack-only: growing a container inside
+/// `access_if_hit` in `crates/cmp/src/cache.rs` fails, while the same
+/// `.push` in another cmp file's `access_if_hit` is amortized scratch
+/// growth, which the run-loop origin exempts.
+#[test]
+fn a1_cache_access_must_not_grow_containers() {
+    let root = fixture_root("bwpart-analyze-a1-cache");
+    let src = r#"
+pub struct Cache {
+    touched: Vec<u64>,
+}
+impl Cache {
+    pub fn access_if_hit(&mut self, addr: u64) -> bool {
+        self.touched.push(addr);
+        true
+    }
+}
+"#;
+    write(&root, "crates/cmp/src/cache.rs", src);
+    write(&root, "crates/cmp/src/probe.rs", src);
+    let (ok, stdout) = run_lint(&root, &[]);
+    assert!(!ok, "growth in a cache access must fail:\n{stdout}");
+    assert_eq!(
+        stdout.matches("[A1]").count(),
+        1,
+        "only cache.rs may be flagged:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("crates/cmp/src/cache.rs:7") && stdout.contains("access_if_hit"),
+        "{stdout}"
+    );
+}
+
 /// A2: a pub share-vector producer whose certification lives in a callee
 /// passes; one with no reachable certification fails.
 #[test]
