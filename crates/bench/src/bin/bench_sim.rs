@@ -116,6 +116,12 @@ fn main() -> ExitCode {
         report.cache.llc_masked_miss_ns_per_access
     );
     println!(
+        "  probe: cached {:.2} ns, refold {:.2} ns, refill {:.2} ns per sched_probe",
+        report.probe.cached_ns_per_probe,
+        report.probe.refold_ns_per_probe,
+        report.probe.refill_ns_per_probe
+    );
+    println!(
         "  obs guardrail: detached {:.3} ms, attached {:.3} ms, overhead {:+.2}% (budget {:.0}%)",
         report.obs.detached_wall_ms,
         report.obs.attached_wall_ms,

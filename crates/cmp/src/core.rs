@@ -20,6 +20,7 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
+use bwpart_core::Divider;
 use bwpart_mc::{MemRequest, MemoryController};
 
 use crate::cache::{Cache, CacheConfig, CacheOutcome};
@@ -41,10 +42,26 @@ pub struct Access {
 /// An application's dynamic instruction stream.
 ///
 /// Implementations must be deterministic for a given construction seed; the
-/// simulator's reproducibility rests on it.
+/// simulator's reproducibility rests on it. A stream must also not depend
+/// on *when* it is read: a [`Core`] reads its workload ahead of execution,
+/// [`RING_LEN`] accesses at a time, so an access may be generated up to
+/// that many accesses before the core consumes it, and accesses generated
+/// near the end of a run may never be consumed.
 pub trait Workload {
     /// Produce the next access (streams are infinite; generators wrap).
     fn next_access(&mut self) -> Access;
+
+    /// Fill `out` with the next `out.len()` accesses, in stream order —
+    /// exactly what as many [`next_access`](Self::next_access) calls
+    /// would return. The provided body is compiled once per
+    /// implementation, so its `next_access` calls are direct (and
+    /// inlinable) even when the workload is a `dyn Workload`: a core pays
+    /// one dynamic call per refill of its ring instead of one per access.
+    fn fill(&mut self, out: &mut [Access]) {
+        for a in out {
+            *a = self.next_access();
+        }
+    }
 
     /// Identifier used in reports.
     fn name(&self) -> &str {
@@ -115,13 +132,25 @@ pub(crate) struct CoreClock {
     pub(crate) blocked: bool,
 }
 
+/// How many accesses a [`Core`] reads from its workload at a time (one
+/// [`Workload::fill`] call per refill of its ring).
+pub const RING_LEN: usize = 32;
+
 /// One core with its private cache hierarchy and workload.
 pub struct Core {
     app: usize,
     cfg: CoreConfig,
+    /// Divides by `cfg.width`: the pure-gap cycles of
+    /// [`run_ahead`](Self::run_ahead).
+    width_div: Divider,
     l1: Cache,
     l2: Cache,
     workload: Box<dyn Workload>,
+    /// The workload's next accesses, read ahead [`RING_LEN`] at a time.
+    ring: [Access; RING_LEN],
+    /// Index in `ring` of the access after `current`; `RING_LEN` once the
+    /// ring is consumed and due for a refill.
+    ring_pos: usize,
     /// Physical base of this application's DRAM region.
     app_base: u64,
     /// Mask confining workload addresses to the region.
@@ -158,14 +187,23 @@ impl Core {
             "region must be a power of two"
         );
         assert!(cfg.width >= 1 && cfg.mshrs >= 1 && cfg.rob_window >= 1);
-        let current = workload.next_access();
+        let mut ring = [Access {
+            gap: 0,
+            addr: 0,
+            is_write: false,
+        }; RING_LEN];
+        workload.fill(&mut ring);
+        let current = ring[0];
         let gap_left = current.gap;
         Core {
             app,
             cfg,
+            width_div: Divider::new(u64::from(cfg.width)),
             l1: Cache::new(l1),
             l2: Cache::new(l2),
             workload,
+            ring,
+            ring_pos: 1,
             app_base,
             region_mask: region_bytes - 1,
             current,
@@ -223,9 +261,15 @@ impl Core {
         false
     }
 
-    /// Advance the next access from the workload.
+    /// Advance to the workload's next access, refilling the ring once it
+    /// is consumed.
     fn fetch_next(&mut self) {
-        self.current = self.workload.next_access();
+        if self.ring_pos == RING_LEN {
+            self.workload.fill(&mut self.ring);
+            self.ring_pos = 0;
+        }
+        self.current = self.ring[self.ring_pos];
+        self.ring_pos += 1;
         self.gap_left = self.current.gap;
     }
 
@@ -304,7 +348,7 @@ impl Core {
             }
             // Pure-gap cycles retire `width` non-memory instructions each
             // and never reach the memory instruction.
-            let pure = u64::from(self.gap_left / width).min(limit - now);
+            let pure = (u64::from(self.gap_left) / self.width_div).min(limit - now);
             if pure > 0 {
                 let instrs = pure * u64::from(width);
                 self.gap_left -= instrs as u32;

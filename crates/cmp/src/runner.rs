@@ -567,7 +567,9 @@ mod tests {
     }
 
     /// `heavy` for its first `left` accesses, silent after; `issued`
-    /// counts every access it hands out.
+    /// counts every access it generates. A core reads its workload ahead,
+    /// up to `RING_LEN` accesses before it consumes them, so `issued` runs
+    /// that far ahead of the accesses the core has executed.
     struct Fading {
         inner: Synthetic,
         left: u64,
@@ -798,7 +800,7 @@ mod tests {
                 issued: issued.clone(),
             })
         };
-        // Calibrate: accesses issued through warm-up and profile.
+        // Calibrate: accesses generated through warm-up and profile.
         let issued = std::rc::Rc::new(std::cell::Cell::new(0));
         let mut r = runner();
         r.phases.measure = 0;

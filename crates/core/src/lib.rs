@@ -60,6 +60,9 @@
 //! * [`mrc`] — fitted miss-ratio curves making `APC_alone(w)` a function
 //!   of allocated LLC ways ([`CacheAwareProfile`]).
 //! * [`coord`] — the coordinated (bandwidth × LLC ways) solver.
+//! * [`divider`] — exact division by a divisor fixed at construction
+//!   ([`Divider`]), which the simulator's per-event grid, refresh, issue
+//!   and draw arithmetic shares.
 //!
 //! ## Quick example
 //!
@@ -92,6 +95,7 @@ pub mod app;
 pub mod closed_form;
 pub mod contracts;
 pub mod coord;
+pub mod divider;
 pub mod error;
 pub mod metrics;
 pub mod mrc;
@@ -104,6 +108,7 @@ pub mod weighted;
 
 pub use app::AppProfile;
 pub use coord::{solve_coordinated, solve_coordinated_scaled, CoordConfig, CoordOutcome};
+pub use divider::Divider;
 pub use error::ModelError;
 pub use metrics::Metric;
 pub use mrc::{CacheAwareProfile, MissRatioCurve};

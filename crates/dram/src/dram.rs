@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use crate::address::{AddressMapper, Location};
 use crate::config::DramConfig;
 use crate::obs::DramObsHooks;
-use crate::soa::{AccessKind, ChannelCore, ChannelProbe, Timings, NO_OWNER};
+use crate::soa::{AccessKind, BlockReason, ChannelCore, ChannelProbe, Fold, Timings, NO_OWNER};
 use crate::stats::DramStats;
 
 /// One line-granular memory transaction presented by the controller.
@@ -49,6 +49,13 @@ pub struct Completion {
 /// each DRAM clock; while a channel is stalled, the per-slot test
 /// collapses to three integer compares.
 ///
+/// The cache also keeps the request's decoded location and the
+/// bank-and-rank part of its raw fold. When the version has moved but the
+/// commits since touched neither the request's bank nor its rank's ACT
+/// window or refreshes (the channel's per-bank and per-rank stamps say
+/// so), only the data-bus and command-slot bounds are refolded, and the
+/// start is realigned only if the raw bound moved.
+///
 /// `version == 0` marks an empty cache (live channel versions start at 1),
 /// so `Default` — also what a deserialized queue slot gets — is always a
 /// miss.
@@ -57,11 +64,16 @@ pub struct ProbeCache {
     version: u64,
     channel: u32,
     rank: u32,
+    bank: u32,
+    /// The decoded row, as the `u32` the channel's open-row lane compares.
+    row: u32,
+    /// Bank-and-rank part of the raw fold from cycle 0 (it carries the
+    /// access kind).
+    bank_rank: Fold,
     /// Raw (unaligned, refresh-unaware) fold of the timing lower bounds.
     raw: u64,
     /// Final start: `raw` pushed onto the clock grid and out of blackouts.
     start: u64,
-    kind: AccessKind,
     /// Sentinel-encoded owner of the dominating constraint at `raw`.
     blocker: u32,
     /// Whether a refresh blackout moved `start` past the aligned `raw`.
@@ -74,9 +86,16 @@ impl Default for ProbeCache {
             version: 0,
             channel: 0,
             rank: 0,
+            bank: 0,
+            row: 0,
+            bank_rank: Fold {
+                start: 0,
+                reason: BlockReason::Bank,
+                blocker: NO_OWNER,
+                kind: AccessKind::RowMiss,
+            },
             raw: 0,
             start: 0,
-            kind: AccessKind::RowMiss,
             blocker: NO_OWNER,
             refreshed: false,
         }
@@ -209,6 +228,7 @@ impl DramSystem {
         now: u64,
         cache: &ProbeCache,
     ) -> SchedProbe {
+        let kind = cache.bank_rank.kind;
         if now < cache.raw {
             let head_blocker = if cache.refreshed || cache.blocker == NO_OWNER {
                 None
@@ -217,39 +237,39 @@ impl DramSystem {
             };
             SchedProbe {
                 issuable: false,
-                kind: cache.kind,
+                kind,
                 head_blocker,
             }
         } else {
             SchedProbe {
                 issuable: now >= cache.start && core.grid_clear(cache.rank as usize, now),
-                kind: cache.kind,
+                kind,
                 head_blocker: None,
             }
         }
     }
 
-    /// Fill `cache` from a fresh `now`-independent probe of `txn`'s channel.
-    fn fill_cache(&self, txn: &MemTransaction, cache: &mut ProbeCache) -> &ChannelCore {
-        let loc = self.decode(txn.addr);
-        let core = &self.channels[loc.channel];
-        // Fold from cycle 0: every lower bound is a pure function of
-        // committed state, so the raw fold, the aligned start, and the
-        // dominating owner are valid for *any* probed `now` (see
-        // `cached_answer` for the regime split).
-        let (raw, _, blocker, kind) = core.raw_probe(loc.rank, loc.bank, loc.row, txn.is_write, 0);
-        let (start, refreshed) = core.align_and_avoid_refresh(loc.rank, raw);
-        *cache = ProbeCache {
-            version: core.version(),
-            channel: loc.channel as u32,
-            rank: loc.rank as u32,
-            raw,
-            start,
-            kind,
-            blocker: blocker.map_or(NO_OWNER, |b| b as u32),
-            refreshed,
-        };
-        core
+    /// Bring `cache` up to `core`'s version: recompute the bank-and-rank
+    /// fold (from cycle 0, so it holds for any probed `now`; see
+    /// `cached_answer` for the regime split) unless the stamps show it is
+    /// still exact, refold the bus part over it, and realign the start only
+    /// when the raw bound moved (alignment and refresh avoidance are pure
+    /// functions of the rank and the raw bound). `fresh` forces the
+    /// recompute for a cache that holds no fold yet.
+    fn refold_cache(core: &ChannelCore, is_write: bool, fresh: bool, cache: &mut ProbeCache) {
+        let (rank, bank) = (cache.rank as usize, cache.bank as usize);
+        if fresh || !core.bank_rank_unchanged_since(rank, bank, cache.version) {
+            cache.bank_rank = core.bank_rank_fold(rank, bank, cache.row as usize, 0);
+        }
+        let fold = core.bus_fold(cache.bank_rank, is_write);
+        if fresh || fold.start != cache.raw {
+            let (start, refreshed) = core.align_and_avoid_refresh(rank, fold.start);
+            cache.start = start;
+            cache.refreshed = refreshed;
+        }
+        cache.raw = fold.start;
+        cache.blocker = fold.blocker;
+        cache.version = core.version();
     }
 
     /// Cached scheduling probe: semantically identical to
@@ -258,22 +278,28 @@ impl DramSystem {
     /// of integer compares while `txn`'s channel has not committed
     /// anything since the cache was filled. A bound past `now` in the
     /// cached raw fold rejects without aligning or scanning refreshes. On
-    /// a version miss the probe is recomputed once and the cache refilled;
-    /// the cache is transparent — answers never depend on whether it was
-    /// hit.
+    /// a version miss the bus part of the fold is redone over the cached
+    /// bank-and-rank part, which is itself recomputed only when a commit
+    /// or refresh touched the request's bank or rank; the cache is
+    /// transparent — answers never depend on whether or how it was hit.
     pub fn sched_probe(
         &self,
         txn: &MemTransaction,
         now: u64,
         cache: &mut ProbeCache,
     ) -> SchedProbe {
-        if cache.version != 0 {
-            let core = &self.channels[cache.channel as usize];
-            if core.version() == cache.version {
-                return Self::cached_answer(core, txn, now, cache);
-            }
+        let fresh = cache.version == 0;
+        if fresh {
+            let loc = self.decode(txn.addr);
+            cache.channel = loc.channel as u32;
+            cache.rank = loc.rank as u32;
+            cache.bank = loc.bank as u32;
+            cache.row = loc.row as u32;
         }
-        let core = self.fill_cache(txn, cache);
+        let core = &self.channels[cache.channel as usize];
+        if core.version() != cache.version {
+            Self::refold_cache(core, txn.is_write, fresh, cache);
+        }
         Self::cached_answer(core, txn, now, cache)
     }
 
@@ -345,7 +371,6 @@ impl DramSystem {
 mod tests {
     use super::*;
     use crate::config::PagePolicy;
-    use crate::soa::BlockReason;
 
     fn sys() -> DramSystem {
         let mut s = DramSystem::new(DramConfig::ddr2_400());
@@ -613,37 +638,60 @@ mod tests {
         }
     }
 
-    /// The cached scheduling probe must answer exactly like the uncached
-    /// `probe` (and `blocking_app` over it) at every cycle — including
-    /// off-grid cycles, refresh blackouts, and across cache invalidations —
-    /// whether the cache is hot, cold, or stale.
-    #[test]
-    fn sched_probe_matches_uncached_probe() {
-        let mut s = sys();
-        let mut state = 0xC0FFEEu64;
+    /// The nearest other line to `addr` (in 64-byte steps, the later one
+    /// first) whose location satisfies `want`.
+    fn neighbor(s: &DramSystem, addr: u64, want: impl Fn(&Location) -> bool) -> u64 {
+        (1..=1u64 << 16)
+            .flat_map(|k| [addr.checked_add(k * 64), addr.checked_sub(k * 64)])
+            .flatten()
+            .find(|&a| want(&s.decode(a)))
+            .expect("a matching line within 4 MB")
+    }
+
+    /// Drive `cfg` with random traffic and check every cached answer
+    /// against the uncached `probe` (and `blocking_app` over it) at every
+    /// probed cycle. Returns how many version misses were answered by a
+    /// stamp-matched refold and how many by a full refill.
+    fn check_sched_probe(cfg: DramConfig, seed: u64) -> (u64, u64) {
+        let mut s = DramSystem::new(cfg);
+        s.set_app_count(4);
+        let trefi = s.timings().trefi;
+        let mut state = seed;
         let mut rng = move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
         };
+        let random_txn = |rng: &mut dyn FnMut() -> u64| MemTransaction {
+            app: (rng() % 4) as usize,
+            addr: (rng() % (1 << 24)) & !63,
+            is_write: rng().is_multiple_of(4),
+        };
         let mut pending: Vec<(MemTransaction, ProbeCache)> = (0..12)
-            .map(|i| {
-                (
-                    MemTransaction {
-                        app: (i % 4) as usize,
-                        addr: (rng() % (1 << 24)) & !63,
-                        is_write: rng() % 4 == 0,
-                    },
-                    ProbeCache::default(),
-                )
-            })
+            .map(|_| (random_txn(&mut rng), ProbeCache::default()))
             .collect();
+        let (mut refolds, mut refills) = (0, 0);
         let mut now = 0u64;
         for step in 0..4000u64 {
-            // Deliberately hit off-grid cycles too.
-            now += 1 + rng() % 40;
+            // Deliberately hit off-grid cycles too, and now and then jump
+            // a third of a refresh interval or more, so the next issue
+            // lands after blackouts the rank has not applied yet.
+            now += if rng() % 40 == 0 {
+                trefi / 3 + rng() % trefi
+            } else {
+                1 + rng() % 40
+            };
             for (txn, cache) in &mut pending {
+                let core = &s.channels[cache.channel as usize];
+                if cache.version != 0 && core.version() != cache.version {
+                    let (rank, bank) = (cache.rank as usize, cache.bank as usize);
+                    if core.bank_rank_unchanged_since(rank, bank, cache.version) {
+                        refolds += 1;
+                    } else {
+                        refills += 1;
+                    }
+                }
                 let want = s.probe(txn, now);
                 let want_issuable = want.start <= now;
                 let want_blocker = blocking_app(&s, txn, now);
@@ -655,23 +703,70 @@ mod tests {
                     assert_eq!(got.head_blocker, want_blocker, "blocker at {now}");
                 }
             }
-            // Occasionally issue something to mutate channel state (and
-            // invalidate caches), occasionally swap a request.
+            // Every third step, issue a pending request at its earliest
+            // start to mutate channel state (and invalidate caches). Its
+            // slot then takes a request to the same rank but another bank,
+            // and another slot one to the same row (a row hit under open
+            // page), so cached bank-and-rank folds of the committed rank
+            // stay queued.
             if step % 3 == 0 {
-                if let Some((txn, _)) = pending.iter().find(|(t, _)| issuable(&s, t, now)) {
-                    let txn = *txn;
-                    s.issue(&txn, now);
-                }
+                let i = (rng() % pending.len() as u64) as usize;
+                let txn = pending[i].0;
+                now = s.probe(&txn, now).start;
+                s.issue(&txn, now);
+                let at = s.decode(txn.addr);
+                let other_bank = neighbor(&s, txn.addr, |l| {
+                    (l.channel, l.rank) == (at.channel, at.rank) && l.bank != at.bank
+                });
+                let same_row = neighbor(&s, txn.addr, |l| {
+                    (l.channel, l.rank, l.bank, l.row) == (at.channel, at.rank, at.bank, at.row)
+                });
+                let j = (i + 1 + (rng() % 11) as usize) % pending.len();
+                pending[i] = (
+                    MemTransaction {
+                        addr: other_bank,
+                        ..txn
+                    },
+                    ProbeCache::default(),
+                );
+                pending[j] = (
+                    MemTransaction {
+                        addr: same_row,
+                        ..txn
+                    },
+                    ProbeCache::default(),
+                );
             }
             if step % 7 == 0 {
                 let i = (rng() % pending.len() as u64) as usize;
-                pending[i] = (
-                    MemTransaction {
-                        app: (rng() % 4) as usize,
-                        addr: (rng() % (1 << 24)) & !63,
-                        is_write: rng() % 4 == 0,
-                    },
-                    ProbeCache::default(),
+                pending[i] = (random_txn(&mut rng), ProbeCache::default());
+            }
+        }
+        (refolds, refills)
+    }
+
+    /// The cached scheduling probe must answer exactly like the uncached
+    /// `probe` (and `blocking_app` over it) at every cycle — including
+    /// off-grid cycles, refresh blackouts, and across cache invalidations —
+    /// whether the cache is hot, cold, refolded over its cached
+    /// bank-and-rank part, or refilled: under both page policies, at
+    /// DDR2-400 and DDR2-1600.
+    #[test]
+    fn sched_probe_matches_uncached_probe() {
+        for (d, dram) in [DramConfig::ddr2_400(), DramConfig::ddr2_1600()]
+            .into_iter()
+            .enumerate()
+        {
+            for page_policy in [PagePolicy::ClosePage, PagePolicy::OpenPage] {
+                let cfg = DramConfig {
+                    page_policy,
+                    ..dram.clone()
+                };
+                let seed = 0xC0FFEE + d as u64 * 2 + u64::from(page_policy == PagePolicy::OpenPage);
+                let (refolds, refills) = check_sched_probe(cfg, seed);
+                assert!(
+                    refolds > 1000 && refills > 1000,
+                    "{d} {page_policy:?}: {refolds} refolds, {refills} refills"
                 );
             }
         }

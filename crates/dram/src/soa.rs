@@ -26,28 +26,45 @@
 //! pre_ready  : [u64; banks]   earliest PRE          ┐ the "wheels" a
 //! act_ready  : [u64; banks]   earliest ACT          │ probe reads; one
 //! cas_ready  : [u64; banks]   earliest CAS          ┘ per command class
+//! bank_floor : [u64; banks]   min of the three wheels
 //! busy_until : [u64; banks]   committed-work horizon (quiesce)
 //! last_owner : [u32; banks]   interference owner, NO_OWNER when idle
+//! bank_stamp : [u64; banks]   version of the bank's last lane change
 //! act_ring   : [u64; ranks*4] tFAW ring of the 4 most recent ACTs
+//! rank_stamp : [u64; ranks]   version of the rank's last ring change
+//!                             or refresh application
 //! ```
 //!
 //! Per-bank probes touch exactly the lanes they need, a whole-channel scan
-//! ([`ChannelCore::channel_floor`]) is one linear pass, and the rank/bus
-//! scalars live in the same cache-friendly block. The object-per-bank
-//! model this layout replaced is the oracle of `tests/soa_equivalence.rs`
-//! and lives in that file, as `run_per_cycle` anchors the per-core clocks.
+//! ([`ChannelCore::channel_floor`]) is one linear pass over `bank_floor`,
+//! and the rank/bus scalars live in the same cache-friendly block. The
+//! object-per-bank model this layout replaced is the oracle of
+//! `tests/soa_equivalence.rs` and lives in that file, as `run_per_cycle`
+//! anchors the per-core clocks.
 //!
 //! The core also maintains a monotone **version** counter, bumped on every
-//! state mutation ([`commit`](ChannelCore::commit)). Because probes are
-//! pure functions of `(committed state, request, now)`, a cached probe
-//! result tagged with the version stays valid until the version moves —
-//! the basis of the controller-side `ProbeCache` (see
-//! [`crate::dram::DramSystem::sched_probe`]).
+//! state mutation ([`commit`](ChannelCore::commit), and the lazy refresh
+//! application inside it). Because probes are pure functions of
+//! `(committed state, request, now)`, a cached probe result tagged with
+//! the version stays valid until the version moves — the basis of the
+//! controller-side `ProbeCache` (see
+//! [`crate::dram::DramSystem::sched_probe`]). A probe's raw fold splits in
+//! two: the bank-and-rank part reads one bank's lanes and its rank's ACT
+//! ring, the bus part only channel scalars. Each mutation writes the new
+//! version into the stamp of every bank and rank whose lanes it changed,
+//! so a bank-and-rank part computed at version `v` is still exact while
+//! its bank's and rank's stamps are at most `v`, and a version miss only
+//! refolds the bus part.
+//!
+//! Every division by the command-clock period or the refresh interval goes
+//! through a precomputed [`Divider`] (one multiply instead of a hardware
+//! divide; exact for every `u64` numerator).
 //!
 //! Hot functions in this module are subject to lint rule **A1**: no heap
 //! allocation and no `Vec::push` — state is sized once at construction and
 //! only ever indexed thereafter.
 
+use bwpart_core::Divider;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{DramConfig, PagePolicy};
@@ -164,14 +181,27 @@ pub const NO_ROW: u32 = u32::MAX;
 /// Sentinel in the flat owner arrays: no application owns the resource.
 pub const NO_OWNER: u32 = u32::MAX;
 
-/// `n / d` taking the much cheaper 32-bit hardware divide when both
-/// operands fit (they do for every realistic cycle count; the u64 path is
-/// the correctness fallback for extremely long runs).
-#[inline]
-pub(crate) fn fast_div(n: u64, d: u64) -> u64 {
-    match (u32::try_from(n), u32::try_from(d)) {
-        (Ok(n32), Ok(d32)) => u64::from(n32 / d32),
-        _ => n / d,
+/// A running fold of lower bounds on a transaction's start: the dominating
+/// bound, the reason and sentinel-encoded owner of the first bound that
+/// reached it, and the command structure the bank decided. Bounds are
+/// raised in the documented precedence order (bank, rank ACT windows, data
+/// bus, command slot); a later bound wins only when strictly larger.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Fold {
+    pub(crate) start: u64,
+    pub(crate) reason: BlockReason,
+    pub(crate) blocker: u32,
+    pub(crate) kind: AccessKind,
+}
+
+impl Fold {
+    #[inline]
+    fn raise(&mut self, lb: u64, reason: BlockReason, owner: u32) {
+        if lb > self.start {
+            self.start = lb;
+            self.reason = reason;
+            self.blocker = owner;
+        }
     }
 }
 
@@ -199,8 +229,12 @@ pub struct ChannelCore {
     pre_ready: Vec<u64>,
     act_ready: Vec<u64>,
     cas_ready: Vec<u64>,
+    /// `min(pre_ready, act_ready, cas_ready)`, written wherever those are.
+    bank_floor: Vec<u64>,
     busy_until: Vec<u64>,
     last_owner: Vec<u32>,
+    /// Version of the last change to the bank's lanes (see the module docs).
+    bank_stamp: Vec<u64>,
     // ---- per-rank tFAW activation rings (4 fixed slots per rank) ----
     act_ring: Vec<u64>,
     ring_len: Vec<u8>,
@@ -208,6 +242,9 @@ pub struct ChannelCore {
     /// the ring is full, the most recent at `(pos + 3) & 3`.
     ring_pos: Vec<u8>,
     rank_act_owner: Vec<u32>,
+    /// Version of the last change to the rank's ACT ring, or of the last
+    /// refresh applied to its banks.
+    rank_stamp: Vec<u64>,
     // ---- channel-level scalars ----
     /// Cycle at which the data bus becomes free.
     bus_free: u64,
@@ -226,9 +263,14 @@ pub struct ChannelCore {
     /// Per-rank refresh stagger offset, precomputed at construction
     /// (`(2·rank + 1)·tREFI / (2·ranks)`).
     refresh_phase: Vec<u64>,
-    /// Monotone mutation counter; bumped by every [`commit`](Self::commit).
-    /// Starts at 1 so a zeroed cache tag is always invalid.
+    /// Monotone mutation counter; bumped by every [`commit`](Self::commit)
+    /// and every refresh application. Starts at 1 so a zeroed cache tag is
+    /// always invalid.
     version: u64,
+    /// Divides by `t.tck`: command-clock grid alignment.
+    tck_div: Divider,
+    /// Divides by `t.trefi`: refresh-slot lookup.
+    trefi_div: Divider,
 }
 
 impl ChannelCore {
@@ -246,12 +288,15 @@ impl ChannelCore {
             pre_ready: vec![0; banks],
             act_ready: vec![0; banks],
             cas_ready: vec![u64::MAX; banks],
+            bank_floor: vec![0; banks],
             busy_until: vec![0; banks],
             last_owner: vec![NO_OWNER; banks],
+            bank_stamp: vec![0; banks],
             act_ring: vec![0; cfg.ranks * 4],
             ring_len: vec![0; cfg.ranks],
             ring_pos: vec![0; cfg.ranks],
             rank_act_owner: vec![NO_OWNER; cfg.ranks],
+            rank_stamp: vec![0; cfg.ranks],
             bus_free: 0,
             bus_owner: NO_OWNER,
             bus_last_write: false,
@@ -262,6 +307,8 @@ impl ChannelCore {
                 .map(|r| (2 * r + 1) * t.trefi / (2 * cfg.ranks as u64))
                 .collect(),
             version: 1,
+            tck_div: Divider::new(t.tck),
+            trefi_div: Divider::new(t.trefi),
         }
     }
 
@@ -302,8 +349,7 @@ impl ChannelCore {
     /// Align `cycle` up to the DRAM command-clock grid.
     #[inline]
     fn align_up(&self, cycle: u64) -> u64 {
-        let t = self.t.tck;
-        fast_div(cycle + (t - 1), t) * t
+        self.tck_div.div_ceil(cycle) * self.t.tck
     }
 
     /// The refresh blackout window `[start, end)` that covers or precedes
@@ -314,7 +360,7 @@ impl ChannelCore {
         if cycle < phase {
             return (0, 0); // before the first refresh of this rank
         }
-        let k = fast_div(cycle - phase, self.t.trefi);
+        let k = (cycle - phase) / self.trefi_div;
         let start = phase + k * self.t.trefi;
         (start, start + self.t.trfc)
     }
@@ -337,11 +383,12 @@ impl ChannelCore {
     /// adjustments, and both depend only on `now`, not on bank state).
     #[inline]
     pub fn grid_clear(&self, rank: usize, now: u64) -> bool {
-        now.is_multiple_of(self.t.tck) && self.avoid_blackout(rank, now) == now
+        now % self.tck_div == 0 && self.avoid_blackout(rank, now) == now
     }
 
     /// Lazily apply refresh effects (row closure, bank busy) for blackouts
-    /// that began before `upto`.
+    /// that began before `upto`. Changes every bank lane of the rank, so it
+    /// moves the version and stamps the rank.
     fn apply_refreshes(&mut self, rank: usize, upto: u64) {
         let (start, end) = self.blackout_before(rank, upto);
         if end > 0 && start >= self.refresh_applied[rank] {
@@ -350,6 +397,11 @@ impl ChannelCore {
                 self.refresh_bank(base + b, end);
             }
             self.refresh_applied[rank] = end;
+            // The commit that applies a refresh stamps the rank again (the
+            // refresh closed its row, so it activates one); stamping here
+            // keeps every lane write stamped where it happens.
+            self.version += 1;
+            self.rank_stamp[rank] = self.version;
         }
     }
 
@@ -361,51 +413,35 @@ impl ChannelCore {
         self.act_ready[idx] = self.act_ready[idx].max(done);
         self.pre_ready[idx] = self.pre_ready[idx].max(done);
         self.cas_ready[idx] = u64::MAX;
+        self.bank_floor[idx] = self.act_ready[idx].min(self.pre_ready[idx]);
         self.busy_until[idx] = self.busy_until[idx].max(done);
     }
 
-    /// Fold every raw (unaligned, refresh-unaware) lower bound on a
-    /// transaction's start into the dominating `(start, reason, blocker)`
-    /// triple, starting from `now`. Shared by [`probe`](Self::probe) and
-    /// the controller's cached probe (`DramSystem::sched_probe`) so the two
-    /// can never diverge.
-    ///
-    /// Whenever the result exceeds `now`, the triple is independent of
-    /// `now` itself (every bound is a pure function of committed state and
-    /// the request) — the property the version-tagged probe cache relies
-    /// on.
-    pub fn raw_probe(
-        &self,
-        rank: usize,
-        bank: usize,
-        row: usize,
-        is_write: bool,
-        now: u64,
-    ) -> (u64, BlockReason, Option<usize>, AccessKind) {
+    /// The bank-and-rank part of the raw fold, starting from `now`: the
+    /// bank's own wheel for the access kind its row state implies, then,
+    /// for an access that activates a row, the rank's tRRD and tFAW
+    /// windows. Reads only bank `(rank, bank)`'s lanes and `rank`'s ACT
+    /// ring, so its result stays exact while
+    /// [`bank_rank_unchanged_since`](Self::bank_rank_unchanged_since)
+    /// holds.
+    #[inline]
+    pub(crate) fn bank_rank_fold(&self, rank: usize, bank: usize, row: usize, now: u64) -> Fold {
         let t = &self.t;
         let idx = self.bank_index(rank, bank);
         let (bank_start, kind) = self.bank_earliest(idx, row);
-        let cas_off = kind.cas_offset(t);
+        let mut fold = Fold {
+            start: now,
+            reason: BlockReason::Bank,
+            blocker: NO_OWNER,
+            kind,
+        };
+        fold.raise(bank_start, BlockReason::Bank, self.last_owner[idx]);
+
         let act_off = match kind {
             AccessKind::RowHit => None,
             AccessKind::RowMiss => Some(0),
             AccessKind::RowConflict => Some(t.trp),
         };
-        let data_off = cas_off + if is_write { t.cwl } else { t.cl };
-
-        // Fold the lower bounds on `start` inline, keeping the dominating
-        // constraint's reason/owner, in the documented precedence order:
-        // bank, rank ACT windows, data bus, command slot.
-        let (mut start, mut reason, mut blocker) = (now, BlockReason::Bank, None);
-        let mut fold = |lb: u64, r: BlockReason, owner: Option<usize>| {
-            if lb > start {
-                start = lb;
-                reason = r;
-                blocker = owner;
-            }
-        };
-        fold(bank_start, BlockReason::Bank, owner(self.last_owner[idx]));
-
         if let Some(aoff) = act_off {
             let len = self.ring_len[rank];
             if len > 0 {
@@ -413,24 +449,32 @@ impl ChannelCore {
                 let pos = self.ring_pos[rank] as usize;
                 // tRRD from the last ACT in this rank.
                 let last = self.act_ring[base + ((pos + 3) & 3)];
-                fold(
+                fold.raise(
                     (last + t.trrd).saturating_sub(aoff),
                     BlockReason::RankAct,
-                    owner(self.rank_act_owner[rank]),
+                    self.rank_act_owner[rank],
                 );
                 // tFAW: the 4th-most-recent ACT gates a 5th.
                 if len >= 4 {
                     let oldest = self.act_ring[base + pos];
-                    fold(
+                    fold.raise(
                         (oldest + t.tfaw).saturating_sub(aoff),
                         BlockReason::RankAct,
-                        owner(self.rank_act_owner[rank]),
+                        self.rank_act_owner[rank],
                     );
                 }
             }
         }
+        fold
+    }
 
-        // Data bus occupancy, with turnaround/rank-switch gaps.
+    /// The bus part of the raw fold: raise `fold` by the data-bus bound
+    /// (occupancy and turnaround, for `fold.kind`'s data offset) and the
+    /// command-slot bound. Reads only channel scalars.
+    #[inline]
+    pub(crate) fn bus_fold(&self, mut fold: Fold, is_write: bool) -> Fold {
+        let t = &self.t;
+        let data_off = fold.kind.cas_offset(t) + if is_write { t.cwl } else { t.cl };
         let mut bus_ready = self.bus_free;
         if self.bus_owner != NO_OWNER {
             if self.bus_last_write && !is_write {
@@ -449,20 +493,46 @@ impl ChannelCore {
             // data (lbm alone reaches 94% of peak) shows their testbed did
             // not pay such a cost.
         }
-        fold(
+        fold.raise(
             bus_ready.saturating_sub(data_off),
             BlockReason::DataBus,
-            owner(self.bus_owner),
+            self.bus_owner,
         );
-
         // Command-slot: one transaction start per DRAM clock.
-        fold(
-            self.cmd_ready,
-            BlockReason::CommandSlot,
-            owner(self.bus_owner),
-        );
+        fold.raise(self.cmd_ready, BlockReason::CommandSlot, self.bus_owner);
+        fold
+    }
 
-        (start, reason, blocker, kind)
+    /// Whether bank `(rank, bank)`'s lanes and `rank`'s ACT ring and
+    /// refresh state are unchanged since the channel was at `version`, so a
+    /// [`bank_rank_fold`](Self::bank_rank_fold) computed then is still
+    /// exact.
+    #[inline]
+    pub(crate) fn bank_rank_unchanged_since(&self, rank: usize, bank: usize, version: u64) -> bool {
+        self.bank_stamp[self.bank_index(rank, bank)] <= version && self.rank_stamp[rank] <= version
+    }
+
+    /// Fold every raw (unaligned, refresh-unaware) lower bound on a
+    /// transaction's start into the dominating `(start, reason, blocker)`
+    /// triple, starting from `now`: the bus part (`bus_fold`) over the
+    /// bank-and-rank part (`bank_rank_fold`), the same two folds the
+    /// controller's cached probe (`DramSystem::sched_probe`) composes, so
+    /// the two can never diverge.
+    ///
+    /// Whenever the result exceeds `now`, the triple is independent of
+    /// `now` itself (every bound is a pure function of committed state and
+    /// the request) — the property the version-tagged probe cache relies
+    /// on.
+    pub fn raw_probe(
+        &self,
+        rank: usize,
+        bank: usize,
+        row: usize,
+        is_write: bool,
+        now: u64,
+    ) -> (u64, BlockReason, Option<usize>, AccessKind) {
+        let fold = self.bus_fold(self.bank_rank_fold(rank, bank, row, now), is_write);
+        (fold.start, fold.reason, owner(fold.blocker), fold.kind)
     }
 
     /// Push `start` onto the command-clock grid and out of refresh
@@ -509,27 +579,21 @@ impl ChannelCore {
     }
 
     /// A channel-wide lower bound on the start cycle of *any* transaction,
-    /// computed in one branch-free pass over the flat bank lanes. Every
+    /// computed in one branch-free pass over the `bank_floor` lane. Every
     /// request's raw probe folds (a) its bank's wheel — at least the
-    /// per-bank minimum of the three wheels, hence at least the channel
-    /// minimum, (b) a data-bus bound of at least `bus_free` minus the
-    /// largest possible data offset, and (c) the command-slot bound; the
-    /// floor is the max of those three universal bounds. Under close page
-    /// every access is a row miss, whose data offset is `tRCD + CL` (or
-    /// `CWL`); open page also allows a conflict's extra `tRP`. While
+    /// per-bank minimum of the three wheels (`bank_floor`), hence at least
+    /// the channel minimum, (b) a data-bus bound of at least `bus_free`
+    /// minus the largest possible data offset, and (c) the command-slot
+    /// bound; the floor is the max of those three universal bounds. Under
+    /// close page every access is a row miss, whose data offset is
+    /// `tRCD + CL` (or `CWL`); open page also allows a conflict's extra
+    /// `tRP`. While
     /// `channel_floor() > now`, no request on this channel can issue and
     /// the controller settles the command clock in closed form. Pure
     /// function of committed state — cache it against
     /// [`version`](Self::version).
     pub fn channel_floor(&self) -> u64 {
-        let n = self.ranks * self.banks_per_rank;
-        let mut bank_min = u64::MAX;
-        for i in 0..n {
-            let m = self.pre_ready[i]
-                .min(self.act_ready[i])
-                .min(self.cas_ready[i]);
-            bank_min = bank_min.min(m);
-        }
+        let bank_min = self.bank_floor.iter().fold(u64::MAX, |m, &f| m.min(f));
         let t = &self.t;
         let slowest = match self.policy {
             PagePolicy::ClosePage => AccessKind::RowMiss,
@@ -583,6 +647,7 @@ impl ChannelCore {
                 self.pre_ready[idx] = pre_after;
                 self.act_ready[idx] = pre_after + t.trp;
                 self.cas_ready[idx] = u64::MAX;
+                self.bank_floor[idx] = pre_after;
                 self.busy_until[idx] = self.act_ready[idx];
             }
             PagePolicy::OpenPage => {
@@ -598,6 +663,7 @@ impl ChannelCore {
                 // current CAS is consumed.
                 self.cas_ready[idx] = cas + t.tburst.max(t.tck);
                 self.act_ready[idx] = pre_after + t.trp;
+                self.bank_floor[idx] = pre_after.min(self.cas_ready[idx]);
                 self.busy_until[idx] = data_end;
             }
         }
@@ -624,6 +690,10 @@ impl ChannelCore {
         }
         self.cmd_ready = start + t.tck;
         self.version += 1;
+        self.bank_stamp[idx] = self.version;
+        if kind != AccessKind::RowHit {
+            self.rank_stamp[rank] = self.version;
+        }
         (data_start, data_end, kind)
     }
 
@@ -1008,6 +1078,45 @@ mod tests {
         }
         // The bank's auto-precharge tail extends past the last burst.
         assert!(c.quiesce_at() >= c.bus_free_at());
+    }
+
+    /// The `bank_floor` lane is the minimum of the three wheels after every
+    /// commit, under both page policies, across refresh applications. The
+    /// oracle comparison in `tests/soa_equivalence.rs` sees the lane only
+    /// through `channel_floor`, whose bus and command-slot bounds usually
+    /// dominate it.
+    #[test]
+    fn bank_floor_lane_is_the_three_wheel_minimum() {
+        for (policy, seed) in [
+            (PagePolicy::ClosePage, 0x5EEDu64),
+            (PagePolicy::OpenPage, 7),
+        ] {
+            let mut c = ChannelCore::new(&DramConfig {
+                page_policy: policy,
+                ..DramConfig::ddr2_400()
+            });
+            let mut state = seed;
+            let mut rng = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut now = 0u64;
+            for _ in 0..2_000 {
+                let (rank, bank) = ((rng() % 4) as usize, (rng() % 8) as usize);
+                // A few rows, so open page sees hits and conflicts too.
+                let row = (rng() % 4) as usize;
+                now += rng() % 400;
+                let p = c.probe(rank, bank, row, rng().is_multiple_of(4), now);
+                c.commit(rank, bank, row, p.start.is_multiple_of(2), 0, p.start);
+                now = p.start;
+                for i in 0..c.bank_floor.len() {
+                    let wheels = c.pre_ready[i].min(c.act_ready[i]).min(c.cas_ready[i]);
+                    assert_eq!(c.bank_floor[i], wheels, "{policy:?}: bank {i} at {now}");
+                }
+            }
+        }
     }
 
     /// Exhaustive legality check: for random traffic, committed bursts never

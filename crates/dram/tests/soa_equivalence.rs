@@ -6,8 +6,8 @@
 //! top of it (the way `run_per_cycle` anchors the per-core clocks).
 //! Random transaction streams are pushed through both paths and every
 //! observable — probe starts, block reasons, blocking owners, commit data
-//! windows and committed access kinds, quiesce and bus-free cycles — must
-//! match cycle-for-cycle under both page policies.
+//! windows and committed access kinds, quiesce and bus-free cycles, and the
+//! channel floor — must match cycle-for-cycle under both page policies.
 
 use std::collections::VecDeque;
 
@@ -364,6 +364,27 @@ impl RefChannel {
             .map(|b| b.busy_until)
             .fold(self.bus_free, u64::max)
     }
+
+    /// The channel floor recomputed from the banks: the lowest of every
+    /// bank's three wheels, raised by the data-bus bound at the largest
+    /// data offset the page policy allows and by the command slot.
+    fn channel_floor(&self) -> u64 {
+        let t = &self.t;
+        let bank_min = self
+            .banks
+            .iter()
+            .map(|b| b.pre_ready.min(b.act_ready).min(b.cas_ready))
+            .fold(u64::MAX, u64::min);
+        let slowest = match self.policy {
+            PagePolicy::ClosePage => AccessKind::RowMiss,
+            PagePolicy::OpenPage => AccessKind::RowConflict,
+        };
+        let bus_lb = self
+            .bus_free
+            .saturating_sub(slowest.cas_offset(t) + t.cl.max(t.cwl));
+        let cmd = self.last_start.map_or(0, |s| s + t.tck);
+        bank_min.max(bus_lb).max(cmd)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -432,9 +453,12 @@ fn check_equivalence(open_page: bool, ops: &[Op]) {
         }
         assert_eq!(soa.quiesce_at(), reference.quiesce_at(), "quiesce at {now}");
         assert_eq!(soa.bus_free_at(), reference.bus_free, "bus_free at {now}");
-        // The whole-channel floor must lower-bound the reference's raw
-        // probe for every possible next request.
+        // The whole-channel floor, read from the SoA core's `bank_floor`
+        // lane, must equal the three-wheel minimum recomputed from the
+        // oracle's banks, and lower-bound the reference's raw probe for
+        // every possible next request.
         let floor = soa.channel_floor();
+        assert_eq!(floor, reference.channel_floor(), "floor at {now}");
         let (raw, _, _, _) = reference.raw_probe(op.rank, op.bank, op.row ^ 1, !op.is_write, 0);
         assert!(raw >= floor, "floor {floor} above reference raw {raw}");
     }
@@ -483,6 +507,7 @@ fn long_stream_equivalence_across_refresh_windows() {
             let s = soa.commit(rank, bank, row, is_write, app, ps.start);
             let r = reference.commit(rank, bank, row, is_write, app, pr.start);
             assert_eq!(s, r);
+            assert_eq!(soa.channel_floor(), reference.channel_floor());
             now = ps.start;
         }
         assert_eq!(soa.quiesce_at(), reference.quiesce_at());

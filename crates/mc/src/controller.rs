@@ -5,6 +5,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use bwpart_core::Divider;
 use bwpart_obs::obs_count;
 use serde::{Deserialize, Serialize};
 
@@ -81,6 +82,9 @@ pub struct MemoryController {
     /// Accesses served per application in the current profiling epoch.
     epoch_accesses: Vec<u64>,
     tck: u64,
+    /// Divides by `tck`: the command-clock grid arithmetic of
+    /// [`tick`](Self::tick) and [`settle_before`](Self::settle_before).
+    tck_div: Divider,
     next_tick: u64,
     seq: u64,
     /// Per-application scheduling-window depth: how far past the FIFO head
@@ -128,6 +132,7 @@ impl MemoryController {
             stats: McStats::new(apps),
             epoch_accesses: vec![0; apps],
             tck,
+            tck_div: Divider::new(tck),
             next_tick: 0,
             seq: 0,
             sched_window: 8,
@@ -238,7 +243,7 @@ impl MemoryController {
         if now < self.next_tick {
             return;
         }
-        self.next_tick = (now / self.tck + 1) * self.tck;
+        self.next_tick = (now / self.tck_div + 1) * self.tck;
         if self.queues.is_empty() {
             return;
         }
@@ -306,7 +311,7 @@ impl MemoryController {
             let floor = (0..self.dram.num_channels())
                 .map(|c| self.dram.channel_floor(c))
                 .fold(u64::MAX, u64::min);
-            self.floor_clock = floor.div_ceil(self.tck) * self.tck;
+            self.floor_clock = self.tck_div.div_ceil(floor) * self.tck;
             obs_count!(self.obs, issued);
             if self.pos_buf[idx] > 0 {
                 obs_count!(self.obs, window_bypass);
@@ -429,8 +434,8 @@ impl MemoryController {
             first.is_multiple_of(self.tck),
             "command clock {first} off the tCK grid"
         );
-        let grid_end = stop.div_ceil(self.tck);
-        let k = grid_end - first / self.tck;
+        let grid_end = self.tck_div.div_ceil(stop);
+        let k = grid_end - first / self.tck_div;
         self.next_tick = grid_end * self.tck;
         self.stats.busy_ticks += k;
         self.stats.stalled_ticks += k;

@@ -20,9 +20,16 @@
 //! `[gap/2, 3·gap/2]` so the mean `API` is exact while the stream retains
 //! burstiness. Everything is driven by a splitmix-seeded `SmallRng`, so a
 //! `(profile, seed)` pair defines the stream bit-for-bit.
+//!
+//! The three draws over spans fixed at construction — the gap, the
+//! streaming run's start line and the hot-set line — reduce the raw 64-bit
+//! draw through a precomputed [`Divider`] rather than `gen_range`'s
+//! hardware remainder. `gen_range(lo..hi)` returns `lo + draw % span`, so
+//! each returns exactly what `gen_range` would.
 
+use bwpart_core::Divider;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use bwpart_cmp::{Access, Workload};
 
@@ -33,10 +40,14 @@ pub struct SyntheticWorkload {
     name: String,
     rng: SmallRng,
     gap: u32,
+    /// Span of the gap draw `[gap/2, 3·gap/2]`: `gap + 1` values.
+    gap_span: Divider,
     stream_permille: u32,
     write_permille: u32,
-    footprint_lines: u64,
-    hot_lines: u64,
+    /// Lines in the streaming region (the span of a run's start line).
+    footprint_lines: Divider,
+    /// Lines in the hot set (the span of a hot access's line).
+    hot_lines: Divider,
     row_run: u32,
     /// Remaining lines in the current streaming run.
     run_left: u32,
@@ -67,10 +78,11 @@ impl SyntheticWorkload {
             name: profile.name.to_string(),
             rng: SmallRng::seed_from_u64(seed ^ profile.seed_salt),
             gap: profile.gap,
+            gap_span: Divider::new(u64::from(profile.gap) + 1),
             stream_permille: (q * 1000.0).round() as u32,
             write_permille: (profile.write_ratio * 1000.0).round() as u32,
-            footprint_lines,
-            hot_lines,
+            footprint_lines: Divider::new(footprint_lines),
+            hot_lines: Divider::new(hot_lines),
             row_run: profile.row_run.max(1),
             run_left: 0,
             run_next: 0,
@@ -79,22 +91,27 @@ impl SyntheticWorkload {
         }
     }
 
+    /// `gen_range(gap/2..=gap + gap/2)`.
     fn sample_gap(&mut self) -> u32 {
         if self.gap == 0 {
             return 0;
         }
-        let lo = self.gap / 2;
-        let hi = self.gap + self.gap / 2;
-        self.rng.gen_range(lo..=hi)
+        self.gap / 2 + (self.rng.next_u64() % self.gap_span) as u32
     }
 
     fn stream_line(&mut self) -> u64 {
         if self.run_left == 0 {
             self.run_left = self.row_run;
-            self.run_next = self.rng.gen_range(0..self.footprint_lines);
+            // gen_range(0..footprint_lines)
+            self.run_next = self.rng.next_u64() % self.footprint_lines;
         }
         let line = self.run_next;
-        self.run_next = (self.run_next + 1) % self.footprint_lines;
+        // `run_next` stays below the footprint, so `(line + 1) % lines` is
+        // a compare and wrap.
+        self.run_next = line + 1;
+        if self.run_next == self.footprint_lines.divisor() {
+            self.run_next = 0;
+        }
         self.run_left -= 1;
         line
     }
@@ -120,7 +137,8 @@ impl Workload for SyntheticWorkload {
         let addr = if is_stream {
             STREAM_BASE + self.stream_line() * 64
         } else {
-            self.rng.gen_range(0..self.hot_lines) * 64
+            // gen_range(0..hot_lines)
+            self.rng.next_u64() % self.hot_lines * 64
         };
         Access {
             gap,

@@ -122,13 +122,18 @@ const CMP_HOT_FNS: [&str; 6] = [
 
 /// The SoA timing core's per-tick surface (`crates/dram/src/soa.rs`):
 /// every function the controller's scheduling scan calls once per
-/// candidate per DRAM tick. Stack-only by contract — one heap allocation
+/// candidate per DRAM tick, including the two halves of the raw fold and
+/// the stamp check that `DramSystem::sched_probe` calls directly when it
+/// refolds a cached probe. Stack-only by contract — one heap allocation
 /// here turns a nanosecond-scale probe into a malloc/free pair millions of
 /// times per simulated second, which is exactly the overhead the
 /// struct-of-arrays rewrite exists to remove.
-const SOA_HOT_FNS: [&str; 7] = [
+const SOA_HOT_FNS: [&str; 10] = [
     "bank_earliest",
     "grid_clear",
+    "bank_rank_fold",
+    "bus_fold",
+    "bank_rank_unchanged_since",
     "raw_probe",
     "probe",
     "channel_floor",

@@ -306,10 +306,11 @@ impl Rule {
                  probe/… in crates/dram and crates/mc), the CMP run loop\n\
                  (run_exact/run_ahead/step_from/step_llc and the cache\n\
                  access/access_if_hit in crates/cmp), the SoA timing core's per-tick\n\
-                 surface (bank_earliest/grid_clear/raw_probe/… in\n\
-                 crates/dram/src/soa.rs) and the cache lanes' per-access surface\n\
-                 (access_masked/access_if_hit in crates/cmp/src/cache.rs) run\n\
-                 millions of times per simulated second. From each hot fn, its own\n\
+                 surface (bank_earliest/grid_clear/bank_rank_fold/bus_fold/\n\
+                 raw_probe/… in crates/dram/src/soa.rs) and the cache lanes'\n\
+                 per-access surface (access_masked/access_if_hit in\n\
+                 crates/cmp/src/cache.rs) run millions of times per simulated\n\
+                 second. From each hot fn, its own\n\
                  body and every function reachable within 8 call hops is scanned for\n\
                  danger sites — fresh allocation (Vec::new, vec![], collect,\n\
                  with_capacity, Box::new, …), lock acquisition, blocking calls\n\

@@ -128,6 +128,54 @@ impl Cache {
     );
 }
 
+/// A cached probe's refold path is stack-only: a `.push` in `bus_fold` in
+/// `crates/dram/src/soa.rs` fails, although `sched_probe`, which calls it
+/// directly, is a run-loop origin that exempts growth; the same fn in
+/// another dram file is not flagged.
+#[test]
+fn a1_probe_refold_must_not_grow_containers() {
+    let root = fixture_root("bwpart-analyze-a1-refold");
+    let fold = r#"
+pub struct ChannelCore {
+    seen: Vec<u64>,
+}
+impl ChannelCore {
+    pub fn bus_fold(&mut self, start: u64) -> u64 {
+        self.seen.push(start);
+        start
+    }
+}
+"#;
+    write(&root, "crates/dram/src/soa.rs", fold);
+    write(&root, "crates/dram/src/fold.rs", fold);
+    write(
+        &root,
+        "crates/dram/src/dram.rs",
+        r#"
+use crate::soa::ChannelCore;
+pub struct DramSystem {
+    core: ChannelCore,
+}
+impl DramSystem {
+    pub fn sched_probe(&mut self, now: u64) -> u64 {
+        self.core.bus_fold(now)
+    }
+}
+"#,
+    );
+    let (ok, stdout) = run_lint(&root, &[]);
+    assert!(!ok, "growth in the refold path must fail:\n{stdout}");
+    assert_eq!(
+        stdout.matches("[A1]").count(),
+        1,
+        "only soa.rs may be flagged:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("crates/dram/src/soa.rs:7") && stdout.contains("bus_fold"),
+        "{stdout}"
+    );
+}
+
 /// A2: a pub share-vector producer whose certification lives in a callee
 /// passes; one with no reachable certification fails.
 #[test]
