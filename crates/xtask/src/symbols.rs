@@ -350,6 +350,26 @@ impl FileFacts {
     }
 }
 
+/// The token after a generic list that opens at `cur` (`cur` itself when
+/// it is not a `<`). Delimited groups inside the list are skipped whole.
+fn skip_generics(f: &SourceFile, mut cur: Option<usize>) -> Option<usize> {
+    if !cur.is_some_and(|k| f.is_op(k, "<")) {
+        return cur;
+    }
+    let mut depth = 0;
+    while let Some(k) = cur {
+        depth += f.angle_step(k);
+        cur = match f.tokens[k].kind {
+            TokenKind::Open(_) => f.partner[k].and_then(|c| f.next(c)),
+            _ => f.next(k),
+        };
+        if depth <= 0 {
+            break;
+        }
+    }
+    cur
+}
+
 /// `impl` blocks with owner/trait head idents and brace-matched bodies.
 fn find_impls(f: &SourceFile) -> Vec<ImplBlock> {
     let mut out = Vec::new();
@@ -358,24 +378,7 @@ fn find_impls(f: &SourceFile) -> Vec<ImplBlock> {
             continue;
         }
         // Skip generics: `impl<T: Bound> ...`.
-        let mut cur = f.next(i);
-        if cur.is_some_and(|k| f.is_op(k, "<")) {
-            let mut depth = 0i32;
-            while let Some(k) = cur {
-                match f.text(k) {
-                    "<" => depth += 1,
-                    ">" => depth -= 1,
-                    "<<" => depth += 2,
-                    ">>" => depth -= 2,
-                    "->" => {}
-                    _ => {}
-                }
-                cur = f.next(k);
-                if depth <= 0 {
-                    break;
-                }
-            }
-        }
+        let mut cur = skip_generics(f, f.next(i));
         // Collect the first path (trait, or the type when no `for`), then
         // an optional `for <type path>`, stopping at `{` / `where`.
         let mut first_head = String::new();
@@ -419,13 +422,7 @@ fn find_impls(f: &SourceFile) -> Vec<ImplBlock> {
                         }
                     }
                 }
-                TokenKind::Op => match f.text(k) {
-                    "<" => angle += 1,
-                    ">" => angle -= 1,
-                    "<<" => angle += 2,
-                    ">>" => angle -= 2,
-                    _ => {}
-                },
+                TokenKind::Op => angle += f.angle_step(k),
                 _ => {}
             }
             cur = f.next(k);
@@ -478,14 +475,8 @@ fn find_structs(f: &SourceFile) -> Vec<StructFacts> {
                     cur = f.partner[k].and_then(|c| f.next(c));
                     continue;
                 }
-                TokenKind::Op => match f.text(k) {
-                    ";" if angle <= 0 => break,
-                    "<" => angle += 1,
-                    ">" => angle -= 1,
-                    "<<" => angle += 2,
-                    ">>" => angle -= 2,
-                    _ => {}
-                },
+                TokenKind::Op if angle <= 0 && f.text(k) == ";" => break,
+                TokenKind::Op => angle += f.angle_step(k),
                 _ => {}
             }
             cur = f.next(k);
@@ -559,13 +550,7 @@ fn find_structs(f: &SourceFile) -> Vec<StructFacts> {
                         continue;
                     }
                     TokenKind::Op => {
-                        match f.text(t) {
-                            "<" => angle += 1,
-                            ">" => angle -= 1,
-                            "<<" => angle += 2,
-                            ">>" => angle -= 2,
-                            _ => {}
-                        }
+                        angle += f.angle_step(t);
                         ty.push_str(f.text(t));
                     }
                     _ => append_ty(&mut ty, f.text(t)),
@@ -711,26 +696,7 @@ fn find_lock_tables(f: &SourceFile) -> Vec<LockTable> {
 /// `(name, type-text)` pairs split on top-level commas.
 fn parse_params(f: &SourceFile, name_tok: usize) -> (bool, Vec<Param>) {
     // Skip generics between the name and the parameter list.
-    let mut cur = f.next(name_tok);
-    if cur.is_some_and(|k| f.is_op(k, "<")) {
-        let mut depth = 0i32;
-        while let Some(k) = cur {
-            match f.text(k) {
-                "<" => depth += 1,
-                ">" => depth -= 1,
-                "<<" => depth += 2,
-                ">>" => depth -= 2,
-                _ => {}
-            }
-            match f.tokens[k].kind {
-                TokenKind::Open(_) => cur = f.partner[k].and_then(|c| f.next(c)),
-                _ => cur = f.next(k),
-            }
-            if depth <= 0 {
-                break;
-            }
-        }
-    }
+    let cur = skip_generics(f, f.next(name_tok));
     let Some(open) = cur.filter(|&k| f.is_open(k, Delim::Paren)) else {
         return (false, Vec::new());
     };
@@ -748,17 +714,11 @@ fn parse_params(f: &SourceFile, name_tok: usize) -> (bool, Vec<Param>) {
                 k = f.partner[k].map(|c| c + 1).unwrap_or(close);
                 continue;
             }
-            TokenKind::Op => match f.text(k) {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                "<<" => angle += 2,
-                ">>" => angle -= 2,
-                "," if angle <= 0 => {
-                    pieces.push((start, k));
-                    start = k + 1;
-                }
-                _ => {}
-            },
+            TokenKind::Op if angle <= 0 && f.text(k) == "," => {
+                pieces.push((start, k));
+                start = k + 1;
+            }
+            TokenKind::Op => angle += f.angle_step(k),
             _ => {}
         }
         k += 1;
@@ -835,15 +795,10 @@ fn local_types(f: &SourceFile, open: usize, close: usize) -> Vec<(String, String
                 match f.tokens[t].kind {
                     TokenKind::Op => match f.text(t) {
                         "=" | ";" if angle <= 0 => break,
-                        "<" => {
-                            angle += 1;
-                            ty.push('<');
+                        op => {
+                            angle += f.angle_step(t);
+                            ty.push_str(op);
                         }
-                        ">" => {
-                            angle -= 1;
-                            ty.push('>');
-                        }
-                        other => ty.push_str(other),
                     },
                     TokenKind::Open(_) => {
                         let Some(c) = f.partner[t] else { break };
@@ -1586,6 +1541,26 @@ mod tests {
             vec!["MutexGuard", "Engine"]
         );
         assert_eq!(type_idents("&dyn Scheduler"), vec!["Scheduler"]);
+    }
+
+    #[test]
+    fn typed_local_closing_on_a_shift_token_ends_at_its_initializer() {
+        // `>>` is one token: the local's type must still close at the `=`
+        // rather than swallow the rest of the body.
+        let src = "
+fn drive() {
+    let m: Arc<Vec<Engine>> = make();
+    m.run();
+    let o = Other::new();
+}
+";
+        let ff = extract("crates/bwpartd/src/server.rs", src);
+        let run = ff.fns[0]
+            .calls
+            .iter()
+            .find(|c| c.name == "run")
+            .expect("run");
+        assert_eq!(run.recv_ty.as_deref(), Some("Arc<Vec<Engine>>"));
     }
 
     #[test]

@@ -113,6 +113,19 @@ impl<'a> SourceFile<'a> {
         self.tokens.get(i).is_some_and(|t| t.kind == TokenKind::Op) && self.text(i) == op
     }
 
+    /// How far token `i` moves generic-angle depth: one for `<` and `>`,
+    /// two for `<<` and `>>` (the lexer keeps a shift as one token, so
+    /// `Vec<Vec<u8>>` closes with `>>`), zero for anything else.
+    pub fn angle_step(&self, i: usize) -> i32 {
+        match self.text(i) {
+            "<" => 1,
+            ">" => -1,
+            "<<" => 2,
+            ">>" => -2,
+            _ => 0,
+        }
+    }
+
     /// Is token `i` the given opening delimiter?
     pub fn is_open(&self, i: usize, d: Delim) -> bool {
         self.tokens
@@ -389,16 +402,12 @@ impl<'a> SourceFile<'a> {
                 let Some(t) = self.tokens.get(k) else { break };
                 match t.kind {
                     TokenKind::Op => match self.text(k) {
-                        "<" => angle += 1,
-                        ">" => angle -= 1,
-                        "<<" => angle += 2,
-                        ">>" => angle -= 2,
                         "->" if angle <= 0 && arrow.is_none() => {
                             arrow = Some(k);
                             ret_start = self.next(k);
                         }
                         ";" if angle <= 0 => break,
-                        _ => {}
+                        _ => angle += self.angle_step(k),
                     },
                     TokenKind::Open(Delim::Brace) if angle <= 0 => {
                         body = self
