@@ -1,12 +1,12 @@
 //! Exact division by a divisor fixed at construction.
 //!
 //! The simulator divides by the same few values millions of times a
-//! second: the DRAM command-clock period and refresh interval, a core's
-//! issue width, and the spans of a synthetic workload's draws. A hardware
-//! 64-bit divide costs tens of cycles; [`Divider`] trades it for one
-//! 64×64→128-bit multiply, a subtract and two shifts, using the round-up
-//! reciprocal of Granlund and Montgomery ("Division by Invariant Integers
-//! using Multiplication", PLDI 1994, Theorem 4.2).
+//! second: the DRAM command-clock period and refresh interval, and a
+//! core's issue width. A hardware 64-bit divide costs tens of cycles;
+//! [`Divider`] trades it for one 64×64→128-bit multiply, a subtract and
+//! two shifts, using the round-up reciprocal of Granlund and Montgomery
+//! ("Division by Invariant Integers using Multiplication", PLDI 1994,
+//! Theorem 4.2).
 //!
 //! For a divisor `d ≥ 2`, let `l = ⌈log₂ d⌉` and `m = ⌈2^(64+l) / d⌉`.
 //! Then `2^(64+l) ≤ m·d < 2^(64+l) + 2^l`, which makes

@@ -20,14 +20,7 @@
 //! `[gap/2, 3·gap/2]` so the mean `API` is exact while the stream retains
 //! burstiness. Everything is driven by a splitmix-seeded `SmallRng`, so a
 //! `(profile, seed)` pair defines the stream bit-for-bit.
-//!
-//! The three draws over spans fixed at construction — the gap, the
-//! streaming run's start line and the hot-set line — reduce the raw 64-bit
-//! draw through a precomputed [`Divider`] rather than `gen_range`'s
-//! hardware remainder. `gen_range(lo..hi)` returns `lo + draw % span`, so
-//! each returns exactly what `gen_range` would.
 
-use bwpart_core::Divider;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -41,13 +34,13 @@ pub struct SyntheticWorkload {
     rng: SmallRng,
     gap: u32,
     /// Span of the gap draw `[gap/2, 3·gap/2]`: `gap + 1` values.
-    gap_span: Divider,
+    gap_span: u64,
     stream_permille: u32,
     write_permille: u32,
     /// Lines in the streaming region (the span of a run's start line).
-    footprint_lines: Divider,
+    footprint_lines: u64,
     /// Lines in the hot set (the span of a hot access's line).
-    hot_lines: Divider,
+    hot_lines: u64,
     row_run: u32,
     /// Remaining lines in the current streaming run.
     run_left: u32,
@@ -78,11 +71,11 @@ impl SyntheticWorkload {
             name: profile.name.to_string(),
             rng: SmallRng::seed_from_u64(seed ^ profile.seed_salt),
             gap: profile.gap,
-            gap_span: Divider::new(u64::from(profile.gap) + 1),
+            gap_span: u64::from(profile.gap) + 1,
             stream_permille: (q * 1000.0).round() as u32,
             write_permille: (profile.write_ratio * 1000.0).round() as u32,
-            footprint_lines: Divider::new(footprint_lines),
-            hot_lines: Divider::new(hot_lines),
+            footprint_lines,
+            hot_lines,
             row_run: profile.row_run.max(1),
             run_left: 0,
             run_next: 0,
@@ -109,7 +102,7 @@ impl SyntheticWorkload {
         // `run_next` stays below the footprint, so `(line + 1) % lines` is
         // a compare and wrap.
         self.run_next = line + 1;
-        if self.run_next == self.footprint_lines.divisor() {
+        if self.run_next == self.footprint_lines {
             self.run_next = 0;
         }
         self.run_left -= 1;

@@ -1,7 +1,9 @@
 //! `SyntheticWorkload` draws its gap, streaming-run start and hot-set line
-//! through precomputed reciprocals instead of `gen_range`. This test keeps
-//! the `gen_range` form of the generator as a reference and checks that
-//! both emit the same stream, access for access, for every Table III and
+//! as a raw 64-bit draw reduced by `%` over a span fixed at construction,
+//! and wraps a run's next line with a compare. `gen_range(lo..hi)` is
+//! `lo + draw % span`, so the two forms must agree. This test keeps the
+//! `gen_range` form of the generator as a reference and checks that both
+//! emit the same stream, access for access, for every Table III and
 //! cache-study profile.
 
 use bwpart_cmp::{Access, Workload};
