@@ -31,10 +31,11 @@
 //! deterministic, stable function of the inputs even when standalone caps
 //! make several schemes outcome-equivalent.
 //!
-//! Both resulting allocations are certified per resource with
-//! [`ensures_simplex!`](crate::ensures_simplex) /
-//! [`ensures_capped!`](crate::ensures_capped) via
-//! [`Allocation::certified`].
+//! The result is certified before it leaves the solver. In every build, β
+//! must pass [`validate_shares`](crate::schemes::validate_shares) and the
+//! ways must sum to `total_ways` with each at least `min_ways`; in debug
+//! builds, [`ensures_capped!`](crate::ensures_capped) also holds the
+//! bandwidth allocation within the materialised profiles' `APC_alone`.
 
 use serde::{Deserialize, Serialize};
 
@@ -43,8 +44,7 @@ use crate::error::ModelError;
 use crate::metrics::Metric;
 use crate::mrc::CacheAwareProfile;
 use crate::predict;
-use crate::resource::{Allocation, MultiAllocation, Resource};
-use crate::schemes::{PartitionScheme, SharesOutcome};
+use crate::schemes::{self, PartitionScheme, SharesOutcome};
 
 /// Relative improvement below which a way move is considered converged.
 const REL_TOL: f64 = 1e-9;
@@ -127,8 +127,6 @@ pub struct CoordOutcome {
     pub baseline_value: f64,
     /// Alternating rounds the descent ran before converging.
     pub rounds: usize,
-    /// Certified per-resource allocations (bandwidth + LLC ways).
-    pub allocation: MultiAllocation,
 }
 
 /// One scored candidate during the search.
@@ -279,28 +277,21 @@ pub fn solve_coordinated_scaled(
     );
 
     // Certify both resources.
-    let way_amounts: Vec<f64> = best.ways.iter().map(|&w| w as f64).collect();
-    let way_caps = vec![(cfg.total_ways - (n - 1) * cfg.min_ways) as f64; n];
-    let ways_alloc = Allocation::certified(
-        &Resource {
-            min_unit: cfg.min_ways as f64,
-            ..Resource::llc_ways(cfg.total_ways)
-        },
-        way_amounts,
-        &way_caps,
-    )?;
-    let bw_caps: Vec<f64> = best.profiles.iter().map(|p| p.apc_alone).collect();
-    let bw_alloc = Allocation::certified(
-        &Resource::bandwidth(cfg.bandwidth),
-        best.outcome.allocation.clone(),
-        &bw_caps,
-    )?;
-    crate::ensures_simplex!(best.outcome.beta);
-    crate::invariant!(
-        best.ways.iter().sum::<usize>() == cfg.total_ways
-            && best.ways.iter().all(|&w| w >= cfg.min_ways),
-        "way allocation must be integral, conservative, and floored"
+    schemes::validate_shares(&best.outcome.beta, n)?;
+    crate::ensures_capped!(
+        best.outcome.allocation,
+        best.profiles
+            .iter()
+            .map(|p| p.apc_alone)
+            .collect::<Vec<f64>>()
     );
+    let granted_ways: usize = best.ways.iter().sum();
+    if granted_ways != cfg.total_ways || best.ways.iter().any(|&w| w < cfg.min_ways) {
+        return Err(ModelError::InvalidInput {
+            what: "way allocation (must sum to total_ways, each at least min_ways)",
+            value: granted_ways as f64,
+        });
+    }
 
     let Candidate {
         ways,
@@ -315,9 +306,6 @@ pub fn solve_coordinated_scaled(
         objective_value: value,
         baseline_value,
         rounds,
-        allocation: MultiAllocation {
-            per_resource: vec![bw_alloc, ways_alloc],
-        },
     })
 }
 
@@ -325,7 +313,6 @@ pub fn solve_coordinated_scaled(
 mod tests {
     use super::*;
     use crate::mrc::MissRatioCurve;
-    use crate::resource::ResourceKind;
 
     /// A latency-sensitive app whose working set fits in a few ways, and a
     /// streaming hog whose miss ratio barely moves with ways.
@@ -374,12 +361,9 @@ mod tests {
         assert_eq!(out.ways.iter().sum::<usize>(), c.total_ways);
         assert!(out.ways.iter().all(|&w| w >= c.min_ways));
         assert_eq!(out.profiles.len(), apps.len());
-        let bw = out.allocation.get(ResourceKind::Bandwidth).unwrap();
-        let ways = out.allocation.get(ResourceKind::LlcWays).unwrap();
-        assert!((bw.shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!((ways.shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        for (w, amt) in out.ways.iter().zip(&ways.amounts) {
-            assert!((*w as f64 - amt).abs() < 1e-12);
+        schemes::validate_shares(&out.bandwidth.beta, apps.len()).unwrap();
+        for (a, p) in out.bandwidth.allocation.iter().zip(&out.profiles) {
+            assert!((0.0..=p.apc_alone + 1e-12).contains(a), "{a}");
         }
     }
 

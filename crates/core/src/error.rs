@@ -38,11 +38,6 @@ pub enum ModelError {
         /// The name that did not match any scheme or alias.
         name: String,
     },
-    /// A resource-kind name failed to parse (see `ResourceKind::from_str`).
-    UnknownResource {
-        /// The name that did not match any resource kind.
-        name: String,
-    },
     /// A QoS target exceeds what the application can reach even alone.
     QosTargetUnreachable {
         /// Index of the offending application.
@@ -78,12 +73,6 @@ impl fmt::Display for ModelError {
                 write!(
                     f,
                     "unknown scheme `{name}` (canonical names are kebab-case, e.g. `square-root`)"
-                )
-            }
-            ModelError::UnknownResource { name } => {
-                write!(
-                    f,
-                    "unknown resource `{name}` (known kinds: `bandwidth`, `llc-ways`)"
                 )
             }
             ModelError::QosTargetUnreachable {

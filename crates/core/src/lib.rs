@@ -54,15 +54,14 @@
 //! * [`qos`] — the QoS-guarantee extension of Section III-G (Eq. 11).
 //! * [`weighted`] — priority-weighted objectives and their optima (the
 //!   Section II-B motivation, derived).
-//! * [`resource`] — the generic N-resource abstraction ([`Resource`],
-//!   certified [`Allocation`]s); the paper schemes are the
-//!   single-resource special case.
 //! * [`mrc`] — fitted miss-ratio curves making `APC_alone(w)` a function
 //!   of allocated LLC ways ([`CacheAwareProfile`]).
-//! * [`coord`] — the coordinated (bandwidth × LLC ways) solver.
+//! * [`coord`] — the coordinated (bandwidth × LLC ways) solver; its
+//!   [`CoordOutcome`] pairs the way vector with the [`SharesOutcome`]
+//!   solved at it.
 //! * [`divider`] — exact division by a divisor fixed at construction
-//!   ([`Divider`]), which the simulator's per-event grid, refresh, issue
-//!   and draw arithmetic shares.
+//!   ([`Divider`]), which the simulator's per-event grid, refresh and
+//!   issue arithmetic shares.
 //!
 //! ## Quick example
 //!
@@ -101,7 +100,6 @@ pub mod metrics;
 pub mod mrc;
 pub mod predict;
 pub mod qos;
-pub mod resource;
 pub mod schemes;
 pub mod solver;
 pub mod weighted;
@@ -112,7 +110,6 @@ pub use divider::Divider;
 pub use error::ModelError;
 pub use metrics::Metric;
 pub use mrc::{CacheAwareProfile, MissRatioCurve};
-pub use resource::{Allocation, MultiAllocation, Resource, ResourceKind};
 pub use schemes::{PartitionScheme, SharesOutcome};
 
 /// Convenient glob-import surface for downstream crates.
@@ -127,7 +124,6 @@ pub mod prelude {
     pub use crate::mrc::{CacheAwareProfile, MissRatioCurve};
     pub use crate::predict;
     pub use crate::qos::{self, QosRequest};
-    pub use crate::resource::{Allocation, MultiAllocation, Resource, ResourceKind};
     pub use crate::schemes::{PartitionScheme, SharesOutcome};
     pub use crate::solver;
     pub use crate::weighted;

@@ -13,11 +13,11 @@
 //!   call depth. The finding reports the full call path from the hot fn
 //!   to the danger site.
 //! * **A2 — contract reachability.** A public share producer — returning
-//!   a bare `Vec<f64>` or an owned `Allocation` / `MultiAllocation` /
-//!   `CoordOutcome` / `Decision` wrapper (in `crates/core`, the epoch
-//!   policy's `crates/mc`, or `crates/bwpartd`) — must certify its output
-//!   either directly or via a callee that does. Reference accessors
-//!   (`&Allocation`) are exempt.
+//!   a bare `Vec<f64>` or an owned `SharesOutcome` / `QosPartition` /
+//!   `CoordOutcome` / `Decision` (in `crates/core`, the epoch policy's
+//!   `crates/mc`, or `crates/bwpartd`) — must certify its output either
+//!   directly or via a callee that does. Reference accessors
+//!   (`&Decision`) are exempt.
 //! * **A3 — interprocedural unit flow.** R11's `_cycles` / `_ns` /
 //!   share-fraction naming discipline is checked across call boundaries:
 //!   an argument named in one unit must not flow into a parameter named in
@@ -248,13 +248,13 @@ fn rule_a1(ws: &Workspace, g: &CallGraph, files: &[&SourceFile]) -> Vec<Finding>
 const A2_DEPTH: usize = 3;
 
 /// Return types A2 treats as share/allocation producers: a bare share
-/// vector, or one of the owned wrappers (`Allocation`, `MultiAllocation`,
-/// `CoordOutcome`, and the epoch policy's `Decision`). Reference returns
-/// (`&Allocation` accessors) hand out an already-certified value and are
-/// exempt.
+/// vector, or one of the owned partition results (`SharesOutcome`,
+/// `QosPartition`, `CoordOutcome`, and the epoch policy's `Decision`).
+/// Reference returns (`&Decision` accessors) hand out an already-certified
+/// value and are exempt.
 fn is_share_producer_ret(ret: &str) -> bool {
     ret.contains("Vec<f64>")
-        || (["Allocation", "CoordOutcome", "Decision"]
+        || (["SharesOutcome", "QosPartition", "CoordOutcome", "Decision"]
             .iter()
             .any(|t| ret.contains(t))
             && !ret.contains('&'))
@@ -292,11 +292,10 @@ fn rule_a2(ws: &Workspace, g: &CallGraph, files: &[&SourceFile]) -> Vec<Finding>
                 f.span,
                 Rule::A2,
                 format!(
-                    "pub fn `{}` returns shares (Vec<f64> / Allocation / \
-                     MultiAllocation / CoordOutcome / Decision) but neither it nor any callee \
+                    "pub fn `{}` returns shares (Vec<f64> / SharesOutcome / \
+                     QosPartition / CoordOutcome / Decision) but neither it nor any callee \
                      within {A2_DEPTH} calls certifies them (validate_shares / \
-                     ensures_simplex / ensures_capped / Allocation::certified / \
-                     invariant!)",
+                     ensures_simplex / ensures_capped / invariant!)",
                     f.name
                 ),
             ));
@@ -865,26 +864,27 @@ fn solve_scaled(n: usize) -> Result<CoordOutcome, ModelError> {
 ",
         )]);
         assert!(!active_codes(&delegator).contains(&"A2"), "{delegator:?}");
-        // ...uncertified owned wrappers trip A2...
+        // ...uncertified owned results trip A2...
         let bare = report_for(&[(
-            "crates/core/src/resource.rs",
+            "crates/core/src/coord.rs",
             "
-pub fn split(r: &Resource) -> MultiAllocation {
-    MultiAllocation { allocations: vec![] }
+pub fn split(n: usize) -> CoordOutcome {
+    CoordOutcome { ways: vec![1; n] }
 }
-pub fn outcome(r: &Resource) -> Result<CoordOutcome, ModelError> {
+pub fn outcome(apps: &[App]) -> Result<CoordOutcome, ModelError> {
     todo_build()
 }
 ",
         )]);
         assert_eq!(active_codes(&bare), vec!["A2", "A2"], "{bare:?}");
-        // ...producers routing through Allocation::certified or a contract
+        // ...producers certifying through validate_shares or a contract
         // macro pass...
         let good = report_for(&[(
-            "crates/core/src/resource.rs",
+            "crates/core/src/coord.rs",
             "
-pub fn split(r: &Resource, amounts: Vec<f64>) -> Result<Allocation, ModelError> {
-    Allocation::certified(r, amounts, None)
+pub fn split(n: usize, beta: Vec<f64>) -> Result<CoordOutcome, ModelError> {
+    validate_shares(&beta, n)?;
+    assemble(beta)
 }
 pub fn outcome(apps: &[App]) -> Result<CoordOutcome, ModelError> {
     let beta = inner(apps)?;
@@ -896,8 +896,8 @@ pub fn outcome(apps: &[App]) -> Result<CoordOutcome, ModelError> {
         assert!(active_codes(&good).is_empty(), "{good:?}");
         // ...and a reference accessor is exempt.
         let accessor = report_for(&[(
-            "crates/core/src/resource.rs",
-            "pub fn get(m: &MultiAllocation) -> Option<&Allocation> { m.first() }\n",
+            "crates/mc/src/epoch.rs",
+            "pub fn published(p: &EpochPolicy) -> Option<&Decision> { p.last.as_ref() }\n",
         )]);
         assert!(active_codes(&accessor).is_empty(), "{accessor:?}");
     }

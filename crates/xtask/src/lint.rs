@@ -211,7 +211,7 @@ impl Rule {
                          the crates/cmp run loop)"
             }
             Rule::A2 => {
-                "pub fns returning shares (Vec<f64>, or owned Allocation/MultiAllocation/\
+                "pub fns returning shares (Vec<f64>, or owned SharesOutcome/QosPartition/\
                          CoordOutcome/Decision) in bwpart-core, bwpart-mc or bwpartd must \
                          certify them directly or via a callee"
             }
@@ -337,13 +337,12 @@ impl Rule {
                  Eq. 9-11 of the paper require share vectors to lie on the capped\n\
                  simplex. Every public fn in crates/core, crates/mc (the epoch\n\
                  policy) and crates/bwpartd returning shares — a bare Vec<f64>, or an\n\
-                 owned Allocation / MultiAllocation / CoordOutcome / Decision wrapper\n\
-                 — must certify its output (validate_shares /\n\
-                 ensures_simplex / ensures_capped / Allocation::certified /\n\
-                 invariant!) in its own body or in a callee reached within 3 call\n\
-                 hops, so the certification is part of the producer, not the caller's\n\
-                 homework. Reference-returning accessors (`&Allocation`) are exempt:\n\
-                 they hand out an already-certified value.\n\
+                 owned SharesOutcome / QosPartition / CoordOutcome / Decision — must\n\
+                 certify its output (validate_shares / ensures_simplex /\n\
+                 ensures_capped / invariant!) in its own body or in a callee reached\n\
+                 within 3 call hops, so the certification is part of the producer,\n\
+                 not the caller's homework. Reference-returning accessors\n\
+                 (`&Decision`) are exempt: they hand out an already-certified value.\n\
                  \n\
                  A2 fails only when *no* certification is reachable: the shares\n\
                  leave the crate unchecked, and the paper's simplex invariant\n\

@@ -27,15 +27,9 @@ use crate::lex::Delim;
 use crate::lex::TokenKind;
 use crate::tokens::SourceFile;
 
-/// The calls that certify a share vector (A2): `certified` covers
-/// `Allocation::certified`, the typed-allocation constructor that runs the
-/// simplex/cap contracts internally; `invariant!` counts as well.
-const CERTIFIERS: [&str; 4] = [
-    "validate_shares",
-    "ensures_simplex",
-    "ensures_capped",
-    "certified",
-];
+/// The calls that certify a share vector (A2); `invariant!` counts as
+/// well.
+const CERTIFIERS: [&str; 3] = ["validate_shares", "ensures_simplex", "ensures_capped"];
 
 /// One function parameter (excluding `self`).
 #[derive(Debug, Clone)]

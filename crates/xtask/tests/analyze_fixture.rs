@@ -249,6 +249,49 @@ fn solve(n: usize) -> Result<Decision, PolicyError> {
     assert!(ok, "A2 is scoped to core, mc and bwpartd:\n{stdout}");
 }
 
+/// A2 covers the model's owned partition results: an uncertified
+/// `SharesOutcome` or `QosPartition` producer in `crates/core` fails, and
+/// the same producers certifying their output pass.
+#[test]
+fn a2_covers_shares_outcome_and_qos_partition() {
+    let root = fixture_root("bwpart-analyze-a2-results");
+    write(
+        &root,
+        "crates/core/src/schemes.rs",
+        r#"
+pub fn solve(n: usize) -> Result<SharesOutcome, ModelError> {
+    let beta = vec![1.0 / n as f64; n];
+    validate_shares(&beta, n)?;
+    Ok(SharesOutcome { beta })
+}
+pub fn solve_unchecked(n: usize) -> Result<SharesOutcome, ModelError> {
+    Ok(SharesOutcome { beta: vec![1.0 / n as f64; n] })
+}
+pub fn partition(caps: Vec<f64>) -> Result<QosPartition, ModelError> {
+    let allocation = caps.clone();
+    ensures_capped!(allocation, caps);
+    Ok(QosPartition { allocation })
+}
+pub fn partition_unchecked(caps: Vec<f64>) -> Result<QosPartition, ModelError> {
+    Ok(QosPartition { allocation: caps })
+}
+fn validate_shares(_beta: &[f64], _n: usize) -> Result<(), ModelError> {
+    Ok(())
+}
+"#,
+    );
+    let (ok, stdout) = run_lint(&root, &[]);
+    assert!(!ok, "uncertified partition results must fail:\n{stdout}");
+    assert!(
+        stdout.contains("`solve_unchecked`") && stdout.contains("`partition_unchecked`"),
+        "{stdout}"
+    );
+    assert!(
+        !stdout.contains("`solve`") && !stdout.contains("`partition`"),
+        "certified producers must pass:\n{stdout}"
+    );
+}
+
 /// A3: a `_ns` value flowing into a `_cycles` parameter across a call
 /// boundary is flagged; the conversion fn itself is exempt.
 #[test]
