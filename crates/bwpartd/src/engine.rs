@@ -198,8 +198,8 @@ struct Engine {
     /// Observability registry, shared by every group engine of a
     /// [`ShardMap`] and served verbatim by [`ShardMap::metrics`]. The
     /// engine is cold-path code (one call per epoch), so it uses the
-    /// registry directly — lint rule A1's macro-only discipline applies
-    /// to the per-cycle simulator loops, not here.
+    /// registry directly — the macro-only discipline of `bwpart_obs`
+    /// applies to the per-cycle simulator loops, not here.
     registry: Registry,
     /// Pre-resolved epoch-decision latency histogram
     /// (`bwpartd_epoch_latency_seconds`).

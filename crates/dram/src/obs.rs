@@ -3,8 +3,10 @@
 //! [`DramObsHooks`] holds pre-resolved [`bwpart_obs`] handles so the
 //! per-transaction paths in [`crate::DramSystem`] touch at most one
 //! relaxed atomic per event, and only through the zero-cost `obs_*!`
-//! macros (lint rule A1). The derived per-channel / per-bank gauges are
-//! published from the cold path ([`publish`]) at phase boundaries.
+//! macros (see `bwpart_obs`'s hot-path discipline, which the workspace's
+//! warm-loop allocation test enforces). The derived per-channel /
+//! per-bank gauges are published from the cold path ([`publish`]) at
+//! phase boundaries.
 
 use bwpart_obs::{Counter, Registry};
 

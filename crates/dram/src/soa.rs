@@ -60,9 +60,10 @@
 //! through a precomputed [`Divider`] (one multiply instead of a hardware
 //! divide; exact for every `u64` numerator).
 //!
-//! Hot functions in this module are subject to lint rule **A1**: no heap
-//! allocation and no `Vec::push` — state is sized once at construction and
-//! only ever indexed thereafter.
+//! Hot functions in this module make no heap allocation and no
+//! `Vec::push` — state is sized once at construction and only ever indexed
+//! thereafter. The workspace test `tests/warm_loop_alloc.rs` checks it by
+//! counting allocations once a simulated run is warm.
 
 use bwpart_core::Divider;
 use serde::{Deserialize, Serialize};

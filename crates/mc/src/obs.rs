@@ -1,6 +1,6 @@
 //! Observability hooks for the memory controller.
 //!
-//! Same discipline as `bwpart_dram::obs` (lint rule A1): the per-DRAM-clock
+//! Same discipline as `bwpart_dram::obs`: the per-DRAM-clock
 //! scheduling path in [`crate::MemoryController::tick`] touches metrics
 //! only through the zero-cost `obs_*!` macros over these pre-resolved
 //! handles; everything derived (latencies, interference, queue state) is

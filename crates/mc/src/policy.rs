@@ -82,9 +82,9 @@ pub struct Policy {
     /// TCM: rotating rank offset for the bandwidth cluster.
     rotation: usize,
     /// TCM: reusable index scratch for re-clustering — `recluster` runs on
-    /// the served path (reachable from `tick`), so it must not allocate.
-    /// Cleared before each use; carrying it through (de)serialization is
-    /// harmless.
+    /// the served path (reachable from `tick`), so it must not allocate:
+    /// [`Policy::tcm`] reserves one slot per application. Cleared before
+    /// each use; carrying it through (de)serialization is harmless.
     cluster_order: Vec<usize>,
 }
 
@@ -118,6 +118,7 @@ impl Policy {
             kind: PolicyKind::Tcm,
             recluster_in: epoch_len,
             epoch_len,
+            cluster_order: Vec::with_capacity(apps),
             ..Self::fcfs(apps)
         }
     }
@@ -331,8 +332,8 @@ impl Policy {
     /// cluster's rank rotates each epoch (TCM's "insertion shuffle").
     fn recluster(&mut self) {
         let total: u64 = self.epoch_service.iter().sum();
-        // Reused scratch (amortized to one allocation per policy lifetime);
-        // the index tie-break keeps the unstable sort deterministic.
+        // Reused scratch, reserved by `Policy::tcm`; the index tie-break
+        // keeps the unstable sort deterministic.
         self.cluster_order.clear();
         self.cluster_order.extend(0..self.epoch_service.len());
         let service = &self.epoch_service;

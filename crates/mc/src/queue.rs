@@ -51,10 +51,15 @@ pub struct AppQueues {
 }
 
 impl AppQueues {
-    /// Create queues for `apps` applications.
+    /// Create queues for `apps` applications. Each FIFO reserves 64 slots
+    /// up front, so that [`push`](Self::push) does not reallocate once a
+    /// run is warm: the deepest per-application queue in 5 M-cycle runs
+    /// of 16 mixes under every policy, at 4 to 16 cores with the LLC on
+    /// and off, held 43 requests. A deeper queue still works; its FIFO
+    /// grows.
     pub fn new(apps: usize) -> Self {
         AppQueues {
-            queues: (0..apps).map(|_| VecDeque::new()).collect(),
+            queues: (0..apps).map(|_| VecDeque::with_capacity(64)).collect(),
             total: 0,
             peak: 0,
         }

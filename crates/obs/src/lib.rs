@@ -18,10 +18,13 @@
 //!   need no features of their own — enabling `bwpart-obs/trace` anywhere
 //!   in the build graph turns instrumentation on everywhere.
 //!
-//! Hot-path discipline (enforced by lint rule A1): per-cycle code in
-//! `crates/dram` and `crates/mc` must instrument exclusively through
-//! these macros over an `Option<Box<Hooks>>` of pre-resolved handles —
-//! never by calling the registry (a mutex + map lookup) directly.
+//! Hot-path discipline: per-cycle code in `crates/dram`, `crates/mc` and
+//! `crates/cmp` must instrument exclusively through these macros over an
+//! `Option<Box<Hooks>>` of pre-resolved handles — never by calling the
+//! registry (a mutex + map lookup that allocates its key) directly. The
+//! workspace test `tests/warm_loop_alloc.rs` enforces it: it runs the
+//! simulator with a registry attached and fails on any allocation once
+//! the run is warm.
 
 mod registry;
 mod trace;

@@ -1,17 +1,11 @@
-//! The interprocedural rules A1–A4 of `cargo xtask lint`.
+//! The interprocedural rules A2–A4 of `cargo xtask lint`.
 //!
 //! The per-file rules (`engine.rs`) check what one file can prove. These
 //! rules run over the workspace symbol index ([`crate::symbols`]) and the
 //! approximate call graph ([`crate::callgraph`]), both built from the same
-//! analyzed files, and check four properties that hold — or fail — across
+//! analyzed files, and check three properties that hold — or fail — across
 //! function and crate boundaries:
 //!
-//! * **A1 — hot-path purity.** No allocation, lock acquisition, blocking
-//!   call, or per-event registry resolution may be *reachable* from the
-//!   hot simulator functions (the DRAM and controller per-tick surface and
-//!   the CMP run loop) — the hot fn's own body (depth 0) through a bounded
-//!   call depth. The finding reports the full call path from the hot fn
-//!   to the danger site.
 //! * **A2 — contract reachability.** A public share producer — returning
 //!   a bare `Vec<f64>` or an owned `SharesOutcome` / `QosPartition` /
 //!   `CoordOutcome` / `Decision` (in `crates/core`, the epoch policy's
@@ -40,31 +34,26 @@
 //! ## Soundness boundaries (documented, deliberate)
 //!
 //! * The call graph is heuristic (see `callgraph.rs`): unresolvable calls
-//!   (std methods, unknown receivers) produce no edges, so a danger hidden
-//!   behind one is invisible to A1/A4. The danger *sites* themselves are
-//!   still visible wherever they lexically occur.
+//!   (std methods, unknown receivers) produce no edges, so a certifier or
+//!   a lock hidden behind one is invisible to A2/A4.
 //! * `vendor/` is outside the index: the vendored pool is certified by the
 //!   loomlite model check, not by this pass. A workspace call into
 //!   `rayon` (the experiment and bench sweeps) therefore ends at the
 //!   crate boundary.
-//! * `.join(` is *not* a blocking danger: `Path::join` / `slice::join`
-//!   false positives outweigh the thread-join catch, and thread joins on
-//!   hot paths are already unreachable by construction here.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::CallGraph;
 use crate::engine::unit_class;
 use crate::lint::{line_col, Finding, Rule};
-use crate::symbols::{DangerKind, Workspace};
+use crate::symbols::Workspace;
 use crate::tokens::SourceFile;
 
-/// Run A1–A4 over the indexed workspace. `files[i]` is the analyzed
+/// Run A2–A4 over the indexed workspace. `files[i]` is the analyzed
 /// source behind `ws.files[i]`.
 pub fn check(ws: &Workspace, files: &[&SourceFile]) -> Vec<Finding> {
     let graph = CallGraph::build(ws);
-    let mut findings = rule_a1(ws, &graph, files);
-    findings.extend(rule_a2(ws, &graph, files));
+    let mut findings = rule_a2(ws, &graph, files);
     findings.extend(rule_a3(ws, &graph, files));
     findings.extend(rule_a4(ws, &graph, files));
     findings
@@ -90,157 +79,6 @@ fn fn_label(ws: &Workspace, files: &[&SourceFile], fi: usize, fj: usize) -> Stri
 }
 
 // ---------------------------------------------------------------------------
-// A1 — hot-path purity
-// ---------------------------------------------------------------------------
-
-/// Call-hop budget for A1 reachability.
-const A1_DEPTH: usize = 8;
-
-/// The simulator's per-cycle/per-tick functions in `crates/dram` and
-/// `crates/mc`; `sched_probe` is the controller's per-candidate call.
-const HOT_FNS: [&str; 7] = [
-    "tick",
-    "step",
-    "issue",
-    "sched_probe",
-    "probe",
-    "enqueue",
-    "pop_completion",
-];
-
-/// The CMP run loop in `crates/cmp`: the per-core-clock system loop, each
-/// core's private run and its shared-cycle finish, and the cache accesses
-/// they make on every simulated memory instruction.
-const CMP_HOT_FNS: [&str; 6] = [
-    "run_exact",
-    "run_ahead",
-    "step_from",
-    "step_llc",
-    "access",
-    "access_if_hit",
-];
-
-/// The SoA timing core's per-tick surface (`crates/dram/src/soa.rs`):
-/// every function the controller's scheduling scan calls once per
-/// candidate per DRAM tick, including the two halves of the raw fold and
-/// the stamp check that `DramSystem::sched_probe` calls directly when it
-/// refolds a cached probe. Stack-only by contract — one heap allocation
-/// here turns a nanosecond-scale probe into a malloc/free pair millions of
-/// times per simulated second, which is exactly the overhead the
-/// struct-of-arrays rewrite exists to remove.
-const SOA_HOT_FNS: [&str; 10] = [
-    "bank_earliest",
-    "grid_clear",
-    "bank_rank_fold",
-    "bus_fold",
-    "bank_rank_unchanged_since",
-    "raw_probe",
-    "probe",
-    "channel_floor",
-    "commit",
-    "quiesce_at",
-];
-
-/// The cache's per-access surface (`crates/cmp/src/cache.rs`): every
-/// simulated memory instruction probes L1 through `access_if_hit`, and
-/// L2 and the LLC fill through `access_masked`. `Cache::new` sizes the
-/// tag, stamp and dirty lanes once; an access must never grow them.
-const CACHE_HOT_FNS: [&str; 2] = ["access_masked", "access_if_hit"];
-
-/// Files whose named fns are stack-only by contract, so they get the
-/// [`HotOrigin::Strict`] origin.
-const STRICT_HOT_FNS: [(&str, &[&str]); 2] = [
-    ("crates/dram/src/soa.rs", &SOA_HOT_FNS),
-    ("crates/cmp/src/cache.rs", &CACHE_HOT_FNS),
-];
-
-#[derive(Clone, Copy, PartialEq)]
-enum HotOrigin {
-    /// [`HOT_FNS`] in `crates/dram` and `crates/mc`, and [`CMP_HOT_FNS`]
-    /// in `crates/cmp`: allocation, locking, blocking and registry
-    /// resolution at any depth; container growth exempt.
-    Sim,
-    /// [`STRICT_HOT_FNS`] (the SoA core and the cache lanes): every
-    /// danger, growth included.
-    Strict,
-}
-
-fn rule_a1(ws: &Workspace, g: &CallGraph, files: &[&SourceFile]) -> Vec<Finding> {
-    let mut origins: Vec<(usize, HotOrigin)> = Vec::new();
-    for (fi, file) in ws.files.iter().enumerate() {
-        let hot_fns: &[&str] =
-            if file.path.starts_with("crates/dram/") || file.path.starts_with("crates/mc/") {
-                &HOT_FNS
-            } else if file.path.starts_with("crates/cmp/") {
-                &CMP_HOT_FNS
-            } else {
-                &[]
-            };
-        let strict_fns: &[&str] = STRICT_HOT_FNS
-            .iter()
-            .find(|(path, _)| file.path == *path)
-            .map_or(&[], |(_, fns)| fns);
-        for (fj, f) in file.fns.iter().enumerate() {
-            if f.in_test {
-                continue;
-            }
-            let Some(node) = g.node(fi, fj) else { continue };
-            // A fn named in both lists gets the strict origin.
-            if strict_fns.contains(&f.name.as_str()) {
-                origins.push((node, HotOrigin::Strict));
-            } else if hot_fns.contains(&f.name.as_str()) {
-                origins.push((node, HotOrigin::Sim));
-            }
-        }
-    }
-
-    let mut seen: BTreeSet<(usize, usize, usize)> = Default::default();
-    let mut out = Vec::new();
-    for (origin, kind) in origins {
-        let reach = g.reach(origin, A1_DEPTH);
-        let (ofi, ofj) = g.nodes[origin];
-        for &n in &reach.order {
-            let (fi, fj) = g.nodes[n];
-            for danger in &ws.files[fi].fns[fj].dangers {
-                let flagged = kind == HotOrigin::Strict || danger.kind != DangerKind::AllocGrow;
-                if !flagged || !seen.insert((fi, danger.span.0, danger.span.1)) {
-                    continue;
-                }
-                let path: Vec<String> = reach
-                    .path_to(n)
-                    .into_iter()
-                    .map(|p| {
-                        let (pf, pj) = g.nodes[p];
-                        ws.files[pf].fns[pj].name.clone()
-                    })
-                    .collect();
-                let via = if path.len() > 1 {
-                    format!(" via {}", path.join(" -> "))
-                } else {
-                    String::new()
-                };
-                let what = &danger.what;
-                out.push(emit(
-                    ws,
-                    files,
-                    fi,
-                    danger.span,
-                    Rule::A1,
-                    format!(
-                        "hot fn `{}` reaches {what} in `{}`{via}: hot paths must stay \
-                         allocation-, lock- and blocking-free (pre-resolve handles and \
-                         reuse caller-owned scratch instead)",
-                        fn_label(ws, files, ofi, ofj),
-                        ws.files[fi].fns[fj].name,
-                    ),
-                ));
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // A2 — contract reachability
 // ---------------------------------------------------------------------------
 
@@ -250,14 +88,30 @@ const A2_DEPTH: usize = 3;
 /// Return types A2 treats as share/allocation producers: a bare share
 /// vector, or one of the owned partition results (`SharesOutcome`,
 /// `QosPartition`, `CoordOutcome`, and the epoch policy's `Decision`).
-/// Reference returns (`&Decision` accessors) hand out an already-certified
-/// value and are exempt.
+/// A result behind a reference (`Option<&Decision>` accessors) hands out
+/// an already-certified value and is exempt; a borrow elsewhere in the
+/// type (`Result<SharesOutcome, &'static str>`) is not.
 fn is_share_producer_ret(ret: &str) -> bool {
     ret.contains("Vec<f64>")
-        || (["SharesOutcome", "QosPartition", "CoordOutcome", "Decision"]
+        || ["SharesOutcome", "QosPartition", "CoordOutcome", "Decision"]
             .iter()
-            .any(|t| ret.contains(t))
-            && !ret.contains('&'))
+            .any(|t| ret.match_indices(t).any(|(at, _)| !is_borrowed(&ret[..at])))
+}
+
+/// Does a type whose text follows `before` sit directly behind a
+/// reference: `&`, `&mut `, `&'a ` or `&'a mut `?
+fn is_borrowed(before: &str) -> bool {
+    let mut rest = before.trim_end();
+    if let Some(r) = rest.strip_suffix("mut").filter(|r| r.ends_with(['&', ' '])) {
+        rest = r.trim_end();
+    }
+    if let Some(tick) = rest.rfind('\'') {
+        let lifetime = &rest[tick + 1..];
+        if !lifetime.is_empty() && lifetime.chars().all(|c| c.is_alphanumeric() || c == '_') {
+            rest = &rest[..tick];
+        }
+    }
+    rest.ends_with('&')
 }
 
 /// Crates whose public fns hand shares across a boundary: the model, the
@@ -640,163 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn a1_flags_allocation_behind_a_helper() {
-        let r = report_for(&[(
-            "crates/mc/src/controller.rs",
-            "
-pub struct Controller;
-impl Controller {
-    pub fn tick(&mut self) { gather(); }
-}
-fn gather() -> Vec<u64> { let mut v = Vec::new(); v.push(1); v }
-",
-        )]);
-        let codes = active_codes(&r);
-        assert!(codes.contains(&"A1"), "{r:?}");
-        let f = active(&r).into_iter().find(|f| f.rule == Rule::A1).unwrap();
-        assert!(f.message.contains("tick"), "{}", f.message);
-        assert!(f.message.contains("via"), "{}", f.message);
-    }
-
-    #[test]
-    fn a1_flags_registry_calls_in_the_hot_fn_itself() {
-        let src = r#"
-impl Controller {
-    pub fn tick(&mut self, registry: &Registry) {
-        registry.counter("mc_ticks_total").inc();
-    }
-}
-"#;
-        let r = report_for(&[("crates/mc/src/controller.rs", src)]);
-        assert_eq!(active_codes(&r), vec!["A1"], "{r:?}");
-        assert_eq!(r[0].line, 4);
-        assert!(r[0].message.contains("tick"), "{}", r[0].message);
-
-        // Only hot fns in the simulator trees: the same source outside
-        // crates/dram / crates/mc is clean, and a cold `publish` is exempt.
-        let src = r#"
-pub fn tick(registry: &Registry) {
-    registry.gauge("x").set(1.0);
-}
-pub fn publish(registry: &Registry) {
-    registry.gauge("cold_path_is_fine").set(1.0);
-}
-"#;
-        assert!(report_for(&[("crates/cmp/src/system.rs", src)]).is_empty());
-        let r = report_for(&[("crates/dram/src/dram.rs", src)]);
-        assert_eq!(active_codes(&r), vec!["A1"], "{r:?}");
-        assert!(r[0].message.contains("tick"), "{}", r[0].message);
-    }
-
-    #[test]
-    fn a1_respects_allow_marker() {
-        let r = report_for(&[(
-            "crates/mc/src/controller.rs",
-            "
-pub struct Controller;
-impl Controller {
-    pub fn tick(&mut self) { cold(); }
-}
-fn cold() {
-    // lint: allow(A1): once-per-run cold path, measured off the hot loop
-    let v: Vec<u64> = Vec::new();
-    drop(v);
-}
-",
-        )]);
-        assert!(active_codes(&r).is_empty(), "{r:?}");
-        assert!(r.iter().any(|f| f.suppressed));
-
-        // The obs_*! macros are the sanctioned hot-path surface; a marked
-        // one-shot registry call is waived.
-        let r = report_for(&[(
-            "crates/dram/src/dram.rs",
-            r#"
-pub fn issue(&mut self) {
-    obs_count!(self.obs, row_hits);
-}
-pub fn step(&mut self, registry: &Registry) {
-    // lint: allow(A1): one-shot lazy init outside the steady-state loop
-    registry.counter("init_total").inc();
-}
-"#,
-        )]);
-        assert!(active_codes(&r).is_empty(), "{r:?}");
-    }
-
-    #[test]
-    fn a1_ignores_growth_from_sim_fns_but_not_soa_fns() {
-        let sim = report_for(&[(
-            "crates/mc/src/queue.rs",
-            "
-pub struct Q;
-impl Q { pub fn enqueue(&mut self) { grow(); } }
-fn grow() { BUF.with(|b| b.push(1)); }
-",
-        )]);
-        assert!(active_codes(&sim).is_empty(), "{sim:?}");
-        let soa = report_for(&[(
-            "crates/dram/src/soa.rs",
-            "
-pub struct Grid;
-impl Grid { pub fn bank_earliest(&self) { grow(); } }
-fn grow() { BUF.with(|b| b.push(1)); }
-",
-        )]);
-        assert_eq!(active_codes(&soa), vec!["A1"], "{soa:?}");
-    }
-
-    #[test]
-    fn a1_flags_heap_allocation_in_soa_hot_fns() {
-        let src = r#"
-impl ChannelTiming {
-    pub fn probe(&mut self, loc: &Location) -> u64 {
-        let mut scratch = Vec::new();
-        scratch.push(self.bank_busy[0]);
-        let all: Vec<u64> = self.bank_busy.iter().copied().collect();
-        let boxed = Box::new(all);
-        let lits = vec![1u64, 2, 3];
-        debug_assert!(scratch.to_vec().len() < 8);
-        boxed[0] + lits[0] + scratch[0]
-    }
-}
-"#;
-        // `probe` is in both hot lists; the strict origin also flags growth,
-        // and macro arguments are scanned too.
-        let r = report_for(&[("crates/dram/src/soa.rs", src)]);
-        let lines: Vec<usize> = active(&r).iter().map(|f| f.line).collect();
-        assert_eq!(lines, vec![4, 5, 6, 7, 8, 9], "{r:?}");
-        assert!(r[0].message.contains("probe"), "{}", r[0].message);
-        // The same source outside the simulator trees is clean.
-        assert!(report_for(&[("crates/cmp/src/timing.rs", src)]).is_empty());
-
-        // `new` is construction time — allocation is the point there; test
-        // fns are out of scope; a marked site is waived.
-        let cold = r#"
-impl ChannelTiming {
-    pub fn new(cfg: &DramConfig) -> Self {
-        let bank_busy = vec![0u64; cfg.total_banks()];
-        Self { bank_busy }
-    }
-    pub fn commit(&mut self) {
-        // lint: allow(A1): one-time slow-path spill, measured cold
-        self.spill.push(1);
-    }
-}
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn probe() {
-        let v = vec![1, 2, 3];
-        assert_eq!(v.len(), 3);
-    }
-}
-"#;
-        let r = report_for(&[("crates/dram/src/soa.rs", cold)]);
-        assert!(active_codes(&r).is_empty(), "{r:?}");
-    }
-
-    #[test]
     fn a2_accepts_certification_via_callee() {
         let r = report_for(&[(
             "crates/core/src/solver.rs",
@@ -894,12 +591,19 @@ pub fn outcome(apps: &[App]) -> Result<CoordOutcome, ModelError> {
 ",
         )]);
         assert!(active_codes(&good).is_empty(), "{good:?}");
-        // ...and a reference accessor is exempt.
-        let accessor = report_for(&[(
-            "crates/mc/src/epoch.rs",
-            "pub fn published(p: &EpochPolicy) -> Option<&Decision> { p.last.as_ref() }\n",
-        )]);
-        assert!(active_codes(&accessor).is_empty(), "{accessor:?}");
+        // ...and reference accessors are exempt, whatever the borrow's form.
+        for ret in [
+            "Option<&Decision>",
+            "&'a Decision",
+            "&mut Decision",
+            "&'a mut Decision",
+        ] {
+            let accessor = report_for(&[(
+                "crates/mc/src/epoch.rs",
+                &format!("pub fn published<'a>(p: &'a mut EpochPolicy) -> {ret} {{ p.get() }}\n"),
+            )]);
+            assert!(active_codes(&accessor).is_empty(), "{ret}: {accessor:?}");
+        }
     }
 
     #[test]

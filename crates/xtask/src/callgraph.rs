@@ -151,8 +151,8 @@ pub struct CallGraph {
     pub edges: Vec<Vec<Edge>>,
 }
 
-/// BFS result with parent tracking, for "how does the danger get reached"
-/// path reports.
+/// BFS result with parent tracking, for "how is this lock reached" path
+/// reports.
 pub struct Reach {
     /// Depth per node (`None` = unreached). The origin has depth 0.
     pub depth: Vec<Option<usize>>,

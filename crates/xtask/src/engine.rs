@@ -1,4 +1,4 @@
-//! The per-file rules: R1, R2, R4–R8 and R10–R12, evaluated over the
+//! The per-file rules: R1, R2, R4, R6–R8 and R10–R12, evaluated over the
 //! [`crate::tokens`] layer.
 //!
 //! Every rule works on spanned tokens and brace-matched structure — never
@@ -20,8 +20,6 @@ pub struct FileCtx {
     /// A vendored crate's shim module itself (exempt from the R7
     /// std-reference ban).
     pub shim: bool,
-    /// `crates/experiments` (R5).
-    pub experiments: bool,
     /// Match-exhaustiveness scope (R10): `crates/core`, `crates/bwpartd`.
     pub match_exhaustive: bool,
     /// Whether the owning crate wires the `trace` feature to `bwpart-obs`
@@ -36,7 +34,6 @@ impl FileCtx {
         FileCtx {
             vendor: path.starts_with("vendor/"),
             shim: path.ends_with("/shim.rs"),
-            experiments: path.starts_with("crates/experiments/"),
             match_exhaustive: path.starts_with("crates/core/")
                 || path.starts_with("crates/bwpartd/"),
             obs_wired,
@@ -66,9 +63,6 @@ pub fn check(path: &str, f: &SourceFile, ctx: &FileCtx) -> Vec<Finding> {
         rule_r2(f, &mut out);
         rule_r4(f, &mut out);
         rule_r11(f, &mut out);
-        if ctx.experiments {
-            rule_r5(f, &mut out);
-        }
         if ctx.match_exhaustive {
             rule_r10(f, &mut out);
         }
@@ -231,22 +225,6 @@ fn rule_r4(f: &SourceFile, out: &mut Vec<Hit>) {
                 i,
                 "#[allow(clippy::...)] needs a justification comment on the same \
                  or previous line"
-                    .into(),
-            );
-        }
-    }
-}
-
-fn rule_r5(f: &SourceFile, out: &mut Vec<Hit>) {
-    for i in 0..f.tokens.len() {
-        if !f.in_test(i) && f.is_ident(i, "step") && is_method_call(f, i) {
-            emit(
-                out,
-                Rule::R5,
-                i,
-                ".step() in experiment code: advance the simulator via \
-                 CmpSystem::run so event-driven fast-forward applies (or \
-                 annotate `// lint: allow(R5): <reason>`)"
                     .into(),
             );
         }

@@ -32,10 +32,6 @@
 //!   tolerance comparisons go through `bwpart_core::contracts`.
 //! * **R4** — no `#[allow(clippy::...)]` without a justification comment
 //!   (a plain `//` comment attached to the attribute).
-//! * **R5** — in `bwpart-experiments`, no hand-rolled `.step()` calls:
-//!   experiment code must advance the simulator through `CmpSystem::run`
-//!   so event-driven fast-forward applies to every figure/table
-//!   reproduction uniformly.
 //! * **R6** — every `Ordering::Relaxed` / `Ordering::AcqRel` use needs a
 //!   justification comment naming the happens-before edge it relies on
 //!   (or why none is needed): a comment containing `hb:` or
@@ -65,15 +61,20 @@
 //!   to `bwpart-obs` (either a `trace = ["bwpart-obs/trace", ...]`
 //!   feature or the dep feature enabled directly), so tracing builds
 //!   actually reach those sites.
-//! * **A1–A4** — the interprocedural rules (hot-path purity, contract
-//!   reachability, unit flow across calls, workspace lock order); see
-//!   [`crate::analyze`].
+//! * **A2–A4** — the interprocedural rules (contract reachability, unit
+//!   flow across calls, workspace lock order); see [`crate::analyze`].
 //!
-//! Rules R1–R5 and R10–R12 run over `crates/*/src`; R6 and R8 over both
-//! `crates/*/src` and `vendor/{rayon,mio}/src`; R7's `static mut` ban
+//! Rules R1, R2, R4 and R10–R12 run over `crates/*/src`; R6 and R8 over
+//! both `crates/*/src` and `vendor/{rayon,mio}/src`; R7's `static mut` ban
 //! runs everywhere and its shim-only part over `vendor/{rayon,mio}/src`;
 //! R10 is scoped to `crates/core` and `crates/bwpartd`. The vendored
-//! crates stay outside the call graph, so A1–A4 see `crates/*/src` only.
+//! crates stay outside the call graph, so A2–A4 see `crates/*/src` only.
+//!
+//! Two hot-path properties are checked outside this pass, exactly: the
+//! simulator crates' `clippy.toml` files ban locks, sleeps and blocking
+//! receives (and `crates/experiments` bans the per-cycle `step` methods),
+//! and the workspace test `tests/warm_loop_alloc.rs` counts the warm run
+//! loop's heap allocations.
 
 use std::fmt;
 use std::fs;
@@ -94,9 +95,6 @@ pub enum Rule {
     R2,
     /// Clippy suppressions need a justification comment.
     R4,
-    /// Experiments must drive the simulator via `CmpSystem::run`, not
-    /// per-cycle `.step()` loops.
-    R5,
     /// Relaxed/AcqRel atomic orderings need a happens-before
     /// justification comment.
     R6,
@@ -115,9 +113,6 @@ pub enum Rule {
     /// `obs_*!` call sites require `trace` feature wiring to `bwpart-obs`
     /// in the owning crate's manifest.
     R12,
-    /// Hot-path purity: no allocation/lock/blocking/registry resolution in
-    /// or reachable from the hot simulator fns.
-    A1,
     /// Share/allocation producers must certify directly or via a callee.
     A2,
     /// Unit-suffix discipline across call boundaries.
@@ -128,18 +123,16 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, report order.
-    pub const ALL: [Rule; 14] = [
+    pub const ALL: [Rule; 12] = [
         Rule::R1,
         Rule::R2,
         Rule::R4,
-        Rule::R5,
         Rule::R6,
         Rule::R7,
         Rule::R8,
         Rule::R10,
         Rule::R11,
         Rule::R12,
-        Rule::A1,
         Rule::A2,
         Rule::A3,
         Rule::A4,
@@ -151,14 +144,12 @@ impl Rule {
             Rule::R1 => "R1",
             Rule::R2 => "R2",
             Rule::R4 => "R4",
-            Rule::R5 => "R5",
             Rule::R6 => "R6",
             Rule::R7 => "R7",
             Rule::R8 => "R8",
             Rule::R10 => "R10",
             Rule::R11 => "R11",
             Rule::R12 => "R12",
-            Rule::A1 => "A1",
             Rule::A2 => "A2",
             Rule::A3 => "A3",
             Rule::A4 => "A4",
@@ -176,10 +167,6 @@ impl Rule {
             Rule::R1 => "no unwrap()/expect()/panic!/unreachable! in non-test library code",
             Rule::R2 => "no ==/!= against float literals, no bare partial_cmp (use total_cmp)",
             Rule::R4 => "#[allow(clippy::...)] requires a justification comment",
-            Rule::R5 => {
-                "bwpart-experiments must drive the simulator via CmpSystem::run, \
-                         not per-cycle .step() loops (fast-forward must apply everywhere)"
-            }
             Rule::R6 => {
                 "Ordering::Relaxed / Ordering::AcqRel requires a justification \
                          comment naming the happens-before edge (`hb:` or `happens-before`)"
@@ -204,11 +191,6 @@ impl Rule {
             Rule::R12 => {
                 "obs_*! call sites must live in crates whose Cargo.toml wires \
                          the `trace` feature through to bwpart-obs"
-            }
-            Rule::A1 => {
-                "no allocation, locking, blocking or registry resolution in or \
-                         reachable from hot simulator fns (crates/dram, crates/mc, \
-                         the crates/cmp run loop)"
             }
             Rule::A2 => {
                 "pub fns returning shares (Vec<f64>, or owned SharesOutcome/QosPartition/\
@@ -245,12 +227,6 @@ impl Rule {
                 "A clippy suppression with no reason rots: nobody can tell whether it \
                  is still needed or what it was hiding. Attach a plain `//` comment \
                  (not a doc comment) with the reason to the attribute."
-            }
-            Rule::R5 => {
-                "bwpart-experiments reproduces the paper's figures; hand-rolled \
-                 .step() loops bypass CmpSystem::run's event-driven fast-forward, so \
-                 a figure could silently measure a different simulator configuration \
-                 than the rest of the suite. Drive the system through run()."
             }
             Rule::R6 => {
                 "Relaxed and AcqRel orderings are correct only relative to a specific \
@@ -298,38 +274,6 @@ impl Rule {
                  feature enabled directly) can never fire, which is a silent \
                  observability hole: builds with --features trace would still skip \
                  it. Wire the feature through the owning crate's Cargo.toml."
-            }
-            Rule::A1 => {
-                "A1 — hot-path purity, transitively.\n\
-                 \n\
-                 The simulator's per-cycle functions (tick/step/issue/sched_probe/\n\
-                 probe/… in crates/dram and crates/mc), the CMP run loop\n\
-                 (run_exact/run_ahead/step_from/step_llc and the cache\n\
-                 access/access_if_hit in crates/cmp), the SoA timing core's per-tick\n\
-                 surface (bank_earliest/grid_clear/bank_rank_fold/bus_fold/\n\
-                 raw_probe/… in crates/dram/src/soa.rs) and the cache lanes'\n\
-                 per-access surface (access_masked/access_if_hit in\n\
-                 crates/cmp/src/cache.rs) run millions of times per simulated\n\
-                 second. From each hot fn, its own\n\
-                 body and every function reachable within 8 call hops is scanned for\n\
-                 danger sites — fresh allocation (Vec::new, vec![], collect,\n\
-                 with_capacity, Box::new, …), lock acquisition, blocking calls\n\
-                 (sleep, recv, wait) and per-event metrics-registry resolution\n\
-                 (.counter()/.gauge()/.histogram(), which hash a name and take the\n\
-                 registry's lock; pre-resolve handles at attach time and touch them\n\
-                 through the zero-cost obs_*! macros).\n\
-                 Container *growth* (.push, .extend, .reserve) is only flagged for the\n\
-                 SoA core and the cache lanes, which are stack-only by contract\n\
-                 (Cache::new sizes the lanes; an access never grows them) — amortized\n\
-                 growth of caller-owned scratch is the honest idiom elsewhere (that is\n\
-                 what enqueue is for).\n\
-                 \n\
-                 The finding is anchored at the danger site and reports the full call\n\
-                 path from the hot fn, so the fix target is visible: hoist the\n\
-                 allocation to construction time, pre-resolve the handle, or break\n\
-                 the call edge. Suppress with `lint: allow(A1): <reason>` at the\n\
-                 danger site only when the path is provably cold (e.g. a once-per-run\n\
-                 panic path)."
             }
             Rule::A2 => {
                 "A2 — certification must be reachable.\n\
@@ -544,7 +488,7 @@ impl Input {
 
 /// The single pass over pre-read sources: each file is lexed and
 /// structured once, the per-file rules and the unsafe-site count run on
-/// it, and the non-vendored files are indexed for A1–A4. `audit` is the
+/// it, and the non-vendored files are indexed for A2–A4. `audit` is the
 /// `UNSAFE_AUDIT.md` text to cross-check (`None` skips the cross-check).
 /// Returns **all** findings — suppressed ones included, with their
 /// justification — in (path, line, col, rule) order.
@@ -767,8 +711,8 @@ pub fn render_text(findings: &[Finding]) -> String {
     let active = findings.len() - suppressed;
     if active == 0 {
         out.push_str(&format!(
-            "bwpart-audit: clean, {suppressed} suppressed (rules R1, R2, R4-R8, R10-R12 and \
-             A1-A4 over crates/*/src + vendor/{{rayon,mio}}/src)\n"
+            "bwpart-audit: clean, {suppressed} suppressed (rules R1, R2, R4, R6-R8, R10-R12 \
+             and A2-A4 over crates/*/src + vendor/{{rayon,mio}}/src)\n"
         ));
     } else {
         out.push_str(&format!(
@@ -998,46 +942,6 @@ pub fn partial_cmp_like(a: f64, b: f64, n: usize) -> bool {
         let good = "// the signature mirrors the paper's Eq. 7 terms\n\
                     #[allow(clippy::too_many_arguments)]\npub fn f() {}\n";
         assert!(lint("fixture.rs", good).is_empty());
-    }
-
-    #[test]
-    fn r5_catches_step_loops_in_experiments_only() {
-        let src = r#"
-pub fn measure(sys: &mut CmpSystem) {
-    for _ in 0..1_000 {
-        sys.step();
-    }
-}
-"#;
-        let vs = lint("crates/experiments/src/lib.rs", src);
-        assert_eq!(codes(&vs), vec!["R5"]);
-        assert_eq!(vs[0].line, 4);
-        // The same code is fine outside bwpart-experiments (e.g. the cmp
-        // crate's own per-cycle reference implementation).
-        assert!(lint("crates/cmp/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn r5_allows_annotated_sites_run_calls_and_tests() {
-        let src = r#"
-pub fn fine(sys: &mut CmpSystem) {
-    sys.run(1_000);
-    // lint: allow(R5): cross-checking one cycle against the reference
-    sys.step();
-    let stepper = 3;
-    let _ = stepper;
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn tests_may_step() {
-        let mut sys = super::mk();
-        sys.step();
-    }
-}
-"#;
-        assert!(lint("crates/experiments/src/lib.rs", src).is_empty());
     }
 
     #[test]

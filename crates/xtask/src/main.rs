@@ -3,7 +3,7 @@
 //! Subcommands:
 //!
 //! * `lint` — the bwpart-audit static-analysis pass: per-file rules plus
-//!   the interprocedural rules A1–A4 over the workspace call graph (see
+//!   the interprocedural rules A2–A4 over the workspace call graph (see
 //!   [`lint`] for the rules). Text, JSON and SARIF output.
 //! * `bench` — the perf-regression harness: builds and runs the
 //!   `bench_sim` binary from `bwpart-bench` in release mode, which times
@@ -24,7 +24,7 @@
 //! cargo xtask lint --rules      # print the rule catalogue
 //! cargo xtask lint --json       # machine-readable findings (schema v1)
 //! cargo xtask lint --sarif      # SARIF 2.1.0 for code-scanning upload
-//! cargo xtask lint --explain A1 # long-form rationale for one rule
+//! cargo xtask lint --explain A2 # long-form rationale for one rule
 //! cargo xtask bench             # full benchmark, writes BENCH_sim.json
 //! cargo xtask bench --smoke     # tiny cycle budget for CI smoke runs
 //! cargo xtask bench --check     # exit 1 on >10% regression vs committed numbers

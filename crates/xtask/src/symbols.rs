@@ -1,5 +1,5 @@
 //! Workspace symbol index: per-file item facts for the interprocedural
-//! rules A1–A4.
+//! rules A2–A4.
 //!
 //! [`FileFacts::extract`] walks one file's [`crate::tokens::SourceFile`]
 //! and records everything the call-graph and rule layers consume:
@@ -12,8 +12,6 @@
 //!   params, `self`, `self.field` through the struct table, call results
 //!   through the callee's return type), and idents invoked inside macro
 //!   arguments (conservative edges);
-//! * danger sites (allocations, lock acquisitions, blocking calls, direct
-//!   registry resolution) with byte spans, for the transitive A1 rule;
 //! * lock acquisitions with their guards' held ranges, and which
 //!   locks are held over each call site, for the cross-crate A4 rule;
 //! * struct field types, `use` imports/re-exports and in-source
@@ -79,36 +77,6 @@ pub struct CallSite {
     pub bound_to: Option<String>,
 }
 
-/// Classification of a danger site for the A1 hot-path purity rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DangerKind {
-    /// Fresh-container construction: `Vec::new`, `vec![...]`,
-    /// `with_capacity`, `.collect()`, `.to_vec()`, `.to_string()`,
-    /// `format!`, `String::from`, `Box::new`.
-    AllocFresh,
-    /// Growth of an existing container: `.push`, `.push_back`,
-    /// `.reserve`, `.extend`.
-    AllocGrow,
-    /// Mutex acquisition.
-    Lock,
-    /// Blocking call: `sleep`, `.recv()`, `.wait()`.
-    Blocking,
-    /// Per-event registry resolution: `.counter()`, `.gauge()`,
-    /// `.histogram()`.
-    Registry,
-}
-
-/// One danger site with its span and a human-readable description.
-#[derive(Debug, Clone)]
-pub struct DangerSite {
-    /// Danger classification.
-    pub kind: DangerKind,
-    /// What the site looks like (`"vec![...]"`, `".collect(...)"`).
-    pub what: String,
-    /// Byte span of the dangerous token.
-    pub span: (usize, usize),
-}
-
 /// One mutex acquisition: `recv.lock()` names the lock after the
 /// receiver, `lock_x(...)` helpers after their suffix.
 #[derive(Debug, Clone)]
@@ -148,8 +116,6 @@ pub struct FnFacts {
     pub certifies: bool,
     /// Every call site in the body (nested fns excluded).
     pub calls: Vec<CallSite>,
-    /// Every danger site in the body.
-    pub dangers: Vec<DangerSite>,
     /// Every lock acquisition in the body.
     pub locks: Vec<LockAcq>,
 }
@@ -307,7 +273,6 @@ impl FileFacts {
                 ret_text,
                 certifies: false,
                 calls: Vec::new(),
-                dangers: Vec::new(),
                 locks: Vec::new(),
             };
             if let Some((open, close)) = info.body {
@@ -830,7 +795,7 @@ fn local_types(f: &SourceFile, open: usize, close: usize) -> Vec<(String, String
     out
 }
 
-/// Walk one fn body collecting calls, dangers and lock acquisitions.
+/// Walk one fn body collecting calls and lock acquisitions.
 // the scan shares the pre-computed per-file tables with its caller; a one-shot struct would just rename the list
 #[allow(clippy::too_many_arguments)]
 fn scan_body(
@@ -885,16 +850,14 @@ fn scan_body(
         facts.certifies |= is_certifier(f, k);
 
         // Macro invocation: `name!(...)` / `name![...]` / `name!{...}` —
-        // record alloc macros and dangers inside the arguments, and idents
-        // called inside the arguments as conservative Macro edges.
+        // idents called inside the arguments become conservative Macro
+        // edges.
         if f.next(k).is_some_and(|n| f.is_op(n, "!")) {
-            push_danger(f, k, facts);
             let group = f.next(k).and_then(|n| f.next(n));
             if let Some(g) = group.filter(|&g| matches!(f.tokens[g].kind, TokenKind::Open(_))) {
                 if let Some(gc) = f.partner[g] {
                     for a in g + 1..gc {
                         facts.certifies |= is_certifier(f, a);
-                        push_danger(f, a, facts);
                         if f.tokens[a].kind == TokenKind::Ident
                             && !NON_CALLEES.contains(&f.text(a))
                             && f.next(a).is_some_and(|n| f.is_open(n, Delim::Paren))
@@ -939,8 +902,6 @@ fn scan_body(
         };
         let arg_idents = call_arg_idents(f, open_paren);
 
-        push_danger(f, k, facts);
-
         // Lock acquisition.
         // Inside a `lock_x` helper, `m.lock()` acquires `x` itself.
         let lock_name = if is_method && text == "lock" {
@@ -956,17 +917,12 @@ fn scan_body(
         if let Some(name) = lock_name {
             if let Some(held_to) = held_range(f, k) {
                 facts.locks.push(LockAcq {
-                    name: name.clone(),
+                    name,
                     span: (f.tokens[k].start, f.tokens[k].end),
                     tok: k,
                     held_to,
                 });
             }
-            facts.dangers.push(DangerSite {
-                kind: DangerKind::Lock,
-                what: format!("lock `{name}`"),
-                span: (f.tokens[k].start, f.tokens[k].end),
-            });
         }
 
         // The call edge itself.
@@ -1023,63 +979,6 @@ fn scan_body(
             .filter(|l| l.tok < call.tok && call.tok <= l.held_to)
             .map(|l| l.name.clone())
             .collect();
-    }
-}
-
-/// Record the danger at token `k`, if any: an allocating macro (`vec!`,
-/// `format!`) or a call that allocates, blocks, or resolves a registry
-/// handle.
-fn push_danger(f: &SourceFile, k: usize, facts: &mut FnFacts) {
-    let Some(next) = f.next(k) else { return };
-    if f.tokens[k].kind != TokenKind::Ident || f.prev(k).is_some_and(|p| f.is_ident(p, "fn")) {
-        return;
-    }
-    let text = f.text(k);
-    let danger = if f.is_op(next, "!") {
-        matches!(text, "vec" | "format").then(|| (DangerKind::AllocFresh, format!("{text}![...]")))
-    } else if !f.is_open(next, Delim::Paren) {
-        None
-    } else if f.prev(k).is_some_and(|p| f.is_op(p, ".")) {
-        match text {
-            "counter" | "gauge" | "histogram" => {
-                Some((DangerKind::Registry, format!(".{text}(...)")))
-            }
-            "push" | "push_back" | "reserve" | "extend" => {
-                Some((DangerKind::AllocGrow, format!(".{text}(...)")))
-            }
-            "collect" | "to_vec" | "to_string" | "with_capacity" => {
-                Some((DangerKind::AllocFresh, format!(".{text}(...)")))
-            }
-            "recv" | "recv_timeout" | "wait" => {
-                Some((DangerKind::Blocking, format!(".{text}(...)")))
-            }
-            _ => None,
-        }
-    } else {
-        let assoc_of = f
-            .prev(k)
-            .filter(|&p| f.is_op(p, "::"))
-            .and_then(|p| f.prev(p))
-            .filter(|&o| f.tokens[o].kind == TokenKind::Ident)
-            .map(|o| f.text(o));
-        match (assoc_of, text) {
-            (Some("Vec" | "VecDeque" | "String" | "HashMap" | "BTreeMap" | "HashSet"), "new")
-            | (Some(_), "with_capacity")
-            | (Some("Box"), "new")
-            | (Some("String"), "from") => Some((
-                DangerKind::AllocFresh,
-                format!("{}::{text}(...)", assoc_of.unwrap_or("")),
-            )),
-            (_, "sleep") => Some((DangerKind::Blocking, "sleep(...)".to_string())),
-            _ => None,
-        }
-    };
-    if let Some((kind, what)) = danger {
-        facts.dangers.push(DangerSite {
-            kind,
-            what,
-            span: (f.tokens[k].start, f.tokens[k].end),
-        });
     }
 }
 
@@ -1446,14 +1345,10 @@ fn helper(t_cycles: u64) -> u64 { t_cycles }
     }
 
     #[test]
-    fn records_danger_sites_and_locks() {
+    fn records_locks_and_the_calls_they_cover() {
         let src = r#"
 impl Engine {
-    fn run(&mut self, registry: &Registry) {
-        let c = registry.counter("x");
-        let mut v = Vec::new();
-        v.push(1);
-        let s: Vec<u8> = self.buf.iter().collect();
+    fn run(&mut self) {
         let g = state.lock().unwrap_or_else(|p| p.into_inner());
         lock_engine(&self.inner).step();
     }
@@ -1461,16 +1356,13 @@ impl Engine {
 "#;
         let ff = extract("crates/bwpartd/src/engine.rs", src);
         let run = &ff.fns[0];
-        let kinds: Vec<DangerKind> = run.dangers.iter().map(|d| d.kind).collect();
-        assert!(kinds.contains(&DangerKind::Registry));
-        assert!(kinds.contains(&DangerKind::AllocFresh));
-        assert!(kinds.contains(&DangerKind::AllocGrow));
-        assert_eq!(kinds.iter().filter(|k| **k == DangerKind::Lock).count(), 2);
         let names: Vec<&str> = run.locks.iter().map(|l| l.name.as_str()).collect();
         assert_eq!(names, vec!["state", "engine"]);
-        // `.step()` happens under neither guard (temporary statements).
+        // `.step()` runs while both guards are live: the let-bound `g` to
+        // the end of the block, the `lock_engine` temporary to the end of
+        // its statement.
         let step = run.calls.iter().find(|c| c.name == "step").expect("step");
-        assert!(step.under_locks.contains(&"engine".to_string()));
+        assert_eq!(step.under_locks, vec!["state", "engine"]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! End-to-end checks for the interprocedural rules A1–A4 of
+//! End-to-end checks for the interprocedural rules A2–A4 of
 //! `cargo xtask lint` against scratch crate trees: seeded violations must
 //! be caught through the CLI, clean trees must pass, suppression markers
 //! must be honoured, and the SARIF/JSON plumbing must behave as CI
@@ -12,169 +12,6 @@ mod common;
 use common::{fixture_root, run_lint, write};
 use serde_json::Value;
 use xtask::lint::Rule;
-
-/// The seeded A1 regression mirrors the bug this pass was built to catch:
-/// a hot fn that looks clean locally but reaches a per-tick allocation
-/// through a helper (the gather-scratch pattern).
-#[test]
-fn a1_allocation_behind_helper_fails_through_the_cli() {
-    let root = fixture_root("bwpart-analyze-a1");
-    write(
-        &root,
-        "crates/mc/src/controller.rs",
-        r#"
-pub struct Controller;
-impl Controller {
-    pub fn tick(&mut self) {
-        fan_out();
-    }
-}
-fn fan_out() -> Vec<u64> {
-    let mut slots = Vec::new();
-    slots.push(1);
-    slots
-}
-"#,
-    );
-    let (ok, stdout) = run_lint(&root, &[]);
-    assert!(!ok, "helper allocation must fail:\n{stdout}");
-    assert!(stdout.contains("A1"), "{stdout}");
-    assert!(
-        stdout.contains("tick") && stdout.contains("fan_out"),
-        "finding must name the call path:\n{stdout}"
-    );
-}
-
-/// A1 covers the CMP run loop too: a core's private run-ahead that
-/// reaches a per-cycle allocation fails, while the same shape in a cold
-/// cmp fn, or a fn of the same name outside `crates/cmp`, passes.
-#[test]
-fn a1_covers_the_cmp_run_loop() {
-    let root = fixture_root("bwpart-analyze-a1-cmp");
-    write(
-        &root,
-        "crates/cmp/src/core.rs",
-        r#"
-pub struct Core;
-impl Core {
-    pub fn run_ahead(&mut self, from: u64, limit: u64) -> u64 {
-        let trail = record(from);
-        trail.len() as u64 + limit
-    }
-    pub fn report(&self) -> Vec<u64> {
-        let mut v = Vec::new();
-        v.push(1);
-        v
-    }
-}
-fn record(cycle: u64) -> Vec<u64> {
-    vec![cycle]
-}
-"#,
-    );
-    write(
-        &root,
-        "crates/demo/src/lib.rs",
-        r#"
-pub fn run_ahead(from: u64) -> Vec<u64> {
-    vec![from]
-}
-"#,
-    );
-    let (ok, stdout) = run_lint(&root, &[]);
-    assert!(!ok, "run-ahead allocation must fail:\n{stdout}");
-    assert!(
-        stdout.contains("A1") && stdout.contains("run_ahead") && stdout.contains("record"),
-        "finding must name the call path:\n{stdout}"
-    );
-    assert_eq!(
-        stdout.matches("[A1]").count(),
-        1,
-        "only the hot path may be flagged:\n{stdout}"
-    );
-    assert!(!stdout.contains("crates/demo/src/lib.rs"), "{stdout}");
-}
-
-/// The cache lanes are stack-only: growing a container inside
-/// `access_if_hit` in `crates/cmp/src/cache.rs` fails, while the same
-/// `.push` in another cmp file's `access_if_hit` is amortized scratch
-/// growth, which the run-loop origin exempts.
-#[test]
-fn a1_cache_access_must_not_grow_containers() {
-    let root = fixture_root("bwpart-analyze-a1-cache");
-    let src = r#"
-pub struct Cache {
-    touched: Vec<u64>,
-}
-impl Cache {
-    pub fn access_if_hit(&mut self, addr: u64) -> bool {
-        self.touched.push(addr);
-        true
-    }
-}
-"#;
-    write(&root, "crates/cmp/src/cache.rs", src);
-    write(&root, "crates/cmp/src/probe.rs", src);
-    let (ok, stdout) = run_lint(&root, &[]);
-    assert!(!ok, "growth in a cache access must fail:\n{stdout}");
-    assert_eq!(
-        stdout.matches("[A1]").count(),
-        1,
-        "only cache.rs may be flagged:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("crates/cmp/src/cache.rs:7") && stdout.contains("access_if_hit"),
-        "{stdout}"
-    );
-}
-
-/// A cached probe's refold path is stack-only: a `.push` in `bus_fold` in
-/// `crates/dram/src/soa.rs` fails, although `sched_probe`, which calls it
-/// directly, is a run-loop origin that exempts growth; the same fn in
-/// another dram file is not flagged.
-#[test]
-fn a1_probe_refold_must_not_grow_containers() {
-    let root = fixture_root("bwpart-analyze-a1-refold");
-    let fold = r#"
-pub struct ChannelCore {
-    seen: Vec<u64>,
-}
-impl ChannelCore {
-    pub fn bus_fold(&mut self, start: u64) -> u64 {
-        self.seen.push(start);
-        start
-    }
-}
-"#;
-    write(&root, "crates/dram/src/soa.rs", fold);
-    write(&root, "crates/dram/src/fold.rs", fold);
-    write(
-        &root,
-        "crates/dram/src/dram.rs",
-        r#"
-use crate::soa::ChannelCore;
-pub struct DramSystem {
-    core: ChannelCore,
-}
-impl DramSystem {
-    pub fn sched_probe(&mut self, now: u64) -> u64 {
-        self.core.bus_fold(now)
-    }
-}
-"#,
-    );
-    let (ok, stdout) = run_lint(&root, &[]);
-    assert!(!ok, "growth in the refold path must fail:\n{stdout}");
-    assert_eq!(
-        stdout.matches("[A1]").count(),
-        1,
-        "only soa.rs may be flagged:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("crates/dram/src/soa.rs:7") && stdout.contains("bus_fold"),
-        "{stdout}"
-    );
-}
 
 /// A2: a pub share-vector producer whose certification lives in a callee
 /// passes; one with no reachable certification fails.
@@ -292,6 +129,52 @@ fn validate_shares(_beta: &[f64], _n: usize) -> Result<(), ModelError> {
     );
 }
 
+/// A2 exempts a result only when the result itself is borrowed: an
+/// uncertified producer whose error type borrows (`&'static str`) fails,
+/// while an `Option<&Decision>` accessor (the shape of
+/// `EpochPolicy::published`) passes.
+#[test]
+fn a2_exempts_only_borrowed_results() {
+    let root = fixture_root("bwpart-analyze-a2-borrow");
+    write(
+        &root,
+        "crates/core/src/schemes.rs",
+        r#"
+pub fn solve_or_reason(n: usize) -> Result<SharesOutcome, &'static str> {
+    Ok(SharesOutcome { beta: vec![1.0 / n as f64; n] })
+}
+"#,
+    );
+    write(
+        &root,
+        "crates/mc/src/epoch.rs",
+        r#"
+pub struct EpochPolicy {
+    last: Option<Decision>,
+}
+impl EpochPolicy {
+    pub fn published(&self) -> Option<&Decision> {
+        self.last.as_ref()
+    }
+}
+"#,
+    );
+    let (ok, stdout) = run_lint(&root, &[]);
+    assert!(
+        !ok,
+        "an owned result beside a borrowed error must fail:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("crates/core/src/schemes.rs:2") && stdout.contains("`solve_or_reason`"),
+        "{stdout}"
+    );
+    assert_eq!(
+        stdout.matches("[A2]").count(),
+        1,
+        "the reference accessor must stay exempt:\n{stdout}"
+    );
+}
+
 /// A3: a `_ns` value flowing into a `_cycles` parameter across a call
 /// boundary is flagged; the conversion fn itself is exempt.
 #[test]
@@ -386,98 +269,103 @@ pub fn obs_push() {
     assert!(ok, "declared nesting must pass:\n{stdout}");
 }
 
-/// Call-graph edge cases, end to end: trait-object dispatch fans out to
-/// every impl, nested closures attribute calls to the enclosing fn,
+/// Call-graph edge cases, end to end, each the only route from a share
+/// producer to its certifier: trait-object dispatch fans out to every
+/// impl, a call inside a closure counts for the enclosing fn,
 /// `#[cfg(test)]` callees stay invisible to live code, and re-exported
-/// names resolve through the alias.
+/// names resolve through the alias. An uncertified `leak` beside each
+/// reached producer shows that A2 ran.
 #[test]
 fn call_graph_edge_cases_resolve_through_the_cli() {
+    let leak = "pub fn leak(n: usize) -> Vec<f64> {\n    vec![1.0 / n as f64; n]\n}\n";
+    let only_leak = |stdout: &str| stdout.matches("[A2]").count() == 1 && stdout.contains("`leak`");
+
     let root = fixture_root("bwpart-analyze-edges");
-    write(
-        &root,
-        "crates/mc/src/sched.rs",
-        r#"
-pub trait Scheduler {
-    fn pick(&self);
+    let dispatch = r#"
+pub trait Certify {
+    fn check(&self, beta: &[f64]);
 }
-pub struct FrFcfs;
-impl Scheduler for FrFcfs {
-    fn pick(&self) {
-        let v: Vec<u64> = Vec::new();
-        drop(v);
+pub struct Simplex;
+impl Certify for Simplex {
+    fn check(&self, beta: &[f64]) {
+        validate_shares(beta);
     }
 }
-pub struct Controller;
-impl Controller {
-    pub fn tick(&mut self, s: &dyn Scheduler) {
-        let run = || s.pick(); // closure capture keeps the edge on tick
-        run();
+pub fn solve(n: usize, c: &dyn Certify) -> Vec<f64> {
+    let beta = vec![1.0 / n as f64; n];
+    let run = || c.check(&beta); // closure capture keeps the edge on solve
+    run();
+    beta
+}
+"#;
+    write(
+        &root,
+        "crates/core/src/solver.rs",
+        &format!("{dispatch}{leak}"),
+    );
+    let (ok, stdout) = run_lint(&root, &[]);
+    assert!(
+        !ok && only_leak(&stdout),
+        "trait-object dispatch + closure attribution must reach the \
+         certifier:\n{stdout}"
+    );
+
+    // cfg(test)-masked callee: the only certifying fn of that name is
+    // test-gated, so the producer is uncertified.
+    let root = fixture_root("bwpart-analyze-edges-test-masked");
+    write(
+        &root,
+        "crates/core/src/solver.rs",
+        r#"
+pub fn solve(n: usize) -> Vec<f64> {
+    let beta = vec![1.0 / n as f64; n];
+    certify(&beta);
+    beta
+}
+fn certify(_beta: &[f64]) {}
+
+#[cfg(test)]
+mod tests {
+    fn certify(beta: &[f64]) {
+        validate_shares(beta);
     }
 }
 "#,
     );
     let (ok, stdout) = run_lint(&root, &[]);
     assert!(
-        !ok && stdout.contains("A1") && stdout.contains("pick"),
-        "trait-object dispatch + closure attribution must reach the \
-         allocation:\n{stdout}"
+        !ok && stdout.contains("`solve`"),
+        "test-gated callees must stay invisible:\n{stdout}"
     );
-
-    // cfg(test)-masked callee: the same shape is invisible when the only
-    // allocating impl is test-gated.
-    let root = fixture_root("bwpart-analyze-edges-test-masked");
-    write(
-        &root,
-        "crates/mc/src/sched.rs",
-        r#"
-pub struct Controller;
-impl Controller {
-    pub fn tick(&mut self) {
-        helper();
-    }
-}
-fn helper() {}
-
-#[cfg(test)]
-mod tests {
-    fn helper() {
-        let v: Vec<u64> = Vec::new();
-        drop(v);
-    }
-}
-"#,
-    );
-    let (ok, stdout) = run_lint(&root, &[]);
-    assert!(ok, "test-gated callees must stay invisible:\n{stdout}");
 
     // Re-exported path: the alias resolves to the underlying fn.
     let root = fixture_root("bwpart-analyze-edges-reexport");
     write(
         &root,
         "crates/core/src/lib.rs",
-        "pub use crate::detail::alloc_impl as build;\n",
+        "pub use crate::detail::check_impl as certify;\n",
     );
     write(
         &root,
         "crates/core/src/detail.rs",
-        "pub fn alloc_impl() -> Vec<u64> { let mut v = Vec::new(); v.push(1); v }\n",
+        "pub fn check_impl(beta: &[f64]) {\n    validate_shares(beta);\n}\n",
     );
+    let service = r#"
+use bwpart_core::certify;
+pub fn shares(n: usize) -> Vec<f64> {
+    let beta = vec![1.0 / n as f64; n];
+    certify(&beta);
+    beta
+}
+"#;
     write(
         &root,
-        "crates/mc/src/controller.rs",
-        r#"
-use bwpart_core::build;
-pub struct Controller;
-impl Controller {
-    pub fn tick(&mut self) {
-        let _ = build();
-    }
-}
-"#,
+        "crates/bwpartd/src/engine.rs",
+        &format!("{service}{leak}"),
     );
     let (ok, stdout) = run_lint(&root, &[]);
     assert!(
-        !ok && stdout.contains("A1") && stdout.contains("alloc_impl"),
+        !ok && only_leak(&stdout),
         "re-exported callees must resolve:\n{stdout}"
     );
 }
@@ -489,18 +377,11 @@ fn allow_markers_suppress_and_are_reported() {
     let root = fixture_root("bwpart-analyze-allow");
     write(
         &root,
-        "crates/mc/src/controller.rs",
+        "crates/core/src/metrics.rs",
         r#"
-pub struct Controller;
-impl Controller {
-    pub fn tick(&mut self) {
-        cold_init();
-    }
-}
-fn cold_init() {
-    // lint: allow(A1): one-shot lazy init measured off the hot loop
-    let v: Vec<u64> = Vec::new();
-    drop(v);
+// lint: allow(A2): speedups are per-app ratios, not a share vector
+pub fn speedups(ipc_shared: &[f64], ipc_alone: &[f64]) -> Vec<f64> {
+    ipc_shared.iter().zip(ipc_alone).map(|(s, a)| s / a).collect()
 }
 "#,
     );
@@ -512,11 +393,12 @@ fn cold_init() {
     assert!(ok, "{json_out}");
     let j: Value = serde_json::from_str(&json_out).expect("json parses");
     assert_eq!(j["counts"]["suppressed"].as_f64(), Some(1.0));
+    assert_eq!(j["findings"][0]["rule"].as_str(), Some("A2"));
     let justification = j["findings"][0]["justification"]
         .as_str()
         .unwrap_or_default();
     assert!(
-        justification.contains("lazy init"),
+        justification.contains("per-app ratios"),
         "justification must carry the reason: {justification}"
     );
 }

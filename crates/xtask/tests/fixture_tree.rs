@@ -58,78 +58,6 @@ pub fn shares(n: usize) -> Vec<f64> {
 }
 
 #[test]
-fn seeded_experiments_step_loop_is_caught() {
-    let root = fixture_root("bwpart-audit-experiments");
-    write(
-        &root,
-        "crates/experiments/src/lib.rs",
-        r#"
-pub fn measure(sys: &mut CmpSystem) -> u64 {
-    for _ in 0..1_000 {
-        sys.step();
-    }
-    sys.cycle()
-}
-"#,
-    );
-    // The identical loop outside crates/experiments must NOT trip R5.
-    write(
-        &root,
-        "crates/demo/src/lib.rs",
-        r#"
-pub fn reference(sys: &mut CmpSystem) {
-    for _ in 0..1_000 {
-        sys.step();
-    }
-}
-"#,
-    );
-    let (ok, stdout) = run_lint(&root, &[]);
-    assert!(!ok, "step loop in experiments must fail:\n{stdout}");
-    assert!(stdout.contains("[R5]"), "{stdout}");
-    assert!(
-        stdout.contains("crates/experiments/src/lib.rs:4"),
-        "{stdout}"
-    );
-    assert!(
-        !stdout.contains("crates/demo/src/lib.rs:4"),
-        "R5 must be scoped to bwpart-experiments:\n{stdout}"
-    );
-}
-
-#[test]
-fn seeded_hot_loop_registry_call_is_caught() {
-    let root = fixture_root("bwpart-audit-hot-obs");
-    write(
-        &root,
-        "crates/mc/src/lib.rs",
-        r#"
-pub fn tick(registry: &Registry) {
-    registry.counter("mc_ticks_total").inc();
-}
-"#,
-    );
-    // The identical call outside crates/dram / crates/mc must NOT trip A1.
-    write(
-        &root,
-        "crates/demo/src/lib.rs",
-        r#"
-pub fn tick(registry: &Registry) {
-    registry.counter("cold_tree_total").inc();
-}
-"#,
-    );
-    let (ok, stdout) = run_lint(&root, &[]);
-    assert!(!ok, "hot-loop registry call must fail:\n{stdout}");
-    assert!(stdout.contains("[A1]"), "{stdout}");
-    assert!(stdout.contains("crates/mc/src/lib.rs:3"), "{stdout}");
-    assert!(
-        !stdout.contains("crates/demo/src/lib.rs:3"),
-        "A1 must be scoped to the simulator hot trees:\n{stdout}"
-    );
-}
-
-#[test]
 fn seeded_concurrency_violations_are_caught() {
     // Rules R6-R8 over a fixture tree with a vendored pool: exactly the
     // violation mix a careless concurrency patch would introduce.
