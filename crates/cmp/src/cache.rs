@@ -145,13 +145,22 @@ impl Cache {
         (set * self.cfg.ways, addr >> self.tag_shift)
     }
 
-    /// The way of the set at `base` holding `tag`, if any.
+    /// The way of the set at `base` holding `tag`, if any. Only a filled
+    /// way matches, and a tag fills at most once per set, so at most one
+    /// way matches: the scan selects it over every way with no exit from
+    /// the loop (a conditional move, where an early exit would be a branch
+    /// on which way hit).
     fn way_of(&self, base: usize, tag: u64) -> Option<usize> {
         let ways = base..base + self.cfg.ways;
-        self.tags[ways.clone()]
+        let mut hit = self.cfg.ways;
+        for (w, (&t, &stamp)) in self.tags[ways.clone()]
             .iter()
             .zip(&self.stamps[ways])
-            .position(|(&t, &stamp)| t == tag && stamp != 0)
+            .enumerate()
+        {
+            hit = if t == tag && stamp != 0 { w } else { hit };
+        }
+        (hit < self.cfg.ways).then_some(hit)
     }
 
     /// Access `addr`. On a miss the line is filled (write-allocate) and the

@@ -199,11 +199,12 @@ impl DramSystem {
         self.channels.len()
     }
 
-    /// Channel-wide lower bound on any transaction's start cycle — one
-    /// linear pass over the channel's flat bank lanes (see
-    /// [`ChannelCore::channel_floor`]). While this exceeds `now`, nothing
-    /// on the channel can issue, so the memory controller settles its
-    /// command clocks below the lowest floor in closed form.
+    /// Channel-wide lower bound on any transaction's start cycle, read in
+    /// constant time from the channel's kept bank-floor minimum and its bus
+    /// and command-slot scalars (see [`ChannelCore::channel_floor`]). While
+    /// this exceeds `now`, nothing on the channel can issue, so the memory
+    /// controller settles its command clocks below the lowest floor in
+    /// closed form.
     #[inline]
     pub fn channel_floor(&self, channel: usize) -> u64 {
         self.channels[channel].channel_floor()
@@ -282,6 +283,9 @@ impl DramSystem {
     /// bank-and-rank part, which is itself recomputed only when a commit
     /// or refresh touched the request's bank or rank; the cache is
     /// transparent — answers never depend on whether or how it was hit.
+    /// An `issuable` answer leaves in `cache` everything
+    /// [`issue_probed`](Self::issue_probed) needs to commit the request at
+    /// `now`, so the controller neither decodes nor probes it again.
     pub fn sched_probe(
         &self,
         txn: &MemTransaction,
@@ -303,18 +307,59 @@ impl DramSystem {
         Self::cached_answer(core, txn, now, cache)
     }
 
-    /// Issue `txn` at cycle `now` (its first command is driven at the probe
-    /// start, which equals `now` for a controller whose
-    /// [`sched_probe`](Self::sched_probe) answered `issuable`; issuing
-    /// "late" is allowed and simply starts at the earliest legal cycle
-    /// ≥ `now`).
+    /// Issue `txn` at cycle `now`: decode its address and probe its channel,
+    /// then commit it at the probe's start, which equals `now` for a
+    /// controller whose [`sched_probe`](Self::sched_probe) answered
+    /// `issuable`; issuing "late" is allowed and simply starts at the
+    /// earliest legal cycle ≥ `now`. The memory controller issues through
+    /// [`issue_probed`](Self::issue_probed) instead, which skips the decode
+    /// and the probe; both end in the same commit step.
     pub fn issue(&mut self, txn: &MemTransaction, now: u64) -> Completion {
         let loc = self.decode(txn.addr);
-        let mut probe =
-            self.channels[loc.channel].probe(loc.rank, loc.bank, loc.row, txn.is_write, now);
-        if probe.start < now {
-            probe.start = now;
-        }
+        let start = self.channels[loc.channel]
+            .probe(loc.rank, loc.bank, loc.row, txn.is_write, now)
+            .start
+            .max(now);
+        self.commit(txn, &loc, start, now)
+    }
+
+    /// Issue `txn` at `now` from its probe cache, on which
+    /// [`sched_probe`](Self::sched_probe) has just answered `issuable` at
+    /// `now` with nothing committed since: the cache holds the decoded
+    /// location, and the start is `now` itself. Exactly
+    /// [`issue`](Self::issue)`(txn, now)` without its decode and uncached
+    /// probe; debug builds check both against the cache.
+    pub fn issue_probed(
+        &mut self,
+        txn: &MemTransaction,
+        now: u64,
+        cache: &ProbeCache,
+    ) -> Completion {
+        // The column selects no timing; the cache does not keep it.
+        let loc = Location {
+            channel: cache.channel as usize,
+            rank: cache.rank as usize,
+            bank: cache.bank as usize,
+            row: cache.row as usize,
+            col: 0,
+        };
+        bwpart_core::invariant!(
+            {
+                let fresh = self.decode(txn.addr);
+                (fresh.channel, fresh.rank, fresh.bank, fresh.row)
+                    == (loc.channel, loc.rank, loc.bank, loc.row)
+                    && cache.version == self.channels[loc.channel].version()
+                    && self.probe(txn, now).start == now
+            },
+            "cached issue of {txn:?} at {now} disagrees with the uncached probe"
+        );
+        self.commit(txn, &loc, now, now)
+    }
+
+    /// Commit `txn` at `loc` with its first command at `start` (≥ `now`),
+    /// record it, and return its completion: the one commit step of
+    /// [`issue`](Self::issue) and [`issue_probed`](Self::issue_probed).
+    fn commit(&mut self, txn: &MemTransaction, loc: &Location, start: u64, now: u64) -> Completion {
         // The committed kind, not the probe's: commit applies pending
         // refreshes first, and a refresh may have closed the row the probe
         // saw open.
@@ -324,7 +369,7 @@ impl DramSystem {
             loc.row,
             txn.is_write,
             txn.app,
-            probe.start,
+            start,
         );
         let row_hit = kind == AccessKind::RowHit;
         match kind {
@@ -344,7 +389,7 @@ impl DramSystem {
             app: txn.app,
             addr: txn.addr,
             is_write: txn.is_write,
-            start_cycle: probe.start,
+            start_cycle: start,
             done_cycle: data_end,
             row_hit,
         }

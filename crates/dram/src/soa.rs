@@ -27,6 +27,7 @@
 //! act_ready  : [u64; banks]   earliest ACT          │ probe reads; one
 //! cas_ready  : [u64; banks]   earliest CAS          ┘ per command class
 //! bank_floor : [u64; banks]   min of the three wheels
+//! bank_min   : u64            min of bank_floor
 //! busy_until : [u64; banks]   committed-work horizon (quiesce)
 //! last_owner : [u32; banks]   interference owner, NO_OWNER when idle
 //! bank_stamp : [u64; banks]   version of the bank's last lane change
@@ -35,9 +36,12 @@
 //!                             or refresh application
 //! ```
 //!
-//! Per-bank probes touch exactly the lanes they need, a whole-channel scan
-//! ([`ChannelCore::channel_floor`]) is one linear pass over `bank_floor`,
-//! and the rank/bus scalars live in the same cache-friendly block. The
+//! Per-bank probes touch exactly the lanes they need, and the rank/bus
+//! scalars live in the same cache-friendly block. The channel-wide bound
+//! ([`ChannelCore::channel_floor`]) reads the scalar `bank_min` instead of
+//! scanning: each commit lowers it to the committed bank's new floor, and
+//! only a commit that raises the bank holding the minimum, or a refresh
+//! application, rescans the `bank_floor` lane. The
 //! object-per-bank model this layout replaced is the oracle of
 //! `tests/soa_equivalence.rs` and lives in that file, as `run_per_cycle`
 //! anchors the per-core clocks.
@@ -232,6 +236,9 @@ pub struct ChannelCore {
     cas_ready: Vec<u64>,
     /// `min(pre_ready, act_ready, cas_ready)`, written wherever those are.
     bank_floor: Vec<u64>,
+    /// `min(bank_floor)`, kept by [`commit`](Self::commit) and the refresh
+    /// application (see [`channel_floor`](Self::channel_floor)).
+    bank_min: u64,
     busy_until: Vec<u64>,
     last_owner: Vec<u32>,
     /// Version of the last change to the bank's lanes (see the module docs).
@@ -290,6 +297,7 @@ impl ChannelCore {
             act_ready: vec![0; banks],
             cas_ready: vec![u64::MAX; banks],
             bank_floor: vec![0; banks],
+            bank_min: 0,
             busy_until: vec![0; banks],
             last_owner: vec![NO_OWNER; banks],
             bank_stamp: vec![0; banks],
@@ -398,6 +406,9 @@ impl ChannelCore {
                 self.refresh_bank(base + b, end);
             }
             self.refresh_applied[rank] = end;
+            // A refresh only raises the rank's floors, and the bank holding
+            // the minimum may be among them.
+            self.bank_min = self.scan_bank_floor();
             // The commit that applies a refresh stamps the rank again (the
             // refresh closed its row, so it activates one); stamping here
             // keeps every lane write stamped where it happens.
@@ -580,21 +591,26 @@ impl ChannelCore {
     }
 
     /// A channel-wide lower bound on the start cycle of *any* transaction,
-    /// computed in one branch-free pass over the `bank_floor` lane. Every
-    /// request's raw probe folds (a) its bank's wheel — at least the
-    /// per-bank minimum of the three wheels (`bank_floor`), hence at least
-    /// the channel minimum, (b) a data-bus bound of at least `bus_free`
-    /// minus the largest possible data offset, and (c) the command-slot
-    /// bound; the floor is the max of those three universal bounds. Under
-    /// close page every access is a row miss, whose data offset is
-    /// `tRCD + CL` (or `CWL`); open page also allows a conflict's extra
-    /// `tRP`. While
-    /// `channel_floor() > now`, no request on this channel can issue and
-    /// the controller settles the command clock in closed form. Pure
-    /// function of committed state — cache it against
-    /// [`version`](Self::version).
+    /// in constant time. Every request's raw probe folds (a) its bank's
+    /// wheel — at least the per-bank minimum of the three wheels
+    /// (`bank_floor`), hence at least their channel minimum, which the
+    /// core keeps as the scalar `bank_min` — (b) a data-bus bound of at
+    /// least `bus_free` minus the largest possible data offset, and (c) the
+    /// command-slot bound; the floor is the max of those three universal
+    /// bounds. Under close page every access is a row miss, whose data
+    /// offset is `tRCD + CL` (or `CWL`); open page also allows a
+    /// conflict's extra `tRP`. While `channel_floor() > now`, no request
+    /// on this channel can issue and the controller settles the command
+    /// clock in closed form. Pure function of committed state — cache it
+    /// against [`version`](Self::version). Debug builds check `bank_min`
+    /// against a scan of the lane on every call.
     pub fn channel_floor(&self) -> u64 {
-        let bank_min = self.bank_floor.iter().fold(u64::MAX, |m, &f| m.min(f));
+        bwpart_core::invariant!(
+            self.bank_min == self.scan_bank_floor(),
+            "kept bank-floor minimum {} differs from the lane's {}",
+            self.bank_min,
+            self.scan_bank_floor()
+        );
         let t = &self.t;
         let slowest = match self.policy {
             PagePolicy::ClosePage => AccessKind::RowMiss,
@@ -602,7 +618,26 @@ impl ChannelCore {
         };
         let max_data_off = slowest.cas_offset(t) + t.cl.max(t.cwl);
         let bus_lb = self.bus_free.saturating_sub(max_data_off);
-        bank_min.max(bus_lb).max(self.cmd_ready)
+        self.bank_min.max(bus_lb).max(self.cmd_ready)
+    }
+
+    /// The minimum of the `bank_floor` lane, by a full scan.
+    fn scan_bank_floor(&self) -> u64 {
+        self.bank_floor.iter().fold(u64::MAX, |m, &f| m.min(f))
+    }
+
+    /// Keep `bank_min` after bank `idx`'s floor moved from `old` to its
+    /// lane value: a floor at or below the minimum is the new minimum, and
+    /// only a raised floor of the bank that held the minimum needs a
+    /// rescan.
+    #[inline]
+    fn track_bank_min(&mut self, idx: usize, old: u64) {
+        let new = self.bank_floor[idx];
+        if new <= self.bank_min {
+            self.bank_min = new;
+        } else if old == self.bank_min {
+            self.bank_min = self.scan_bank_floor();
+        }
     }
 
     /// Commit a transaction whose first command is driven at `start`.
@@ -622,6 +657,7 @@ impl ChannelCore {
         let t = self.t;
         let idx = self.bank_index(rank, bank);
         let (_, kind) = self.bank_earliest(idx, row);
+        let old_floor = self.bank_floor[idx];
 
         // ---- bank state update (mirrors `Bank::commit`) ----
         let cas = start + kind.cas_offset(&t);
@@ -668,6 +704,7 @@ impl ChannelCore {
                 self.busy_until[idx] = data_end;
             }
         }
+        self.track_bank_min(idx, old_floor);
 
         // ---- rank ACT ring (tRRD/tFAW) ----
         if kind != AccessKind::RowHit {
@@ -1082,40 +1119,63 @@ mod tests {
     }
 
     /// The `bank_floor` lane is the minimum of the three wheels after every
-    /// commit, under both page policies, across refresh applications. The
-    /// oracle comparison in `tests/soa_equivalence.rs` sees the lane only
-    /// through `channel_floor`, whose bus and command-slot bounds usually
-    /// dominate it.
+    /// commit, and the kept `bank_min` is the minimum of the lane, under
+    /// both page policies, at DDR2-400 and DDR2-1600, across refresh
+    /// applications (every so often the next commit lands past one or more
+    /// tREFI intervals). The oracle comparison in
+    /// `tests/soa_equivalence.rs` sees both only through `channel_floor`,
+    /// whose bus and command-slot bounds usually dominate them.
     #[test]
-    fn bank_floor_lane_is_the_three_wheel_minimum() {
-        for (policy, seed) in [
-            (PagePolicy::ClosePage, 0x5EEDu64),
-            (PagePolicy::OpenPage, 7),
-        ] {
-            let mut c = ChannelCore::new(&DramConfig {
-                page_policy: policy,
-                ..DramConfig::ddr2_400()
-            });
-            let mut state = seed;
-            let mut rng = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let mut now = 0u64;
-            for _ in 0..2_000 {
-                let (rank, bank) = ((rng() % 4) as usize, (rng() % 8) as usize);
-                // A few rows, so open page sees hits and conflicts too.
-                let row = (rng() % 4) as usize;
-                now += rng() % 400;
-                let p = c.probe(rank, bank, row, rng().is_multiple_of(4), now);
-                c.commit(rank, bank, row, p.start.is_multiple_of(2), 0, p.start);
-                now = p.start;
-                for i in 0..c.bank_floor.len() {
-                    let wheels = c.pre_ready[i].min(c.act_ready[i]).min(c.cas_ready[i]);
-                    assert_eq!(c.bank_floor[i], wheels, "{policy:?}: bank {i} at {now}");
+    fn bank_floor_lane_and_minimum_track_the_wheels() {
+        for (d, dram) in [DramConfig::ddr2_400(), DramConfig::ddr2_1600()]
+            .into_iter()
+            .enumerate()
+        {
+            for (policy, seed) in [
+                (PagePolicy::ClosePage, 0x5EEDu64),
+                (PagePolicy::OpenPage, 7),
+            ] {
+                let mut c = ChannelCore::new(&DramConfig {
+                    page_policy: policy,
+                    ..dram.clone()
+                });
+                let trefi = c.timings().trefi;
+                let mut state = seed + d as u64;
+                let mut rng = move || {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                };
+                let (mut refreshes, mut rescans) = (0, 0);
+                let mut now = 0u64;
+                for _ in 0..2_000 {
+                    let (rank, bank) = ((rng() % 4) as usize, (rng() % 8) as usize);
+                    // A few rows, so open page sees hits and conflicts too.
+                    let row = (rng() % 4) as usize;
+                    now += if rng() % 50 == 0 {
+                        trefi + rng() % (2 * trefi)
+                    } else {
+                        rng() % 400
+                    };
+                    let p = c.probe(rank, bank, row, rng().is_multiple_of(4), now);
+                    let applied = c.refresh_applied[rank];
+                    let held_min = c.bank_floor[c.bank_index(rank, bank)] == c.bank_min;
+                    c.commit(rank, bank, row, p.start.is_multiple_of(2), 0, p.start);
+                    refreshes += u64::from(c.refresh_applied[rank] != applied);
+                    rescans += u64::from(held_min);
+                    now = p.start;
+                    for i in 0..c.bank_floor.len() {
+                        let wheels = c.pre_ready[i].min(c.act_ready[i]).min(c.cas_ready[i]);
+                        assert_eq!(c.bank_floor[i], wheels, "{policy:?}: bank {i} at {now}");
+                    }
+                    assert_eq!(c.bank_min, c.scan_bank_floor(), "{d} {policy:?} at {now}");
                 }
+                assert!(
+                    refreshes > 20 && rescans > 20,
+                    "{d} {policy:?}: {refreshes} refresh applications, {rescans} commits \
+                     to the minimum bank"
+                );
             }
         }
     }

@@ -9,7 +9,7 @@ use bwpart_core::Divider;
 use bwpart_obs::obs_count;
 use serde::{Deserialize, Serialize};
 
-use bwpart_dram::{AccessKind, Completion, DramConfig, DramSystem, MemTransaction};
+use bwpart_dram::{AccessKind, Completion, DramConfig, DramSystem, MemTransaction, SchedProbe};
 
 use crate::interference::InterferenceTracker;
 use crate::obs::McObsHooks;
@@ -104,6 +104,16 @@ pub struct MemoryController {
     /// per-slot probe caches need `&mut self.queues`, so the pending set is
     /// snapshotted first).
     app_buf: Vec<usize>,
+    /// The settle plan: the pending applications whose blocked head is
+    /// held by another application's traffic on the command clocks below
+    /// the floor, which [`settle_before`](Self::settle_before) charges.
+    /// Reserved for the application count, so it never grows.
+    settle_plan: Vec<usize>,
+    /// Whether `settle_plan` describes the queues and channels as they
+    /// stand and the policy has made the one pick that stands for every
+    /// stalled clock until the next issue. An issue and a policy swap clear
+    /// it; the next settle that accounts a clock sets it again.
+    plan_valid: bool,
     /// The first command clock at or above the DRAM floor — the lowest
     /// [`DramSystem::channel_floor`] over the channels — refreshed after
     /// each issue (channel state changes only there). No request can
@@ -140,6 +150,8 @@ impl MemoryController {
             pos_buf: Vec::with_capacity(apps),
             blocker_buf: Vec::with_capacity(apps),
             app_buf: Vec::with_capacity(apps),
+            settle_plan: Vec::with_capacity(apps),
+            plan_valid: false,
             floor_clock: 0,
             obs: None,
         }
@@ -186,13 +198,17 @@ impl MemoryController {
     }
 
     /// Mutable access to the policy (epoch repartitioning:
-    /// [`Policy::retarget`]).
+    /// [`Policy::retarget`]). The next settle picks again, as after an
+    /// issue.
     pub fn policy_mut(&mut self) -> &mut Policy {
+        self.plan_valid = false;
         &mut self.policy
     }
 
-    /// Replace the policy wholesale (e.g. switching schemes mid-run).
+    /// Replace the policy wholesale (e.g. switching schemes mid-run). The
+    /// next settle picks again, as after an issue.
     pub fn set_policy(&mut self, policy: Policy) {
+        self.plan_valid = false;
         self.policy = policy;
     }
 
@@ -218,9 +234,36 @@ impl MemoryController {
 
     /// Accept a request from a core. Enqueue after [`tick`](Self::tick)
     /// for the cycle the request arrives in: command clocks before it are
-    /// accounted against the queues as they were.
+    /// accounted against the queues as they were. A request that becomes
+    /// its application's head joins a valid settle plan when another
+    /// application's traffic holds it.
     pub fn enqueue(&mut self, req: MemRequest) {
+        let app = req.app;
+        let new_head = self.queues.len(app) == 0;
         self.queues.push(req);
+        // The next settle starts at `next_tick`, so this is the probe its
+        // recompute would make.
+        if new_head
+            && self.plan_valid
+            && self.probe_head(app, self.next_tick).head_blocker.is_some()
+        {
+            self.settle_plan.push(app);
+        }
+    }
+
+    /// Probe `app`'s head request at `now` through its slot's cache.
+    fn probe_head(&mut self, app: usize, now: u64) -> SchedProbe {
+        // lint: allow(R1): callers pass an application with a queued request
+        let (head, cache) = self
+            .queues
+            .slot_mut(app, 0)
+            .expect("pending app has a head");
+        let txn = MemTransaction {
+            app: head.app,
+            addr: head.addr,
+            is_write: head.is_write,
+        };
+        self.dram.sched_probe(&txn, now, cache)
     }
 
     /// Advance the controller to CPU cycle `now`, accounting every DRAM
@@ -297,7 +340,7 @@ impl MemoryController {
                 .position(|c| c.app == app)
                 // lint: allow(R1): Policy::pick returns an app from `candidates`
                 .expect("picked app is a candidate");
-            let req = self
+            let (req, cache) = self
                 .queues
                 .remove(app, self.pos_buf[idx])
                 // lint: allow(R1): pos_buf[idx] was probed in the gather loop above
@@ -307,7 +350,10 @@ impl MemoryController {
                 addr: req.addr,
                 is_write: req.is_write,
             };
-            let completion = self.dram.issue(&txn, now);
+            // The gather just answered this slot issuable at `now`, and
+            // nothing has committed since.
+            let completion = self.dram.issue_probed(&txn, now, &cache);
+            self.plan_valid = false;
             let floor = (0..self.dram.num_channels())
                 .map(|c| self.dram.channel_floor(c))
                 .fold(u64::MAX, u64::min);
@@ -331,7 +377,8 @@ impl MemoryController {
         }
 
         // Section IV-C interference accounting for the un-served apps.
-        for (c, cached_blocker) in self.cand_buf.iter().zip(&self.blocker_buf) {
+        for i in 0..self.cand_buf.len() {
+            let c = self.cand_buf[i];
             if Some(c.app) == served {
                 continue;
             }
@@ -349,19 +396,13 @@ impl MemoryController {
                 // head's cached attribution is still exact; after an issue
                 // the DRAM state changed and the head must be re-probed.
                 let blocker = if served.is_none() {
-                    *cached_blocker
+                    self.blocker_buf[i]
                 } else {
-                    // lint: allow(R1): candidates only contains apps with queued requests
-                    let (head, cache) = self.queues.slot_mut(c.app, 0).expect("still pending");
-                    let txn = MemTransaction {
-                        app: head.app,
-                        addr: head.addr,
-                        is_write: head.is_write,
-                    };
                     // `SchedProbe::head_blocker` is the uncached probe's
                     // cross-application blocker, and refreshing the
                     // head's cache here pre-pays the next tick's probe.
-                    self.dram.sched_probe(&txn, now, cache).head_blocker
+                    // A blocked candidate is its app's head, still queued.
+                    self.probe_head(c.app, now).head_blocker
                 };
                 if blocker.is_some() {
                     self.interference.charge(c.app, self.tck);
@@ -419,6 +460,16 @@ impl MemoryController {
     /// to `busy_ticks` and `stalled_ticks`, and `k · tCK` of interference
     /// to each head blocked by another application's traffic.
     ///
+    /// Those heads form the settle plan, which changes only when a request
+    /// issues (channel state and the floor move), when an enqueue gives an
+    /// application a head, or when the policy is swapped. The first settle
+    /// after an issue or a swap probes every pending head and makes the one
+    /// `Policy::pick` that stands for every stalled clock until the next
+    /// issue; an enqueue into an empty queue adds only its new head's
+    /// attribution; every other settle charges the plan with no probe and
+    /// no pick. Debug builds check each reused plan against uncached probes
+    /// of every head.
+    ///
     /// [`tick`](Self::tick) calls this first; a run that ends between
     /// [`next_event_cycle`](Self::next_event_cycle) visits calls it with
     /// its end cycle, so counters read afterwards are complete.
@@ -439,7 +490,29 @@ impl MemoryController {
         self.next_tick = grid_end * self.tck;
         self.stats.busy_ticks += k;
         self.stats.stalled_ticks += k;
+        obs_count!(self.obs, settled_clocks, k);
+        if self.plan_valid {
+            self.check_settle_plan(first);
+        } else {
+            self.rebuild_settle_plan(first);
+        }
+        if !self.settle_plan.is_empty() {
+            for &app in &self.settle_plan {
+                self.interference.charge(app, k * self.tck);
+            }
+            obs_count!(
+                self.obs,
+                interference_charges,
+                k * self.settle_plan.len() as u64
+            );
+        }
+    }
 
+    /// Rebuild the settle plan at command clock `first`, below the floor:
+    /// probe every pending head, make the pick, and keep the heads held by
+    /// another application's traffic.
+    fn rebuild_settle_plan(&mut self, first: u64) {
+        obs_count!(self.obs, settle_plans);
         self.cand_buf.clear();
         self.pos_buf.clear();
         self.blocker_buf.clear();
@@ -447,17 +520,7 @@ impl MemoryController {
         self.app_buf.extend(self.queues.pending_apps());
         for i in 0..self.app_buf.len() {
             let app = self.app_buf[i];
-            // lint: allow(R1): app came from pending_apps(), its queue is non-empty
-            let (req, cache) = self
-                .queues
-                .slot_mut(app, 0)
-                .expect("pending app has a head");
-            let txn = MemTransaction {
-                app: req.app,
-                addr: req.addr,
-                is_write: req.is_write,
-            };
-            let probe = self.dram.sched_probe(&txn, first, cache);
+            let probe = self.probe_head(app, first);
             // Cross-layer contract: `channel_floor` bounds every start.
             bwpart_core::invariant!(
                 !probe.issuable,
@@ -468,20 +531,69 @@ impl MemoryController {
             self.push_candidate(app, None, probe.head_blocker);
         }
         // With nothing issuable no policy serves anyone. PARBS re-forms
-        // its batch on the first such pick; every later pick over the same
-        // candidates leaves the policy unchanged, so one pick stands for
-        // all `k`.
+        // its batch on such a pick only when every candidate's marks are
+        // spent, and it marks each candidate. Marks fall only on service,
+        // and until the next issue the candidates only grow (an enqueue
+        // adds a head; nothing leaves a queue), so every later pick before
+        // that issue leaves the policy unchanged: this one stands for all
+        // of them.
         let served = self.policy.pick(&self.cand_buf);
         bwpart_core::invariant!(
             served.is_none(),
             "policy served a blocked request (Section IV-B picks issuable heads only)"
         );
-        for (c, blocker) in self.cand_buf.iter().zip(&self.blocker_buf) {
-            if blocker.is_some() {
-                self.interference.charge(c.app, k * self.tck);
-                obs_count!(self.obs, interference_charges, k);
-            }
+        self.settle_plan.clear();
+        self.settle_plan.extend(
+            self.cand_buf
+                .iter()
+                .zip(&self.blocker_buf)
+                .filter(|(_, blocker)| blocker.is_some())
+                .map(|(c, _)| c.app),
+        );
+        self.plan_valid = true;
+    }
+
+    /// Debug builds: check a reused settle plan at command clock `first`
+    /// against an uncached probe of every pending head. Nothing may be
+    /// issuable below the floor, and the plan must hold exactly the heads
+    /// another application's traffic blocks.
+    fn check_settle_plan(&self, first: u64) {
+        if !bwpart_core::contracts::ENABLED {
+            return;
         }
+        let mut held = 0;
+        for app in self.queues.pending_apps() {
+            // lint: allow(R1): pending_apps() yields only non-empty queues
+            let head = self.queues.head(app).expect("pending app has a head");
+            let txn = MemTransaction {
+                app: head.app,
+                addr: head.addr,
+                is_write: head.is_write,
+            };
+            let probe = self.dram.probe(&txn, first);
+            bwpart_core::invariant!(
+                probe.start > first,
+                "request issuable at {} below the DRAM floor clock {}",
+                first,
+                self.floor_clock
+            );
+            let blocked = probe.blocker.is_some_and(|b| b != app);
+            bwpart_core::invariant!(
+                blocked == self.settle_plan.contains(&app),
+                "settle plan {:?} is stale for app {} at {}",
+                self.settle_plan,
+                app,
+                first
+            );
+            held += usize::from(blocked);
+        }
+        bwpart_core::invariant!(
+            held == self.settle_plan.len(),
+            "settle plan {:?} lists {} held heads, the probes {}",
+            self.settle_plan,
+            self.settle_plan.len(),
+            held
+        );
     }
 
     /// Pop the oldest completion with `done_cycle ≤ now`, if any — the
@@ -581,6 +693,7 @@ impl MemoryController {
 mod tests {
     use super::*;
     use crate::policy::tests::one_per_kind;
+    use crate::policy::PolicyKind;
     use bwpart_dram::{DramConfig, DramStats, PagePolicy};
 
     /// Drive the controller with `apps` synthetic streams that each always
@@ -812,20 +925,47 @@ mod tests {
         )
     }
 
-    /// The reference: tick every CPU cycle, then enqueue that cycle's
-    /// arrivals, then drain its completions. The cached floor is cleared
-    /// before each tick, so every command clock runs the full scheduling
-    /// pass and nothing is ever settled in closed form.
+    /// A mid-run change to a controller's policy, applied after the tick
+    /// of its cycle and before that cycle's arrivals.
+    #[derive(Debug, Clone)]
+    enum PolicyChange {
+        /// Replace the policy through `set_policy`.
+        Swap(Policy),
+        /// Retarget the current policy through `policy_mut`.
+        Retarget(Policy),
+    }
+
+    fn apply_changes_at(
+        mc: &mut MemoryController,
+        changes: &[(u64, PolicyChange)],
+        next: &mut usize,
+        now: u64,
+    ) {
+        while let Some((_, change)) = changes.get(*next).filter(|(at, _)| *at == now) {
+            match change {
+                PolicyChange::Swap(p) => mc.set_policy(p.clone()),
+                PolicyChange::Retarget(p) => mc.policy_mut().retarget(p.clone()),
+            }
+            *next += 1;
+        }
+    }
+
+    /// The reference: tick every CPU cycle, then apply that cycle's policy
+    /// changes, enqueue its arrivals and drain its completions. The cached
+    /// floor is cleared before each tick, so every command clock runs the
+    /// full scheduling pass and nothing is ever settled in closed form.
     fn drive_per_cycle(
         mc: &mut MemoryController,
         reqs: &[MemRequest],
+        changes: &[(u64, PolicyChange)],
         horizon: u64,
     ) -> Vec<Completion> {
         let mut done = Vec::new();
-        let mut next = 0;
+        let (mut next, mut next_change) = (0, 0);
         for now in 0..horizon {
             mc.floor_clock = 0;
             mc.tick(now);
+            apply_changes_at(mc, changes, &mut next_change, now);
             while reqs.get(next).is_some_and(|r| r.arrival == now) {
                 mc.enqueue(reqs[next]);
                 next += 1;
@@ -837,26 +977,38 @@ mod tests {
         done
     }
 
-    /// Visit only the cycles `next_event_cycle` names and the arrival
-    /// cycles, then settle the run's end. Returns the completions and the
-    /// number of command clocks skipped with work queued; each of those
-    /// must lie below the DRAM floor at the time it was skipped.
+    /// What an event-driven run exercised: command clocks skipped with
+    /// work queued, and how often a policy change or a new head met a
+    /// valid settle plan.
+    #[derive(Debug, Default)]
+    struct EventCoverage {
+        skipped: u64,
+        changes_on_plan: u64,
+        new_heads_on_plan: u64,
+    }
+
+    /// Visit only the cycles `next_event_cycle` names, the arrival cycles
+    /// and the policy-change cycles, then settle the run's end. Each
+    /// command clock skipped with work queued must lie below the DRAM
+    /// floor at the time it was skipped.
     fn drive_event_driven(
         mc: &mut MemoryController,
         reqs: &[MemRequest],
+        changes: &[(u64, PolicyChange)],
         horizon: u64,
-    ) -> (Vec<Completion>, u64) {
+    ) -> (Vec<Completion>, EventCoverage) {
         let tck = mc.dram().timings().tck;
-        let mut skipped = 0;
-        let mut check_skipped = |mc: &MemoryController, from: u64, to: u64| {
+        let mut cover = EventCoverage::default();
+        let check_skipped = |mc: &MemoryController, from: u64, to: u64| {
             if mc.total_queued() == 0 {
-                return;
+                return 0;
             }
             let floor = (0..mc.dram().num_channels())
                 .map(|c| mc.dram().channel_floor(c))
                 .min()
                 .expect("at least one channel");
             let mut clock = from.div_ceil(tck) * tck;
+            let mut skipped = 0;
             while clock < to {
                 assert!(
                     clock < floor,
@@ -865,19 +1017,32 @@ mod tests {
                 skipped += 1;
                 clock += tck;
             }
+            skipped
         };
         let mut done = Vec::new();
-        let mut next = 0;
+        let (mut next, mut next_change) = (0, 0);
         let mut now = 0;
         loop {
             let arrival = reqs.get(next).map_or(horizon, |r| r.arrival);
-            let t = mc.next_event_cycle(now).map_or(arrival, |e| e.min(arrival));
+            let change = changes.get(next_change).map_or(horizon, |c| c.0);
+            let t = mc
+                .next_event_cycle(now)
+                .map_or(arrival, |e| e.min(arrival))
+                .min(change);
             if t >= horizon {
                 break;
             }
-            check_skipped(mc, now, t);
+            cover.skipped += check_skipped(mc, now, t);
             mc.tick(t);
+            if change == t && mc.plan_valid {
+                cover.changes_on_plan += 1;
+            }
+            apply_changes_at(mc, changes, &mut next_change, t);
             while reqs.get(next).is_some_and(|r| r.arrival == t) {
+                let app = reqs[next].app;
+                if mc.plan_valid && mc.queue_len(app) == 0 {
+                    cover.new_heads_on_plan += 1;
+                }
                 mc.enqueue(reqs[next]);
                 next += 1;
             }
@@ -886,46 +1051,142 @@ mod tests {
             }
             now = t + 1;
         }
-        check_skipped(mc, now, horizon);
+        cover.skipped += check_skipped(mc, now, horizon);
         mc.settle_before(horizon);
-        (done, skipped)
+        (done, cover)
+    }
+
+    /// Every DRAM configuration the differential tests run: DDR2-400 and
+    /// DDR2-1600, each under close and open page.
+    fn dram_cases() -> Vec<(usize, DramConfig)> {
+        [DramConfig::ddr2_400(), DramConfig::ddr2_1600()]
+            .into_iter()
+            .enumerate()
+            .flat_map(|(d, dram)| {
+                [PagePolicy::ClosePage, PagePolicy::OpenPage].map(|page_policy| {
+                    (
+                        d,
+                        DramConfig {
+                            page_policy,
+                            ..dram.clone()
+                        },
+                    )
+                })
+            })
+            .collect()
+    }
+
+    /// Run one schedule through a per-cycle and an event-driven
+    /// controller, assert equal digests, and return the event-driven
+    /// run's coverage.
+    fn assert_drivers_agree(
+        cfg: &DramConfig,
+        policy: Policy,
+        reqs: &[MemRequest],
+        changes: &[(u64, PolicyChange)],
+        horizon: u64,
+    ) -> EventCoverage {
+        let mut stepped = MemoryController::new(cfg.clone(), 3, policy.clone());
+        let mut evented = MemoryController::new(cfg.clone(), 3, policy);
+        let case = (cfg.tck_cycles(), cfg.page_policy, stepped.policy().kind());
+        let stepped_done = drive_per_cycle(&mut stepped, reqs, changes, horizon);
+        let (evented_done, cover) = drive_event_driven(&mut evented, reqs, changes, horizon);
+        assert!(
+            stepped_done.len() > reqs.len() / 2,
+            "{case:?}: served too few"
+        );
+        assert_eq!(
+            controller_digest(&stepped, stepped_done),
+            controller_digest(&evented, evented_done),
+            "{case:?}"
+        );
+        assert!(
+            cover.skipped > 0,
+            "{case:?}: no stalled clock was settled in bulk"
+        );
+        cover
     }
 
     #[test]
     fn event_driven_ticks_match_per_cycle_ticks() {
         let horizon = 60_000;
-        for (d, dram) in [DramConfig::ddr2_400(), DramConfig::ddr2_1600()]
-            .iter()
-            .enumerate()
-        {
-            for page_policy in [PagePolicy::ClosePage, PagePolicy::OpenPage] {
-                let cfg = DramConfig {
-                    page_policy,
-                    ..dram.clone()
-                };
-                for (p, policy) in one_per_kind().into_iter().enumerate() {
-                    let reqs = arrival_schedule(0x5EED + (d * 8 + p) as u64, 3, horizon);
-                    let mut stepped = MemoryController::new(cfg.clone(), 3, policy.clone());
-                    let mut evented = MemoryController::new(cfg.clone(), 3, policy);
-                    let stepped_done = drive_per_cycle(&mut stepped, &reqs, horizon);
-                    let (evented_done, skipped) = drive_event_driven(&mut evented, &reqs, horizon);
-                    let case = (d, page_policy, evented.policy().kind());
-                    assert!(
-                        stepped_done.len() > reqs.len() / 2,
-                        "{case:?}: served too few"
-                    );
-                    assert_eq!(
-                        controller_digest(&stepped, stepped_done),
-                        controller_digest(&evented, evented_done),
-                        "{case:?}"
-                    );
-                    assert!(
-                        skipped > 0,
-                        "{case:?}: no stalled clock was settled in bulk"
-                    );
-                }
+        for (d, cfg) in dram_cases() {
+            for (p, policy) in one_per_kind().into_iter().enumerate() {
+                let reqs = arrival_schedule(0x5EED + (d * 8 + p) as u64, 3, horizon);
+                assert_drivers_agree(&cfg, policy, &reqs, &[], horizon);
             }
         }
+    }
+
+    /// A policy of `kind` with targets unlike `one_per_kind`'s, for
+    /// `retarget`.
+    fn retarget_of(kind: PolicyKind) -> Policy {
+        match kind {
+            PolicyKind::Stf => Policy::stf(vec![0.2, 0.2, 0.6]),
+            PolicyKind::Priority => Policy::priority(vec![1.0, 3.0, 2.0]),
+            _ => one_per_kind()
+                .into_iter()
+                .find(|p| p.kind() == kind)
+                .expect("every kind is covered"),
+        }
+    }
+
+    /// The settle plan's invalidation points against the per-cycle
+    /// reference. Starting from every policy, every 500–1,500 cycles the
+    /// run alternately retargets the current policy through `policy_mut`
+    /// and swaps it with `set_policy`: to the next kind in turn, or to a
+    /// fresh PARBS with a batch cap of 2, whose first pick after the swap
+    /// marks its batch from queues short enough that the clock of that
+    /// pick decides the marks. The arrival schedule's lulls let queues
+    /// empty and refill between settles. Under both page policies at
+    /// DDR2-400 and DDR2-1600 the digests must match, and changes and new
+    /// heads must have met a valid plan.
+    #[test]
+    fn event_driven_ticks_match_per_cycle_ticks_across_policy_changes() {
+        let horizon = 60_000;
+        let kinds = one_per_kind();
+        let mut cover = EventCoverage::default();
+        for (d, cfg) in dram_cases() {
+            for p in 0..kinds.len() {
+                let seed = 0xC4A6 + (d * 8 + p) as u64;
+                let reqs = arrival_schedule(seed, 3, horizon);
+                let mut state = seed;
+                let mut rng = move || {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                };
+                let mut changes = Vec::new();
+                let mut kind = kinds[p].kind();
+                let mut at = 0;
+                for i in 1.. {
+                    at += 500 + rng() % 1_000;
+                    if at >= horizon {
+                        break;
+                    }
+                    let change = if i % 2 == 1 {
+                        let next = if i % 4 == 1 {
+                            kinds[(p + i / 4 + 1) % kinds.len()].clone()
+                        } else {
+                            Policy::parbs(3, 2)
+                        };
+                        kind = next.kind();
+                        PolicyChange::Swap(next)
+                    } else {
+                        PolicyChange::Retarget(retarget_of(kind))
+                    };
+                    changes.push((at, change));
+                }
+                let run = assert_drivers_agree(&cfg, kinds[p].clone(), &reqs, &changes, horizon);
+                cover.changes_on_plan += run.changes_on_plan;
+                cover.new_heads_on_plan += run.new_heads_on_plan;
+            }
+        }
+        assert!(
+            cover.changes_on_plan > 100 && cover.new_heads_on_plan > 1_000,
+            "{cover:?}"
+        );
     }
 
     #[test]

@@ -13,10 +13,11 @@ use crate::controller::McStats;
 /// Pre-resolved metric handles for the controller's scheduling hot path.
 ///
 /// Only *per-memory-access* events (orders of magnitude rarer than DRAM
-/// scheduling clocks) live here; per-clock facts — busy/stalled ticks,
-/// queue depth — are already tracked by plain [`McStats`] fields and
-/// exported from the cold [`publish`] path, so the hot loop pays no
-/// per-tick atomics for them.
+/// scheduling clocks) and per-settle batches live here; per-clock facts —
+/// busy/stalled ticks, queue depth — are already tracked by plain
+/// [`McStats`] fields and exported from the cold [`publish`] path, so the
+/// hot loop pays no per-tick atomics for them. A settle adds its whole
+/// batch of clocks, and its interference charges, in one add each.
 #[derive(Debug, Clone)]
 pub struct McObsHooks {
     /// Requests handed to the DRAM system (`mc_issued_total`).
@@ -27,6 +28,12 @@ pub struct McObsHooks {
     /// Individual interference charges — Section IV-C accounting events
     /// (`mc_interference_charges_total`).
     pub interference_charges: Counter,
+    /// Settles that rebuilt the settle plan: probed every pending head and
+    /// picked (`mc_settle_plans_total`).
+    pub settle_plans: Counter,
+    /// Command clocks accounted in closed form below the DRAM floor
+    /// (`mc_settled_clocks_total`).
+    pub settled_clocks: Counter,
 }
 
 impl McObsHooks {
@@ -36,6 +43,8 @@ impl McObsHooks {
             issued: registry.counter("mc_issued_total"),
             window_bypass: registry.counter("mc_window_bypass_total"),
             interference_charges: registry.counter("mc_interference_charges_total"),
+            settle_plans: registry.counter("mc_settle_plans_total"),
+            settled_clocks: registry.counter("mc_settled_clocks_total"),
         }
     }
 }
@@ -106,7 +115,11 @@ mod tests {
         let hooks = McObsHooks::resolve(&reg);
         hooks.issued.add(3);
         hooks.interference_charges.inc();
+        hooks.settle_plans.inc();
+        hooks.settled_clocks.add(5);
         assert_eq!(reg.counter("mc_issued_total").get(), 3);
         assert_eq!(reg.counter("mc_interference_charges_total").get(), 1);
+        assert_eq!(reg.counter("mc_settle_plans_total").get(), 1);
+        assert_eq!(reg.counter("mc_settled_clocks_total").get(), 5);
     }
 }

@@ -738,9 +738,11 @@ pub(crate) mod tests {
         );
     }
 
-    /// `MemoryController::settle_before` lets one `pick` stand for a run
-    /// of stalled clocks: with nothing issuable every policy serves
-    /// nobody, and after the first such pick its state no longer moves.
+    /// `MemoryController::settle_before` lets one `pick` stand for every
+    /// stalled clock until the next issue: with nothing issuable every
+    /// policy serves nobody, and after the first such pick its state no
+    /// longer moves, also when a new blocked head joins the candidates
+    /// (an enqueue into an empty queue between settles).
     #[test]
     fn pick_with_nothing_issuable_serves_nobody_and_then_changes_nothing() {
         let blocked: Vec<Candidate> = (0..3)
@@ -756,7 +758,7 @@ pub(crate) mod tests {
             for app in [0, 1, 0, 2, 0, 1] {
                 p.on_served(app);
             }
-            assert_eq!(p.pick(&blocked), None, "{:?}", p.kind());
+            assert_eq!(p.pick(&blocked[..2]), None, "{:?}", p.kind());
             let state = format!("{p:?}");
             for _ in 0..3 {
                 assert_eq!(p.pick(&blocked), None, "{:?}", p.kind());

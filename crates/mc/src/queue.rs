@@ -111,13 +111,14 @@ impl AppQueues {
     }
 
     /// Remove and return the request at position `idx` in `app`'s FIFO
-    /// (scheduling-window out-of-order service).
-    pub fn remove(&mut self, app: usize, idx: usize) -> Option<MemRequest> {
+    /// (scheduling-window out-of-order service), with its probe cache: the
+    /// controller issues the request from it.
+    pub fn remove(&mut self, app: usize, idx: usize) -> Option<(MemRequest, ProbeCache)> {
         let r = self.queues[app].remove(idx);
         if r.is_some() {
             self.total -= 1;
         }
-        r.map(|s| s.req)
+        r.map(|s| (s.req, s.cache))
     }
 
     /// Pending requests for `app`.
@@ -233,14 +234,14 @@ mod tests {
             q.push(MemRequest::read(0, *addr, i as u64));
         }
         // Scheduling-window service plucks position 2 from the interior.
-        let taken = q.remove(0, 2).unwrap();
+        let (taken, _) = q.remove(0, 2).unwrap();
         assert_eq!(taken.addr, 0xC0);
         assert_eq!(q.total_len(), 4);
         // Survivors keep their relative order and re-index contiguously.
         let order: Vec<u64> = (0..q.len(0)).map(|i| q.get(0, i).unwrap().addr).collect();
         assert_eq!(order, vec![0x40, 0x80, 0x100, 0x140]);
         // Removing the (new) head equals pop.
-        assert_eq!(q.remove(0, 0).unwrap().addr, 0x40);
+        assert_eq!(q.remove(0, 0).unwrap().0.addr, 0x40);
         assert_eq!(q.head(0).unwrap().addr, 0x80);
         assert_eq!(q.total_len(), 3);
     }
