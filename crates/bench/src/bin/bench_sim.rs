@@ -116,10 +116,8 @@ fn main() -> ExitCode {
         report.cache.llc_masked_miss_ns_per_access
     );
     println!(
-        "  probe: cached {:.2} ns, refold {:.2} ns, refill {:.2} ns per sched_probe",
-        report.probe.cached_ns_per_probe,
-        report.probe.refold_ns_per_probe,
-        report.probe.refill_ns_per_probe
+        "  probe: issue check {:.2} ns, attribution {:.2} ns per call",
+        report.probe.issue_check_ns_per_call, report.probe.attribution_ns_per_call
     );
     println!(
         "  obs guardrail: detached {:.3} ms, attached {:.3} ms, overhead {:+.2}% (budget {:.0}%)",

@@ -5,9 +5,9 @@
 //! *seed* mode (single-threaded pool, per-cycle stepping, the behaviour
 //! before the performance work) and in the *optimized* default mode
 //! (work-stealing pool + per-core clocks), times three seeded replays
-//! through [`Cache`] alone and the three outcomes of a cached DRAM
-//! scheduling probe, then emits the machine-readable [`BenchReport`] that
-//! `bench_sim` writes to `BENCH_sim.json`.
+//! through [`Cache`] alone and the two DRAM queries the memory controller
+//! makes about a queued request, then emits the machine-readable
+//! [`BenchReport`] that `bench_sim` writes to `BENCH_sim.json`.
 //!
 //! Methodology notes:
 //!
@@ -27,7 +27,7 @@ use bwpart_cmp::{
     SimOutcome,
 };
 use bwpart_core::schemes::PartitionScheme;
-use bwpart_dram::{DramConfig, DramSystem, MemTransaction, ProbeCache};
+use bwpart_dram::{DramConfig, DramSystem, MemTransaction, RowLocation};
 use bwpart_workloads::mixes::{cache_mixes, fig1_mix};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -146,24 +146,20 @@ pub struct CacheMicrobench {
     pub llc_masked_miss_ns_per_access: f64,
 }
 
-/// Best-of-N host cost of one `DramSystem::sched_probe` call on a warmed
-/// DDR2-400 (close page) channel, in each of the three ways it can answer,
-/// over [`PROBE_REQUESTS`] queued requests whose caches are restored
-/// before every call. Reported, not gated.
+/// Best-of-N host cost of the two DRAM queries the memory controller makes
+/// about a queued request, on a warmed DDR2-400 (close page) channel, over
+/// [`PROBE_REQUESTS`] requests decoded once, at the first command clock on
+/// which one of them can start. Reported, not gated.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProbeMicrobench {
-    /// The channel has not committed since the cache was filled: the
-    /// answer comes from the cached raw bound and start.
-    pub cached_ns_per_probe: f64,
-    /// The channel committed to a bank of another rank since the fill: the
-    /// request's bank and rank stamps still match, so only the data-bus
-    /// and command-slot bounds are refolded over the cached bank-and-rank
-    /// part.
-    pub refold_ns_per_probe: f64,
-    /// The channel committed to another bank of the request's rank (a row
-    /// miss, so the rank's ACT window moved): the whole fold is redone and
-    /// the start realigned.
-    pub refill_ns_per_probe: f64,
+    /// The gather's issue check: the request's access kind, the bus gate
+    /// for it (asked on every call, as by a gather's first request of its
+    /// kind and direction), and, past the gate, the fold from `now`
+    /// (`DramSystem::access_kind`, `bus_clear`, `issuable`).
+    pub issue_check_ns_per_call: f64,
+    /// The head attribution: the uncached probe from the request's
+    /// location, less its own application (`DramSystem::probe_at`).
+    pub attribution_ns_per_call: f64,
 }
 
 /// The full report serialized to `BENCH_sim.json`. Deserializable so
@@ -185,7 +181,7 @@ pub struct BenchReport {
     pub snapshot: SnapshotMicrobench,
     /// Cache replay micro-benchmark.
     pub cache: CacheMicrobench,
-    /// Cached scheduling-probe micro-benchmark.
+    /// Controller DRAM-query micro-benchmark.
     pub probe: ProbeMicrobench,
     /// Metrics-attached vs. detached sweep overhead guardrail.
     pub obs: ObsOverhead,
@@ -212,7 +208,7 @@ fn phases(smoke: bool) -> PhaseConfig {
 
 /// Current report schema tag. Bumped whenever the report shape changes;
 /// `check` refuses to compare reports across schema versions.
-pub const SCHEMA: &str = "bwpart-bench-sim/v6";
+pub const SCHEMA: &str = "bwpart-bench-sim/v7";
 
 /// Maximum tolerated slowdown of any case's `optimized.wall_ms` against
 /// the committed baseline before `--check` fails, in percent.
@@ -565,26 +561,22 @@ fn cache_microbench(reps: usize) -> CacheMicrobench {
     }
 }
 
-/// Queued requests per probe case of [`ProbeMicrobench`].
+/// Queued requests timed by [`ProbeMicrobench`].
 pub const PROBE_REQUESTS: usize = 64;
 
-/// Probe calls per timed pass of a [`ProbeMicrobench`] case.
+/// Calls per timed pass of a [`ProbeMicrobench`] query.
 const PROBE_CALLS: usize = 1 << 16;
 
-/// Best-of-`reps` ns per `sys.sched_probe` call at cycle `now`, cycling
-/// through `reqs`; each call gets a copy of its request's stored cache, so
-/// every call starts from the same cache state.
+/// Best-of-`reps` ns per call of `query`, cycling through `reqs`.
 fn probe_replay(
-    sys: &DramSystem,
-    reqs: &[(MemTransaction, ProbeCache)],
-    now: u64,
+    reqs: &[(MemTransaction, RowLocation)],
     reps: usize,
+    query: impl Fn(&MemTransaction, &RowLocation) -> bool,
 ) -> f64 {
     let pass = || {
         let t0 = Instant::now();
-        for (txn, cache) in reqs.iter().cycle().take(PROBE_CALLS) {
-            let mut cache = *cache;
-            std::hint::black_box(sys.sched_probe(txn, now, &mut cache));
+        for (txn, loc) in reqs.iter().cycle().take(PROBE_CALLS) {
+            std::hint::black_box(query(txn, loc));
         }
         t0.elapsed()
     };
@@ -594,11 +586,10 @@ fn probe_replay(
     (ns * 100.0).round() / 100.0
 }
 
-/// Time the three probe cases of [`ProbeMicrobench`]. A seeded stream of
-/// reads and writes from four applications warms the channel; one more
-/// read then commits to rank 0, bank 0. Requests on ranks 1–3 refold
-/// across that commit, requests on banks 1–7 of rank 0 refill, and every
-/// request answers from its cache once refreshed against it.
+/// Time the two queries of [`ProbeMicrobench`]. A seeded stream of reads
+/// and writes from four applications warms the channel; [`PROBE_REQUESTS`]
+/// more are decoded, and timed at the first command clock on which one of
+/// them can start, as on a gather the DRAM floor lets through.
 fn probe_microbench(reps: usize) -> ProbeMicrobench {
     let mut sys = DramSystem::new(DramConfig::ddr2_400());
     sys.set_app_count(4);
@@ -609,53 +600,40 @@ fn probe_microbench(reps: usize) -> ProbeMicrobench {
         x ^= x >> 27;
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     };
-    let txn = |draw: &mut dyn FnMut() -> u64| MemTransaction {
+    let mut txn = || MemTransaction {
         app: (draw() % 4) as usize,
         addr: (draw() >> 40) << 6,
         is_write: draw().is_multiple_of(4),
     };
     let mut now = 0;
     for _ in 0..256 {
-        let t = txn(&mut draw);
+        let t = txn();
         now = sys.probe(&t, now).start;
         sys.issue(&t, now);
     }
-    let (mut refold, mut refill) = (Vec::new(), Vec::new());
-    while refold.len() < PROBE_REQUESTS || refill.len() < PROBE_REQUESTS {
-        let t = txn(&mut draw);
-        let loc = sys.decode(t.addr);
-        let mut cache = ProbeCache::default();
-        sys.sched_probe(&t, now, &mut cache);
-        match (loc.rank, loc.bank) {
-            (0, 0) => {}
-            (0, _) if refill.len() < PROBE_REQUESTS => refill.push((t, cache)),
-            (r, _) if r > 0 && refold.len() < PROBE_REQUESTS => refold.push((t, cache)),
-            _ => {}
-        }
-    }
-    let commit = MemTransaction {
-        app: 0,
-        addr: 0,
-        is_write: false,
+    let reqs: Vec<(MemTransaction, RowLocation)> = (0..PROBE_REQUESTS)
+        .map(|_| {
+            let t = txn();
+            (t, sys.locate(t.addr))
+        })
+        .collect();
+    let now = reqs
+        .iter()
+        .map(|(t, _)| sys.probe(t, now).start)
+        .min()
+        .unwrap_or(now);
+    let issue_check = |t: &MemTransaction, loc: &RowLocation| {
+        let kind = sys.access_kind(loc);
+        sys.bus_clear(loc.channel(), kind, t.is_write, now) && sys.issuable(loc, t.is_write, now)
     };
-    let at = sys.decode(commit.addr);
-    assert_eq!(
-        (at.rank, at.bank),
-        (0, 0),
-        "the commit goes to rank 0, bank 0"
-    );
-    now = sys.probe(&commit, now).start;
-    sys.issue(&commit, now);
-    let refold_ns = probe_replay(&sys, &refold, now, reps);
-    let refill_ns = probe_replay(&sys, &refill, now, reps);
-    let mut cached = refold;
-    for (t, cache) in &mut cached {
-        sys.sched_probe(t, now, cache);
-    }
+    let attribution = |t: &MemTransaction, loc: &RowLocation| {
+        sys.probe_at(loc, t.is_write, now)
+            .blocker
+            .is_some_and(|b| b != t.app)
+    };
     ProbeMicrobench {
-        cached_ns_per_probe: probe_replay(&sys, &cached, now, reps),
-        refold_ns_per_probe: refold_ns,
-        refill_ns_per_probe: refill_ns,
+        issue_check_ns_per_call: probe_replay(&reqs, reps, issue_check),
+        attribution_ns_per_call: probe_replay(&reqs, reps, attribution),
     }
 }
 
@@ -833,9 +811,8 @@ mod tests {
         assert!(report.cache.l1_hit_ns_per_access > 0.0);
         assert!(report.cache.l2_miss_ns_per_access > 0.0);
         assert!(report.cache.llc_masked_miss_ns_per_access > 0.0);
-        assert!(report.probe.cached_ns_per_probe > 0.0);
-        assert!(report.probe.refold_ns_per_probe > 0.0);
-        assert!(report.probe.refill_ns_per_probe > 0.0);
+        assert!(report.probe.issue_check_ns_per_call > 0.0);
+        assert!(report.probe.attribution_ns_per_call > 0.0);
         assert!(report.obs.detached_wall_ms > 0.0);
         assert!(report.obs.attached_wall_ms > 0.0);
         assert!(report.obs.overhead_pct.is_finite());
@@ -934,9 +911,8 @@ mod tests {
                 llc_masked_miss_ns_per_access: 1.0,
             },
             probe: ProbeMicrobench {
-                cached_ns_per_probe: 1.0,
-                refold_ns_per_probe: 1.0,
-                refill_ns_per_probe: 1.0,
+                issue_check_ns_per_call: 1.0,
+                attribution_ns_per_call: 1.0,
             },
             obs: ObsOverhead {
                 detached_wall_ms: 1.0,
@@ -950,8 +926,8 @@ mod tests {
     fn check_refuses_other_schemas_and_skips_thread_count_drift() {
         // A committed report of the previous schema is one regression, and
         // nothing is compared.
-        let v5 = one_case_report("bwpart-bench-sim/v5", 1, 9.0);
-        let outcome = check(&v5, &one_case_report(SCHEMA, 1, 9.0));
+        let v6 = one_case_report("bwpart-bench-sim/v6", 1, 9.0);
+        let outcome = check(&v6, &one_case_report(SCHEMA, 1, 9.0));
         assert_eq!(outcome.regressions.len(), 1, "{:?}", outcome.regressions);
         assert!(outcome.regressions[0].contains("schema mismatch"));
         assert!(outcome.compared.is_empty());

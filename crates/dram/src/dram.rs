@@ -4,10 +4,10 @@
 use bwpart_obs::obs_count;
 use serde::{Deserialize, Serialize};
 
-use crate::address::{AddressMapper, Location};
+use crate::address::{AddressMapper, Location, RowLocation};
 use crate::config::DramConfig;
 use crate::obs::DramObsHooks;
-use crate::soa::{AccessKind, BlockReason, ChannelCore, ChannelProbe, Fold, Timings, NO_OWNER};
+use crate::soa::{AccessKind, ChannelCore, ChannelProbe, Timings};
 use crate::stats::DramStats;
 
 /// One line-granular memory transaction presented by the controller.
@@ -36,84 +36,6 @@ pub struct Completion {
     pub done_cycle: u64,
     /// Whether the access hit an open row (open-page only).
     pub row_hit: bool,
-}
-
-/// Version-tagged cached scheduling probe for one queued request.
-///
-/// A probe's raw lower bound, final (aligned, refresh-avoided) start,
-/// access kind, and blocking owner are pure functions of the request and
-/// the target channel's *committed* state — so they stay valid until the
-/// channel's [`ChannelCore::version`] moves (it only moves on commit).
-/// The memory controller keeps one of these per queued request and asks
-/// [`DramSystem::sched_probe`] instead of re-folding every timing bound
-/// each DRAM clock; while a channel is stalled, the per-slot test
-/// collapses to three integer compares.
-///
-/// The cache also keeps the request's decoded location and the
-/// bank-and-rank part of its raw fold. When the version has moved but the
-/// commits since touched neither the request's bank nor its rank's ACT
-/// window or refreshes (the channel's per-bank and per-rank stamps say
-/// so), only the data-bus and command-slot bounds are refolded, and the
-/// start is realigned only if the raw bound moved.
-///
-/// `version == 0` marks an empty cache (live channel versions start at 1),
-/// so `Default` — also what a deserialized queue slot gets — is always a
-/// miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeCache {
-    version: u64,
-    channel: u32,
-    rank: u32,
-    bank: u32,
-    /// The decoded row, as the `u32` the channel's open-row lane compares.
-    row: u32,
-    /// Bank-and-rank part of the raw fold from cycle 0 (it carries the
-    /// access kind).
-    bank_rank: Fold,
-    /// Raw (unaligned, refresh-unaware) fold of the timing lower bounds.
-    raw: u64,
-    /// Final start: `raw` pushed onto the clock grid and out of blackouts.
-    start: u64,
-    /// Sentinel-encoded owner of the dominating constraint at `raw`.
-    blocker: u32,
-    /// Whether a refresh blackout moved `start` past the aligned `raw`.
-    refreshed: bool,
-}
-
-impl Default for ProbeCache {
-    fn default() -> Self {
-        ProbeCache {
-            version: 0,
-            channel: 0,
-            rank: 0,
-            bank: 0,
-            row: 0,
-            bank_rank: Fold {
-                start: 0,
-                reason: BlockReason::Bank,
-                blocker: NO_OWNER,
-                kind: AccessKind::RowMiss,
-            },
-            raw: 0,
-            start: 0,
-            blocker: NO_OWNER,
-            refreshed: false,
-        }
-    }
-}
-
-/// Answer of a cached scheduling probe (see [`DramSystem::sched_probe`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedProbe {
-    /// Whether the first command can be driven exactly at the probed `now`.
-    pub issuable: bool,
-    /// Command structure (hit/miss/conflict) the access would use.
-    pub kind: AccessKind,
-    /// When blocked: the *other* application whose traffic owns the
-    /// blocking bank, rank ACT window, data bus or command slot — the
-    /// paper's `T_cyc,interference` signal (Section IV-C). `None` for
-    /// self-blocking, refresh, alignment, or an issuable probe.
-    pub head_blocker: Option<usize>,
 }
 
 /// The DRAM system: `channels` × (`ranks` × `banks`) with a shared stats
@@ -187,11 +109,72 @@ impl DramSystem {
         self.mapper.decode(addr)
     }
 
+    /// Decode `addr` down to its row: the [`RowLocation`] the memory
+    /// controller keeps beside each queued request, so that it decodes the
+    /// request once.
+    #[inline]
+    pub fn locate(&self, addr: u64) -> RowLocation {
+        self.decode(addr).into()
+    }
+
     /// Probe: earliest start cycle and blocking information for `txn` at
     /// cycle `now`.
     pub fn probe(&self, txn: &MemTransaction, now: u64) -> ChannelProbe {
-        let loc = self.decode(txn.addr);
-        self.channels[loc.channel].probe(loc.rank, loc.bank, loc.row, txn.is_write, now)
+        self.probe_at(&self.locate(txn.addr), txn.is_write, now)
+    }
+
+    /// [`probe`](Self::probe) of a transaction in direction `is_write` to
+    /// the decoded `loc`. When the start lies past `now`, its `blocker` is
+    /// the application whose traffic owns the blocking bank, rank ACT
+    /// window, data bus or command slot (the paper's `T_cyc,interference`
+    /// signal, Section IV-C); it is `None` when refresh, grid alignment or
+    /// nothing holds the start back.
+    #[inline]
+    pub fn probe_at(&self, loc: &RowLocation, is_write: bool, now: u64) -> ChannelProbe {
+        self.channels[loc.channel()].probe(
+            loc.rank as usize,
+            loc.bank as usize,
+            loc.row as usize,
+            is_write,
+            now,
+        )
+    }
+
+    /// The command structure (hit, miss or conflict) an access to `loc`
+    /// would use, from its bank's row state.
+    #[inline]
+    pub fn access_kind(&self, loc: &RowLocation) -> AccessKind {
+        self.channels[loc.channel()].access_kind(
+            loc.rank as usize,
+            loc.bank as usize,
+            loc.row as usize,
+        )
+    }
+
+    /// The issue check: whether a transaction in direction `is_write` to
+    /// `loc` can start exactly at `now`. Equals
+    /// `probe_at(loc, is_write, now).start == now`, answered from the same
+    /// fold without aligning the start.
+    #[inline]
+    pub fn issuable(&self, loc: &RowLocation, is_write: bool, now: u64) -> bool {
+        self.channels[loc.channel()].issuable(
+            loc.rank as usize,
+            loc.bank as usize,
+            loc.row as usize,
+            is_write,
+            now,
+        )
+    }
+
+    /// The bus gate of `channel`: whether its data-bus and command-slot
+    /// bounds let a `kind` access in direction `is_write` start at `now`,
+    /// folded over a bank part that holds nothing back. It is never false
+    /// for a request that [`issuable`](Self::issuable) accepts, and one
+    /// answer holds for every request of the same channel, kind and
+    /// direction until the channel next commits.
+    #[inline]
+    pub fn bus_clear(&self, channel: usize, kind: AccessKind, is_write: bool, now: u64) -> bool {
+        self.channels[channel].bus_clear(kind, is_write, now)
     }
 
     /// Number of channels in this system.
@@ -210,163 +193,48 @@ impl DramSystem {
         self.channels[channel].channel_floor()
     }
 
-    /// Resolve a cached probe against the current cycle. The cache regime
-    /// logic reproduces `probe`'s answer exactly:
-    ///
-    /// * `now < raw` — some raw timing bound still holds; the fold triple
-    ///   is `now`-independent in this regime, so the cached blocker
-    ///   attribution applies verbatim.
-    /// * `raw ≤ now < start` — every raw bound has passed but grid
-    ///   alignment / refresh avoidance still push the start to the cached
-    ///   `start`; a fresh fold from `now` would find no dominating bound,
-    ///   so the attribution is `None` (self/alignment/refresh).
-    /// * `now ≥ start` — only the two `now`-dependent post-fold checks
-    ///   remain: the command-clock grid and the rank's refresh blackouts
-    ///   ([`ChannelCore::grid_clear`]).
-    fn cached_answer(
-        core: &ChannelCore,
-        txn: &MemTransaction,
-        now: u64,
-        cache: &ProbeCache,
-    ) -> SchedProbe {
-        let kind = cache.bank_rank.kind;
-        if now < cache.raw {
-            let head_blocker = if cache.refreshed || cache.blocker == NO_OWNER {
-                None
-            } else {
-                Some(cache.blocker as usize).filter(|&b| b != txn.app)
-            };
-            SchedProbe {
-                issuable: false,
-                kind,
-                head_blocker,
-            }
-        } else {
-            SchedProbe {
-                issuable: now >= cache.start && core.grid_clear(cache.rank as usize, now),
-                kind,
-                head_blocker: None,
-            }
-        }
-    }
-
-    /// Bring `cache` up to `core`'s version: recompute the bank-and-rank
-    /// fold (from cycle 0, so it holds for any probed `now`; see
-    /// `cached_answer` for the regime split) unless the stamps show it is
-    /// still exact, refold the bus part over it, and realign the start only
-    /// when the raw bound moved (alignment and refresh avoidance are pure
-    /// functions of the rank and the raw bound). `fresh` forces the
-    /// recompute for a cache that holds no fold yet.
-    fn refold_cache(core: &ChannelCore, is_write: bool, fresh: bool, cache: &mut ProbeCache) {
-        let (rank, bank) = (cache.rank as usize, cache.bank as usize);
-        if fresh || !core.bank_rank_unchanged_since(rank, bank, cache.version) {
-            cache.bank_rank = core.bank_rank_fold(rank, bank, cache.row as usize, 0);
-        }
-        let fold = core.bus_fold(cache.bank_rank, is_write);
-        if fresh || fold.start != cache.raw {
-            let (start, refreshed) = core.align_and_avoid_refresh(rank, fold.start);
-            cache.start = start;
-            cache.refreshed = refreshed;
-        }
-        cache.raw = fold.start;
-        cache.blocker = fold.blocker;
-        cache.version = core.version();
-    }
-
-    /// Cached scheduling probe: semantically identical to
-    /// [`probe`](Self::probe) (`issuable` is `probe(txn, now).start <= now`,
-    /// and the kind is the probe's) but answered from `cache` in a handful
-    /// of integer compares while `txn`'s channel has not committed
-    /// anything since the cache was filled. A bound past `now` in the
-    /// cached raw fold rejects without aligning or scanning refreshes. On
-    /// a version miss the bus part of the fold is redone over the cached
-    /// bank-and-rank part, which is itself recomputed only when a commit
-    /// or refresh touched the request's bank or rank; the cache is
-    /// transparent — answers never depend on whether or how it was hit.
-    /// An `issuable` answer leaves in `cache` everything
-    /// [`issue_probed`](Self::issue_probed) needs to commit the request at
-    /// `now`, so the controller neither decodes nor probes it again.
-    pub fn sched_probe(
-        &self,
-        txn: &MemTransaction,
-        now: u64,
-        cache: &mut ProbeCache,
-    ) -> SchedProbe {
-        let fresh = cache.version == 0;
-        if fresh {
-            let loc = self.decode(txn.addr);
-            cache.channel = loc.channel as u32;
-            cache.rank = loc.rank as u32;
-            cache.bank = loc.bank as u32;
-            cache.row = loc.row as u32;
-        }
-        let core = &self.channels[cache.channel as usize];
-        if core.version() != cache.version {
-            Self::refold_cache(core, txn.is_write, fresh, cache);
-        }
-        Self::cached_answer(core, txn, now, cache)
-    }
-
     /// Issue `txn` at cycle `now`: decode its address and probe its channel,
     /// then commit it at the probe's start, which equals `now` for a
-    /// controller whose [`sched_probe`](Self::sched_probe) answered
-    /// `issuable`; issuing "late" is allowed and simply starts at the
-    /// earliest legal cycle ≥ `now`. The memory controller issues through
-    /// [`issue_probed`](Self::issue_probed) instead, which skips the decode
-    /// and the probe; both end in the same commit step.
+    /// request the issue check ([`issuable`](Self::issuable)) accepted at
+    /// `now`; issuing "late" is allowed and simply starts at the earliest
+    /// legal cycle ≥ `now`. The memory controller issues through
+    /// [`issue_at`](Self::issue_at) instead, which skips the decode and the
+    /// probe; both end in the same commit step.
     pub fn issue(&mut self, txn: &MemTransaction, now: u64) -> Completion {
-        let loc = self.decode(txn.addr);
-        let start = self.channels[loc.channel]
-            .probe(loc.rank, loc.bank, loc.row, txn.is_write, now)
-            .start
-            .max(now);
+        let loc = self.locate(txn.addr);
+        let start = self.probe_at(&loc, txn.is_write, now).start.max(now);
         self.commit(txn, &loc, start, now)
     }
 
-    /// Issue `txn` at `now` from its probe cache, on which
-    /// [`sched_probe`](Self::sched_probe) has just answered `issuable` at
-    /// `now` with nothing committed since: the cache holds the decoded
-    /// location, and the start is `now` itself. Exactly
-    /// [`issue`](Self::issue)`(txn, now)` without its decode and uncached
-    /// probe; debug builds check both against the cache.
-    pub fn issue_probed(
-        &mut self,
-        txn: &MemTransaction,
-        now: u64,
-        cache: &ProbeCache,
-    ) -> Completion {
-        // The column selects no timing; the cache does not keep it.
-        let loc = Location {
-            channel: cache.channel as usize,
-            rank: cache.rank as usize,
-            bank: cache.bank as usize,
-            row: cache.row as usize,
-            col: 0,
-        };
+    /// Issue `txn` at `now` to `loc`, its decoded location, which the issue
+    /// check has just accepted at `now` with nothing committed since: the
+    /// start is `now` itself. Exactly [`issue`](Self::issue)`(txn, now)`
+    /// without its decode and probe; debug builds check both.
+    pub fn issue_at(&mut self, txn: &MemTransaction, loc: &RowLocation, now: u64) -> Completion {
         bwpart_core::invariant!(
-            {
-                let fresh = self.decode(txn.addr);
-                (fresh.channel, fresh.rank, fresh.bank, fresh.row)
-                    == (loc.channel, loc.rank, loc.bank, loc.row)
-                    && cache.version == self.channels[loc.channel].version()
-                    && self.probe(txn, now).start == now
-            },
-            "cached issue of {txn:?} at {now} disagrees with the uncached probe"
+            self.locate(txn.addr) == *loc && self.probe(txn, now).start == now,
+            "issue of {txn:?} at {now} from {loc:?} disagrees with the uncached probe"
         );
-        self.commit(txn, &loc, now, now)
+        self.commit(txn, loc, now, now)
     }
 
     /// Commit `txn` at `loc` with its first command at `start` (≥ `now`),
     /// record it, and return its completion: the one commit step of
-    /// [`issue`](Self::issue) and [`issue_probed`](Self::issue_probed).
-    fn commit(&mut self, txn: &MemTransaction, loc: &Location, start: u64, now: u64) -> Completion {
+    /// [`issue`](Self::issue) and [`issue_at`](Self::issue_at).
+    fn commit(
+        &mut self,
+        txn: &MemTransaction,
+        loc: &RowLocation,
+        start: u64,
+        now: u64,
+    ) -> Completion {
         // The committed kind, not the probe's: commit applies pending
         // refreshes first, and a refresh may have closed the row the probe
         // saw open.
-        let (_, data_end, kind) = self.channels[loc.channel].commit(
-            loc.rank,
-            loc.bank,
-            loc.row,
+        let (_, data_end, kind) = self.channels[loc.channel()].commit(
+            loc.rank as usize,
+            loc.bank as usize,
+            loc.row as usize,
             txn.is_write,
             txn.app,
             start,
@@ -416,6 +284,7 @@ impl DramSystem {
 mod tests {
     use super::*;
     use crate::config::PagePolicy;
+    use crate::soa::BlockReason;
 
     fn sys() -> DramSystem {
         let mut s = DramSystem::new(DramConfig::ddr2_400());
@@ -435,8 +304,8 @@ mod tests {
 
     /// If `txn` cannot issue at `now`, the application whose traffic owns
     /// the blocking resource (bank, bus, or rank window) — `None` when the
-    /// block is self-inflicted, refresh-caused, or absent: the uncached
-    /// oracle of [`SchedProbe::head_blocker`].
+    /// block is self-inflicted, refresh-caused, or absent: the oracle of
+    /// the memory controller's interference attribution.
     fn blocking_app(s: &DramSystem, txn: &MemTransaction, now: u64) -> Option<usize> {
         let p = s.probe(txn, now);
         match p.block {
@@ -693,14 +562,27 @@ mod tests {
             .expect("a matching line within 4 MB")
     }
 
-    /// Drive `cfg` with random traffic and check every cached answer
-    /// against the uncached `probe` (and `blocking_app` over it) at every
-    /// probed cycle. Returns how many version misses were answered by a
-    /// stamp-matched refold and how many by a full refill.
-    fn check_sched_probe(cfg: DramConfig, seed: u64) -> (u64, u64) {
+    /// What [`check_gather_queries`] saw: requests the issue check
+    /// accepted, requests the bus gate rejected, requests that passed the
+    /// gate and failed the check, and blocked requests attributed to
+    /// another application.
+    #[derive(Debug, Default)]
+    struct GatherCoverage {
+        issuable: u64,
+        gated: u64,
+        folded: u64,
+        attributed: u64,
+    }
+
+    /// Drive `cfg` with seeded traffic and, at every probed clock, check
+    /// the memory controller's three questions about each queued request
+    /// against the uncached `probe` of a fresh decode: the issue check, the
+    /// bus gate, and the interference attribution.
+    fn check_gather_queries(cfg: DramConfig, seed: u64) -> GatherCoverage {
         let mut s = DramSystem::new(cfg);
         s.set_app_count(4);
         let trefi = s.timings().trefi;
+        let tck = s.timings().tck;
         let mut state = seed;
         let mut rng = move || {
             state ^= state << 13;
@@ -713,52 +595,53 @@ mod tests {
             addr: (rng() % (1 << 24)) & !63,
             is_write: rng().is_multiple_of(4),
         };
-        let mut pending: Vec<(MemTransaction, ProbeCache)> = (0..12)
-            .map(|_| (random_txn(&mut rng), ProbeCache::default()))
-            .collect();
-        let (mut refolds, mut refills) = (0, 0);
+        let queued = |s: &DramSystem, txn: MemTransaction| (txn, s.locate(txn.addr));
+        let mut pending: Vec<(MemTransaction, RowLocation)> =
+            (0..12).map(|_| queued(&s, random_txn(&mut rng))).collect();
+        let mut cover = GatherCoverage::default();
         let mut now = 0u64;
         for step in 0..4000u64 {
-            // Deliberately hit off-grid cycles too, and now and then jump
-            // a third of a refresh interval or more, so the next issue
-            // lands after blackouts the rank has not applied yet.
-            now += if rng() % 40 == 0 {
-                trefi / 3 + rng() % trefi
-            } else {
-                1 + rng() % 40
+            // Mostly command clocks, where requests can start, but off-grid
+            // cycles too; now and then jump a third of a refresh interval
+            // or more, so the next issue lands after blackouts the rank has
+            // not applied yet.
+            now += match rng() % 40 {
+                0 => trefi / 3 + rng() % trefi,
+                1..=9 => 1 + rng() % 40,
+                _ => tck * (1 + rng() % 4),
             };
-            for (txn, cache) in &mut pending {
-                let core = &s.channels[cache.channel as usize];
-                if cache.version != 0 && core.version() != cache.version {
-                    let (rank, bank) = (cache.rank as usize, cache.bank as usize);
-                    if core.bank_rank_unchanged_since(rank, bank, cache.version) {
-                        refolds += 1;
-                    } else {
-                        refills += 1;
-                    }
-                }
+            for (txn, loc) in &pending {
                 let want = s.probe(txn, now);
-                let want_issuable = want.start <= now;
-                let want_blocker = blocking_app(&s, txn, now);
-                let got = s.sched_probe(txn, now, cache);
-                assert_eq!(got.issuable, want_issuable, "issuable at {now}");
-                if want_issuable {
-                    assert_eq!(got.kind, want.kind);
-                } else {
-                    assert_eq!(got.head_blocker, want_blocker, "blocker at {now}");
-                }
+                let issuable = s.issuable(loc, txn.is_write, now);
+                assert_eq!(issuable, want.start == now, "issue check at {now}");
+                let kind = s.access_kind(loc);
+                assert_eq!(kind, want.kind, "access kind at {now}");
+                let clear = s.bus_clear(loc.channel(), kind, txn.is_write, now);
+                assert!(
+                    clear || !issuable,
+                    "bus gate rejected an issuable request at {now}"
+                );
+                let blocker = s
+                    .probe_at(loc, txn.is_write, now)
+                    .blocker
+                    .filter(|&b| b != txn.app);
+                assert_eq!(blocker, blocking_app(&s, txn, now), "attribution at {now}");
+                cover.issuable += u64::from(issuable);
+                cover.gated += u64::from(!clear);
+                cover.folded += u64::from(clear && !issuable);
+                cover.attributed += u64::from(blocker.is_some());
             }
             // Every third step, issue a pending request at its earliest
-            // start to mutate channel state (and invalidate caches). Its
-            // slot then takes a request to the same rank but another bank,
-            // and another slot one to the same row (a row hit under open
-            // page), so cached bank-and-rank folds of the committed rank
-            // stay queued.
+            // start to change channel state. Its slot then takes a request
+            // to the same rank but another bank, and another slot one to
+            // the same row (a row hit under open page), so requests on the
+            // committed rank and row stay queued.
             if step % 3 == 0 {
                 let i = (rng() % pending.len() as u64) as usize;
-                let txn = pending[i].0;
+                let (txn, loc) = pending[i];
                 now = s.probe(&txn, now).start;
-                s.issue(&txn, now);
+                assert!(s.issuable(&loc, txn.is_write, now));
+                s.issue_at(&txn, &loc, now);
                 let at = s.decode(txn.addr);
                 let other_bank = neighbor(&s, txn.addr, |l| {
                     (l.channel, l.rank) == (at.channel, at.rank) && l.bank != at.bank
@@ -767,37 +650,37 @@ mod tests {
                     (l.channel, l.rank, l.bank, l.row) == (at.channel, at.rank, at.bank, at.row)
                 });
                 let j = (i + 1 + (rng() % 11) as usize) % pending.len();
-                pending[i] = (
+                pending[i] = queued(
+                    &s,
                     MemTransaction {
                         addr: other_bank,
                         ..txn
                     },
-                    ProbeCache::default(),
                 );
-                pending[j] = (
+                pending[j] = queued(
+                    &s,
                     MemTransaction {
                         addr: same_row,
                         ..txn
                     },
-                    ProbeCache::default(),
                 );
             }
             if step % 7 == 0 {
                 let i = (rng() % pending.len() as u64) as usize;
-                pending[i] = (random_txn(&mut rng), ProbeCache::default());
+                pending[i] = queued(&s, random_txn(&mut rng));
             }
         }
-        (refolds, refills)
+        cover
     }
 
-    /// The cached scheduling probe must answer exactly like the uncached
-    /// `probe` (and `blocking_app` over it) at every cycle — including
-    /// off-grid cycles, refresh blackouts, and across cache invalidations —
-    /// whether the cache is hot, cold, refolded over its cached
-    /// bank-and-rank part, or refilled: under both page policies, at
-    /// DDR2-400 and DDR2-1600.
+    /// The gather's issue check must equal `probe(txn, now).start == now`,
+    /// the bus gate must never reject a request the check accepts, and the
+    /// attribution from the stored location must equal the uncached
+    /// probe's blocker minus the request's own application, at every
+    /// probed clock: off-grid cycles and refresh blackouts included, under
+    /// both page policies, at DDR2-400 and DDR2-1600.
     #[test]
-    fn sched_probe_matches_uncached_probe() {
+    fn gather_queries_match_uncached_probe() {
         for (d, dram) in [DramConfig::ddr2_400(), DramConfig::ddr2_1600()]
             .into_iter()
             .enumerate()
@@ -808,10 +691,13 @@ mod tests {
                     ..dram.clone()
                 };
                 let seed = 0xC0FFEE + d as u64 * 2 + u64::from(page_policy == PagePolicy::OpenPage);
-                let (refolds, refills) = check_sched_probe(cfg, seed);
+                let cover = check_gather_queries(cfg, seed);
                 assert!(
-                    refolds > 1000 && refills > 1000,
-                    "{d} {page_policy:?}: {refolds} refolds, {refills} refills"
+                    cover.issuable > 5000
+                        && cover.gated > 10_000
+                        && cover.folded > 5000
+                        && cover.attributed > 10_000,
+                    "{d} {page_policy:?}: {cover:?}"
                 );
             }
         }

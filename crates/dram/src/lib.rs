@@ -52,9 +52,9 @@ pub mod obs;
 pub mod soa;
 pub mod stats;
 
-pub use address::{AddressMapper, Location, MappingScheme};
+pub use address::{AddressMapper, Location, MappingScheme, RowLocation};
 pub use config::{DramConfig, PagePolicy, TimingNs};
-pub use dram::{Completion, DramSystem, MemTransaction, ProbeCache, SchedProbe};
+pub use dram::{Completion, DramSystem, MemTransaction};
 pub use obs::DramObsHooks;
 pub use soa::{AccessKind, BlockReason, ChannelCore, ChannelProbe, Timings};
 pub use stats::DramStats;

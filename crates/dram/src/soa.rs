@@ -30,10 +30,7 @@
 //! bank_min   : u64            min of bank_floor
 //! busy_until : [u64; banks]   committed-work horizon (quiesce)
 //! last_owner : [u32; banks]   interference owner, NO_OWNER when idle
-//! bank_stamp : [u64; banks]   version of the bank's last lane change
 //! act_ring   : [u64; ranks*4] tFAW ring of the 4 most recent ACTs
-//! rank_stamp : [u64; ranks]   version of the rank's last ring change
-//!                             or refresh application
 //! ```
 //!
 //! Per-bank probes touch exactly the lanes they need, and the rank/bus
@@ -46,19 +43,25 @@
 //! `tests/soa_equivalence.rs` and lives in that file, as `run_per_cycle`
 //! anchors the per-core clocks.
 //!
-//! The core also maintains a monotone **version** counter, bumped on every
-//! state mutation ([`commit`](ChannelCore::commit), and the lazy refresh
-//! application inside it). Because probes are pure functions of
-//! `(committed state, request, now)`, a cached probe result tagged with
-//! the version stays valid until the version moves — the basis of the
-//! controller-side `ProbeCache` (see
-//! [`crate::dram::DramSystem::sched_probe`]). A probe's raw fold splits in
-//! two: the bank-and-rank part reads one bank's lanes and its rank's ACT
-//! ring, the bus part only channel scalars. Each mutation writes the new
-//! version into the stamp of every bank and rank whose lanes it changed,
-//! so a bank-and-rank part computed at version `v` is still exact while
-//! its bank's and rank's stamps are at most `v`, and a version miss only
-//! refolds the bus part.
+//! A probe folds the lower bounds on a start in two parts: the
+//! bank-and-rank part (`bank_rank_fold`: the bank's wheel for the access
+//! kind its row state implies, then the rank's tRRD/tFAW windows) and the
+//! bus part over it (`bus_fold`: data-bus occupancy and turnaround, then
+//! the command slot). It then pushes the start onto the command-clock grid
+//! and out of refresh blackouts. The memory controller's gather asks two
+//! narrower questions of the same folds on its DRAM clock `now`:
+//!
+//! * `issuable`, the issue check: the fold taken from `now` must stay at
+//!   `now`, and `now` must be on the grid and outside the rank's blackouts
+//!   (`grid_clear`). That is exactly `probe(.., now).start == now`, with no
+//!   alignment.
+//! * `bus_clear`, the bus gate: does the bus part alone, over a bank part
+//!   that holds nothing back, stay at `now`? It reads only channel scalars,
+//!   and depends on a request only through its access kind and direction,
+//!   so the controller asks it once per channel, kind and direction on each
+//!   clock. Folds only raise the start, so a request that fails the gate
+//!   fails the issue check too, and is rejected without folding its bank
+//!   and rank.
 //!
 //! Every division by the command-clock period or the refresh interval goes
 //! through a precomputed [`Divider`] (one multiply instead of a hardware
@@ -192,11 +195,11 @@ pub const NO_OWNER: u32 = u32::MAX;
 /// raised in the documented precedence order (bank, rank ACT windows, data
 /// bus, command slot); a later bound wins only when strictly larger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Fold {
-    pub(crate) start: u64,
-    pub(crate) reason: BlockReason,
-    pub(crate) blocker: u32,
-    pub(crate) kind: AccessKind,
+struct Fold {
+    start: u64,
+    reason: BlockReason,
+    blocker: u32,
+    kind: AccessKind,
 }
 
 impl Fold {
@@ -241,8 +244,6 @@ pub struct ChannelCore {
     bank_min: u64,
     busy_until: Vec<u64>,
     last_owner: Vec<u32>,
-    /// Version of the last change to the bank's lanes (see the module docs).
-    bank_stamp: Vec<u64>,
     // ---- per-rank tFAW activation rings (4 fixed slots per rank) ----
     act_ring: Vec<u64>,
     ring_len: Vec<u8>,
@@ -250,9 +251,6 @@ pub struct ChannelCore {
     /// the ring is full, the most recent at `(pos + 3) & 3`.
     ring_pos: Vec<u8>,
     rank_act_owner: Vec<u32>,
-    /// Version of the last change to the rank's ACT ring, or of the last
-    /// refresh applied to its banks.
-    rank_stamp: Vec<u64>,
     // ---- channel-level scalars ----
     /// Cycle at which the data bus becomes free.
     bus_free: u64,
@@ -271,10 +269,6 @@ pub struct ChannelCore {
     /// Per-rank refresh stagger offset, precomputed at construction
     /// (`(2·rank + 1)·tREFI / (2·ranks)`).
     refresh_phase: Vec<u64>,
-    /// Monotone mutation counter; bumped by every [`commit`](Self::commit)
-    /// and every refresh application. Starts at 1 so a zeroed cache tag is
-    /// always invalid.
-    version: u64,
     /// Divides by `t.tck`: command-clock grid alignment.
     tck_div: Divider,
     /// Divides by `t.trefi`: refresh-slot lookup.
@@ -300,12 +294,10 @@ impl ChannelCore {
             bank_min: 0,
             busy_until: vec![0; banks],
             last_owner: vec![NO_OWNER; banks],
-            bank_stamp: vec![0; banks],
             act_ring: vec![0; cfg.ranks * 4],
             ring_len: vec![0; cfg.ranks],
             ring_pos: vec![0; cfg.ranks],
             rank_act_owner: vec![NO_OWNER; cfg.ranks],
-            rank_stamp: vec![0; cfg.ranks],
             bus_free: 0,
             bus_owner: NO_OWNER,
             bus_last_write: false,
@@ -315,7 +307,6 @@ impl ChannelCore {
             refresh_phase: (0..cfg.ranks as u64)
                 .map(|r| (2 * r + 1) * t.trefi / (2 * cfg.ranks as u64))
                 .collect(),
-            version: 1,
             tck_div: Divider::new(t.tck),
             trefi_div: Divider::new(t.trefi),
         }
@@ -324,12 +315,6 @@ impl ChannelCore {
     /// The channel's timing table.
     pub fn timings(&self) -> &Timings {
         &self.t
-    }
-
-    /// Monotone mutation counter (cache-invalidation tag).
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     #[inline]
@@ -386,18 +371,16 @@ impl ChannelCore {
 
     /// Whether `now` is on the command-clock grid and outside `rank`'s
     /// refresh blackouts — the only conditions that can still reject a
-    /// request whose raw timing bounds have all passed. Probe caches use
-    /// this as the residual per-cycle check once the cached final start is
-    /// at or before `now` (alignment and refresh are the two post-fold
-    /// adjustments, and both depend only on `now`, not on bank state).
+    /// request whose raw timing bounds have all passed (alignment and
+    /// refresh are the two post-fold adjustments, and both depend only on
+    /// `now`, not on bank state).
     #[inline]
-    pub fn grid_clear(&self, rank: usize, now: u64) -> bool {
+    fn grid_clear(&self, rank: usize, now: u64) -> bool {
         now % self.tck_div == 0 && self.avoid_blackout(rank, now) == now
     }
 
     /// Lazily apply refresh effects (row closure, bank busy) for blackouts
-    /// that began before `upto`. Changes every bank lane of the rank, so it
-    /// moves the version and stamps the rank.
+    /// that began before `upto`.
     fn apply_refreshes(&mut self, rank: usize, upto: u64) {
         let (start, end) = self.blackout_before(rank, upto);
         if end > 0 && start >= self.refresh_applied[rank] {
@@ -409,11 +392,6 @@ impl ChannelCore {
             // A refresh only raises the rank's floors, and the bank holding
             // the minimum may be among them.
             self.bank_min = self.scan_bank_floor();
-            // The commit that applies a refresh stamps the rank again (the
-            // refresh closed its row, so it activates one); stamping here
-            // keeps every lane write stamped where it happens.
-            self.version += 1;
-            self.rank_stamp[rank] = self.version;
         }
     }
 
@@ -433,11 +411,9 @@ impl ChannelCore {
     /// bank's own wheel for the access kind its row state implies, then,
     /// for an access that activates a row, the rank's tRRD and tFAW
     /// windows. Reads only bank `(rank, bank)`'s lanes and `rank`'s ACT
-    /// ring, so its result stays exact while
-    /// [`bank_rank_unchanged_since`](Self::bank_rank_unchanged_since)
-    /// holds.
+    /// ring.
     #[inline]
-    pub(crate) fn bank_rank_fold(&self, rank: usize, bank: usize, row: usize, now: u64) -> Fold {
+    fn bank_rank_fold(&self, rank: usize, bank: usize, row: usize, now: u64) -> Fold {
         let t = &self.t;
         let idx = self.bank_index(rank, bank);
         let (bank_start, kind) = self.bank_earliest(idx, row);
@@ -484,7 +460,7 @@ impl ChannelCore {
     /// (occupancy and turnaround, for `fold.kind`'s data offset) and the
     /// command-slot bound. Reads only channel scalars.
     #[inline]
-    pub(crate) fn bus_fold(&self, mut fold: Fold, is_write: bool) -> Fold {
+    fn bus_fold(&self, mut fold: Fold, is_write: bool) -> Fold {
         let t = &self.t;
         let data_off = fold.kind.cas_offset(t) + if is_write { t.cwl } else { t.cl };
         let mut bus_ready = self.bus_free;
@@ -515,26 +491,16 @@ impl ChannelCore {
         fold
     }
 
-    /// Whether bank `(rank, bank)`'s lanes and `rank`'s ACT ring and
-    /// refresh state are unchanged since the channel was at `version`, so a
-    /// [`bank_rank_fold`](Self::bank_rank_fold) computed then is still
-    /// exact.
-    #[inline]
-    pub(crate) fn bank_rank_unchanged_since(&self, rank: usize, bank: usize, version: u64) -> bool {
-        self.bank_stamp[self.bank_index(rank, bank)] <= version && self.rank_stamp[rank] <= version
-    }
-
     /// Fold every raw (unaligned, refresh-unaware) lower bound on a
     /// transaction's start into the dominating `(start, reason, blocker)`
     /// triple, starting from `now`: the bus part (`bus_fold`) over the
-    /// bank-and-rank part (`bank_rank_fold`), the same two folds the
-    /// controller's cached probe (`DramSystem::sched_probe`) composes, so
-    /// the two can never diverge.
+    /// bank-and-rank part (`bank_rank_fold`), the same fold the issue check
+    /// (`issuable`) takes, so the two can never diverge.
     ///
     /// Whenever the result exceeds `now`, the triple is independent of
     /// `now` itself (every bound is a pure function of committed state and
-    /// the request) — the property the version-tagged probe cache relies
-    /// on.
+    /// the request), so a blocked request's attribution holds on every
+    /// clock below its raw start.
     pub fn raw_probe(
         &self,
         rank: usize,
@@ -590,6 +556,51 @@ impl ChannelCore {
         }
     }
 
+    /// The command structure an access to `row` in bank `(rank, bank)`
+    /// would use, from the bank's row state (the kind [`probe`](Self::probe)
+    /// reports).
+    #[inline]
+    pub(crate) fn access_kind(&self, rank: usize, bank: usize, row: usize) -> AccessKind {
+        self.bank_earliest(self.bank_index(rank, bank), row).1
+    }
+
+    /// The issue check: whether a transaction to `row` in bank
+    /// `(rank, bank)` can start exactly at `now`. The fold taken from `now`
+    /// must stay at `now`, and `now` must be on the grid and outside the
+    /// rank's blackouts; alignment and refresh avoidance only move a start
+    /// later, so this equals `probe(.., now).start == now` without aligning.
+    #[inline]
+    pub(crate) fn issuable(
+        &self,
+        rank: usize,
+        bank: usize,
+        row: usize,
+        is_write: bool,
+        now: u64,
+    ) -> bool {
+        self.bus_fold(self.bank_rank_fold(rank, bank, row, now), is_write)
+            .start
+            == now
+            && self.grid_clear(rank, now)
+    }
+
+    /// The bus gate: whether the data-bus and command-slot bounds of a
+    /// `kind` access in direction `is_write` stay at `now`, folded over a
+    /// bank part that holds nothing back. Every fold only raises the start,
+    /// so it is never false for a request [`issuable`](Self::issuable)
+    /// accepts. It reads only channel scalars, so one answer holds for
+    /// every request of the same kind and direction until the next commit.
+    #[inline]
+    pub(crate) fn bus_clear(&self, kind: AccessKind, is_write: bool, now: u64) -> bool {
+        let unheld = Fold {
+            start: now,
+            reason: BlockReason::Bank,
+            blocker: NO_OWNER,
+            kind,
+        };
+        self.bus_fold(unheld, is_write).start == now
+    }
+
     /// A channel-wide lower bound on the start cycle of *any* transaction,
     /// in constant time. Every request's raw probe folds (a) its bank's
     /// wheel — at least the per-bank minimum of the three wheels
@@ -601,9 +612,9 @@ impl ChannelCore {
     /// offset is `tRCD + CL` (or `CWL`); open page also allows a
     /// conflict's extra `tRP`. While `channel_floor() > now`, no request
     /// on this channel can issue and the controller settles the command
-    /// clock in closed form. Pure function of committed state — cache it
-    /// against [`version`](Self::version). Debug builds check `bank_min`
-    /// against a scan of the lane on every call.
+    /// clock in closed form. A pure function of committed state, so it
+    /// holds until the next commit. Debug builds check `bank_min` against
+    /// a scan of the lane on every call.
     pub fn channel_floor(&self) -> u64 {
         bwpart_core::invariant!(
             self.bank_min == self.scan_bank_floor(),
@@ -727,11 +738,6 @@ impl ChannelCore {
             self.last_write_data_end = data_end;
         }
         self.cmd_ready = start + t.tck;
-        self.version += 1;
-        self.bank_stamp[idx] = self.version;
-        if kind != AccessKind::RowHit {
-            self.rank_stamp[rank] = self.version;
-        }
         (data_start, data_end, kind)
     }
 
@@ -789,19 +795,6 @@ mod tests {
         assert_eq!(AccessKind::RowHit.cas_offset(&t), 0);
         assert_eq!(AccessKind::RowMiss.cas_offset(&t), t.trcd);
         assert_eq!(AccessKind::RowConflict.cas_offset(&t), t.trp + t.trcd);
-    }
-
-    #[test]
-    fn version_bumps_only_on_commit() {
-        let mut c = core();
-        let v0 = c.version();
-        let _ = c.probe(0, 0, 5, false, 0);
-        let _ = c.raw_probe(1, 2, 9, true, 1000);
-        let _ = c.channel_floor();
-        assert_eq!(c.version(), v0, "read paths must not invalidate caches");
-        let p = c.probe(0, 0, 5, false, 0);
-        c.commit(0, 0, 5, false, 0, p.start);
-        assert_eq!(c.version(), v0 + 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use bwpart_core::Divider;
 use bwpart_obs::obs_count;
 use serde::{Deserialize, Serialize};
 
-use bwpart_dram::{AccessKind, Completion, DramConfig, DramSystem, MemTransaction, SchedProbe};
+use bwpart_dram::{AccessKind, ChannelProbe, Completion, DramConfig, DramSystem, RowLocation};
 
 use crate::interference::InterferenceTracker;
 use crate::obs::McObsHooks;
@@ -70,6 +70,22 @@ impl PartialOrd for Pending {
     }
 }
 
+/// Bus-gate memo entries per channel: three access kinds by two
+/// directions.
+const GATE_KEYS_PER_CHANNEL: usize = 6;
+
+/// The bus-gate memo entry of a `kind` access in direction `is_write` on
+/// `channel`.
+#[inline]
+fn gate_key(channel: usize, kind: AccessKind, is_write: bool) -> usize {
+    let kind = match kind {
+        AccessKind::RowHit => 0,
+        AccessKind::RowMiss => 1,
+        AccessKind::RowConflict => 2,
+    };
+    (channel * 3 + kind) * 2 + usize::from(is_write)
+}
+
 /// The shared memory controller.
 #[derive(Debug, Clone)]
 pub struct MemoryController {
@@ -95,15 +111,12 @@ pub struct MemoryController {
     cand_buf: Vec<Candidate>,
     /// Scratch window-position buffer parallel to `cand_buf`.
     pos_buf: Vec<usize>,
-    /// Scratch per-candidate head-blocker cache parallel to `cand_buf`:
-    /// the interference attribution of each blocked head as of the gather
-    /// pass, valid for the interference loop only while no request was
-    /// issued in between (a stalled tick).
-    blocker_buf: Vec<Option<usize>>,
-    /// Scratch list of pending applications for the gather pass (the
-    /// per-slot probe caches need `&mut self.queues`, so the pending set is
-    /// snapshotted first).
-    app_buf: Vec<usize>,
+    /// The bus gate's memo for one gather: per channel, access kind and
+    /// direction ([`gate_key`]), whether the channel's data bus and command
+    /// slot let such an access start on the gather's clock (`None` until
+    /// asked). Channel state changes only on an issue, after the gather,
+    /// so each answer holds for the whole gather. Sized at construction.
+    gate_memo: Vec<Option<bool>>,
     /// The settle plan: the pending applications whose blocked head is
     /// held by another application's traffic on the command clocks below
     /// the floor, which [`settle_before`](Self::settle_before) charges.
@@ -134,7 +147,6 @@ impl MemoryController {
         dram.set_app_count(apps);
         let tck = dram.timings().tck;
         MemoryController {
-            dram,
             queues: AppQueues::new(apps),
             policy,
             interference: InterferenceTracker::new(apps),
@@ -148,12 +160,12 @@ impl MemoryController {
             sched_window: 8,
             cand_buf: Vec::with_capacity(apps),
             pos_buf: Vec::with_capacity(apps),
-            blocker_buf: Vec::with_capacity(apps),
-            app_buf: Vec::with_capacity(apps),
+            gate_memo: vec![None; dram.num_channels() * GATE_KEYS_PER_CHANNEL],
             settle_plan: Vec::with_capacity(apps),
             plan_valid: false,
             floor_clock: 0,
             obs: None,
+            dram,
         }
     }
 
@@ -240,30 +252,62 @@ impl MemoryController {
     pub fn enqueue(&mut self, req: MemRequest) {
         let app = req.app;
         let new_head = self.queues.len(app) == 0;
-        self.queues.push(req);
+        self.queues.push(req, self.dram.locate(req.addr));
         // The next settle starts at `next_tick`, so this is the probe its
-        // recompute would make.
-        if new_head
-            && self.plan_valid
-            && self.probe_head(app, self.next_tick).head_blocker.is_some()
-        {
+        // rebuild would make.
+        if new_head && self.plan_valid && self.head_blocker(app, self.next_tick).is_some() {
             self.settle_plan.push(app);
         }
     }
 
-    /// Probe `app`'s head request at `now` through its slot's cache.
-    fn probe_head(&mut self, app: usize, now: u64) -> SchedProbe {
+    /// Probe `app`'s head request at `t` from its queued location.
+    fn probe_head(&self, app: usize, t: u64) -> ChannelProbe {
         // lint: allow(R1): callers pass an application with a queued request
-        let (head, cache) = self
-            .queues
-            .slot_mut(app, 0)
-            .expect("pending app has a head");
-        let txn = MemTransaction {
-            app: head.app,
-            addr: head.addr,
-            is_write: head.is_write,
-        };
-        self.dram.sched_probe(&txn, now, cache)
+        let (head, loc) = self.queues.slot(app, 0).expect("pending app has a head");
+        self.dram.probe_at(&loc, head.is_write, t)
+    }
+
+    /// The Section IV-C attribution of `app`'s head at `t`: the other
+    /// application whose traffic holds it back, if any.
+    fn head_blocker(&self, app: usize, t: u64) -> Option<usize> {
+        self.probe_head(app, t).blocker.filter(|&b| b != app)
+    }
+
+    /// The gather's issue check of `req`, queued at `loc`, on command clock
+    /// `now`: `Ok` with its access kind when it can start exactly at
+    /// `now`, else `Err(gated)`. The bus gate answers first, from this
+    /// gather's memo; a request whose channel's data bus or command slot
+    /// holds its kind and direction past `now` is rejected (`gated`)
+    /// without folding its bank and rank. A request that passes takes the
+    /// fold from `now` ([`DramSystem::issuable`]). Debug builds check every
+    /// gated reject and every issue check against the uncached probe.
+    fn issue_check(
+        &mut self,
+        req: &MemRequest,
+        loc: &RowLocation,
+        now: u64,
+    ) -> Result<AccessKind, bool> {
+        let kind = self.dram.access_kind(loc);
+        let dram = &self.dram;
+        let clear = *self.gate_memo[gate_key(loc.channel(), kind, req.is_write)]
+            .get_or_insert_with(|| dram.bus_clear(loc.channel(), kind, req.is_write, now));
+        if !clear {
+            bwpart_core::invariant!(
+                self.dram.probe(&req.txn(), now).start > now,
+                "bus gate rejected {req:?}, which can start at {now}"
+            );
+            return Err(true);
+        }
+        let issuable = self.dram.issuable(loc, req.is_write, now);
+        bwpart_core::invariant!(
+            issuable == (self.dram.probe(&req.txn(), now).start == now),
+            "issue check of {req:?} at {now} disagrees with the uncached probe"
+        );
+        if issuable {
+            Ok(kind)
+        } else {
+            Err(false)
+        }
     }
 
     /// Advance the controller to CPU cycle `now`, accounting every DRAM
@@ -295,41 +339,35 @@ impl MemoryController {
         // Gather candidates: for each pending application, the oldest
         // *issuable* request within its scheduling window, falling back to
         // the (blocked) head. The buffers live on `self` so the per-tick
-        // gather allocates nothing in steady state. Every window position
-        // is answered through its slot's version-tagged probe cache
-        // (`DramSystem::sched_probe`): while the channel is unchanged the
-        // test collapses to a few integer compares, and the head's
-        // interference attribution rides along for free.
+        // gather allocates nothing in steady state. Each window position
+        // takes the issue check (`issue_check`): the bus gate, memoized
+        // per channel, access kind and direction for this clock, then the
+        // fold from `now`. Attribution waits for the charges below.
         self.cand_buf.clear();
         self.pos_buf.clear();
-        self.blocker_buf.clear();
-        self.app_buf.clear();
-        self.app_buf.extend(self.queues.pending_apps());
-        for i in 0..self.app_buf.len() {
-            let app = self.app_buf[i];
+        self.gate_memo.fill(None);
+        let mut gated = 0;
+        for app in 0..self.queues.apps() {
             let limit = self.sched_window.min(self.queues.len(app));
+            if limit == 0 {
+                continue;
+            }
             let mut chosen: Option<(usize, u64, bool)> = None; // (pos, arrival, row_hit)
-            let mut head_blocker: Option<usize> = None;
             for pos in 0..limit {
                 // lint: allow(R1): pos < queues.len(app) by the loop bound
-                let (req, cache) = self.queues.slot_mut(app, pos).expect("in range");
-                let txn = MemTransaction {
-                    app: req.app,
-                    addr: req.addr,
-                    is_write: req.is_write,
-                };
-                let arrival = req.arrival;
-                let probe = self.dram.sched_probe(&txn, now, cache);
-                if probe.issuable {
-                    let row_hit = probe.kind == AccessKind::RowHit;
-                    chosen = Some((pos, arrival, row_hit));
-                    break;
-                }
-                if pos == 0 {
-                    head_blocker = probe.head_blocker;
+                let (req, loc) = self.queues.slot(app, pos).expect("in range");
+                match self.issue_check(&req, &loc, now) {
+                    Ok(kind) => {
+                        chosen = Some((pos, req.arrival, kind == AccessKind::RowHit));
+                        break;
+                    }
+                    Err(was_gated) => gated += u64::from(was_gated),
                 }
             }
-            self.push_candidate(app, chosen, head_blocker);
+            self.push_candidate(app, chosen);
+        }
+        if gated > 0 {
+            obs_count!(self.obs, gate_rejects, gated);
         }
 
         let served = self.policy.pick(&self.cand_buf);
@@ -340,19 +378,14 @@ impl MemoryController {
                 .position(|c| c.app == app)
                 // lint: allow(R1): Policy::pick returns an app from `candidates`
                 .expect("picked app is a candidate");
-            let (req, cache) = self
+            let (req, loc) = self
                 .queues
                 .remove(app, self.pos_buf[idx])
                 // lint: allow(R1): pos_buf[idx] was probed in the gather loop above
                 .expect("picked request exists");
-            let txn = MemTransaction {
-                app: req.app,
-                addr: req.addr,
-                is_write: req.is_write,
-            };
-            // The gather just answered this slot issuable at `now`, and
-            // nothing has committed since.
-            let completion = self.dram.issue_probed(&txn, now, &cache);
+            // The gather's issue check just accepted this slot at `now`,
+            // and nothing has committed since.
+            let completion = self.dram.issue_at(&req.txn(), &loc, now);
             self.plan_valid = false;
             let floor = (0..self.dram.num_channels())
                 .map(|c| self.dram.channel_floor(c))
@@ -382,43 +415,26 @@ impl MemoryController {
             if Some(c.app) == served {
                 continue;
             }
-            if c.issuable {
+            let charged = if c.issuable {
                 // The request could have started, but the scheduler chose
                 // another application's request.
-                if served.is_some() {
-                    self.interference.charge(c.app, self.tck);
-                    obs_count!(self.obs, interference_charges);
-                }
+                served.is_some()
             } else {
                 // Blocked by a DRAM resource: charge only if that resource
-                // is held by another application's traffic. On a stalled
-                // tick nothing was issued since the gather pass, so the
-                // head's cached attribution is still exact; after an issue
-                // the DRAM state changed and the head must be re-probed.
-                let blocker = if served.is_none() {
-                    self.blocker_buf[i]
-                } else {
-                    // `SchedProbe::head_blocker` is the uncached probe's
-                    // cross-application blocker, and refreshing the
-                    // head's cache here pre-pays the next tick's probe.
-                    // A blocked candidate is its app's head, still queued.
-                    self.probe_head(c.app, now).head_blocker
-                };
-                if blocker.is_some() {
-                    self.interference.charge(c.app, self.tck);
-                    obs_count!(self.obs, interference_charges);
-                }
+                // is held by another application's traffic, as the channel
+                // stands after this clock's issue. A blocked candidate is
+                // its app's head, still queued.
+                self.head_blocker(c.app, now).is_some()
+            };
+            if charged {
+                self.interference.charge(c.app, self.tck);
+                obs_count!(self.obs, interference_charges);
             }
         }
     }
 
     /// Push the scan result for `app` onto the candidate buffers.
-    fn push_candidate(
-        &mut self,
-        app: usize,
-        chosen: Option<(usize, u64, bool)>,
-        head_blocker: Option<usize>,
-    ) {
+    fn push_candidate(&mut self, app: usize, chosen: Option<(usize, u64, bool)>) {
         match chosen {
             Some((pos, arrival, row_hit)) => {
                 self.cand_buf.push(Candidate {
@@ -429,10 +445,9 @@ impl MemoryController {
                     queue_len: self.queues.len(app),
                 });
                 self.pos_buf.push(pos);
-                self.blocker_buf.push(None);
             }
             None => {
-                // lint: allow(R1): app came from pending_apps(), its queue is non-empty
+                // lint: allow(R1): callers skip empty queues, so `app` has a head
                 let head = self.queues.head(app).expect("pending app has a head");
                 self.cand_buf.push(Candidate {
                     app,
@@ -442,7 +457,6 @@ impl MemoryController {
                     queue_len: self.queues.len(app),
                 });
                 self.pos_buf.push(0);
-                self.blocker_buf.push(head_blocker);
             }
         }
     }
@@ -453,12 +467,13 @@ impl MemoryController {
     /// The result is bit-identical to ticking each of those `k` clocks,
     /// for three reasons. Below the floor no request can start. The queues
     /// are the ones the clocks saw, because callers enqueue only after
-    /// ticking the arrival cycle. And every queued request's probe is in
-    /// its `now`-independent regime (`now < raw`, see
-    /// `DramSystem::sched_probe`), so each head's interference attribution
-    /// is the same on every such clock. The `k` clocks therefore add `k`
-    /// to `busy_ticks` and `stalled_ticks`, and `k · tCK` of interference
-    /// to each head blocked by another application's traffic.
+    /// ticking the arrival cycle. And every queued request's raw fold lies
+    /// past each such clock, where its dominating bound and owner do not
+    /// depend on the clock (see [`bwpart_dram::ChannelCore::raw_probe`]),
+    /// so each head's interference attribution is the same on every such
+    /// clock. The `k` clocks therefore add `k` to `busy_ticks` and
+    /// `stalled_ticks`, and `k · tCK` of interference to each head blocked
+    /// by another application's traffic.
     ///
     /// Those heads form the settle plan, which changes only when a request
     /// issues (channel state and the floor move), when an enqueue gives an
@@ -509,26 +524,29 @@ impl MemoryController {
     }
 
     /// Rebuild the settle plan at command clock `first`, below the floor:
-    /// probe every pending head, make the pick, and keep the heads held by
-    /// another application's traffic.
+    /// probe every pending head, keep the heads held by another
+    /// application's traffic, and make the pick.
     fn rebuild_settle_plan(&mut self, first: u64) {
         obs_count!(self.obs, settle_plans);
         self.cand_buf.clear();
         self.pos_buf.clear();
-        self.blocker_buf.clear();
-        self.app_buf.clear();
-        self.app_buf.extend(self.queues.pending_apps());
-        for i in 0..self.app_buf.len() {
-            let app = self.app_buf[i];
+        self.settle_plan.clear();
+        for app in 0..self.queues.apps() {
+            if self.queues.len(app) == 0 {
+                continue;
+            }
             let probe = self.probe_head(app, first);
             // Cross-layer contract: `channel_floor` bounds every start.
             bwpart_core::invariant!(
-                !probe.issuable,
+                probe.start > first,
                 "request issuable at {} below the DRAM floor clock {}",
                 first,
                 self.floor_clock
             );
-            self.push_candidate(app, None, probe.head_blocker);
+            if probe.blocker.is_some_and(|b| b != app) {
+                self.settle_plan.push(app);
+            }
+            self.push_candidate(app, None);
         }
         // With nothing issuable no policy serves anyone. PARBS re-forms
         // its batch on such a pick only when every candidate's marks are
@@ -541,14 +559,6 @@ impl MemoryController {
         bwpart_core::invariant!(
             served.is_none(),
             "policy served a blocked request (Section IV-B picks issuable heads only)"
-        );
-        self.settle_plan.clear();
-        self.settle_plan.extend(
-            self.cand_buf
-                .iter()
-                .zip(&self.blocker_buf)
-                .filter(|(_, blocker)| blocker.is_some())
-                .map(|(c, _)| c.app),
         );
         self.plan_valid = true;
     }
@@ -565,12 +575,7 @@ impl MemoryController {
         for app in self.queues.pending_apps() {
             // lint: allow(R1): pending_apps() yields only non-empty queues
             let head = self.queues.head(app).expect("pending app has a head");
-            let txn = MemTransaction {
-                app: head.app,
-                addr: head.addr,
-                is_write: head.is_write,
-            };
-            let probe = self.dram.probe(&txn, first);
+            let probe = self.dram.probe(&head.txn(), first);
             bwpart_core::invariant!(
                 probe.start > first,
                 "request issuable at {} below the DRAM floor clock {}",
@@ -694,7 +699,7 @@ mod tests {
     use super::*;
     use crate::policy::tests::one_per_kind;
     use crate::policy::PolicyKind;
-    use bwpart_dram::{DramConfig, DramStats, PagePolicy};
+    use bwpart_dram::{DramConfig, DramStats, MemTransaction, PagePolicy};
 
     /// Drive the controller with `apps` synthetic streams that each always
     /// have a request ready (full saturation) for `cycles` CPU cycles, and
@@ -1076,9 +1081,30 @@ mod tests {
             .collect()
     }
 
+    /// Replay the issues behind `done`, in start order, through a fresh
+    /// DRAM system's uncached `issue`: each must start on the clock the
+    /// controller started it and complete the same way, so no issue broke
+    /// a timing bound. On one channel bursts leave in issue order, so the
+    /// completions drained by the horizon are a prefix of the issues.
+    fn assert_issues_legal(cfg: &DramConfig, done: &[Completion]) {
+        assert_eq!(cfg.channels, 1);
+        let mut dram = DramSystem::new(cfg.clone());
+        dram.set_app_count(3);
+        let mut issued = done.to_vec();
+        issued.sort_by_key(|c| c.start_cycle);
+        for c in issued {
+            let txn = MemTransaction {
+                app: c.app,
+                addr: c.addr,
+                is_write: c.is_write,
+            };
+            assert_eq!(dram.issue(&txn, c.start_cycle), c, "issue not legal");
+        }
+    }
+
     /// Run one schedule through a per-cycle and an event-driven
-    /// controller, assert equal digests, and return the event-driven
-    /// run's coverage.
+    /// controller, assert equal digests and timing-legal issues, and
+    /// return the event-driven run's coverage.
     fn assert_drivers_agree(
         cfg: &DramConfig,
         policy: Policy,
@@ -1095,6 +1121,7 @@ mod tests {
             stepped_done.len() > reqs.len() / 2,
             "{case:?}: served too few"
         );
+        assert_issues_legal(cfg, &stepped_done);
         assert_eq!(
             controller_digest(&stepped, stepped_done),
             controller_digest(&evented, evented_done),

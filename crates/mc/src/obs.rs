@@ -13,11 +13,12 @@ use crate::controller::McStats;
 /// Pre-resolved metric handles for the controller's scheduling hot path.
 ///
 /// Only *per-memory-access* events (orders of magnitude rarer than DRAM
-/// scheduling clocks) and per-settle batches live here; per-clock facts —
-/// busy/stalled ticks, queue depth — are already tracked by plain
-/// [`McStats`] fields and exported from the cold [`publish`] path, so the
-/// hot loop pays no per-tick atomics for them. A settle adds its whole
-/// batch of clocks, and its interference charges, in one add each.
+/// scheduling clocks) and per-settle or per-gather batches live here;
+/// per-clock facts — busy/stalled ticks, queue depth — are already tracked
+/// by plain [`McStats`] fields and exported from the cold [`publish`]
+/// path, so the hot loop pays no per-tick atomics for them. A settle adds
+/// its whole batch of clocks, and its interference charges, in one add
+/// each, and a gather adds its gated rejects in one.
 #[derive(Debug, Clone)]
 pub struct McObsHooks {
     /// Requests handed to the DRAM system (`mc_issued_total`).
@@ -31,6 +32,10 @@ pub struct McObsHooks {
     /// Settles that rebuilt the settle plan: probed every pending head and
     /// picked (`mc_settle_plans_total`).
     pub settle_plans: Counter,
+    /// Gather issue checks the bus gate rejected without folding the
+    /// request's bank and rank (`mc_gate_rejects_total`); a gather adds
+    /// its rejects in one add.
+    pub gate_rejects: Counter,
     /// Command clocks accounted in closed form below the DRAM floor
     /// (`mc_settled_clocks_total`).
     pub settled_clocks: Counter,
@@ -44,6 +49,7 @@ impl McObsHooks {
             window_bypass: registry.counter("mc_window_bypass_total"),
             interference_charges: registry.counter("mc_interference_charges_total"),
             settle_plans: registry.counter("mc_settle_plans_total"),
+            gate_rejects: registry.counter("mc_gate_rejects_total"),
             settled_clocks: registry.counter("mc_settled_clocks_total"),
         }
     }
@@ -116,10 +122,12 @@ mod tests {
         hooks.issued.add(3);
         hooks.interference_charges.inc();
         hooks.settle_plans.inc();
+        hooks.gate_rejects.add(4);
         hooks.settled_clocks.add(5);
         assert_eq!(reg.counter("mc_issued_total").get(), 3);
         assert_eq!(reg.counter("mc_interference_charges_total").get(), 1);
         assert_eq!(reg.counter("mc_settle_plans_total").get(), 1);
+        assert_eq!(reg.counter("mc_gate_rejects_total").get(), 4);
         assert_eq!(reg.counter("mc_settled_clocks_total").get(), 5);
     }
 }

@@ -8,41 +8,20 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
-use bwpart_dram::ProbeCache;
+use bwpart_dram::RowLocation;
 
 use crate::request::MemRequest;
 
-/// One queue slot: the request plus its version-tagged scheduling-probe
-/// cache. The cache is pure acceleration state — dropping it (as the
-/// manual serialization below does) only costs the next probe a
-/// recompute, never a different answer.
-#[derive(Debug, Clone)]
+/// One queue slot: the request and its location, decoded once when it was
+/// queued.
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     req: MemRequest,
-    cache: ProbeCache,
-}
-
-// Serialization carries only the request; a restored slot starts with a
-// cold cache (`ProbeCache::default()` is always a miss).
-impl Serialize for Slot {
-    fn to_value(&self) -> serde::Value {
-        self.req.to_value()
-    }
-}
-
-impl<'de> Deserialize<'de> for Slot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Slot {
-            req: MemRequest::from_value(v)?,
-            cache: ProbeCache::default(),
-        })
-    }
+    loc: RowLocation,
 }
 
 /// Per-application FIFO queues with occupancy accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppQueues {
     queues: Vec<VecDeque<Slot>>,
     total: usize,
@@ -56,7 +35,8 @@ impl AppQueues {
     /// run is warm: the deepest per-application queue in 5 M-cycle runs
     /// of 16 mixes under every policy, at 4 to 16 cores with the LLC on
     /// and off, held 43 requests. A deeper queue still works; its FIFO
-    /// grows.
+    /// grows. A slot is 48 bytes (the 32-byte request and its 16-byte
+    /// location), so each application's reserved ring takes 3 KB.
     pub fn new(apps: usize) -> Self {
         AppQueues {
             queues: (0..apps).map(|_| VecDeque::with_capacity(64)).collect(),
@@ -70,15 +50,12 @@ impl AppQueues {
         self.queues.len()
     }
 
-    /// Append a request to its application's FIFO.
+    /// Append a request, decoded to `loc`, to its application's FIFO.
     ///
     /// # Panics
     /// Panics if the request's application index is out of range.
-    pub fn push(&mut self, req: MemRequest) {
-        self.queues[req.app].push_back(Slot {
-            req,
-            cache: ProbeCache::default(),
-        });
+    pub fn push(&mut self, req: MemRequest, loc: RowLocation) {
+        self.queues[req.app].push_back(Slot { req, loc });
         self.total += 1;
         self.peak = self.peak.max(self.total);
     }
@@ -102,23 +79,20 @@ impl AppQueues {
         self.queues[app].get(idx).map(|s| &s.req)
     }
 
-    /// The request at position `idx` together with mutable access to its
-    /// probe cache (the scheduler's gather refreshes caches in place).
-    pub fn slot_mut(&mut self, app: usize, idx: usize) -> Option<(&MemRequest, &mut ProbeCache)> {
-        self.queues[app]
-            .get_mut(idx)
-            .map(|s| (&s.req, &mut s.cache))
+    /// The request at position `idx` in `app`'s FIFO and its location.
+    pub fn slot(&self, app: usize, idx: usize) -> Option<(MemRequest, RowLocation)> {
+        self.queues[app].get(idx).map(|s| (s.req, s.loc))
     }
 
     /// Remove and return the request at position `idx` in `app`'s FIFO
-    /// (scheduling-window out-of-order service), with its probe cache: the
-    /// controller issues the request from it.
-    pub fn remove(&mut self, app: usize, idx: usize) -> Option<(MemRequest, ProbeCache)> {
+    /// (scheduling-window out-of-order service), with its location: the
+    /// controller issues the request to it.
+    pub fn remove(&mut self, app: usize, idx: usize) -> Option<(MemRequest, RowLocation)> {
         let r = self.queues[app].remove(idx);
         if r.is_some() {
             self.total -= 1;
         }
-        r.map(|s| (s.req, s.cache))
+        r.map(|s| (s.req, s.loc))
     }
 
     /// Pending requests for `app`.
@@ -154,13 +128,26 @@ impl AppQueues {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bwpart_dram::{AddressMapper, DramConfig};
+
+    /// Queue `req` with the location DDR2-400 decodes it to.
+    fn push(q: &mut AppQueues, req: MemRequest) {
+        let loc = AddressMapper::new(&DramConfig::ddr2_400()).decode(req.addr);
+        q.push(req, loc.into());
+    }
+
+    #[test]
+    fn a_slot_is_a_request_and_four_u32s() {
+        assert_eq!(std::mem::size_of::<MemRequest>(), 32);
+        assert_eq!(std::mem::size_of::<Slot>(), 48);
+    }
 
     #[test]
     fn fifo_order_within_app() {
         let mut q = AppQueues::new(2);
-        q.push(MemRequest::read(0, 0x40, 1));
-        q.push(MemRequest::read(0, 0x80, 2));
-        q.push(MemRequest::read(1, 0xC0, 3));
+        push(&mut q, MemRequest::read(0, 0x40, 1));
+        push(&mut q, MemRequest::read(0, 0x80, 2));
+        push(&mut q, MemRequest::read(1, 0xC0, 3));
         assert_eq!(q.total_len(), 3);
         assert_eq!(q.len(0), 2);
         assert_eq!(q.head(0).unwrap().addr, 0x40);
@@ -172,8 +159,8 @@ mod tests {
     #[test]
     fn pending_apps_lists_nonempty_only() {
         let mut q = AppQueues::new(4);
-        q.push(MemRequest::read(1, 0x40, 1));
-        q.push(MemRequest::read(3, 0x80, 1));
+        push(&mut q, MemRequest::read(1, 0x40, 1));
+        push(&mut q, MemRequest::read(3, 0x80, 1));
         let pending: Vec<usize> = q.pending_apps().collect();
         assert_eq!(pending, vec![1, 3]);
         q.pop(1);
@@ -192,20 +179,20 @@ mod tests {
     fn peak_tracks_high_water_mark() {
         let mut q = AppQueues::new(1);
         for i in 0..5 {
-            q.push(MemRequest::read(0, i * 64, i));
+            push(&mut q, MemRequest::read(0, i * 64, i));
         }
         for _ in 0..5 {
             q.pop(0);
         }
-        q.push(MemRequest::read(0, 0, 9));
+        push(&mut q, MemRequest::read(0, 0, 9));
         assert_eq!(q.peak_occupancy(), 5);
     }
 
     #[test]
     fn get_in_and_out_of_bounds() {
         let mut q = AppQueues::new(2);
-        q.push(MemRequest::read(0, 0x40, 1));
-        q.push(MemRequest::read(0, 0x80, 2));
+        push(&mut q, MemRequest::read(0, 0x40, 1));
+        push(&mut q, MemRequest::read(0, 0x80, 2));
         assert_eq!(q.get(0, 0).unwrap().addr, 0x40);
         assert_eq!(q.get(0, 1).unwrap().addr, 0x80);
         // One past the tail, far past the tail, and an empty queue.
@@ -217,7 +204,7 @@ mod tests {
     #[test]
     fn remove_out_of_bounds_returns_none_and_keeps_accounting() {
         let mut q = AppQueues::new(2);
-        q.push(MemRequest::read(0, 0x40, 1));
+        push(&mut q, MemRequest::read(0, 0x40, 1));
         assert!(q.remove(0, 1).is_none());
         assert!(q.remove(0, 7).is_none());
         assert!(q.remove(1, 0).is_none());
@@ -231,7 +218,7 @@ mod tests {
     fn interior_removal_preserves_fifo_order_of_survivors() {
         let mut q = AppQueues::new(1);
         for (i, addr) in [0x40u64, 0x80, 0xC0, 0x100, 0x140].iter().enumerate() {
-            q.push(MemRequest::read(0, *addr, i as u64));
+            push(&mut q, MemRequest::read(0, *addr, i as u64));
         }
         // Scheduling-window service plucks position 2 from the interior.
         let (taken, _) = q.remove(0, 2).unwrap();
@@ -250,6 +237,6 @@ mod tests {
     #[should_panic]
     fn push_out_of_range_panics() {
         let mut q = AppQueues::new(2);
-        q.push(MemRequest::read(2, 0, 0));
+        push(&mut q, MemRequest::read(2, 0, 0));
     }
 }

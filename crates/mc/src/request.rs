@@ -1,5 +1,6 @@
 //! Memory request records as seen by the controller.
 
+use bwpart_dram::MemTransaction;
 use serde::{Deserialize, Serialize};
 
 /// One line-granular memory request from a core (demand miss or writeback).
@@ -33,6 +34,15 @@ impl MemRequest {
             addr,
             is_write: true,
             arrival,
+        }
+    }
+
+    /// The DRAM transaction this request asks for.
+    pub(crate) fn txn(&self) -> MemTransaction {
+        MemTransaction {
+            app: self.app,
+            addr: self.addr,
+            is_write: self.is_write,
         }
     }
 }

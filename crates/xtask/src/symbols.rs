@@ -1249,7 +1249,7 @@ fn receiver_type(
     }
 }
 
-/// The base ident of a type text: `&mut Vec<ProbeCache>` → `Vec`,
+/// The base ident of a type text: `&mut Vec<RowLocation>` → `Vec`,
 /// `Option<usize>` → `Option`.
 pub fn type_head(ty: &str) -> &str {
     let ty = ty.trim_start_matches(['&', '*']);
@@ -1420,7 +1420,7 @@ mod tests {
 
     #[test]
     fn type_head_and_idents_strip_decorations() {
-        assert_eq!(type_head("&mut Vec<ProbeCache>"), "Vec");
+        assert_eq!(type_head("&mut Vec<RowLocation>"), "Vec");
         assert_eq!(type_head("Option<usize>"), "Option");
         assert_eq!(
             type_idents("MutexGuard<'_, Engine>"),
