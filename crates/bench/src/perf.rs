@@ -122,7 +122,7 @@ impl ObsOverhead {
 /// `CmpSystem::snapshot_into`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SnapshotMicrobench {
-    /// `snapshot()` — allocates four vectors per call.
+    /// `snapshot()` — allocates five vectors per call.
     pub clone_ns_per_call: f64,
     /// `snapshot_into()` — reuses the caller's buffers.
     pub reuse_ns_per_call: f64,

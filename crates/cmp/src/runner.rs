@@ -18,7 +18,8 @@ use crate::system::{CmpConfig, CmpSystem};
 /// synthetic workload whose caches warm in well under a million cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseConfig {
-    /// Cache warm-up cycles (no statistics).
+    /// Cache warm-up cycles (no statistics, no interference tally:
+    /// [`CmpSystem::warm_up`]).
     pub warmup: u64,
     /// Profiling cycles (online `APC_alone` estimation, Section IV-C).
     pub profile: u64,
@@ -284,10 +285,10 @@ impl Runner {
         }
         let tracer: Option<&Tracer> = obs.and_then(|o| o.tracer.as_ref());
 
-        // Phase 1: warm-up.
+        // Phase 1: warm-up, which leaves the epoch counters clear.
         {
             obs_span!(tracer, "phase:warmup");
-            sys.run(self.phases.warmup);
+            sys.warm_up(self.phases.warmup);
         }
         if let Some(t) = tracer {
             t.instant_at("warmup_end", 0, sys.cycle());
@@ -295,7 +296,6 @@ impl Runner {
 
         // Phase 2: profile under the unmanaged baseline.
         sys.reset_phase_counters();
-        let _ = sys.mc_mut().take_epoch_counters();
         {
             obs_span!(tracer, "phase:profile");
             sys.run(self.phases.profile);
@@ -369,8 +369,9 @@ impl Runner {
                         break;
                     }
                     // Taken under No_partitioning too, which decides
-                    // nothing: taking restarts the interference tally
-                    // that the measured stats report.
+                    // nothing, so the epoch counters always cover one
+                    // epoch. The measured stats read the snapshots'
+                    // lifetime tallies, which taking leaves alone.
                     let counters = sys.mc_mut().take_epoch_counters();
                     if scheme == PartitionScheme::NoPartitioning {
                         continue;
@@ -437,7 +438,9 @@ impl Runner {
     /// share vector enforced by start-time-fair scheduling plus, when
     /// `ways` is given, an LLC way partition installed before warm-up so
     /// the caches warm under the enforced regime (the coordinated-solver
-    /// enforcement path; requires [`CmpConfig::llc`] to be set).
+    /// enforcement path; requires [`CmpConfig::llc`] to be set). The
+    /// warm-up and profile budgets run as one untallied warm-up under
+    /// FCFS; only the measured window is tallied.
     // The seven knobs mirror the coordinated enforcement tuple (shares,
     // way masks, workloads, references); a builder would obscure the
     // one-call experiment surface.
@@ -458,10 +461,9 @@ impl Runner {
         if let Some(w) = ways {
             sys.set_llc_ways(w);
         }
-        sys.run(self.phases.warmup + self.phases.profile);
+        sys.warm_up(self.phases.warmup + self.phases.profile);
         sys.mc_mut().set_policy(Policy::stf(shares));
         sys.reset_phase_counters();
-        let _ = sys.mc_mut().take_epoch_counters();
         let start = sys.snapshot();
         sys.run(self.phases.measure);
         let end = sys.snapshot();
@@ -482,9 +484,8 @@ impl Runner {
     /// measurement).
     pub fn run_alone(&self, workload: Box<dyn Workload>, core_cfg: CoreConfig) -> AloneProfile {
         let mut sys = CmpSystem::new(&self.cmp, vec![workload], vec![core_cfg], Policy::fcfs(1));
-        sys.run(self.phases.warmup);
+        sys.warm_up(self.phases.warmup);
         sys.reset_phase_counters();
-        let _ = sys.mc_mut().take_epoch_counters();
         let start = sys.snapshot();
         sys.run(self.phases.measure);
         let end = sys.snapshot();

@@ -17,7 +17,11 @@ pub struct AppStats {
     pub l1_misses: u64,
     /// L2 misses.
     pub l2_misses: u64,
-    /// Interference cycles charged (Section IV-C).
+    /// Interference cycles charged (Section IV-C) inside the window: the
+    /// difference of its two snapshots' lifetime tallies, so charges
+    /// before its start and epoch boundaries inside it change nothing. A
+    /// warm-up (`CmpSystem::warm_up`) and a one-application system charge
+    /// none.
     pub interference_cycles: u64,
 }
 

@@ -69,17 +69,29 @@ pub struct Snapshot {
     pub l1_misses: Vec<u64>,
     /// Per-app L2 misses (lifetime).
     pub l2_misses: Vec<u64>,
+    /// Per-app interference cycles charged by the controller (lifetime,
+    /// Section IV-C; a [`CmpSystem::warm_up`] charges none).
+    pub interference: Vec<u64>,
 }
 
 /// The simulated chip multiprocessor.
 pub struct CmpSystem {
-    cores: Vec<Core>,
     mc: MemoryController,
+    /// Everything else the run loop advances.
+    chip: Chip,
+    /// Lifetime retired-instruction counters (survive per-phase resets).
+    lifetime_instr: Vec<u64>,
+}
+
+/// The part of the system the run loop advances besides the memory
+/// controller, which it takes as an argument: so `CmpSystem::warm_up` can
+/// run the loop inside the controller's untallied scope
+/// ([`MemoryController::warm_up`]).
+struct Chip {
+    cores: Vec<Core>,
     /// Shared way-partitioned LLC (None: private hierarchies only).
     llc: Option<SharedLlc>,
     cycle: u64,
-    /// Lifetime retired-instruction counters (survive per-phase resets).
-    lifetime_instr: Vec<u64>,
     /// Per-core clocks enabled (from [`CmpConfig`]).
     fast_forward: bool,
     /// Each core's clock during [`run_exact`](Self::run_exact), one per
@@ -135,14 +147,16 @@ impl CmpSystem {
             .map(|(i, (w, (cc, l2)))| Core::new(i, cc, cfg.l1, l2, w, i as u64 * region, region))
             .collect();
         CmpSystem {
-            cores,
             mc,
-            llc: cfg.llc.map(|lc| SharedLlc::new(lc, n)),
-            cycle: 0,
+            chip: Chip {
+                cores,
+                llc: cfg.llc.map(|lc| SharedLlc::new(lc, n)),
+                cycle: 0,
+                fast_forward: cfg.fast_forward,
+                clocks: vec![CoreClock::default(); n],
+                obs: None,
+            },
             lifetime_instr: vec![0; n],
-            fast_forward: cfg.fast_forward,
-            clocks: vec![CoreClock::default(); n],
-            obs: None,
         }
     }
 
@@ -151,30 +165,30 @@ impl CmpSystem {
     /// Attaching never changes simulation results — only counters are
     /// recorded, and only in builds with the `bwpart-obs/trace` feature.
     pub fn attach_obs(&mut self, registry: &bwpart_obs::Registry) {
-        self.obs = Some(Box::new(CmpObsHooks::resolve(registry)));
+        self.chip.obs = Some(Box::new(CmpObsHooks::resolve(registry)));
         self.mc.attach_obs(registry);
     }
 
     /// Publish derived gauges from the whole stack into `registry` (cold
     /// path; call at phase/epoch boundaries or after a run).
     pub fn publish_metrics(&self, registry: &bwpart_obs::Registry) {
-        registry.gauge("cmp_cycle").set(self.cycle as f64);
-        for (i, core) in self.cores.iter().enumerate() {
+        registry.gauge("cmp_cycle").set(self.chip.cycle as f64);
+        for (i, core) in self.chip.cores.iter().enumerate() {
             registry
                 .gauge(&format!("cmp_instructions{{app=\"{i}\"}}"))
                 .set((self.lifetime_instr[i] + core.counters.retired) as f64);
         }
-        self.mc.publish_metrics(registry, self.cycle);
+        self.mc.publish_metrics(registry, self.chip.cycle);
     }
 
     /// Number of cores.
     pub fn cores(&self) -> usize {
-        self.cores.len()
+        self.chip.cores.len()
     }
 
     /// Current global cycle.
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.chip.cycle
     }
 
     /// The memory controller (policy swaps, profiling counters).
@@ -189,12 +203,12 @@ impl CmpSystem {
 
     /// Core accessor (stats).
     pub fn core(&self, i: usize) -> &Core {
-        &self.cores[i]
+        &self.chip.cores[i]
     }
 
     /// The shared LLC, when configured.
     pub fn llc(&self) -> Option<&SharedLlc> {
-        self.llc.as_ref()
+        self.chip.llc.as_ref()
     }
 
     /// Repartition the shared LLC's ways (`ways[i]` ways to application
@@ -206,7 +220,8 @@ impl CmpSystem {
     /// Panics if the system has no LLC or the counts are inconsistent
     /// (see [`SharedLlc::set_ways`]).
     pub fn set_llc_ways(&mut self, ways: &[usize]) {
-        self.llc
+        self.chip
+            .llc
             .as_mut()
             // lint: allow(R1): misconfiguration — callers gate on llc()
             .expect("set_llc_ways on a system built without an LLC")
@@ -220,17 +235,7 @@ impl CmpSystem {
     /// call instead of one atomic per cycle; a direct `step()` call is not
     /// individually counted.
     pub fn step(&mut self) {
-        let now = self.cycle;
-        self.mc.tick(now);
-        while let Some(c) = self.mc.pop_completion(now) {
-            if !c.is_write {
-                self.cores[c.app].complete(c.addr);
-            }
-        }
-        for core in &mut self.cores {
-            core.step_llc(now, &mut self.mc, self.llc.as_mut());
-        }
-        self.cycle += 1;
+        self.chip.step(&mut self.mc);
     }
 
     /// Run `cycles` CPU cycles.
@@ -242,7 +247,22 @@ impl CmpSystem {
     /// [`run_per_cycle`](Self::run_per_cycle), the always-stepping
     /// reference, which `fast_forward: false` delegates to.
     pub fn run(&mut self, cycles: u64) {
-        self.run_exact(cycles);
+        self.chip.run(&mut self.mc, cycles);
+    }
+
+    /// Run `cycles` CPU cycles of warm-up, whose Section IV-C tally nobody
+    /// reads: the Section V-B phase before profiling and measurement.
+    ///
+    /// Every simulated state advances exactly as under [`run`](Self::run),
+    /// but the controller keeps no interference tally while it runs
+    /// ([`MemoryController::warm_up`]), which saves its head probes. The
+    /// run ends with the controller's epoch counters clear, as `run`
+    /// followed by a discarded [`MemoryController::take_epoch_counters`]
+    /// leaves them, and the snapshots' lifetime interference stands where
+    /// it stood before.
+    pub fn warm_up(&mut self, cycles: u64) {
+        let chip = &mut self.chip;
+        self.mc.warm_up(|mc| chip.run(mc, cycles));
     }
 
     /// Does nothing: the simulator has no hybrid stepping left to arm. The
@@ -251,8 +271,104 @@ impl CmpSystem {
     #[doc(hidden)]
     pub fn set_hybrid_armed(&mut self, _on: bool) {}
 
+    /// Run `cycles` CPU cycles strictly one [`step`](Self::step) at a time,
+    /// regardless of [`CmpConfig::fast_forward`] — the reference behaviour
+    /// the per-core clocks of [`run`](Self::run) must reproduce exactly.
+    pub fn run_per_cycle(&mut self, cycles: u64) {
+        self.chip.run_per_cycle(&mut self.mc, cycles);
+    }
+
+    /// Snapshot lifetime counters (for windowed deltas).
+    pub fn snapshot(&self) -> Snapshot {
+        let mut snap = Snapshot::default();
+        self.snapshot_into(&mut snap);
+        snap
+    }
+
+    /// Fill `snap` with the current lifetime counters, reusing its buffers.
+    /// Equivalent to [`snapshot`](Self::snapshot) without the five vector
+    /// allocations — callers that snapshot in a loop (epoch repartitioning,
+    /// ablation sweeps) keep one scratch `Snapshot` per window edge.
+    pub fn snapshot_into(&self, snap: &mut Snapshot) {
+        let cores = &self.chip.cores;
+        snap.cycle = self.chip.cycle;
+        snap.instructions.clear();
+        snap.instructions.extend(
+            cores
+                .iter()
+                .enumerate()
+                .map(|(i, c)| self.lifetime_instr[i] + c.counters.retired),
+        );
+        snap.served.clear();
+        snap.served.extend_from_slice(&self.mc.stats().served);
+        snap.l1_misses.clear();
+        snap.l1_misses
+            .extend(cores.iter().map(|c| c.counters.l1_misses));
+        snap.l2_misses.clear();
+        snap.l2_misses
+            .extend(cores.iter().map(|c| c.counters.l2_misses));
+        snap.interference.clear();
+        snap.interference
+            .extend((0..cores.len()).map(|i| self.mc.lifetime_interference_cycles(i)));
+    }
+
+    /// Per-application stats for the window between two snapshots.
+    pub fn window_stats(&self, start: &Snapshot, end: &Snapshot) -> Vec<AppStats> {
+        let cycles = end.cycle - start.cycle;
+        (0..self.cores())
+            .map(|i| AppStats {
+                name: self.chip.cores[i].workload_name().to_string(),
+                instructions: end.instructions[i] - start.instructions[i],
+                mem_accesses: end.served[i] - start.served[i],
+                cycles,
+                l1_misses: end.l1_misses[i].saturating_sub(start.l1_misses[i]),
+                l2_misses: end.l2_misses[i].saturating_sub(start.l2_misses[i]),
+                interference_cycles: end.interference[i] - start.interference[i],
+            })
+            .collect()
+    }
+
+    /// Reset per-phase core counters while preserving lifetime instruction
+    /// counts (cache/DRAM state is untouched; LLC hit/miss counters reset
+    /// like the private-cache counters, LLC contents stay warm).
+    pub fn reset_phase_counters(&mut self) {
+        for (i, core) in self.chip.cores.iter_mut().enumerate() {
+            self.lifetime_instr[i] += core.counters.retired;
+            core.reset_counters();
+        }
+        if let Some(llc) = &mut self.chip.llc {
+            llc.reset_counters();
+        }
+    }
+}
+
+impl Chip {
+    /// [`CmpSystem::step`] against `mc`.
+    fn step(&mut self, mc: &mut MemoryController) {
+        let now = self.cycle;
+        mc.tick(now);
+        while let Some(c) = mc.pop_completion(now) {
+            if !c.is_write {
+                self.cores[c.app].complete(c.addr);
+            }
+        }
+        for core in &mut self.cores {
+            core.step_llc(now, mc, self.llc.as_mut());
+        }
+        self.cycle += 1;
+    }
+
+    /// [`CmpSystem::run`] against `mc`.
+    fn run(&mut self, mc: &mut MemoryController, cycles: u64) {
+        if self.fast_forward {
+            self.run_exact(mc, cycles);
+        } else {
+            self.run_per_cycle(mc, cycles);
+        }
+    }
+
     /// The cycle-exact run loop on per-core clocks; counter-identical to
-    /// [`run_per_cycle`](Self::run_per_cycle).
+    /// [`CmpSystem::run_per_cycle`].
     ///
     /// Each core first runs ahead alone ([`Core::run_ahead`]) to the first
     /// cycle it cannot finish privately. The loop then visits, in order,
@@ -284,11 +400,7 @@ impl CmpSystem {
     // The visit and jump tallies feed only `obs_count!`, which expands to
     // nothing without the `trace` feature; the optimiser then drops them.
     #[cfg_attr(not(feature = "trace"), allow(unused_variables, unused_assignments))]
-    fn run_exact(&mut self, cycles: u64) {
-        if !self.fast_forward {
-            self.run_per_cycle(cycles);
-            return;
-        }
+    fn run_exact(&mut self, mc: &mut MemoryController, cycles: u64) {
         let end = self.cycle + cycles;
         for (core, clock) in self.cores.iter_mut().zip(&mut self.clocks) {
             *clock = core.run_ahead(self.cycle, end);
@@ -297,7 +409,7 @@ impl CmpSystem {
         let mut visits = 0u64;
         let mut jumps = 0u64;
         loop {
-            let mut t = self.mc.next_event_cycle(now).unwrap_or(end);
+            let mut t = mc.next_event_cycle(now).unwrap_or(end);
             for clock in &self.clocks {
                 if !clock.blocked {
                     t = t.min(clock.cycle);
@@ -309,8 +421,8 @@ impl CmpSystem {
             bwpart_core::invariant!(t >= now, "system clock ran back from {now} to {t}");
             jumps += u64::from(t > now);
             visits += 1;
-            self.mc.tick(t);
-            while let Some(c) = self.mc.pop_completion(t) {
+            mc.tick(t);
+            while let Some(c) = mc.pop_completion(t) {
                 if !c.is_write {
                     self.cores[c.app].complete(c.addr);
                     self.cores[c.app].wake(&mut self.clocks[c.app], t);
@@ -318,13 +430,13 @@ impl CmpSystem {
             }
             for (core, clock) in self.cores.iter_mut().zip(&mut self.clocks) {
                 if clock.cycle == t && !clock.blocked {
-                    core.step_from(t, clock.budget, &mut self.mc, self.llc.as_mut());
+                    core.step_from(t, clock.budget, mc, self.llc.as_mut());
                     *clock = core.run_ahead(t + 1, end);
                 }
             }
             now = t + 1;
         }
-        self.mc.settle_before(end);
+        mc.settle_before(end);
         jumps += u64::from(end > now);
         // Cores still blocked stalled through the end of the run.
         for (core, clock) in self.cores.iter_mut().zip(&mut self.clocks) {
@@ -336,74 +448,13 @@ impl CmpSystem {
         obs_count!(self.obs, ff_skipped_cycles, cycles - visits);
     }
 
-    /// Run `cycles` CPU cycles strictly one [`step`](Self::step) at a time,
-    /// regardless of [`CmpConfig::fast_forward`] — the reference behaviour
-    /// the per-core clocks of [`run`](Self::run) must reproduce exactly.
-    pub fn run_per_cycle(&mut self, cycles: u64) {
+    /// [`CmpSystem::run_per_cycle`] against `mc`.
+    fn run_per_cycle(&mut self, mc: &mut MemoryController, cycles: u64) {
         let end = self.cycle + cycles;
         while self.cycle < end {
-            self.step();
+            self.step(mc);
         }
         obs_count!(self.obs, steps, cycles);
-    }
-
-    /// Snapshot lifetime counters (for windowed deltas).
-    pub fn snapshot(&self) -> Snapshot {
-        let mut snap = Snapshot::default();
-        self.snapshot_into(&mut snap);
-        snap
-    }
-
-    /// Fill `snap` with the current lifetime counters, reusing its buffers.
-    /// Equivalent to [`snapshot`](Self::snapshot) without the four vector
-    /// allocations — callers that snapshot in a loop (epoch repartitioning,
-    /// ablation sweeps) keep one scratch `Snapshot` per window edge.
-    pub fn snapshot_into(&self, snap: &mut Snapshot) {
-        snap.cycle = self.cycle;
-        snap.instructions.clear();
-        snap.instructions.extend(
-            self.cores
-                .iter()
-                .enumerate()
-                .map(|(i, c)| self.lifetime_instr[i] + c.counters.retired),
-        );
-        snap.served.clear();
-        snap.served.extend_from_slice(&self.mc.stats().served);
-        snap.l1_misses.clear();
-        snap.l1_misses
-            .extend(self.cores.iter().map(|c| c.counters.l1_misses));
-        snap.l2_misses.clear();
-        snap.l2_misses
-            .extend(self.cores.iter().map(|c| c.counters.l2_misses));
-    }
-
-    /// Per-application stats for the window between two snapshots.
-    pub fn window_stats(&self, start: &Snapshot, end: &Snapshot) -> Vec<AppStats> {
-        let cycles = end.cycle - start.cycle;
-        (0..self.cores.len())
-            .map(|i| AppStats {
-                name: self.cores[i].workload_name().to_string(),
-                instructions: end.instructions[i] - start.instructions[i],
-                mem_accesses: end.served[i] - start.served[i],
-                cycles,
-                l1_misses: end.l1_misses[i].saturating_sub(start.l1_misses[i]),
-                l2_misses: end.l2_misses[i].saturating_sub(start.l2_misses[i]),
-                interference_cycles: self.mc.interference_cycles(i),
-            })
-            .collect()
-    }
-
-    /// Reset per-phase core counters while preserving lifetime instruction
-    /// counts (cache/DRAM state is untouched; LLC hit/miss counters reset
-    /// like the private-cache counters, LLC contents stay warm).
-    pub fn reset_phase_counters(&mut self) {
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            self.lifetime_instr[i] += core.counters.retired;
-            core.reset_counters();
-        }
-        if let Some(llc) = &mut self.llc {
-            llc.reset_counters();
-        }
     }
 }
 
@@ -457,6 +508,7 @@ mod tests {
             served: vec![0; 4],
             l1_misses: vec![0; 4],
             l2_misses: vec![0; 4],
+            interference: vec![0; 4],
         };
         let end = sys.snapshot();
         let stats = sys.window_stats(&start, &end);
@@ -484,6 +536,28 @@ mod tests {
         assert_eq!(stats[0].cycles, 50_000);
         assert!(stats[0].instructions > 0);
         assert!(stats[0].mem_accesses > 0);
+    }
+
+    /// A window's interference is what was charged inside it: not the
+    /// charges before its start snapshot, which nobody took, and not only
+    /// those since the last `take_epoch_counters` inside it.
+    #[test]
+    fn window_stats_report_the_interference_of_their_window() {
+        let mut sys = mk(3, 5);
+        sys.run(30_000);
+        let before: Vec<u64> = (0..3).map(|i| sys.mc().interference_cycles(i)).collect();
+        assert!(before.iter().all(|&c| c > 0), "{before:?}");
+        let start = sys.snapshot();
+        sys.run(20_000);
+        let (_, first) = sys.mc_mut().take_epoch_counters();
+        sys.run(20_000);
+        let end = sys.snapshot();
+        let charged: Vec<u64> = (0..3)
+            .map(|i| first[i] - before[i] + sys.mc().interference_cycles(i))
+            .collect();
+        let stats = sys.window_stats(&start, &end);
+        let reported: Vec<u64> = stats.iter().map(|s| s.interference_cycles).collect();
+        assert_eq!(reported, charged);
     }
 
     #[test]
@@ -599,6 +673,7 @@ mod tests {
             served: vec![9],
             l1_misses: vec![],
             l2_misses: vec![7, 7],
+            interference: vec![3],
         };
         sys.snapshot_into(&mut scratch);
         assert_eq!(scratch, fresh);
@@ -738,7 +813,7 @@ mod tests {
         let mut sys = mk_llc(wl, Some(small_llc()));
         sys.set_llc_ways(&[2, 14]);
         sys.run(600_000);
-        sys.llc.as_mut().unwrap().reset_counters();
+        sys.chip.llc.as_mut().unwrap().reset_counters();
         sys.run(300_000);
         let tight = sys.llc().unwrap().counters(0).clone();
         assert!(
@@ -750,7 +825,7 @@ mod tests {
         sys.set_llc_ways(&[14, 2]);
         assert_eq!(sys.llc().unwrap().way_allocation(), &[14, 2]);
         sys.run(1_500_000);
-        sys.llc.as_mut().unwrap().reset_counters();
+        sys.chip.llc.as_mut().unwrap().reset_counters();
         sys.run(300_000);
         let wide = sys.llc().unwrap().counters(0).clone();
         assert!(

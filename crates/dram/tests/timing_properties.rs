@@ -3,7 +3,9 @@
 //! cycles respect tRC, rank ACT rates respect tFAW, and the engine is
 //! deterministic.
 
-use bwpart_dram::{DramConfig, DramSystem, MemTransaction, PagePolicy};
+use bwpart_dram::{
+    AddressMapper, Completion, DramConfig, DramSystem, Location, MemTransaction, PagePolicy,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -27,26 +29,127 @@ fn arb_txns() -> impl Strategy<Value = Vec<Txn>> {
     })
 }
 
-fn run(policy: PagePolicy, txns: &[Txn]) -> Vec<(u64, u64, usize)> {
-    let mut cfg = DramConfig::ddr2_400();
-    cfg.page_policy = policy;
-    let mut sys = DramSystem::new(cfg);
+/// A dense stream: gaps of at most a few DRAM clocks into four rows of
+/// every bank of two ranks, so rows conflict under open page and ACTs
+/// crowd each rank's four-activate window.
+fn arb_dense_txns() -> impl Strategy<Value = Vec<Txn>> {
+    let mapper = AddressMapper::new(&DramConfig::ddr2_400());
+    prop::collection::vec(
+        (
+            (0usize..4, 0usize..2, 0usize..8),
+            (0usize..4, 0usize..4, any::<bool>(), 0u64..16),
+        ),
+        1..300,
+    )
+    .prop_map(move |v| {
+        v.into_iter()
+            .map(|((app, rank, bank), (row, col, is_write, gap))| Txn {
+                app,
+                line: mapper.encode(&Location {
+                    channel: 0,
+                    rank,
+                    bank,
+                    row,
+                    col,
+                }) / 64,
+                is_write,
+                gap,
+            })
+            .collect()
+    })
+}
+
+/// The four channels the row-cycle and ACT-window properties run on:
+/// DDR2-400 and DDR2-1600, each under close and open page.
+fn act_configs() -> Vec<DramConfig> {
+    [DramConfig::ddr2_400(), DramConfig::ddr2_1600()]
+        .into_iter()
+        .flat_map(|cfg| {
+            [PagePolicy::ClosePage, PagePolicy::OpenPage].map(|page_policy| DramConfig {
+                page_policy,
+                ..cfg.clone()
+            })
+        })
+        .collect()
+}
+
+/// Issue `txns` on `cfg`, each at its probed start, and return the
+/// completions in issue order.
+fn completions(cfg: &DramConfig, txns: &[Txn]) -> Vec<Completion> {
+    let mut sys = DramSystem::new(cfg.clone());
     sys.set_app_count(4);
     let mut now = 0u64;
-    let mut out = Vec::new();
-    for t in txns {
-        now += t.gap;
-        let txn = MemTransaction {
-            app: t.app,
-            addr: t.line * 64,
-            is_write: t.is_write,
+    txns.iter()
+        .map(|t| {
+            now += t.gap;
+            let txn = MemTransaction {
+                app: t.app,
+                addr: t.line * 64,
+                is_write: t.is_write,
+            };
+            let start = sys.probe(&txn, now).start.max(now);
+            let c = sys.issue(&txn, start);
+            now = c.start_cycle;
+            c
+        })
+        .collect()
+}
+
+/// Every ACT the completions imply, as `(rank, bank, cycle)`, rebuilt from
+/// each one's start and latency with timings converted from `cfg`'s
+/// nanoseconds: a row hit issues no ACT, a miss its ACT at the start, and
+/// a conflict its ACT one tRP after the start (the PRE). Fails on a
+/// latency that fits none of the three.
+fn rebuilt_acts(cfg: &DramConfig, done: &[Completion]) -> Result<Vec<(usize, usize, u64)>, String> {
+    let cycles = |ns: f64| cfg.ns_to_cycles(ns);
+    let (trp, trcd) = (cycles(cfg.timing.trp), cycles(cfg.timing.trcd));
+    let mapper = AddressMapper::new(cfg);
+    let mut acts = Vec::new();
+    for c in done {
+        let data = if c.is_write {
+            cycles(cfg.cwl_ns())
+        } else {
+            cycles(cfg.timing.cl)
+        } + cfg.burst_cycles();
+        let act = match c.done_cycle - c.start_cycle {
+            l if l == data => None,
+            l if l == trcd + data => Some(c.start_cycle),
+            l if l == trp + trcd + data => Some(c.start_cycle + trp),
+            l => return Err(format!("{c:?}: latency {l} is no hit, miss or conflict")),
         };
-        let p = sys.probe(&txn, now);
-        let c = sys.issue(&txn, p.start.max(now));
-        out.push((c.start_cycle, c.done_cycle, t.app));
-        now = c.start_cycle;
+        if let Some(at) = act {
+            let loc = mapper.decode(c.addr);
+            acts.push((loc.rank, loc.bank, at));
+        }
     }
-    out
+    Ok(acts)
+}
+
+/// The ACT cycles of each group `key` picks out, each sorted.
+fn act_groups(acts: &[(usize, usize, u64)], key: impl Fn(usize, usize) -> usize) -> Vec<Vec<u64>> {
+    let mut groups: Vec<Vec<u64>> = Vec::new();
+    for &(rank, bank, at) in acts {
+        let k = key(rank, bank);
+        if groups.len() <= k {
+            groups.resize(k + 1, Vec::new());
+        }
+        groups[k].push(at);
+    }
+    for g in &mut groups {
+        g.sort_unstable();
+    }
+    groups
+}
+
+fn run(policy: PagePolicy, txns: &[Txn]) -> Vec<(u64, u64, usize)> {
+    let cfg = DramConfig {
+        page_policy: policy,
+        ..DramConfig::ddr2_400()
+    };
+    completions(&cfg, txns)
+        .iter()
+        .map(|c| (c.start_cycle, c.done_cycle, c.app))
+        .collect()
 }
 
 proptest! {
@@ -129,6 +232,46 @@ proptest! {
             if policy == PagePolicy::ClosePage {
                 // Close page: no row hits possible.
                 prop_assert_eq!(st.row_hits, 0);
+            }
+        }
+    }
+
+    /// Same-bank row cycles respect tRC: consecutive ACTs to one bank lie at
+    /// least tRAS + tRP apart.
+    #[test]
+    fn same_bank_acts_respect_trc(txns in arb_txns(), dense in arb_dense_txns()) {
+        for cfg in act_configs() {
+            let trc = cfg.ns_to_cycles(cfg.timing.tras + cfg.timing.trp);
+            for stream in [&txns, &dense] {
+                let acts = rebuilt_acts(&cfg, &completions(&cfg, stream))
+                    .map_err(prop::test_runner::TestCaseError::Fail)?;
+                for bank in act_groups(&acts, |rank, bank| rank * cfg.banks_per_rank + bank) {
+                    for w in bank.windows(2) {
+                        prop_assert!(w[1] >= w[0] + trc,
+                            "{:?} tCK {}: ACTs at {} and {} to one bank, tRC {}",
+                            cfg.page_policy, cfg.tck_cycles(), w[0], w[1], trc);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rank ACT rates respect tFAW: any five consecutive ACTs to one rank
+    /// span at least tFAW.
+    #[test]
+    fn rank_acts_respect_tfaw(txns in arb_txns(), dense in arb_dense_txns()) {
+        for cfg in act_configs() {
+            let tfaw = cfg.ns_to_cycles(cfg.timing.tfaw);
+            for stream in [&txns, &dense] {
+                let acts = rebuilt_acts(&cfg, &completions(&cfg, stream))
+                    .map_err(prop::test_runner::TestCaseError::Fail)?;
+                for rank in act_groups(&acts, |rank, _| rank) {
+                    for w in rank.windows(5) {
+                        prop_assert!(w[4] >= w[0] + tfaw,
+                            "{:?} tCK {}: five ACTs to one rank in [{}, {}], tFAW {}",
+                            cfg.page_policy, cfg.tck_cycles(), w[0], w[4], tfaw);
+                    }
+                }
             }
         }
     }

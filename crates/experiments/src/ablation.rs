@@ -230,7 +230,7 @@ pub fn page_policy(cfg: &ExpConfig) -> Vec<PagePolicyResult> {
                 Policy::fcfs(n)
             };
             let mut sys = CmpSystem::new(&cmp_cfg, w, cc, pol);
-            sys.run(cfg.phases.warmup);
+            sys.warm_up(cfg.phases.warmup);
             sys.reset_phase_counters();
             sys.mc_mut().dram(); // no-op read to keep the borrow simple
             let start = sys.snapshot();

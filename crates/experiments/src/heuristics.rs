@@ -62,7 +62,7 @@ fn run_policy(
         ..CmpConfig::default()
     };
     let mut sys = CmpSystem::new(&cmp_cfg, w, cc, policy_of(n));
-    sys.run(cfg.phases.warmup + cfg.phases.profile);
+    sys.warm_up(cfg.phases.warmup + cfg.phases.profile);
     sys.reset_phase_counters();
     let start = sys.snapshot();
     sys.run(cfg.phases.measure);

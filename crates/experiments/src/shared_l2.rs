@@ -78,7 +78,7 @@ fn measure(
         ..CmpConfig::default()
     };
     let mut sys = CmpSystem::new_with_l2(&cmp_cfg, w, cc, l2s, policy_of(n));
-    sys.run(phases.warmup);
+    sys.warm_up(phases.warmup);
     sys.reset_phase_counters();
     let start = sys.snapshot();
     sys.run(phases.measure);

@@ -124,9 +124,17 @@ pub struct MemoryController {
     settle_plan: Vec<usize>,
     /// Whether `settle_plan` describes the queues and channels as they
     /// stand and the policy has made the one pick that stands for every
-    /// stalled clock until the next issue. An issue and a policy swap clear
-    /// it; the next settle that accounts a clock sets it again.
+    /// stalled clock until the next issue. An issue, a policy swap and the
+    /// end of a [`warm_up`](Self::warm_up) clear it; the next settle that
+    /// accounts a clock sets it again.
     plan_valid: bool,
+    /// Whether the controller keeps the Section IV-C tally: probes blocked
+    /// heads, lists them in the settle plan and charges interference.
+    /// Nothing else reads the attribution, so switching it off changes no
+    /// other state. Off inside [`warm_up`](Self::warm_up), whose window
+    /// nobody reads, and always with one application, whose head can only
+    /// be held by its own traffic.
+    tally: bool,
     /// The first command clock at or above the DRAM floor — the lowest
     /// [`DramSystem::channel_floor`] over the channels — refreshed after
     /// each issue (channel state changes only there). No request can
@@ -163,6 +171,7 @@ impl MemoryController {
             gate_memo: vec![None; dram.num_channels() * GATE_KEYS_PER_CHANNEL],
             settle_plan: Vec::with_capacity(apps),
             plan_valid: false,
+            tally: apps > 1,
             floor_clock: 0,
             obs: None,
             dram,
@@ -248,14 +257,18 @@ impl MemoryController {
     /// for the cycle the request arrives in: command clocks before it are
     /// accounted against the queues as they were. A request that becomes
     /// its application's head joins a valid settle plan when another
-    /// application's traffic holds it.
+    /// application's traffic holds it and the tally is kept.
     pub fn enqueue(&mut self, req: MemRequest) {
         let app = req.app;
         let new_head = self.queues.len(app) == 0;
         self.queues.push(req, self.dram.locate(req.addr));
         // The next settle starts at `next_tick`, so this is the probe its
         // rebuild would make.
-        if new_head && self.plan_valid && self.head_blocker(app, self.next_tick).is_some() {
+        if new_head
+            && self.plan_valid
+            && self.tally
+            && self.head_blocker(app, self.next_tick).is_some()
+        {
             self.settle_plan.push(app);
         }
     }
@@ -410,6 +423,9 @@ impl MemoryController {
         }
 
         // Section IV-C interference accounting for the un-served apps.
+        if !self.tally {
+            return;
+        }
         for i in 0..self.cand_buf.len() {
             let c = self.cand_buf[i];
             if Some(c.app) == served {
@@ -482,8 +498,10 @@ impl MemoryController {
     /// `Policy::pick` that stands for every stalled clock until the next
     /// issue; an enqueue into an empty queue adds only its new head's
     /// attribution; every other settle charges the plan with no probe and
-    /// no pick. Debug builds check each reused plan against uncached probes
-    /// of every head.
+    /// no pick. Without the tally the plan stays empty: the first settle
+    /// after an issue or a swap makes only the pick. Debug builds check
+    /// every plan, rebuilt or reused, against uncached probes of every
+    /// head.
     ///
     /// [`tick`](Self::tick) calls this first; a run that ends between
     /// [`next_event_cycle`](Self::next_event_cycle) visits calls it with
@@ -506,11 +524,10 @@ impl MemoryController {
         self.stats.busy_ticks += k;
         self.stats.stalled_ticks += k;
         obs_count!(self.obs, settled_clocks, k);
-        if self.plan_valid {
-            self.check_settle_plan(first);
-        } else {
+        if !self.plan_valid {
             self.rebuild_settle_plan(first);
         }
+        self.check_settle_plan(first);
         if !self.settle_plan.is_empty() {
             for &app in &self.settle_plan {
                 self.interference.charge(app, k * self.tck);
@@ -524,7 +541,7 @@ impl MemoryController {
     }
 
     /// Rebuild the settle plan at command clock `first`, below the floor:
-    /// probe every pending head, keep the heads held by another
+    /// keep, when tallying, the pending heads held by another
     /// application's traffic, and make the pick.
     fn rebuild_settle_plan(&mut self, first: u64) {
         obs_count!(self.obs, settle_plans);
@@ -535,15 +552,7 @@ impl MemoryController {
             if self.queues.len(app) == 0 {
                 continue;
             }
-            let probe = self.probe_head(app, first);
-            // Cross-layer contract: `channel_floor` bounds every start.
-            bwpart_core::invariant!(
-                probe.start > first,
-                "request issuable at {} below the DRAM floor clock {}",
-                first,
-                self.floor_clock
-            );
-            if probe.blocker.is_some_and(|b| b != app) {
+            if self.tally && self.head_blocker(app, first).is_some() {
                 self.settle_plan.push(app);
             }
             self.push_candidate(app, None);
@@ -563,10 +572,12 @@ impl MemoryController {
         self.plan_valid = true;
     }
 
-    /// Debug builds: check a reused settle plan at command clock `first`
+    /// Debug builds: check the settle plan at command clock `first`
     /// against an uncached probe of every pending head. Nothing may be
-    /// issuable below the floor, and the plan must hold exactly the heads
-    /// another application's traffic blocks.
+    /// issuable below the floor (the cross-layer contract that
+    /// `channel_floor` bounds every start), and the plan must hold exactly
+    /// the heads another application's traffic blocks, or none without
+    /// the tally.
     fn check_settle_plan(&self, first: u64) {
         if !bwpart_core::contracts::ENABLED {
             return;
@@ -582,7 +593,7 @@ impl MemoryController {
                 first,
                 self.floor_clock
             );
-            let blocked = probe.blocker.is_some_and(|b| b != app);
+            let blocked = self.tally && probe.blocker.is_some_and(|b| b != app);
             bwpart_core::invariant!(
                 blocked == self.settle_plan.contains(&app),
                 "settle plan {:?} is stale for app {} at {}",
@@ -679,6 +690,13 @@ impl MemoryController {
         self.interference.cycles(app)
     }
 
+    /// Interference cycles charged to `app` since construction, across
+    /// epochs: the lifetime tally that `CmpSystem`'s snapshots carry. A
+    /// [`warm_up`](Self::warm_up) adds nothing to it.
+    pub fn lifetime_interference_cycles(&self, app: usize) -> u64 {
+        self.interference.lifetime(app)
+    }
+
     /// Accesses served per application this epoch (`N_accesses,i`).
     pub fn epoch_accesses(&self) -> &[u64] {
         &self.epoch_accesses
@@ -691,6 +709,33 @@ impl MemoryController {
         let intf = self.interference.all().to_vec();
         self.interference.reset();
         (acc, intf)
+    }
+
+    /// Run `advance` on this controller as a warm-up, whose Section IV-C
+    /// tally nobody reads.
+    ///
+    /// Inside, the controller keeps no tally: no head probes, no settle
+    /// plan members (a plan that stands on entry keeps its pick and drops
+    /// its members), no interference charges. Everything else advances
+    /// exactly as it would with the tally kept, because attribution only
+    /// reads channel state; in particular the one `Policy::pick` per issue
+    /// still happens, so batching policies form the same batches. On
+    /// return the tally is restored, the settle plan is invalidated (the
+    /// next settle rebuilds it with its probes, and repeats a pick that
+    /// changes nothing), and the epoch counters are cleared in place. The
+    /// result matches running `advance` with the tally kept and then
+    /// discarding [`take_epoch_counters`](Self::take_epoch_counters), in
+    /// every counter but the lifetime tally, which the warm-up leaves
+    /// uncharged.
+    pub fn warm_up(&mut self, advance: impl FnOnce(&mut Self)) {
+        let tally = std::mem::replace(&mut self.tally, false);
+        // The plan's members are tally; the pick it records still stands.
+        self.settle_plan.clear();
+        advance(self);
+        self.tally = tally;
+        self.plan_valid = false;
+        self.epoch_accesses.fill(0);
+        self.interference.reset();
     }
 }
 

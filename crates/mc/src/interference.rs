@@ -19,10 +19,14 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Per-application interference cycle counters.
+/// Per-application interference cycle counters: the current epoch's and
+/// the lifetime total.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct InterferenceTracker {
+    /// Cycles charged in the current epoch.
     cycles: Vec<u64>,
+    /// Cycles charged in the epochs already closed by [`reset`](Self::reset).
+    closed: Vec<u64>,
 }
 
 impl InterferenceTracker {
@@ -30,6 +34,7 @@ impl InterferenceTracker {
     pub fn new(apps: usize) -> Self {
         InterferenceTracker {
             cycles: vec![0; apps],
+            closed: vec![0; apps],
         }
     }
 
@@ -38,20 +43,28 @@ impl InterferenceTracker {
         self.cycles[app] += amount;
     }
 
-    /// Total interference cycles charged to `app`
+    /// Interference cycles charged to `app` this epoch
     /// (`T_cyc,interference,i`).
     pub fn cycles(&self, app: usize) -> u64 {
         self.cycles[app]
     }
 
-    /// All counters (index = application).
+    /// Interference cycles charged to `app` since construction, across
+    /// every epoch.
+    pub fn lifetime(&self, app: usize) -> u64 {
+        self.closed[app] + self.cycles[app]
+    }
+
+    /// This epoch's counters (index = application).
     pub fn all(&self) -> &[u64] {
         &self.cycles
     }
 
-    /// Reset at an epoch boundary.
+    /// Close the epoch: zero its counters, keeping the lifetime totals.
     pub fn reset(&mut self) {
-        self.cycles.iter_mut().for_each(|c| *c = 0);
+        for (closed, c) in self.closed.iter_mut().zip(&mut self.cycles) {
+            *closed += std::mem::take(c);
+        }
     }
 }
 
@@ -72,10 +85,13 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_everything() {
+    fn reset_zeroes_the_epoch_and_keeps_the_lifetime() {
         let mut t = InterferenceTracker::new(2);
         t.charge(1, 100);
         t.reset();
         assert_eq!(t.all(), &[0, 0]);
+        t.charge(1, 20);
+        assert_eq!((t.cycles(1), t.lifetime(1)), (20, 120));
+        assert_eq!(t.lifetime(0), 0);
     }
 }

@@ -105,7 +105,7 @@ impl MrcSampler {
             vec![bench.core_config()],
             Policy::fcfs(1),
         );
-        sys.run(self.warmup);
+        sys.warm_up(self.warmup);
         sys.reset_phase_counters();
         sys.run(self.measure);
         let instr = sys.core(0).counters.retired.max(1);

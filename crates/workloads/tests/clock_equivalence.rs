@@ -18,8 +18,14 @@
 //! After every chunk the two systems must agree on the cycle, the
 //! snapshot, every core counter, the controller and DRAM statistics, the
 //! interference counts and the LLC counters.
+//!
+//! One more dimension holds `CmpSystem::warm_up`, which keeps no
+//! interference tally, to `run` followed by a discarded
+//! `take_epoch_counters`: over every policy, 4, 8 and 16 cores, the LLC
+//! on and off and the three DRAM channels, with a policy swap right after
+//! the warm-up or later.
 
-use bwpart_cmp::{CacheConfig, CmpConfig, CmpSystem, LlcConfig, Workload};
+use bwpart_cmp::{CacheConfig, CmpConfig, CmpSystem, LlcConfig, Snapshot, Workload};
 use bwpart_dram::{DramConfig, PagePolicy};
 use bwpart_mc::Policy;
 use bwpart_workloads::{cache_profiles, table3_profiles, BenchProfile};
@@ -61,7 +67,7 @@ fn twin(pick: (usize, u32, u32, usize, u32, u32), salt: u64) -> BenchProfile {
 /// keys and knobs derived from `salt`.
 fn policy(kind: usize, n: usize, salt: u64) -> Policy {
     let weights: Vec<f64> = (0..n)
-        .map(|i| 1.0 + ((salt >> (i * 8)) & 0xff) as f64)
+        .map(|i| 1.0 + (salt.rotate_right(i as u32 * 8) & 0xff) as f64)
         .collect();
     let total: f64 = weights.iter().sum();
     match kind {
@@ -207,4 +213,156 @@ proptest! {
             );
         }
     }
+}
+
+/// Everything a system has counted, with the snapshot's lifetime
+/// interference taken relative to `base`.
+type Digest = (
+    u64,
+    Snapshot,
+    Vec<bwpart_cmp::core::CoreCounters>,
+    bwpart_mc::McStats,
+    Vec<u64>,
+    Vec<u64>,
+    bwpart_dram::DramStats,
+    Option<Vec<bwpart_cmp::LlcAppCounters>>,
+);
+
+fn rebased_digest(sys: &CmpSystem, base: &Snapshot) -> Digest {
+    let n = sys.cores();
+    let mc = sys.mc();
+    let mut snap = sys.snapshot();
+    for (lifetime, at_base) in snap.interference.iter_mut().zip(&base.interference) {
+        *lifetime -= at_base;
+    }
+    (
+        sys.cycle(),
+        snap,
+        (0..n).map(|i| sys.core(i).counters.clone()).collect(),
+        mc.stats().clone(),
+        (0..n).map(|i| mc.interference_cycles(i)).collect(),
+        mc.epoch_accesses().to_vec(),
+        mc.dram().stats().clone(),
+        sys.llc()
+            .map(|l| (0..n).map(|i| l.counters(i).clone()).collect()),
+    )
+}
+
+/// `warm_up(w)` then `run(m)` against `run(w)`, a discarded
+/// `take_epoch_counters()` and `run(m)`, after a common tallied lead-in
+/// (zero cycles included). A policy swap comes right after the warm-up
+/// when `swap_at_once`, else halfway through `m`, so the first settles
+/// after the warm-up meet a plan only the warm-up's end invalidated.
+/// The systems must agree after each window in every counter; the
+/// snapshots' lifetime interference is compared from the end of the
+/// warm-up, which the untallied system never charged. Returns the
+/// interference the tallied system charged in its warm-up.
+fn check_warm_up(
+    swap_at_once: bool,
+    n: usize,
+    kind: usize,
+    with_llc: bool,
+    dram: usize,
+    draw: &mut impl FnMut(u64) -> u64,
+) -> u64 {
+    let profiles: Vec<BenchProfile> = (0..n)
+        .map(|i| {
+            let app = (
+                draw(64) as usize,
+                draw(7) as u32,
+                draw(501) as u32,
+                1 + draw(16) as usize,
+                1 + draw(4) as u32,
+                draw(321) as u32,
+            );
+            twin(app, i as u64)
+        })
+        .collect();
+    let seed = draw(u64::MAX);
+    let cfg = config(1 + draw(2) as usize, with_llc, dram);
+    let build = || {
+        let workloads: Vec<Box<dyn Workload>> = profiles.iter().map(|p| p.spawn(seed)).collect();
+        let cores = profiles.iter().map(BenchProfile::core_config).collect();
+        let mut sys = CmpSystem::new(&cfg, workloads, cores, policy(kind, n, seed));
+        if with_llc {
+            let weights: Vec<usize> = (0..n).map(|i| 1 + (i + kind) % 8).collect();
+            sys.set_llc_ways(&way_split(&weights, 16));
+        }
+        sys
+    };
+    let lead = draw(3) * draw(10_000);
+    let warm = 10_000 + draw(20_000);
+    let half = 10_000 + draw(10_000);
+    let swap = policy((kind + 1 + draw(6) as usize) % 7, n, seed.rotate_left(16));
+    let case = format!(
+        "{n} cores, policy {kind}, llc {with_llc}, dram {dram}, lead-in {lead}, warm-up {warm}, \
+         swap at once {swap_at_once}"
+    );
+
+    let mut untallied = build();
+    let mut tallied = build();
+    untallied.run(lead);
+    tallied.run(lead);
+    let lead_in = untallied.snapshot().interference;
+    untallied.warm_up(warm);
+    tallied.run(warm);
+    let (from, base) = (untallied.snapshot(), tallied.snapshot());
+    assert_eq!(from.interference, lead_in, "{case}: the warm-up charged");
+    let _ = tallied.mc_mut().take_epoch_counters();
+    assert_eq!(
+        rebased_digest(&untallied, &from),
+        rebased_digest(&tallied, &base),
+        "{case}: after the warm-up"
+    );
+
+    for second in [false, true] {
+        if second != swap_at_once {
+            untallied.mc_mut().set_policy(swap.clone());
+            tallied.mc_mut().set_policy(swap.clone());
+        }
+        untallied.run(half);
+        tallied.run(half);
+    }
+    let digest = rebased_digest(&untallied, &from);
+    assert_eq!(
+        digest,
+        rebased_digest(&tallied, &base),
+        "{case}: after the measure"
+    );
+    assert!(
+        digest.4.iter().any(|&c| c > 0),
+        "{case}: nothing charged after the warm-up"
+    );
+    base.interference.iter().sum::<u64>() - lead_in.iter().sum::<u64>()
+}
+
+/// [`check_warm_up`] over every policy, 4, 8 and 16 cores, the LLC on and
+/// off, and the three DRAM channels, with the swap at once in every other
+/// case.
+#[test]
+fn warm_up_matches_run_with_a_discarded_tally() {
+    let mut state = 0x3A7E_u64;
+    let mut draw = move |bound: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % bound
+    };
+    let mut charged_in_warm_ups = 0;
+    for n in [4, 8, 16] {
+        for kind in 0..7 {
+            for (with_llc, dram) in [false, true]
+                .into_iter()
+                .flat_map(|l| (0..3).map(move |d| (l, d)))
+            {
+                let swap_at_once = (n + kind + dram + usize::from(with_llc)) % 2 == 0;
+                charged_in_warm_ups +=
+                    check_warm_up(swap_at_once, n, kind, with_llc, dram, &mut draw);
+            }
+        }
+    }
+    assert!(
+        charged_in_warm_ups > 0,
+        "no warm-up charged any interference"
+    );
 }
